@@ -12,6 +12,7 @@ reports the per-layer metrics.  Every run is checked: see
 from __future__ import annotations
 
 import cProfile
+import ctypes
 import gc
 import heapq
 import json
@@ -20,6 +21,7 @@ import os
 import platform
 import pstats
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -72,7 +74,7 @@ PER_LAYER = (
 )
 
 #: Timed set-up probes per run (after one that warms the bytecode cache).
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 #: Fewest untraced rounds per run: the determinism check needs a repeat.
 MIN_ROUNDS = 2
 #: Seconds a set-up probe may take before it counts as failed.
@@ -84,6 +86,34 @@ SAMPLE_PERIOD_S = 0.2
 #: spin at 1.6M ops/s (an idle 2-core Intel Xeon cloud VM; compare
 #: ``host.ops_per_s`` in the detail line).  Timed metrics are scaled to it.
 REFERENCE_SAMPLE_S = SAMPLE_OPS / 1.6e6
+
+
+#: ``prctl`` option: the signal a child gets when its parent ends (Linux).
+PR_SET_PDEATHSIG = 1
+
+
+def die_with_parent() -> None:
+    """Make every process this one forks from now on die with it.
+
+    Pool workers otherwise outlive a benchmark process that is killed.
+    A no-op where ``prctl`` is missing.
+    """
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    forker = [os.getpid()]
+
+    def in_child() -> None:
+        prctl(PR_SET_PDEATHSIG, int(signal.SIGKILL))
+        if os.getppid() != forker[0]:  # the parent ended before prctl
+            os._exit(1)
+
+    os.register_at_fork(
+        before=lambda: forker.__setitem__(0, os.getpid()), after_in_child=in_child
+    )
 
 
 def unit_of(name: str) -> str:
@@ -508,6 +538,7 @@ def catalog_workload(args, tally: Tally, detail: Dict) -> Dict[str, float]:
 def run(args) -> int:
     from repro.bench import host_calibration
 
+    die_with_parent()
     tally = Tally()
     detail: Dict = {
         "workload": args.workload,
