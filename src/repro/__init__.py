@@ -46,8 +46,8 @@ from repro.config import (
 from repro.errors import ReproError
 from repro.runner import RunResult, SimulationRun, run_simulation
 from repro.scenarios import Scenario, get_scenario, list_scenarios
-from repro.studies import PolicyMap, StudySpec, run_study
-from repro.sweep import ResultStore, SweepSpec, run_sweep
+from repro.studies import PolicyMap, StudySpec
+from repro.sweep import ResultStore, SweepSpec
 from repro.version import PAPER, __version__
 
 __all__ = [
@@ -74,6 +74,4 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "run_simulation",
-    "run_study",
-    "run_sweep",
 ]

@@ -16,9 +16,8 @@ DET103  iteration over a set (or over dict views feeding serialization)
 DET104  float accumulation over an unordered collection
 DET105  ``id()``-dependent ordering or keying
 DET106  environment-variable read inside the model core (``sim/``,
-        ``npu/``) for a variable not on the named outcome-neutral
-        allowlist — an undeclared env toggle there can silently fork
-        simulation behaviour between hosts
+        ``npu/``) — an env toggle there can silently fork simulation
+        behaviour between hosts
 """
 
 from __future__ import annotations
@@ -78,22 +77,6 @@ WALL_CLOCK_ALLOWLIST: Tuple[str, ...] = (
     "src/repro/backends/worker.py",
     "src/repro/backends/distributed.py",
 )
-
-#: Env toggles the model core (``sim/``, ``npu/``) may read: each entry
-#: names a variable *proven* outcome-neutral — it may change how fast a
-#: run executes, never what it computes — and the wall that proves it.
-#: Anything else read from the environment inside the model core is a
-#: DET106 finding: declare the variable here (with its proof) instead of
-#: suppressing per line.  Observability/orchestration layers (obs,
-#: trace, loc, sweep, backends) read mode env vars by design and are out
-#: of DET106 scope; their outcome-neutrality is enforced by the
-#: study-diff and monitor-equivalence walls.
-ENV_TOGGLE_ALLOWLIST: Dict[str, str] = {
-    # Compute fusion is byte-identical by construction (the seq relay
-    # draws every kernel seq at its unfused instant); enforced by
-    # tests/test_fastpath.py and the full-catalog study md5 wall.
-    "REPRO_FUSE": "tie-stable compute fusion (speed-only, bit-identical)",
-}
 
 #: Serialization/hashing sinks: a dict-view iteration whose loop body
 #: calls one of these is order-sensitive output.
@@ -440,7 +423,11 @@ def _check_module(module: Module) -> List[Finding]:
                         )
                     )
 
-    # --- DET106: undeclared env toggles in the model core ---------------
+    # --- DET106: env toggles in the model core ---------------------------
+    # Observability/orchestration layers (obs, trace, loc, sweep,
+    # backends) read mode env vars by design and are out of scope; their
+    # outcome-neutrality is enforced by the study-diff and
+    # monitor-equivalence walls.
     normalized = rel.replace("\\", "/")
     in_model_core = normalized.startswith(
         ("src/repro/sim/", "src/repro/npu/")
@@ -451,25 +438,19 @@ def _check_module(module: Module) -> List[Finding]:
             var = _env_read_variable(node, aliases, constants)
             if var is _NO_ENV_READ:
                 continue
-            if var is not None and var in ENV_TOGGLE_ALLOWLIST:
-                continue
             shown = f"{var!r}" if var is not None else "a dynamic name"
             findings.append(
                 Finding(
                     code="DET106",
                     message=(
                         f"environment read of {shown} in the model core — "
-                        "undeclared env toggles can fork simulation "
-                        "behaviour between hosts"
+                        "env toggles can fork simulation behaviour "
+                        "between hosts"
                     ),
                     path=rel,
                     line=node.lineno,
                     col=node.col_offset,
-                    hint=(
-                        "prove the toggle outcome-neutral and add it to "
-                        "ENV_TOGGLE_ALLOWLIST (lint/determinism.py), or "
-                        "plumb it through RunConfig"
-                    ),
+                    hint="plumb the setting through RunConfig",
                 )
             )
 

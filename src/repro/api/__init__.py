@@ -2,9 +2,9 @@
 
 ``repro.api`` is the one front door to the reproduction's execution
 machinery.  Where the historical entry layers each configured execution
-their own way — ``run_simulation`` kwargs, ``run_sweep(workers=,
-backend=)``, ``REPRO_SWEEP_*`` environment variables, CLI flags — a
-:class:`Session` owns that policy once, as typed objects:
+their own way — ``run_simulation`` kwargs, ``REPRO_SWEEP_*``
+environment variables, CLI flags — a :class:`Session` owns that policy
+once, as typed objects:
 
 * :class:`~repro.api.policy.ExecutionPolicy` — backend, workers,
   distributed connect target, retry budget;
@@ -32,9 +32,6 @@ Quickstart::
     # Streaming: outcomes in completion order, any backend.
     for outcome in session.stream(spec):
         print(outcome.label, outcome.mean_power_w)
-
-The legacy ``run_sweep`` / ``run_study`` calls keep working as
-deprecation shims over this API, bit for bit.
 """
 
 from repro.api.events import EventHooks, chain_hooks

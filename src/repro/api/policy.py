@@ -5,8 +5,8 @@ environment-variable reads that used to configure execution:
 
 * :class:`ExecutionPolicy` — *where and how* jobs run: backend
   selector, worker count, distributed connect target, retry budget.
-  One explicit object instead of ``run_sweep(workers=..., backend=...)``
-  plus ``REPRO_SWEEP_BACKEND`` / ``REPRO_SWEEP_CONNECT`` /
+  One explicit object instead of per-call kwargs plus
+  ``REPRO_SWEEP_BACKEND`` / ``REPRO_SWEEP_CONNECT`` /
   ``REPRO_SWEEP_WORKERS`` lookups sprinkled through the engine.
 * :class:`StorePolicy` — *what happens to results*: the JSONL
   :class:`~repro.sweep.store.ResultStore` path (or a shared instance)
@@ -14,9 +14,8 @@ environment-variable reads that used to configure execution:
 
 Precedence is explicit and testable: a field set on the policy always
 wins; a field left ``None`` defers to the environment at resolve time,
-exactly as the legacy entry points did — so a default-constructed
-:class:`~repro.api.session.Session` behaves bit-identically to the
-pre-session ``run_sweep``/``run_study`` calls it now backs.
+so a default-constructed :class:`~repro.api.session.Session` follows
+``REPRO_SWEEP_*`` as set when it runs.
 :meth:`ExecutionPolicy.from_env` instead *captures* the environment
 into explicit fields once, pinning the configuration for the life of
 the session regardless of later ``os.environ`` changes.
@@ -234,8 +233,7 @@ class StorePolicy:
         per sweep, so an interrupted grid resumes cell by cell.
     store:
         A pre-built store instance shared across the session's sweeps
-        (wins over ``path``; also how the legacy shims pass their
-        ``store=`` argument through).
+        (wins over ``path``).
     reuse:
         ``True`` (default) serves completed jobs from the store as
         ``cached`` outcomes; ``False`` re-runs every job and appends a

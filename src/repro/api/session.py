@@ -15,11 +15,8 @@ entry point of the reproduction through them:
 * :meth:`Session.experiment` — a registered paper figure, executed
   under the session's policy.
 
-The legacy entry points (:func:`repro.sweep.engine.run_sweep`,
-:func:`repro.studies.engine.run_study`) are deprecation shims over a
-default-configured session and remain bit-identical — including their
-environment-variable behaviour, because a policy field left ``None``
-defers to the same variables at the same moment the old code read them.
+A policy field left ``None`` defers to the ``REPRO_SWEEP_*``
+environment variables at the moment a sweep starts.
 """
 
 from __future__ import annotations
@@ -42,8 +39,8 @@ class Session:
     Parameters
     ----------
     execution:
-        Backend / worker / connect / retry policy (default: the legacy
-        environment-deferring behaviour).
+        Backend / worker / connect / retry policy (default: every field
+        deferred to the ``REPRO_SWEEP_*`` environment).
     store:
         Result persistence and cache-reuse policy (default: no store).
     hooks:
@@ -314,7 +311,12 @@ class Session:
     ):
         """Run a scenario-conditioned policy study (one streamed sweep).
 
-        Parameters mirror :func:`repro.studies.engine.run_study`.
+        ``jobs_by_scenario`` accepts a precomputed
+        :meth:`~repro.studies.spec.StudySpec.jobs_by_scenario` expansion
+        so callers that already expanded the grid (the CLI prints the
+        job count up front) do not pay for a second expansion; the
+        sweep is the concatenation of every scenario's grid.
+        ``hooks`` layer on the session's own event hooks.
         ``on_scenario_complete(verdict)`` fires the moment the last
         outcome of a scenario's grid lands — with that scenario's
         :class:`~repro.studies.policymap.ScenarioVerdict`, identical to
@@ -444,17 +446,15 @@ class _ScenarioCompletionTracker:
             self.on_scenario_complete(verdict)
 
 
-#: The lazily created all-defaults session behind the legacy shims.
+#: The lazily created all-defaults session (see :func:`default_session`).
 _DEFAULT: Optional[Session] = None
 
 
 def default_session() -> Session:
     """The shared default session (all policies at their defaults).
 
-    This is what the legacy :func:`~repro.sweep.engine.run_sweep` /
-    :func:`~repro.studies.engine.run_study` shims delegate to when
-    called without overrides; it defers every unset policy field to the
-    environment, exactly as the pre-session engine did.
+    The experiment runners sweep through it; it defers every unset
+    policy field to the environment.
     """
     global _DEFAULT
     if _DEFAULT is None:

@@ -56,7 +56,7 @@ class IpfwdrApp(AppModel):
     name = "ipfwdr"
 
     # Pure streams: trie lookups are read-only and the per-packet
-    # counters commute, so both sides may be materialized and fused.
+    # counters commute, so both sides may be materialized.
     materialize_rx = True
     materialize_tx = True
 

@@ -12,8 +12,9 @@
 * :mod:`~repro.backends.protocol` — the length-prefixed JSON wire
   format shared by coordinator and workers.
 
-:func:`~repro.sweep.engine.run_sweep` selects a backend from its
-``backend=`` argument, the ``REPRO_SWEEP_BACKEND`` environment
+:class:`~repro.api.Session` selects a backend from its
+:class:`~repro.api.policy.ExecutionPolicy` ``backend`` field, the
+``REPRO_SWEEP_BACKEND`` environment
 variable (``serial`` / ``process`` / ``distributed``; the distributed
 endpoint comes from ``REPRO_SWEEP_CONNECT``), or — by default — serial
 for one worker and the process pool otherwise, exactly as before the
@@ -43,7 +44,7 @@ from repro.backends.worker import run_worker
 
 #: Environment override for the default backend (``serial`` /
 #: ``process`` / ``distributed``); experiments consult it through
-#: :func:`~repro.sweep.engine.run_sweep`, so every figure grid can fan
+#: their :class:`~repro.api.Session` sweeps, so every figure grid can fan
 #: out to a worker fleet with zero call-site changes.
 BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 

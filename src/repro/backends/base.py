@@ -17,8 +17,8 @@ strategy — in-process, process pool, multi-machine queue — the same:
   of re-paying finished work.
 
 Jobs handed to a backend are already de-duplicated and cache-filtered
-by :func:`~repro.sweep.engine.run_sweep`; backends never consult the
-store themselves.
+by :meth:`~repro.api.Session.stream`; backends never consult the store
+themselves.
 """
 
 from __future__ import annotations

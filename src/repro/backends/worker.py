@@ -112,8 +112,8 @@ def run_worker(
         each subsequent) connection.
     serve:
         After a session ends, reconnect and serve the next sweep —
-        lets one pool of workers drain the several ``run_sweep`` calls
-        an experiment or study session issues — until no coordinator
+        lets one pool of workers drain the several sweeps an
+        experiment or study session issues — until no coordinator
         appears within ``connect_timeout_s``.
     """
     total = 0

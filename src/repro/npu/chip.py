@@ -103,7 +103,6 @@ class NpuChip:
         sim: Simulator,
         config: RunConfig,
         rng_streams: Optional[RngStreams] = None,
-        fuse: Optional[bool] = None,
     ):
         config.validate()
         self.sim = sim
@@ -214,7 +213,6 @@ class NpuChip:
                     on_put_tx=self._on_put_tx,
                     on_drop=self._on_drop,
                     materialize=self.app.materialize_rx,
-                    fuse=fuse,
                 )
             else:
                 pos = tx_position[me_index]
@@ -237,7 +235,6 @@ class NpuChip:
                     on_packet_done=self._on_tx_done,
                     on_drop=self._on_drop,
                     materialize=self.app.materialize_tx,
-                    fuse=fuse,
                 )
             self.accountant.attach_me(me)
             self.mes.append(me)
@@ -392,16 +389,6 @@ class NpuChip:
         )
 
 
-def build_chip(
-    config: RunConfig,
-    sim: Optional[Simulator] = None,
-    fuse: Optional[bool] = None,
-) -> NpuChip:
-    """Convenience constructor: fresh simulator + chip from a config.
-
-    ``fuse`` forces compute fusion on (``True``) or off (``False``) for
-    every microengine; ``None`` defers to the ``REPRO_FUSE`` environment
-    default (on).  Fused and unfused runs are byte-identical — the knob
-    exists for A/B benchmarking and the equivalence test walls.
-    """
-    return NpuChip(sim or Simulator(), config, fuse=fuse)
+def build_chip(config: RunConfig, sim: Optional[Simulator] = None) -> NpuChip:
+    """Convenience constructor: fresh simulator + chip from a config."""
+    return NpuChip(sim or Simulator(), config)

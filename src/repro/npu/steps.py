@@ -17,8 +17,6 @@ modes share the microengine runtime.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from repro.errors import NpuError
 
 #: Memory targets a step may reference.
@@ -27,11 +25,10 @@ MEMORY_TARGETS = ("sram", "sdram", "scratch")
 #: Step dispatch codes: the microengine arbiter branches on ``step.op``
 #: (one attribute load + int compare) instead of an isinstance chain.
 OP_COMPUTE = 0
-OP_FUSED_COMPUTE = 1
-OP_MEM_BLOCKING = 2
-OP_MEM_POST = 3
-OP_PUT_TX = 4
-OP_DROP = 5
+OP_MEM_BLOCKING = 1
+OP_MEM_POST = 2
+OP_PUT_TX = 3
+OP_DROP = 4
 
 
 class Step:
@@ -57,57 +54,6 @@ class Compute(Step):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Compute({self.instructions})"
-
-
-class FusedCompute(Step):
-    """A run of consecutive :class:`Compute` steps executed as one block.
-
-    Produced by :func:`materialize_steps` or by the microengine itself
-    (a stall re-queues a run's uncharged tail this way); applications
-    never yield it directly.  In normal operation the microengine fuses
-    compute runs *at execution time* — the arbiter's lookahead, see
-    ``Microengine._run_compute_fused`` — rather than carrying fused
-    steps in the stream.  Either way the run executes as a *seq relay*:
-    the engine charges one part at a time and posts the boundary event
-    at exactly the instant the unfused step's completion would land
-    (see ``Microengine._fused_advance``), so timing, kernel sequence
-    layout, and equal-picosecond tie ordering are all bit-identical to
-    executing the parts back to back.  What fusion saves is the
-    per-part trip through the ready queue, the thread dispatcher, and
-    the step decoder — not the events themselves.  A stall interrupting
-    the block re-queues the uncharged tail as a fresh step; a frequency
-    change needs no handling at all, because every part draws its delay
-    from the clock when it is charged.
-    """
-
-    __slots__ = ("instructions", "parts")
-
-    op = OP_FUSED_COMPUTE
-
-    def __init__(self, parts: Iterable[int]):
-        parts = tuple(parts)
-        if len(parts) < 2:
-            raise NpuError(f"FusedCompute needs at least two parts, got {parts!r}")
-        if any(p <= 0 for p in parts):
-            raise NpuError(f"FusedCompute parts must be positive, got {parts!r}")
-        self.parts = parts
-        self.instructions = sum(parts)
-
-    @classmethod
-    def _from_run(cls, parts: List[int]) -> "FusedCompute":
-        """Unchecked constructor for the materialization pass.
-
-        ``parts`` are the counts of already-validated :class:`Compute`
-        steps (each positive, two or more of them), so the public
-        constructor's re-validation is pure per-packet overhead here.
-        """
-        fused = cls.__new__(cls)
-        fused.parts = tuple(parts)
-        fused.instructions = sum(parts)
-        return fused
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FusedCompute({self.parts!r})"
 
 
 class _MemStep(Step):
@@ -179,53 +125,3 @@ class Drop(Step):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Drop({self.reason!r})"
 
-
-def materialize_steps(stream: Iterable[Step], fuse: bool = True) -> List[Step]:
-    """List out a step stream, optionally fusing consecutive computes.
-
-    Materialization runs the generator to exhaustion up front, so it is
-    only valid for *pure* streams — apps whose per-packet side effects
-    are commutative counters (see ``AppModel.materialize_rx``).  The
-    returned list iterates at C speed in the arbiter loop instead of
-    resuming a generator per step.
-
-    With ``fuse``, maximal runs of two or more adjacent :class:`Compute`
-    steps collapse into one :class:`FusedCompute`; single computes keep
-    their original objects.  The microengine itself materializes
-    *unfused* and fuses at execution time instead (the arbiter lookahead
-    only touches compute runs, so streams without adjacent computes pay
-    nothing); pre-fused streams remain fully supported.
-    """
-    if not fuse:
-        return list(stream)
-    # Single pass, straight off the generator: this runs per packet
-    # bind, so it competes with a bare ``list(stream)`` — no
-    # intermediate list, no re-validation, and the (common) length-1
-    # run keeps its original Compute without ever building a list.
-    out: List[Step] = []
-    append = out.append
-    run_first = None  # sole Compute of the current run
-    run_parts = None  # its counts, once the run reaches length two
-    for step in stream:
-        if step.__class__ is Compute:
-            if run_first is None:
-                run_first = step
-            elif run_parts is None:
-                run_parts = [run_first.instructions, step.instructions]
-            else:
-                run_parts.append(step.instructions)
-            continue
-        if run_first is not None:
-            if run_parts is None:
-                append(run_first)
-            else:
-                append(FusedCompute._from_run(run_parts))
-                run_parts = None
-            run_first = None
-        append(step)
-    if run_first is not None:
-        if run_parts is None:
-            append(run_first)
-        else:
-            append(FusedCompute._from_run(run_parts))
-    return out

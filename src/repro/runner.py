@@ -104,11 +104,6 @@ class SimulationRun:
     typically :func:`repro.loc.monitor.build_monitor` products riding
     the tuple-payload fast path.  Both subscribe to :attr:`bus` before
     the chip starts.
-
-    ``fuse`` forces compute fusion on/off for every microengine
-    (``None`` defers to the ``REPRO_FUSE`` environment default, on).
-    Fused and unfused runs are byte-identical; the knob exists for A/B
-    benchmarking (``repro bench``) and the equivalence test walls.
     """
 
     def __init__(
@@ -117,13 +112,12 @@ class SimulationRun:
         sinks: Sequence = (),
         monitors: Sequence = (),
         gates: Sequence = (),
-        fuse: Optional[bool] = None,
     ):
         config.validate()
         self.config = config
         self.sim = Simulator(name=f"{config.benchmark}-{config.dvs.policy}")
         self.rng_streams = RngStreams(config.seed)
-        self.chip = NpuChip(self.sim, config, self.rng_streams, fuse=fuse)
+        self.chip = NpuChip(self.sim, config, self.rng_streams)
         self.bus = self.chip.bus
         for sink in sinks:
             self.chip.add_sink(sink)

@@ -107,9 +107,7 @@ class Simulator:
         #: control reaches the caller.  The sanctioned hook for
         #: end-of-run derivation — kernel-phase span capture
         #: (:mod:`repro.obs.spans`) snapshots the per-ME state totals
-        #: here rather than instrumenting the event loop.  (Fused
-        #: compute blocks no longer need it: the seq-relay charges each
-        #: part at its unfused instant, so counters are always settled.)
+        #: here rather than instrumenting the event loop.
         self.on_run_end: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------

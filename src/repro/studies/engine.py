@@ -1,4 +1,4 @@
-"""The study runner: one sweep, one reduction, one map.
+"""The study result: one sweep, one reduction, one map.
 
 A study expands a :class:`~repro.studies.spec.StudySpec` into jobs for
 every scenario, executes them through a *single* streamed sweep (so
@@ -10,24 +10,19 @@ reduction is deterministic in job order — and a
 :class:`~repro.sweep.store.ResultStore` makes interrupted studies
 resumable cell by cell.
 
-The implementation lives on :meth:`repro.api.Session.study`, which
-additionally streams per-scenario verdicts as each scenario's grid
-drains (``on_scenario_complete``); :func:`run_study` here is the legacy
-entry point, kept as a thin deprecation shim with bit-identical
-results.
+The runner is :meth:`repro.api.Session.study`, which also streams
+per-scenario verdicts as each scenario's grid drains
+(``on_scenario_complete``); this module holds what it returns.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.studies.policymap import PolicyMap
 from repro.studies.spec import StudySpec
-from repro.sweep.engine import ProgressFn
-from repro.sweep.spec import Job
-from repro.sweep.store import ResultStore, SweepOutcome
+from repro.sweep.store import SweepOutcome
 
 
 @dataclass
@@ -55,45 +50,3 @@ class StudyResult:
             if outcome.cached
         )
 
-
-def run_study(
-    spec: StudySpec,
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    progress: Optional[ProgressFn] = None,
-    jobs_by_scenario: Optional[Sequence[Tuple[str, List[Job]]]] = None,
-    backend=None,
-) -> StudyResult:
-    """Run a study and reduce it to its policy map.
-
-    .. deprecated::
-        This is a compatibility shim over
-        :meth:`repro.api.Session.study`; hold a
-        :class:`~repro.api.session.Session` instead — it also streams
-        per-scenario verdicts as each grid drains.  Results are
-        bit-identical either way.
-
-    Parameters mirror the legacy :func:`~repro.sweep.engine.run_sweep`;
-    the job list is the concatenation of every scenario's grid,
-    deduplicated nothing — scenario-distinct configs never collide.
-    ``jobs_by_scenario`` accepts a precomputed
-    :meth:`StudySpec.jobs_by_scenario` expansion so callers that
-    already expanded the grid (the CLI prints the job count up front)
-    do not pay for a second expansion.  ``backend`` selects the
-    execution backend (name token or instance, see
-    :mod:`repro.backends`); a whole study is one streamed sweep, so a
-    distributed worker fleet drains it end to end.
-    """
-    warnings.warn(
-        "run_study() is deprecated; use repro.api.Session.study()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import EventHooks, ExecutionPolicy, Session, StorePolicy
-
-    session = Session(
-        execution=ExecutionPolicy(backend=backend, workers=workers),
-        store=StorePolicy(store=store),
-        hooks=EventHooks(progress=progress),
-    )
-    return session.study(spec, jobs_by_scenario=jobs_by_scenario)

@@ -2,9 +2,8 @@
 
 Covers the policy objects (env/kwarg precedence, resolution order),
 the Session facade (sweep order, streaming completion order on all
-three backends, event hooks, store reuse/overwrite), the deprecation
-shims (bit-identical to the session paths), and the study streaming
-surface (per-scenario verdicts, byte-identical reports).
+three backends, event hooks, store reuse/overwrite), and the study
+streaming surface (per-scenario verdicts, byte-identical reports).
 """
 
 import json
@@ -32,7 +31,7 @@ from repro.backends.worker import run_worker
 from repro.config import RunConfig, TrafficConfig
 from repro.errors import ExperimentError
 from repro.runner import run_simulation
-from repro.sweep import ResultStore, SweepSpec, run_sweep
+from repro.sweep import ResultStore, SweepSpec
 from repro.sweep.engine import WORKERS_ENV_VAR
 
 #: Short, deterministic grid shared by the execution tests.
@@ -118,6 +117,14 @@ class TestExecutionPolicy:
         with pytest.raises(ExperimentError):
             ExecutionPolicy.from_env()
 
+    def test_session_rejects_bad_env_workers_at_run_time(self, monkeypatch):
+        # An unset policy resolves REPRO_SWEEP_WORKERS when the sweep
+        # starts, not when the session is built.
+        session = Session()
+        monkeypatch.setenv(WORKERS_ENV_VAR, "not a number")
+        with pytest.raises(ExperimentError):
+            session.sweep(small_spec(policies=("none",)).jobs())
+
     def test_retries_and_lease_reach_distributed_backend(self):
         policy = ExecutionPolicy(
             backend="distributed", connect="127.0.0.1:0",
@@ -154,13 +161,6 @@ class TestExecutionPolicy:
 
 
 class TestSessionSweep:
-    def test_sweep_matches_legacy_run_sweep(self):
-        jobs = small_spec().jobs()
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            legacy = run_sweep(jobs, workers=1)
-        session = Session(execution=ExecutionPolicy(workers=1))
-        assert_identical(legacy, session.sweep(jobs))
-
     def test_sweep_accepts_spec_and_preserves_job_order(self):
         spec = small_spec()
         jobs = spec.jobs()
@@ -193,6 +193,9 @@ class TestSessionSweep:
         session = Session(execution=ExecutionPolicy(workers=1))
         result = session.experiment("fig01")
         assert result.experiment_id == "fig01"
+
+    def test_default_session_is_shared(self):
+        assert default_session() is default_session()
 
 
 class TestSessionStream:
@@ -360,54 +363,6 @@ class TestStorePolicy:
         assert policy.make() is shared
 
 
-class TestLegacyShims:
-    def test_run_sweep_warns_and_matches(self):
-        jobs = small_spec(policies=("none",)).jobs()
-        with pytest.warns(DeprecationWarning, match="Session.sweep"):
-            legacy = run_sweep(jobs)
-        assert_identical(legacy, Session().sweep(jobs))
-
-    def test_run_sweep_env_workers_still_respected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "not a number")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExperimentError):
-                run_sweep(small_spec(policies=("none",)).jobs())
-
-    def test_run_sweep_backend_kwarg_beats_env(self, monkeypatch):
-        """The legacy precedence: an explicit backend= kwarg wins over
-        REPRO_SWEEP_BACKEND, which wins over the workers heuristic."""
-        monkeypatch.setenv(BACKEND_ENV_VAR, "quantum")  # would be rejected
-        jobs = small_spec(policies=("none",)).jobs()
-        with pytest.warns(DeprecationWarning):
-            (outcome,) = run_sweep(jobs, backend="serial")
-        assert outcome.mean_power_w > 0
-
-    def test_run_study_warns_and_matches_session_study(self):
-        from repro.studies import StudySpec, run_study
-        from repro.studies.report import render_json
-
-        spec = StudySpec(
-            scenarios=("flash_crowd",),
-            policies=("tdvs",),
-            thresholds_mbps=(1200.0,),
-            windows_cycles=(40_000,),
-            duration_cycles=120_000,
-            span=20,
-            seeds=(11,),
-        )
-        spec.validate()
-        with pytest.warns(DeprecationWarning, match="Session.study"):
-            legacy = run_study(spec, workers=1)
-        session = Session(execution=ExecutionPolicy(workers=1))
-        via_session = session.study(spec)
-        assert render_json(legacy.policy_map) == render_json(
-            via_session.policy_map
-        )
-
-    def test_default_session_is_shared(self):
-        assert default_session() is default_session()
-
-
 class TestSessionStudy:
     def _spec(self, scenarios=("flash_crowd", "bursty_onoff")):
         from repro.studies import StudySpec
@@ -458,30 +413,3 @@ class TestSessionStudy:
             i for i, (kind, _) in enumerate(timeline) if kind == "verdict"
         )
         assert first_verdict < len(timeline) - 1  # not the last event
-
-
-@pytest.mark.slow
-class TestFullCatalogByteIdentity:
-    def test_full_catalog_study_via_session_matches_legacy(self):
-        """The PR's acceptance shape: a full-catalog study through the
-        Session API renders byte-identical JSON to the legacy
-        run_study path."""
-        from repro.studies import StudySpec, run_study
-        from repro.studies.report import render_json
-
-        spec = StudySpec(
-            scenarios=(),  # empty = the whole catalog
-            policies=("tdvs", "edvs"),
-            thresholds_mbps=(1200.0,),
-            windows_cycles=(40_000,),
-            duration_cycles=120_000,
-            span=20,
-            seeds=(11,),
-        )
-        spec.validate()
-        assert len(spec.resolved_scenarios()) >= 9  # the full catalog
-        with pytest.warns(DeprecationWarning):
-            legacy = render_json(run_study(spec, workers=1).policy_map)
-        session = Session(execution=ExecutionPolicy(workers=2))
-        streamed = render_json(session.study(spec).policy_map)
-        assert legacy == streamed

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session, StorePolicy
 from repro.errors import BackendError, ExperimentError
 from repro.backends import (
     BACKEND_ENV_VAR,
@@ -29,7 +30,7 @@ from repro.backends import (
 )
 from repro.backends.protocol import PROTOCOL_VERSION, recv_message, send_message
 from repro.backends.worker import CRASH_ENV_VAR, run_worker
-from repro.sweep import ResultStore, SweepSpec, run_sweep
+from repro.sweep import ResultStore, SweepSpec
 
 #: Short, deterministic grid shared by the execution tests.
 FAST = dict(duration_cycles=120_000, process="cbr", seeds=(11,))
@@ -147,19 +148,20 @@ class TestLocalBackends:
     def test_serial_backend_matches_inline_default(self):
         jobs = small_spec().jobs()
         assert_identical(
-            run_sweep(jobs, workers=1), run_sweep(jobs, backend=SerialBackend())
+            Session(execution=ExecutionPolicy(workers=1)).sweep(jobs),
+            Session(execution=ExecutionPolicy(backend=SerialBackend())).sweep(jobs),
         )
 
     def test_process_backend_matches_serial(self):
         jobs = small_spec().jobs()
         assert_identical(
-            run_sweep(jobs, workers=1),
-            run_sweep(jobs, backend=ProcessBackend(workers=2)),
+            Session(execution=ExecutionPolicy(workers=1)).sweep(jobs),
+            Session(execution=ExecutionPolicy(backend=ProcessBackend(workers=2))).sweep(jobs),
         )
 
-    def test_backend_name_token_accepted_by_run_sweep(self):
+    def test_backend_name_token_accepted_by_session(self):
         jobs = small_spec(policies=("none",)).jobs()
-        (outcome,) = run_sweep(jobs, backend="serial")
+        (outcome,) = Session(execution=ExecutionPolicy(backend="serial")).sweep(jobs)
         assert outcome.mean_power_w > 0
 
     def test_invalid_process_worker_count_rejected(self):
@@ -224,10 +226,10 @@ class TestDistributedBackend:
         """After a sweep of short jobs the clock has observations and
         the next grant's term has adapted below the initial lease."""
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0, lease_s=30.0)
         start_worker(backend.address)
-        distributed = run_sweep(jobs, backend=backend)
+        distributed = Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
         assert_identical(serial, distributed)
         clock = backend.clock
         assert clock.ewma_s is not None
@@ -244,7 +246,9 @@ class TestDistributedBackend:
         assert expected != 30.0
         result = {}
         sweep = threading.Thread(
-            target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+            target=lambda: result.update(
+                outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            ),
             daemon=True,
         )
         sweep.start()
@@ -266,10 +270,10 @@ class TestDistributedBackend:
 
     def test_two_loopback_workers_bit_identical_to_serial(self):
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0)
         workers = [start_worker(backend.address) for _ in range(2)]
-        distributed = run_sweep(jobs, backend=backend)
+        distributed = Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
         for worker in workers:
             worker.join(timeout=30)
             assert not worker.is_alive()
@@ -281,13 +285,17 @@ class TestDistributedBackend:
         jobs = small_spec().jobs()
         backend = DistributedBackend(port=0)
         start_worker(backend.address)
-        fresh = run_sweep(jobs, backend=backend, store=ResultStore(path))
+        fresh = Session(
+            execution=ExecutionPolicy(backend=backend),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
         lines = [json.loads(line) for line in open(path)]
         assert sorted(r["job_id"] for r in lines) == sorted(j.job_id for j in jobs)
         # Crash-resume: a new coordinator over the same store runs nothing.
-        replay = run_sweep(
-            jobs, backend=DistributedBackend(port=0), store=ResultStore(path)
-        )
+        replay = Session(
+            execution=ExecutionPolicy(backend=DistributedBackend(port=0)),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
         assert all(o.cached for o in replay)
         assert_identical(fresh, replay)
 
@@ -295,12 +303,14 @@ class TestDistributedBackend:
         """The acceptance property: a worker dying mid-sweep neither
         loses nor duplicates any outcome."""
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0, lease_s=10.0)
         crasher = spawn_worker_process(backend.address, crash_after_pull=True)
         result = {}
         sweep = threading.Thread(
-            target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+            target=lambda: result.update(
+                outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            ),
             daemon=True,
         )
         sweep.start()
@@ -320,7 +330,9 @@ class TestDistributedBackend:
         victim = spawn_worker_process(backend.address)
         result = {}
         sweep = threading.Thread(
-            target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+            target=lambda: result.update(
+                outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            ),
             daemon=True,
         )
         sweep.start()
@@ -340,7 +352,7 @@ class TestDistributedBackend:
         sweep.join(timeout=300)
         assert not sweep.is_alive()
         survivor.join(timeout=30)
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         assert_identical(serial, result["outcomes"])
 
     def test_retry_exhaustion_surfaces_as_experiment_error(self):
@@ -348,19 +360,21 @@ class TestDistributedBackend:
         backend = DistributedBackend(port=0, lease_s=10.0, max_retries=0)
         crasher = spawn_worker_process(backend.address, crash_after_pull=True)
         with pytest.raises(ExperimentError, match="failed after"):
-            run_sweep(jobs, backend=backend)
+            Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
         crasher.wait(timeout=30)
 
     def test_lease_expiry_requeues_hung_worker(self):
         """A worker that stops heartbeating loses its lease."""
         jobs = small_spec(policies=("none",)).jobs()
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0, lease_s=1.0)
         # A hand-rolled client that takes a job and then hangs forever.
         hung = socket.create_connection((backend.host, backend.port), timeout=10)
         result = {}
         sweep = threading.Thread(
-            target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+            target=lambda: result.update(
+                outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            ),
             daemon=True,
         )
         sweep.start()
@@ -381,12 +395,14 @@ class TestDistributedBackend:
         """A slow-but-alive leaseholder delivering after a requeue must
         not produce a second copy of the outcome."""
         jobs = small_spec().jobs()  # 2 jobs: the sweep outlives client
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0, lease_s=60.0)
         client = socket.create_connection((backend.host, backend.port), timeout=10)
         result = {}
         sweep = threading.Thread(
-            target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+            target=lambda: result.update(
+                outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            ),
             daemon=True,
         )
         sweep.start()
@@ -416,7 +432,9 @@ class TestDistributedBackend:
         backend = DistributedBackend(port=0)
         result = {}
         sweep = threading.Thread(
-            target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+            target=lambda: result.update(
+                outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            ),
             daemon=True,
         )
         sweep.start()
@@ -461,11 +479,13 @@ class TestDistributedBackend:
         # Long enough that the re-granted attempt is still running when
         # the stale client disconnects.
         jobs = small_spec(policies=("none",), duration_cycles=800_000).jobs()
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0, lease_s=1.0, max_retries=1)
         result = {}
         sweep = threading.Thread(
-            target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+            target=lambda: result.update(
+                outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            ),
             daemon=True,
         )
         sweep.start()
@@ -492,7 +512,7 @@ class TestDistributedStudy:
         """The PR's acceptance shape: the same study, serially and via
         the distributed backend with two loopback workers, renders the
         byte-identical JSON report."""
-        from repro.studies import StudySpec, run_study
+        from repro.studies import StudySpec
         from repro.studies.report import render_json
 
         spec = StudySpec(
@@ -505,10 +525,10 @@ class TestDistributedStudy:
             seeds=(11,),
         )
         spec.validate()
-        serial = render_json(run_study(spec, workers=1).policy_map)
+        serial = Session(execution=ExecutionPolicy(workers=1)).study(spec)
         backend = DistributedBackend(port=0)
         workers = [start_worker(backend.address) for _ in range(2)]
-        distributed = render_json(run_study(spec, backend=backend).policy_map)
+        distributed = Session(execution=ExecutionPolicy(backend=backend)).study(spec)
         for worker in workers:
             worker.join(timeout=60)
-        assert serial == distributed
+        assert render_json(serial.policy_map) == render_json(distributed.policy_map)

@@ -122,8 +122,9 @@ def test_worker_command_drains_a_distributed_sweep(capsys):
     """`repro worker --connect` against an in-process coordinator."""
     import threading
 
+    from repro.api import ExecutionPolicy, Session
     from repro.backends import DistributedBackend
-    from repro.sweep import SweepSpec, run_sweep
+    from repro.sweep import SweepSpec
 
     jobs = SweepSpec(
         policies=("none",), traffic=("load:800",),
@@ -132,7 +133,9 @@ def test_worker_command_drains_a_distributed_sweep(capsys):
     backend = DistributedBackend(port=0)
     result = {}
     sweep = threading.Thread(
-        target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+        target=lambda: result.update(
+            outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+        ),
         daemon=True,
     )
     sweep.start()

@@ -1,23 +1,29 @@
 """Determinism regression wall around the sweep substrate.
 
-Pins down three contracts future scaling PRs must not break:
+Pins down four contracts future scaling PRs must not break:
 
 * **Job identity is stable across releases** — golden config hashes.
   A hash change silently invalidates every on-disk result store, so it
   must always be a deliberate, reviewed event (update the goldens in
   the same commit that changes the hashing scheme).
+* **Simulated output is stable across releases** — a golden digest of
+  a small full-catalog study's report JSON.
 * **Worker count never changes results** — serial and parallel
-  ``run_sweep`` outputs are bit-identical, down to the serialized dict.
+  ``Session.sweep`` outputs are bit-identical, down to the serialized
+  dict.
 * **Cache replay is lossless** — a ``ResultStore`` reloaded from disk
   returns rows bit-identical to the outcomes that produced them.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session, StorePolicy
 from repro.config import DvsConfig, RunConfig, TrafficConfig
-from repro.sweep import Job, ResultStore, SweepSpec, config_hash, run_sweep
+from repro.studies import StudySpec, render_json
+from repro.sweep import Job, ResultStore, SweepSpec, config_hash
 
 #: Golden identity hashes.  If a change to RunConfig defaults, the
 #: to_dict schema, or the hashing payload alters these, every existing
@@ -26,6 +32,12 @@ from repro.sweep import Job, ResultStore, SweepSpec, config_hash, run_sweep
 GOLDEN_DEFAULT_CONFIG_HASH = "a017c46d3db3322b"
 GOLDEN_SCENARIO_JOB_ID = "1b807faede27c961"
 GOLDEN_CHECKED_JOB_ID = "336cec82d6b48e68"
+
+#: sha256 of the policy-map JSON that ``test_study_output_digest``
+#: renders: a 27-job TDVS+EDVS study over the whole scenario catalog.
+GOLDEN_STUDY_SHA256 = (
+    "ec7124b7390c204607eff191f7d0911e12a8099a2552479f8cf5745ea699a4ea"
+)
 
 CHECK = "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1"
 
@@ -84,20 +96,41 @@ class TestGoldenHashes:
         b = Job.build(scenario_config(), checks=(other, CHECK))
         assert a.job_id != b.job_id
 
+    def test_study_output_digest(self):
+        """Every simulated number a study reports, pinned.
+
+        Any change to simulated output moves this digest.  Changing the
+        constant is the deliberate, documented md5-move commit: it
+        lands once per fix, with the new full-catalog study md5 in its
+        message, never as a side effect.
+        """
+        spec = StudySpec(
+            scenarios=(),  # empty = the whole catalog
+            policies=("tdvs", "edvs"),
+            thresholds_mbps=(1200.0,),
+            windows_cycles=(40_000,),
+            duration_cycles=120_000,
+            span=20,
+            seeds=(11,),
+        )
+        result = Session(execution=ExecutionPolicy(workers=1)).study(spec)
+        rendered = render_json(result.policy_map).encode("utf-8")
+        assert hashlib.sha256(rendered).hexdigest() == GOLDEN_STUDY_SHA256
+
 
 class TestSerialParallelBitIdentity:
     @pytest.mark.slow
     def test_outputs_bit_identical(self):
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
-        parallel = run_sweep(jobs, workers=3)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
+        parallel = Session(execution=ExecutionPolicy(workers=3)).sweep(jobs)
         assert outcome_dicts(serial) == outcome_dicts(parallel)
 
     @pytest.mark.slow
     def test_check_results_bit_identical(self):
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
-        parallel = run_sweep(jobs, workers=2)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
+        parallel = Session(execution=ExecutionPolicy(workers=2)).sweep(jobs)
         for s, p in zip(serial, parallel):
             assert [c.to_dict() for c in s.check_results] == [
                 c.to_dict() for c in p.check_results
@@ -109,9 +142,15 @@ class TestStoreReplay:
     def test_replay_rows_bit_identical(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec(policies=("none", "tdvs")).jobs()
-        fresh = run_sweep(jobs, workers=1, store=ResultStore(path))
+        fresh = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
 
-        replayed = run_sweep(jobs, workers=1, store=ResultStore(path))
+        replayed = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
         assert all(o.cached for o in replayed)
         assert outcome_dicts(fresh) == outcome_dicts(replayed)
 
@@ -120,7 +159,10 @@ class TestStoreReplay:
         (job,) = small_spec(
             policies=("none",), traffic=("scenario:link_failover",)
         ).jobs()
-        (fresh,) = run_sweep([job], workers=1, store=ResultStore(path))
+        (fresh,) = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep([job])
         cached = ResultStore(path).get(job.job_id)
         assert cached is not None
         assert [c.to_dict() for c in cached.check_results] == [
@@ -134,7 +176,10 @@ class TestStoreReplay:
         (job,) = small_spec(
             policies=("none",), traffic=("load:900",), checks=()
         ).jobs()
-        run_sweep([job], workers=1, store=ResultStore(path))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep([job])
         record = json.loads(open(path).readline())
         record.pop("check_results")
         (tmp_path / "legacy.jsonl").write_text(json.dumps(record) + "\n")

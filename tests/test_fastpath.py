@@ -1,15 +1,11 @@
-"""Fast-path equivalence tests: materialized / fused step execution.
+"""Fast-path equivalence tests: materialized step execution.
 
 The microengine materializes a pure app's step stream at packet bind
-(list iteration instead of generator resumption) and, by default, fuses
-adjacent computes into one relay-executed block.  These tests pin the
-contract at two levels: per-ME observables — completion times,
-instruction counts, state totals, kernel seq layout — are identical to
-lazy unfused execution, including under stalls, frequency changes and
-runs that end mid-block; and full-system study JSON is byte-identical
-fused vs unfused across the scenario catalog, the execution backends
-and both monitor modes (the tie-ordering wall behind flipping fusion on
-by default).
+(list iteration instead of generator resumption).  These tests pin the
+contract on per-ME observables — completion times, instruction counts,
+state totals, kernel seq layout — which are identical to lazy
+execution, including under stalls, frequency changes and runs that end
+or stop mid compute run.
 """
 
 import pytest
@@ -17,29 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MemoryConfig
-from repro.loc.monitor import MONITOR_MODE_ENV_VAR
 from repro.npu.memqueue import build_memories
-from repro.npu.microengine import (
-    BUSY,
-    FUSE_ENV_VAR,
-    IDLE,
-    STALLED,
-    Microengine,
-    fusion_enabled,
-)
-from repro.npu.steps import Compute, FusedCompute, MemRead, materialize_steps
-from repro.scenarios import list_scenarios
+from repro.npu.microengine import BUSY, IDLE, STALLED, Microengine
+from repro.npu.steps import Compute, MemRead
 from repro.sim.clock import ClockDomain
 from repro.sim.kernel import Simulator
-from repro.studies import StudySpec, run_study
-from repro.studies.report import render_json
 from repro.units import mhz
 
 from test_microengine import ListSource
 from test_traffic import make_packet
 
 
-def fusable_steps(packet):
+def compute_run_steps(packet):
     """Irregular compute runs around a memory reference."""
     yield Compute(101)
     yield Compute(203)
@@ -51,11 +36,10 @@ def fusable_steps(packet):
 
 def run_me(
     materialize,
-    fuse=False,
     perturb=None,
     until=60_000_000,
     npackets=4,
-    steps_fn=fusable_steps,
+    steps_fn=compute_run_steps,
     num_threads=4,
     ctx_switch_cycles=1,
     resume_until=None,
@@ -78,7 +62,6 @@ def run_me(
         ctx_switch_cycles=ctx_switch_cycles,
         on_packet_done=lambda p: done.append(sim.now_ps),
         materialize=materialize,
-        fuse=fuse,
     )
     me.start()
     if perturb is not None:
@@ -91,8 +74,8 @@ def run_me(
         "polls": me.polls,
         "mem_accesses": me.mem_accesses,
         "totals": dict(me.states.totals_ps()),
-        # The tie-ordering contract in its rawest form: fused and
-        # unfused execution must draw exactly the same kernel sequence
+        # The tie-ordering contract in its rawest form: materialized and
+        # lazy execution must draw exactly the same kernel sequence
         # numbers and deliver the same number of events.
         "kernel_seqs": sim._seq,
         "events_executed": sim.events_executed,
@@ -109,39 +92,30 @@ def assert_equivalent(perturb=None, until=60_000_000, resume_until=None):
     lazy = run_me(
         materialize=False, perturb=perturb, until=until, resume_until=resume_until
     )
-    fused = run_me(
-        materialize=True,
-        fuse=True,
-        perturb=perturb,
-        until=until,
-        resume_until=resume_until,
+    listed = run_me(
+        materialize=True, perturb=perturb, until=until, resume_until=resume_until
     )
-    assert fused == lazy
+    assert listed == lazy
 
 
 class TestMaterializedEquivalence:
-    def test_materialize_without_fuse_is_identical(self):
-        lazy = run_me(materialize=False)
-        listed = run_me(materialize=True, fuse=False)
-        assert listed == lazy
-
-    def test_fused_plain_run(self):
+    def test_plain_run(self):
         assert_equivalent()
 
-    def test_fused_with_stall_mid_block(self):
-        # 400_000 ps lands inside the second compute of the first block.
+    def test_stall_inside_compute_run(self):
+        # 400_000 ps lands inside the second compute of the first run.
         def perturb(sim, me):
             sim.schedule_at(400_000, me.stall_for, 2_000_000)
 
         assert_equivalent(perturb=perturb)
 
-    def test_fused_with_frequency_change_mid_block(self):
+    def test_frequency_change_inside_compute_run(self):
         def perturb(sim, me):
             sim.schedule_at(400_000, me.set_vf, mhz(300), 1.0)
 
         assert_equivalent(perturb=perturb)
 
-    def test_fused_with_vf_change_and_penalty_mid_block(self):
+    def test_vf_change_and_penalty_inside_compute_run(self):
         # The governor pattern: retune, then freeze for the transition.
         def perturb(sim, me):
             def transition():
@@ -152,53 +126,16 @@ class TestMaterializedEquivalence:
 
         assert_equivalent(perturb=perturb)
 
-    def test_fused_run_ending_mid_block_settles_counters(self):
-        # 450_000 ps is inside the third compute of the first block; the
-        # run-end settle must refund un-started parts and the resumed run
+    def test_run_ending_inside_compute_run_then_resumed(self):
+        # 450_000 ps is inside the first compute run; the resumed run
         # must land on exactly the lazy timeline.
         assert_equivalent(until=450_000, resume_until=60_000_000)
 
-    def test_fused_stop_mid_block_keeps_charges(self):
+    def test_stop_inside_compute_run_keeps_charges(self):
         def perturb(sim, me):
             sim.schedule_at(400_000, sim.stop)
 
         assert_equivalent(perturb=perturb, until=60_000_000)
-
-
-class TestMaterializeSteps:
-    def test_fuses_adjacent_computes(self):
-        steps = materialize_steps(fusable_steps(make_packet()))
-        kinds = [type(s).__name__ for s in steps]
-        assert kinds == ["FusedCompute", "MemRead", "FusedCompute"]
-        assert steps[0].parts == (101, 203, 307)
-        assert steps[0].instructions == 611
-        assert steps[2].parts == (53, 71)
-
-    def test_single_computes_stay_unfused(self):
-        def stream():
-            yield Compute(10)
-            yield MemRead("sram", 4)
-            yield Compute(20)
-
-        steps = materialize_steps(stream())
-        assert [type(s).__name__ for s in steps] == [
-            "Compute",
-            "MemRead",
-            "Compute",
-        ]
-
-    def test_fuse_false_preserves_objects(self):
-        original = list(fusable_steps(make_packet()))
-        steps = materialize_steps(iter(original), fuse=False)
-        assert steps == original
-
-    def test_fused_compute_validates_parts(self):
-        from repro.errors import NpuError
-
-        with pytest.raises(NpuError):
-            FusedCompute((5,))
-        with pytest.raises(NpuError):
-            FusedCompute((5, 0))
 
 
 class TestAccountingBugfixes:
@@ -283,119 +220,9 @@ class TestAccountingBugfixes:
         assert me.states.state == STALLED
 
 
-# ---------------------------------------------------------------------------
-# Full-system tie-ordering wall
-# ---------------------------------------------------------------------------
-
-#: The four catalog scenarios whose seq layout diverged under the old
-#: block-fusion scheme — the regression-sensitive subset run in the fast
-#: lane.  The full catalog and the backend / monitor-mode cross products
-#: run in the slow lane.
-DIVERGER_SCENARIOS = ("ddos_min64", "imix_drift", "link_failover", "weekend_diurnal")
-
-
-def catalog_study_json(
-    monkeypatch, scenarios, fuse, backend=None, workers=1, monitor_mode=None
-):
-    """Render the study-report JSON for ``scenarios`` under one fusion
-    setting, using the short deterministic grid from the backend tests."""
-    monkeypatch.setenv(FUSE_ENV_VAR, "on" if fuse else "off")
-    if monitor_mode is None:
-        monkeypatch.delenv(MONITOR_MODE_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, monitor_mode)
-    spec = StudySpec(
-        scenarios=tuple(scenarios),
-        policies=("tdvs", "edvs"),
-        thresholds_mbps=(1200.0,),
-        windows_cycles=(40_000,),
-        duration_cycles=120_000,
-        span=20,
-        seeds=(11,),
-    )
-    spec.validate()
-    if backend is not None:
-        result = run_study(spec, backend=backend)
-    else:
-        result = run_study(spec, workers=workers)
-    return render_json(result.policy_map)
-
-
-class TestFullSystemTieOrdering:
-    """Fused execution is a pure speed change: the rendered study JSON —
-    every counter, timestamp and derived metric — is byte-identical to
-    unfused execution, in every scenario, on every backend, in both
-    monitor modes."""
-
-    def test_fusion_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(FUSE_ENV_VAR, raising=False)
-        assert fusion_enabled() is True
-        monkeypatch.setenv(FUSE_ENV_VAR, "off")
-        assert fusion_enabled() is False
-
-    def test_diverger_scenarios_byte_identical_serial(self, monkeypatch):
-        for scenario in DIVERGER_SCENARIOS:
-            fused = catalog_study_json(monkeypatch, (scenario,), fuse=True)
-            unfused = catalog_study_json(monkeypatch, (scenario,), fuse=False)
-            assert fused == unfused, scenario
-
-    @pytest.mark.slow
-    def test_full_catalog_byte_identical_serial(self, monkeypatch):
-        names = tuple(list_scenarios())
-        assert len(names) == 9
-        fused = catalog_study_json(monkeypatch, names, fuse=True)
-        unfused = catalog_study_json(monkeypatch, names, fuse=False)
-        assert fused == unfused
-
-    @pytest.mark.slow
-    def test_process_backend_fused_matches_serial_unfused(self, monkeypatch):
-        from repro.backends import ProcessBackend
-
-        serial_unfused = catalog_study_json(
-            monkeypatch, ("ddos_min64",), fuse=False
-        )
-        pool_fused = catalog_study_json(
-            monkeypatch,
-            ("ddos_min64",),
-            fuse=True,
-            backend=ProcessBackend(workers=2),
-        )
-        assert pool_fused == serial_unfused
-
-    @pytest.mark.slow
-    def test_distributed_backend_fused_matches_serial_unfused(self, monkeypatch):
-        from repro.backends import DistributedBackend
-
-        from test_backends import start_worker
-
-        serial_unfused = catalog_study_json(
-            monkeypatch, ("link_failover",), fuse=False
-        )
-        backend = DistributedBackend(port=0)
-        workers = [start_worker(backend.address) for _ in range(2)]
-        distributed_fused = catalog_study_json(
-            monkeypatch, ("link_failover",), fuse=True, backend=backend
-        )
-        for worker in workers:
-            worker.join(timeout=60)
-        assert distributed_fused == serial_unfused
-
-    def test_monitor_modes_byte_identical(self, monkeypatch):
-        renders = {
-            (fuse, mode): catalog_study_json(
-                monkeypatch, ("weekend_diurnal",), fuse=fuse, monitor_mode=mode
-            )
-            for fuse in (False, True)
-            for mode in ("compiled", "interpreted")
-        }
-        baseline = renders[(False, "compiled")]
-        for key, render in renders.items():
-            assert render == baseline, key
-
-
-class TestFusedSeqLayoutProperty:
+class TestSeqLayoutProperty:
     """Hypothesis wall: under *any* schedule of stalls and V-F changes,
-    fused execution draws exactly the unfused kernel seq layout."""
+    materialized execution draws exactly the lazy kernel seq layout."""
 
     @given(
         schedule=st.lists(
@@ -418,5 +245,5 @@ class TestFusedSeqLayoutProperty:
                     sim.schedule_at(when_ps, me.stall_for, stall_ps)
 
         lazy = run_me(materialize=False, perturb=perturb)
-        fused = run_me(materialize=True, fuse=True, perturb=perturb)
-        assert fused == lazy
+        listed = run_me(materialize=True, perturb=perturb)
+        assert listed == lazy

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session, StorePolicy
 from repro.cli import main
 from repro.errors import AnalysisError, ConfigError
 from repro.scenarios import get_scenario
@@ -14,7 +15,6 @@ from repro.studies import (
     dominates,
     get_objective,
     pareto_front,
-    run_study,
     select_design_point,
 )
 from repro.studies.policymap import CandidateSummary, PolicyMap, _verdict
@@ -285,7 +285,7 @@ class TestPareto:
 class TestRunStudy:
     def test_map_covers_every_scenario_and_gates_winners(self):
         spec = tiny_spec(scenarios=("link_failover", "overnight_trough"))
-        result = run_study(spec, workers=1)
+        result = Session(execution=ExecutionPolicy(workers=1)).study(spec)
         policy_map = result.policy_map
         assert len(policy_map) == 2
         assert set(policy_map.entries) == {"link_failover", "overnight_trough"}
@@ -303,8 +303,8 @@ class TestRunStudy:
     @pytest.mark.slow
     def test_serial_and_parallel_maps_identical(self):
         spec = tiny_spec(scenarios=("link_failover", "saturation_stress"))
-        serial = run_study(spec, workers=1)
-        parallel = run_study(spec, workers=2)
+        serial = Session(execution=ExecutionPolicy(workers=1)).study(spec)
+        parallel = Session(execution=ExecutionPolicy(workers=2)).study(spec)
         assert json.dumps(serial.policy_map.to_dict(), sort_keys=True) == json.dumps(
             parallel.policy_map.to_dict(), sort_keys=True
         )
@@ -314,9 +314,15 @@ class TestRunStudy:
 
         path = str(tmp_path / "study.jsonl")
         spec = tiny_spec()
-        first = run_study(spec, workers=1, store=ResultStore(path))
+        first = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).study(spec)
         assert first.cached_jobs == 0
-        second = run_study(spec, workers=1, store=ResultStore(path))
+        second = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).study(spec)
         assert second.cached_jobs == second.total_jobs == first.total_jobs
 
         def normalized(result):
@@ -333,7 +339,7 @@ class TestRunStudy:
 
     def test_mismatched_outcomes_rejected(self):
         """PolicyMap.build refuses outcomes missing the study's checks."""
-        from repro.sweep import SweepSpec, run_sweep
+        from repro.sweep import SweepSpec
 
         spec = tiny_spec()
         (job,) = SweepSpec(
@@ -342,7 +348,7 @@ class TestRunStudy:
             duration_cycles=120_000,
             span=20,
         ).jobs()
-        (outcome,) = run_sweep([job], workers=1)
+        (outcome,) = Session(execution=ExecutionPolicy(workers=1)).sweep([job])
         with pytest.raises(AnalysisError):
             PolicyMap.build(spec, [("link_failover", [outcome])])
 
@@ -350,7 +356,7 @@ class TestRunStudy:
 class TestReports:
     @pytest.fixture(scope="class")
     def study(self):
-        return run_study(tiny_spec(), workers=1)
+        return Session(execution=ExecutionPolicy(workers=1)).study(tiny_spec())
 
     def test_text_report_lists_scenarios(self, study):
         text = render_text(study.policy_map)

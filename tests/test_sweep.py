@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import EventHooks, ExecutionPolicy, Session, StorePolicy
 from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.errors import ConfigError, ExperimentError
 from repro.sweep import (
@@ -13,7 +14,6 @@ from repro.sweep import (
     config_hash,
     parse_traffic_token,
     run_job,
-    run_sweep,
     summarize,
 )
 
@@ -148,8 +148,8 @@ class TestExecution:
     def test_parallel_identical_to_serial(self):
         """The acceptance property: worker count never changes results."""
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
-        parallel = run_sweep(jobs, workers=2)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
+        parallel = Session(execution=ExecutionPolicy(workers=2)).sweep(jobs)
         assert len(serial) == len(parallel) == len(jobs)
         for s, p in zip(serial, parallel):
             assert s.job_id == p.job_id
@@ -160,7 +160,7 @@ class TestExecution:
 
     def test_outcomes_follow_job_order(self):
         jobs = small_spec().jobs()
-        outcomes = run_sweep(jobs, workers=2)
+        outcomes = Session(execution=ExecutionPolicy(workers=2)).sweep(jobs)
         assert [o.job_id for o in outcomes] == [j.job_id for j in jobs]
 
     def test_run_job_without_span_skips_distributions(self):
@@ -187,10 +187,14 @@ class TestExecution:
         check = "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1"
         (job,) = SweepSpec(policies=("none",), checks=(check,), **FAST).jobs()
         store = ResultStore(str(tmp_path / "r.jsonl"))
-        (fresh,) = run_sweep([job], workers=1, store=store)
-        (cached,) = run_sweep(
-            [job], workers=1, store=ResultStore(str(tmp_path / "r.jsonl"))
-        )
+        (fresh,) = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=store),
+        ).sweep([job])
+        (cached,) = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(str(tmp_path / "r.jsonl"))),
+        ).sweep([job])
         assert cached.cached
         assert [c.to_dict() for c in cached.check_results] == [
             c.to_dict() for c in fresh.check_results
@@ -198,7 +202,7 @@ class TestExecution:
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ExperimentError):
-            run_sweep([], workers=0)
+            Session(execution=ExecutionPolicy(workers=0)).sweep([])
 
     def test_duplicate_job_ids_execute_once(self, tmp_path):
         """A job list with repeats runs each unique job once and fans
@@ -206,7 +210,10 @@ class TestExecution:
         execute — and store — twice)."""
         path = str(tmp_path / "results.jsonl")
         a, b = small_spec().jobs()
-        outcomes = run_sweep([a, b, a], workers=1, store=ResultStore(path))
+        outcomes = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep([a, b, a])
         assert [o.job_id for o in outcomes] == [a.job_id, b.job_id, a.job_id]
         assert outcomes[0] is outcomes[2]  # one execution, shared outcome
         records = [json.loads(line) for line in open(path)]
@@ -216,8 +223,8 @@ class TestExecution:
 
     def test_duplicate_job_ids_parallel(self):
         a, b = small_spec().jobs()
-        serial = run_sweep([a, b, a], workers=1)
-        parallel = run_sweep([a, b, a], workers=2)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep([a, b, a])
+        parallel = Session(execution=ExecutionPolicy(workers=2)).sweep([a, b, a])
         assert [o.job_id for o in serial] == [o.job_id for o in parallel]
         for s, p in zip(serial, parallel):
             assert s.result.totals == p.result.totals
@@ -225,26 +232,33 @@ class TestExecution:
     def test_duplicate_cached_jobs_fan_out(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
         a, b = small_spec().jobs()
-        run_sweep([a, b], workers=1, store=ResultStore(path))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep([a, b])
         seen = []
-        outcomes = run_sweep(
-            [a, a, b],
-            workers=1,
-            store=ResultStore(path),
-            progress=lambda done, total, o: seen.append((done, total, o.cached)),
-        )
+        outcomes = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+            hooks=EventHooks(
+                progress=lambda done, total, o: seen.append((done, total, o.cached))
+            ),
+        ).sweep([a, a, b])
         assert [o.cached for o in outcomes] == [True, True, True]
         assert seen == [(1, 3, True), (2, 3, True), (3, 3, True)]
 
     def test_progress_callback_sees_every_job(self):
         jobs = small_spec().jobs()
         seen = []
-        run_sweep(jobs, workers=1, progress=lambda done, total, o: seen.append((done, total)))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            hooks=EventHooks(progress=lambda done, total, o: seen.append((done, total))),
+        ).sweep(jobs)
         assert seen == [(1, len(jobs)), (2, len(jobs))]
 
     def test_summarize_renders_all_rows(self):
         jobs = small_spec().jobs()
-        outcomes = run_sweep(jobs, workers=1)
+        outcomes = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         text = summarize(outcomes)
         assert "power(W)" in text
         assert len(text.splitlines()) == 2 + len(jobs)
@@ -255,22 +269,20 @@ class TestResultStore:
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec().jobs()
         executed = []
-        first = run_sweep(
-            jobs,
-            workers=1,
-            store=ResultStore(path),
-            progress=lambda d, t, o: executed.append(o.cached),
-        )
+        first = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+            hooks=EventHooks(progress=lambda d, t, o: executed.append(o.cached)),
+        ).sweep(jobs)
         assert executed == [False, False]
 
         # A fresh store over the same file: everything is a cache hit.
         executed.clear()
-        second = run_sweep(
-            jobs,
-            workers=1,
-            store=ResultStore(path),
-            progress=lambda d, t, o: executed.append(o.cached),
-        )
+        second = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+            hooks=EventHooks(progress=lambda d, t, o: executed.append(o.cached)),
+        ).sweep(jobs)
         assert executed == [True, True]
         for a, b in zip(first, second):
             assert a.result.totals == b.result.totals
@@ -280,17 +292,26 @@ class TestResultStore:
     def test_partial_store_runs_only_missing(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec().jobs()
-        run_sweep(jobs[:1], workers=1, store=ResultStore(path))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs[:1])
         store = ResultStore(path)
         assert len(store) == 1
-        cached_flags = [o.cached for o in run_sweep(jobs, workers=1, store=store)]
+        session = Session(
+            execution=ExecutionPolicy(workers=1), store=StorePolicy(store=store)
+        )
+        cached_flags = [o.cached for o in session.sweep(jobs)]
         assert cached_flags == [True, False]
         assert len(store) == 2
 
     def test_store_file_is_jsonl(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec(policies=("none",)).jobs()
-        run_sweep(jobs, workers=1, store=ResultStore(path))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
         lines = [json.loads(line) for line in open(path)]
         assert len(lines) == 1
         assert lines[0]["job_id"] == jobs[0].job_id
@@ -299,8 +320,11 @@ class TestResultStore:
     def test_memory_store_caches_within_process(self):
         store = ResultStore(None)
         jobs = small_spec(policies=("none",)).jobs()
-        run_sweep(jobs, workers=1, store=store)
-        again = run_sweep(jobs, workers=1, store=store)
+        session = Session(
+            execution=ExecutionPolicy(workers=1), store=StorePolicy(store=store)
+        )
+        session.sweep(jobs)
+        again = session.sweep(jobs)
         assert [o.cached for o in again] == [True]
 
     def test_interior_corruption_rejected(self, tmp_path):
@@ -316,7 +340,10 @@ class TestResultStore:
         """A crash mid-add leaves a torn last line; the cache survives."""
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec().jobs()
-        run_sweep(jobs, workers=1, store=ResultStore(path))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
         first, second = open(path, "r", encoding="utf-8").read().splitlines(True)
         open(path, "w", encoding="utf-8").write(first + second[: len(second) // 2])
 
@@ -331,21 +358,30 @@ class TestResultStore:
         old append would glue JSON onto the torn tail)."""
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec().jobs()
-        run_sweep(jobs, workers=1, store=ResultStore(path))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
         first, second = open(path, "r", encoding="utf-8").read().splitlines(True)
         open(path, "w", encoding="utf-8").write(first + second[: len(second) // 2])
 
-        flags = [o.cached for o in run_sweep(jobs, workers=1, store=ResultStore(path))]
+        session = Session(
+            execution=ExecutionPolicy(workers=1), store=StorePolicy(path=path)
+        )
+        flags = [o.cached for o in session.sweep(jobs)]
         assert flags == [True, False]
         records = [json.loads(line) for line in open(path)]
         assert sorted(r["job_id"] for r in records) == sorted(j.job_id for j in jobs)
-        assert all(o.cached for o in run_sweep(jobs, workers=1, store=ResultStore(path)))
+        assert all(o.cached for o in session.sweep(jobs))
 
     def test_final_line_without_job_id_recovered(self, tmp_path):
         """A tail that parses as JSON but is not a record also drops."""
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec(policies=("none",)).jobs()
-        run_sweep(jobs, workers=1, store=ResultStore(path))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"half": true}')
         store = ResultStore(path)
