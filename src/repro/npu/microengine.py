@@ -172,6 +172,7 @@ class Microengine:
         # the clock are construction-time-final (nothing rebinds them).
         self._ws_poll = work_source.poll
         self._post = sim.post
+        self._post_poll = sim.post_poll
         self._delay_for_cycles = clock.delay_for_cycles
         self.poll_instructions = poll_instructions
         self.poll_counts_as_idle = poll_counts_as_idle
@@ -366,7 +367,9 @@ class Microengine:
         if self.poll_counts_as_idle:
             # Ablation accounting: treat the poll loop as idle time.
             self._set_state(IDLE)
-        self._post(self._poll_delay_ps, self._poll_done, thread)
+        self._post_poll(
+            self.sim.now_ps + self._poll_delay_ps, self.index, self._poll_done, thread
+        )
 
     def _run_compute(self, thread: _HwThread, instructions: int) -> None:
         self._zero_time_ops = 0
@@ -443,7 +446,12 @@ class Microengine:
                     self.on_instructions(self.index, instructions)
                 if self.poll_counts_as_idle:
                     self._set_state(IDLE)
-                self._post(self._poll_delay_ps, self._poll_done, nxt)
+                self._post_poll(
+                    self.sim.now_ps + self._poll_delay_ps,
+                    self.index,
+                    self._poll_done,
+                    nxt,
+                )
                 return
             self._bind_packet(nxt, packet)
         self._continue(nxt)

@@ -2,9 +2,13 @@
 
 The kernel is a classic calendar queue built on :mod:`heapq`.  Time is an
 integer number of picoseconds (see :mod:`repro.units`), which makes event
-ordering exact: two events scheduled for the same picosecond are delivered
-in scheduling order (a monotonically increasing sequence number breaks
-ties), so simulations are bit-reproducible for a given seed.
+ordering exact, so simulations are bit-reproducible for a given seed.
+Events at the same picosecond run in two bands: first every ordinary
+event, in scheduling order (a monotonically increasing sequence number
+breaks ties), then the *poll band* — poll completions posted with
+:meth:`Simulator.post_poll` — in rank order.  A microengine's rank is its
+index, so work enqueued at *T* is visible to a poll completing at *T*,
+and engines that poll on the same lattice find it in index order.
 
 Heap entries are plain ``(time_ps, seq, callback, args)`` tuples, so the
 hot path pays C-speed tuple comparisons instead of a Python ``__lt__``
@@ -33,6 +37,11 @@ EventCallback = Callable[..., None]
 #: Heap entry: ``(time_ps, seq, callback, args)``.  Sequence numbers are
 #: unique, so tuple comparison never reaches the callback field.
 _Entry = Tuple[int, int, EventCallback, tuple]
+
+#: Sequence-number offset of the poll band.  Ordinary events draw
+#: sequence numbers far below it, so at any picosecond a poll completion
+#: (key ``_POLL_BAND + rank``) sorts after every ordinary event.
+_POLL_BAND = 2**62
 
 #: Cancelled-set size past which the run loop compacts the heap instead
 #: of skipping entries one pop at a time.
@@ -164,6 +173,19 @@ class Simulator:
         """Absolute-time :meth:`post`; ``time_ps`` must not be in the past."""
         self._seq += 1
         heapq.heappush(self._queue, (time_ps, self._seq, callback, args))
+
+    def post_poll(
+        self, time_ps: int, rank: int, callback: EventCallback, *args: Any
+    ) -> None:
+        """Post a poll completion into the poll band at ``time_ps``.
+
+        The entry keys on ``_POLL_BAND + rank`` instead of a fresh sequence
+        number: at ``time_ps`` it runs after every ordinary event, and
+        poll completions run lowest rank first.  A rank may have at most
+        one completion pending per picosecond, which keeps heap keys
+        unique.  Like :meth:`post_at`, ``time_ps`` must not be in the past.
+        """
+        heapq.heappush(self._queue, (time_ps, _POLL_BAND + rank, callback, args))
 
     def _cancel_seq(self, seq: int) -> None:
         self._cancelled.add(seq)

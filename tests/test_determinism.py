@@ -6,8 +6,10 @@ Pins down four contracts future scaling PRs must not break:
   A hash change silently invalidates every on-disk result store, so it
   must always be a deliberate, reviewed event (update the goldens in
   the same commit that changes the hashing scheme).
-* **Simulated output is stable across releases** — a golden digest of
-  a small full-catalog study's report JSON.
+* **Simulated output is stable across releases** — golden digests of
+  a small full-catalog study's report JSON, of one job record with
+  same-picosecond poll ties, and (slow) of the quick-profile
+  full-catalog study.
 * **Worker count never changes results** — serial and parallel
   ``Session.sweep`` outputs are bit-identical, down to the serialized
   dict.
@@ -22,6 +24,7 @@ import pytest
 
 from repro.api import ExecutionPolicy, Session, StorePolicy
 from repro.config import DvsConfig, RunConfig, TrafficConfig
+from repro.experiments.common import cycles_for, span_for
 from repro.studies import StudySpec, render_json
 from repro.sweep import Job, ResultStore, SweepSpec, config_hash
 
@@ -38,6 +41,19 @@ GOLDEN_CHECKED_JOB_ID = "336cec82d6b48e68"
 GOLDEN_STUDY_SHA256 = (
     "ec7124b7390c204607eff191f7d0911e12a8099a2552479f8cf5745ea699a4ea"
 )
+
+#: sha256 of one bench-profile study job's outcome record (ddos_min64,
+#: TDVS at 1200 Mbps with a 20k-cycle window, seed 7).  Unlike the
+#: 27-job study above, this run has same-picosecond poll ties, so it
+#: pins the poll-band tie rule of :meth:`repro.sim.kernel.Simulator.post_poll`.
+GOLDEN_TIE_JOB_SHA256 = (
+    "64ab319984a35380f99fd4e3d47cb7b60fff9efd02e8e48f16b63a9f37a8da31"
+)
+
+#: md5 of the report ``repro study --scenario all --policy tdvs,edvs
+#: --json --quiet --out FILE`` writes: the full-catalog study at the
+#: quick profile, the number each md5-move commit message quotes.
+GOLDEN_CATALOG_STUDY_MD5 = "e98165c561fecaa0047501c8e4c5cfaa"
 
 CHECK = "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1"
 
@@ -116,6 +132,35 @@ class TestGoldenHashes:
         result = Session(execution=ExecutionPolicy(workers=1)).study(spec)
         rendered = render_json(result.policy_map).encode("utf-8")
         assert hashlib.sha256(rendered).hexdigest() == GOLDEN_STUDY_SHA256
+
+    def test_tie_bearing_job_record(self):
+        spec = StudySpec(
+            scenarios=("ddos_min64",),
+            policies=("tdvs",),
+            thresholds_mbps=(1200.0,),
+            windows_cycles=(20_000,),
+            duration_cycles=400_000,
+            span=20,
+            seeds=(7,),
+        )
+        ((_, jobs),) = spec.jobs_by_scenario()
+        (job,) = [j for j in jobs if j.run_config().dvs.policy == "tdvs"]
+        (outcome,) = Session(execution=ExecutionPolicy(workers=1)).sweep([job])
+        (record,) = outcome_dicts([outcome])
+        assert hashlib.sha256(record.encode("utf-8")).hexdigest() == (
+            GOLDEN_TIE_JOB_SHA256
+        )
+
+    @pytest.mark.slow
+    def test_full_catalog_study_md5(self):
+        spec = StudySpec(
+            policies=("tdvs", "edvs"),
+            duration_cycles=cycles_for("quick"),
+            span=span_for("quick"),
+        )
+        result = Session(execution=ExecutionPolicy(workers=2)).study(spec)
+        rendered = render_json(result.policy_map).encode("utf-8")
+        assert hashlib.md5(rendered).hexdigest() == GOLDEN_CATALOG_STUDY_MD5
 
 
 class TestSerialParallelBitIdentity:

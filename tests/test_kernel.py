@@ -196,6 +196,18 @@ def test_post_and_schedule_share_one_sequence():
     assert order == ["a", "b", "c", "d"]
 
 
+def test_poll_band_runs_after_ordinary_events_in_rank_order():
+    sim = Simulator()
+    order = []
+    sim.post_poll(100, 2, order.append, "poll2")
+    sim.post_poll(100, 0, order.append, "poll0")
+    sim.schedule_at(100, order.append, "a")
+    sim.schedule(50, sim.post, 50, order.append, "b")  # posted last
+    sim.post_at(99, order.append, "early")
+    sim.run()
+    assert order == ["early", "a", "b", "poll0", "poll2"]
+
+
 def test_mass_cancellation_compacts_queue():
     """Cancelling more than half the queue compacts it in place."""
     sim = Simulator()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import MemoryConfig
 from repro.errors import NpuError, SimulationError
+from repro.npu.fifo import PacketQueue
 from repro.npu.memqueue import build_memories
 from repro.npu.microengine import BUSY, IDLE, STALLED, Microengine, RxPortMux
 from repro.npu.steps import Compute, Drop, MemPost, MemRead, MemWrite, PutTx
@@ -238,6 +239,52 @@ def test_unknown_memory_target_rejected():
     del me.memories["sram"]
     with pytest.raises(NpuError):
         me.start()
+
+
+class TestPollTieRule:
+    """At a picosecond, poll completions run after every other event, in
+    ME-index order.  At 600 MHz a 24-instruction poll takes 40 ns, so an
+    engine started at 0 completes polls at 40, 80, 120 ns, ..."""
+
+    def _engine(self, sim, index, queue, log):
+        def steps(packet):
+            log.append((sim.now_ps, index, packet.seq))
+            yield Compute(6)
+
+        sram, sdram, scratch, _ = build_memories(sim, MemoryConfig())
+        return Microengine(
+            sim, ClockDomain(sim, mhz(600), f"me{index}"), index, "rx", queue,
+            steps, {"sram": sram, "sdram": sdram, "scratch": scratch},
+            num_threads=1,
+        )
+
+    @staticmethod
+    def _enqueue_at(sim, when_ps, queue, packet):
+        # Posted after the poll completing at ``when_ps`` was, so only the
+        # band (not posting order) puts the enqueue first.
+        sim.schedule_at(when_ps - 20_000, sim.schedule_at, when_ps, queue.offer, packet)
+
+    def test_enqueue_on_a_lattice_instant_is_taken_by_that_poll(self):
+        sim = Simulator()
+        log = []
+        queue = PacketQueue(4)
+        self._engine(sim, 0, queue, log).start()
+        self._enqueue_at(sim, 120_000, queue, make_packet(seq=0))
+        sim.run(until_ps=1_000_000)
+        assert log == [(120_000, 0, 0)]
+
+    def test_same_lattice_engines_bind_in_index_order(self):
+        sim = Simulator()
+        log = []
+        queues = [PacketQueue(4), PacketQueue(4)]
+        engines = [self._engine(sim, k, queues[k], log) for k in range(2)]
+        # Start ME1 first: its poll completions are posted before ME0's.
+        engines[1].start()
+        engines[0].start()
+        for k in (1, 0):
+            self._enqueue_at(sim, 120_000, queues[k], make_packet(seq=k))
+        sim.run(until_ps=1_000_000)
+        assert log == [(120_000, 0, 0), (120_000, 1, 1)]
 
 
 def test_rx_port_mux_round_robin():
