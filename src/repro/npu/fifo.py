@@ -6,12 +6,15 @@ behind (e.g. while stalled through a DVS transition penalty).
 :class:`TxRing` is the unbounded descriptor ring between receive and
 transmit microengines (scratchpad rings in the real chip; the apps pay
 the scratch-write cost explicitly in their step streams).
+
+Both wake the microengine parked on them: its wake hook, installed with
+``set_waiter`` while it is parked, runs after every enqueue.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from repro.errors import NpuError
 from repro.traffic.packet import Packet
@@ -29,6 +32,11 @@ class PacketQueue:
         self.enqueued = 0
         self.dropped = 0
         self.max_depth = 0
+        self.waiter: Optional[Callable[[], None]] = None
+
+    def set_waiter(self, waiter: Optional[Callable[[], None]]) -> None:
+        """Install (``None``: clear) the parked consumer's wake hook."""
+        self.waiter = waiter
 
     def offer(self, packet: Packet) -> bool:
         """Enqueue if space remains; returns False (and counts) on drop."""
@@ -39,6 +47,8 @@ class PacketQueue:
         self.enqueued += 1
         if len(self._items) > self.max_depth:
             self.max_depth = len(self._items)
+        if self.waiter is not None:
+            self.waiter()
         return True
 
     def poll(self) -> Optional[Packet]:
@@ -70,6 +80,11 @@ class TxRing:
         self._items: Deque[Packet] = deque()
         self.enqueued = 0
         self.max_depth = 0
+        self.waiter: Optional[Callable[[], None]] = None
+
+    def set_waiter(self, waiter: Optional[Callable[[], None]]) -> None:
+        """Install (``None``: clear) the parked consumer's wake hook."""
+        self.waiter = waiter
 
     def put(self, packet: Packet) -> None:
         """Append a descriptor."""
@@ -77,6 +92,8 @@ class TxRing:
         self.enqueued += 1
         if len(self._items) > self.max_depth:
             self.max_depth = len(self._items)
+        if self.waiter is not None:
+            self.waiter()
 
     def poll(self) -> Optional[Packet]:
         """Dequeue the oldest descriptor, or ``None`` when empty."""

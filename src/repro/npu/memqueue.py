@@ -97,11 +97,13 @@ class QueuedResource:
         self._trace_emit = None if emit is NOOP_EMITTER else emit
 
     def request(
-        self, nbytes: int, callback: Callable[..., None], *args: Any
+        self, nbytes: int, callback: Optional[Callable[..., None]] = None, *args: Any
     ) -> int:
         """Issue a request; ``callback(*args)`` fires at completion.
 
-        Returns the absolute completion time in picoseconds.
+        Without a callback (a posted, fire-and-forget transfer) nothing
+        is scheduled.  Returns the absolute completion time in
+        picoseconds.
         """
         service = self._service_cache.get(nbytes)
         if service is None:
@@ -133,7 +135,8 @@ class QueuedResource:
         if self._trace_emit is not None:
             self._trace_emit()
 
-        self._post_at(done, callback, *args)
+        if callback is not None:
+            self._post_at(done, callback, *args)
         return done
 
     # ------------------------------------------------------------------

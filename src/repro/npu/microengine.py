@@ -14,6 +14,17 @@ DVS study and are modelled faithfully:
 * **idle means all threads blocked on memory** — only then does the
   engine sit idle, which is the quantity EDVS windows and thresholds.
 
+Simulating every missed poll as a kernel event would cost most of a
+light-load run, so an engine whose threads keep missing *parks*: the
+polls form a fixed lattice (one every ``P`` picoseconds, threads in
+round-robin), so the engine records the next poll instant and its thread
+rotation and posts nothing.  An enqueue on its work source, a memory
+response, a stall, a clock change or the end of the run settles the
+lattice arithmetically — ``polls`` and ``instructions_executed`` lag
+until then — and, except at run end, wakes the engine with one real poll
+completion at the next lattice instant.  Parking never changes a result;
+an engine with a per-poll observer attached never parks.
+
 The runtime executes application *step streams* (:mod:`repro.npu.steps`);
 both the fast per-packet models and the detailed microcode interpreter
 produce the same vocabulary, so they share this engine.
@@ -44,9 +55,6 @@ BUSY, IDLE, STALLED = "busy", "idle", "stalled"
 #: Consecutive zero-time operations after which the runtime assumes an
 #: application bug (a step stream that never advances simulated time).
 _ZERO_TIME_LIMIT = 10_000
-
-def _ignore_completion() -> None:
-    """Completion callback for posted (fire-and-forget) transfers."""
 
 
 class _HwThread:
@@ -101,6 +109,11 @@ class RxPortMux:
                 return packet
         return None  # pragma: no cover - unreachable (a queue was non-empty)
 
+    def set_waiter(self, waiter: Optional[Callable[[], None]]) -> None:
+        """Hang (``None``: remove) a parked engine's wake hook on every port."""
+        for port in self.ports:
+            port.rx_queue.set_waiter(waiter)
+
 
 class Microengine:
     """One microengine: threads, arbiter, timing and state accounting.
@@ -114,7 +127,10 @@ class Microengine:
     role:
         ``"rx"`` or ``"tx"``.
     work_source:
-        Object with ``poll() -> Optional[Packet]`` supplying work.
+        Object with ``poll() -> Optional[Packet]`` supplying work.  The
+        engine parks only on a source that can wake it: one with
+        ``set_waiter(hook)``, whose hook (``None`` clears it) it calls
+        after every enqueue.
     make_steps:
         ``callable(packet) -> Iterator[Step]`` — the application's step
         stream for one packet in this ME's role.
@@ -215,6 +231,14 @@ class Microengine:
         self._zero_time_ops = 0
         self._started = False
 
+        #: Park state (see :meth:`_await_poll`): while parked, the
+        #: in-flight poll of ``_current`` completes at ``_park_next_ps``
+        #: and no kernel event stands for it.
+        self._parked = False
+        self._park_next_ps = 0
+        self._set_waiter = getattr(work_source, "set_waiter", None)
+        sim.on_run_end.append(self._settle_at_run_end)
+
         #: Materialize step streams at packet bind.  Only set for
         #: applications whose streams are pure (``materialize_rx`` /
         #: ``materialize_tx`` on the app model).
@@ -243,19 +267,28 @@ class Microengine:
         self._notify_power()
 
     def _refresh_fixed_delays(self) -> None:
-        """Clock ``on_change`` listener: re-derive cached fixed delays."""
+        """Clock ``on_change`` listener: re-derive cached fixed delays.
+
+        A parked engine wakes first, on the old delay: as with a posted
+        poll, the poll in flight keeps the delay it started with.
+        """
+        if self._parked:
+            self._wake()
         self._poll_delay_ps = self._delay_for_cycles(self.poll_instructions)
         self._ctx_delay_ps = self._delay_for_cycles(self.ctx_switch_cycles)
 
     def stall_for(self, duration_ps: int) -> None:
         """Freeze execution for a VF-transition penalty.
 
-        In-flight compute finishes but its thread is parked; memory
-        responses arriving during the stall mark threads ready without
-        dispatching them.  Overlapping stalls extend to the latest end.
+        In-flight compute finishes, then its thread waits out the stall;
+        memory responses arriving during the stall mark threads ready
+        without dispatching them.  Overlapping stalls extend to the
+        latest end.
         """
         if duration_ps <= 0:
             return
+        if self._parked:
+            self._wake()
         end = self.sim.now_ps + duration_ps
         self._stalled = True
         if end > self._stall_until_ps:
@@ -367,9 +400,7 @@ class Microengine:
         if self.poll_counts_as_idle:
             # Ablation accounting: treat the poll loop as idle time.
             self._set_state(IDLE)
-        self._post_poll(
-            self.sim.now_ps + self._poll_delay_ps, self.index, self._poll_done, thread
-        )
+        self._await_poll(thread, self.sim.now_ps + self._poll_delay_ps)
 
     def _run_compute(self, thread: _HwThread, instructions: int) -> None:
         self._zero_time_ops = 0
@@ -390,7 +421,7 @@ class Microengine:
                 f"ME{self.index}: no {step.target!r} controller attached"
             ) from None
         self.mem_accesses += 1
-        resource.request(step.nbytes, _ignore_completion)
+        resource.request(step.nbytes)
 
     def _issue_memory(self, thread: _HwThread, step) -> None:
         self._zero_time_ops = 0
@@ -415,11 +446,11 @@ class Microengine:
     def _poll_done(self, thread: _HwThread) -> None:
         """Poll delay elapsed: rotate to the next ready thread.
 
-        This is the engine's steady state under light load, so the whole
-        round-robin cycle — park the poller, dispatch the next thread,
-        re-poll, charge, re-post — runs inline here.  Behaviour is
-        exactly ``_dispatch`` + ``_continue`` + ``_acquire``; only the
-        intermediate frames are elided.
+        Every poll completion that runs as an event lands here, so the
+        whole round-robin cycle — requeue the poller, dispatch the next
+        thread, re-poll, charge, re-post or park — runs inline.
+        Behaviour is exactly ``_dispatch`` + ``_continue`` +
+        ``_acquire``; only the intermediate frames are elided.
         """
         ready = self._ready
         ready.append(thread)
@@ -435,8 +466,8 @@ class Microengine:
             packet = self._ws_poll()
             if packet is None:
                 # Missed poll: charge it inline (the _charge_poll body,
-                # minus the call frame — this is the most-executed
-                # branch in the whole simulator).
+                # minus the call frame — the miss that parks an engine,
+                # and every miss while a thread holds a packet).
                 self.polls += 1
                 instructions = self.poll_instructions
                 self.instructions_executed += instructions
@@ -446,20 +477,15 @@ class Microengine:
                     self.on_instructions(self.index, instructions)
                 if self.poll_counts_as_idle:
                     self._set_state(IDLE)
-                self._post_poll(
-                    self.sim.now_ps + self._poll_delay_ps,
-                    self.index,
-                    self._poll_done,
-                    nxt,
-                )
+                self._await_poll(nxt, self.sim.now_ps + self._poll_delay_ps)
                 return
             self._bind_packet(nxt, packet)
         self._continue(nxt)
 
     def _compute_done(self, thread: _HwThread) -> None:
         if self._stalled:
-            # The penalty began mid-compute: park the thread at the front
-            # so it resumes first after the stall.
+            # The penalty began mid-compute: requeue the thread at the
+            # front so it resumes first after the stall.
             self._current = None
             self._ready.appendleft(thread)
             self._set_state(STALLED)
@@ -467,13 +493,15 @@ class Microengine:
         self._continue(thread)
 
     def _mem_done(self, thread: _HwThread) -> None:
+        if self._parked:
+            self._wake()
         self._ready.append(thread)
         if self._current is None and not self._stalled:
             self._dispatch()
         elif self._stalled and self._current is None:
             # Mark the freeze only when nothing is executing: a compute
             # in flight keeps the engine BUSY until it completes (the
-            # thread parks in _compute_done).
+            # thread is requeued in _compute_done).
             self._set_state(STALLED)
 
     def _finish_packet(self, thread: _HwThread) -> None:
@@ -485,6 +513,79 @@ class Microengine:
             self.packets_processed += 1
             if self.on_packet_done is not None:
                 self.on_packet_done(packet)
+
+    # ------------------------------------------------------------------
+    # Park / wake
+    # ------------------------------------------------------------------
+    def _await_poll(self, thread: _HwThread, done_ps: int) -> None:
+        """Let ``thread``'s missed poll complete at ``done_ps``.
+
+        Posts the completion, or parks the engine when the polls to come
+        are a pure lattice: no ready thread holds a packet, the work
+        source can wake the engine, and no per-poll observer is attached.
+        """
+        if (
+            self._set_waiter is not None
+            and self.pipeline_emitter is None
+            and self.on_instructions is None
+            and not self.poll_counts_as_idle
+        ):
+            for ready in self._ready:
+                if ready.step_iter is not None:
+                    break
+            else:
+                self._parked = True
+                self._park_next_ps = done_ps
+                self._set_waiter(self._wake)
+                return
+        self._post_poll(done_ps, self.index, self._poll_done, thread)
+
+    def _wake(self) -> None:
+        """Settle the polls ordered before now, then post the next one."""
+        self._settle_before_now()
+        self._parked = False
+        self._set_waiter(None)
+        self._post_poll(self._park_next_ps, self.index, self._poll_done, self._current)
+
+    def _settle_before_now(self) -> None:
+        sim = self.sim
+        now = sim.now_ps
+        # A poll completing exactly now has run only once the poll band
+        # at this picosecond has passed the engine's rank.
+        self._settle(now if sim.poll_passed(self.index) else now - 1)
+
+    def _settle(self, through_ps: int) -> None:
+        """Charge the parked polls completing at or before ``through_ps``.
+
+        Each completion requeues the poller and rotates the next ready
+        thread in, whose poll misses and is charged: ``_poll_done``'s
+        miss path, in closed form.
+        """
+        next_ps = self._park_next_ps
+        if through_ps < next_ps:
+            return
+        period = self._poll_delay_ps
+        count = (through_ps - next_ps) // period + 1
+        self.polls += count
+        self.instructions_executed += count * self.poll_instructions
+        self._park_next_ps = next_ps + count * period
+        ready = self._ready
+        ready.appendleft(self._current)
+        ready.rotate(-count)
+        self._current = ready.popleft()
+
+    def _settle_at_run_end(self) -> None:
+        """``on_run_end`` hook: bring a parked engine's counters up to date.
+
+        A run that reached its deadline ran every poll up to it; one
+        ended by ``sim.stop()`` ran only the polls ordered before the
+        stopping event.  The engine stays parked across the pause.
+        """
+        if self._parked:
+            if self.sim.stopped:
+                self._settle_before_now()
+            else:
+                self._settle(self.sim.now_ps)
 
     # ------------------------------------------------------------------
     # Accounting helpers

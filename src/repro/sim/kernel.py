@@ -8,7 +8,10 @@ event, in scheduling order (a monotonically increasing sequence number
 breaks ties), then the *poll band* — poll completions posted with
 :meth:`Simulator.post_poll` — in rank order.  A microengine's rank is its
 index, so work enqueued at *T* is visible to a poll completing at *T*,
-and engines that poll on the same lattice find it in index order.
+and engines that poll on the same lattice find it in index order.  An
+engine that skips posting its polls (a parked microengine) asks
+:meth:`Simulator.poll_passed` whether its slot at the current
+picosecond has already gone by.
 
 Heap entries are plain ``(time_ps, seq, callback, args)`` tuples, so the
 hot path pays C-speed tuple comparisons instead of a Python ``__lt__``
@@ -112,6 +115,10 @@ class Simulator:
         #: Sequence numbers of cancelled-but-still-queued entries.  The
         #: run loop checks membership only while the set is non-empty.
         self._cancelled: Set[int] = set()
+        #: Picosecond and rank of the poll completion delivered last
+        #: (see :meth:`poll_passed`).
+        self._band_ps = -1
+        self._band_rank = -1
         #: Called (no arguments) every time :meth:`run` returns, before
         #: control reaches the caller.  The sanctioned hook for
         #: end-of-run derivation — kernel-phase span capture
@@ -184,8 +191,27 @@ class Simulator:
         poll completions run lowest rank first.  A rank may have at most
         one completion pending per picosecond, which keeps heap keys
         unique.  Like :meth:`post_at`, ``time_ps`` must not be in the past.
+        Delivery records how far the band has got (:meth:`poll_passed`);
+        ordinary events pay nothing for it.
         """
-        heapq.heappush(self._queue, (time_ps, _POLL_BAND + rank, callback, args))
+        heapq.heappush(
+            self._queue,
+            (time_ps, _POLL_BAND + rank, self._deliver_poll, (rank, callback, args)),
+        )
+
+    def _deliver_poll(self, rank: int, callback: EventCallback, args: tuple) -> None:
+        self._band_ps = self.now_ps
+        self._band_rank = rank
+        callback(*args)
+
+    def poll_passed(self, rank: int) -> bool:
+        """True when ``rank``'s poll-band slot at ``now_ps`` has gone by.
+
+        That is, the band at this picosecond already delivered ``rank``
+        or a higher rank, so a poll completion of ``rank`` that had been
+        pending for now would already have run.
+        """
+        return self._band_ps == self.now_ps and self._band_rank >= rank
 
     def _cancel_seq(self, seq: int) -> None:
         self._cancelled.add(seq)
@@ -264,6 +290,11 @@ class Simulator:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+
+    @property
+    def stopped(self) -> bool:
+        """True when :meth:`stop` ended (or will end) the current run."""
+        return self._stopped
 
     # ------------------------------------------------------------------
     # Introspection
