@@ -15,15 +15,15 @@ DVS study and are modelled faithfully:
   engine sit idle, which is the quantity EDVS windows and thresholds.
 
 Simulating every missed poll as a kernel event would cost most of a
-light-load run, so an engine whose threads keep missing *parks*: the
-polls form a fixed lattice (one every ``P`` picoseconds, threads in
-round-robin), so the engine records the next poll instant and its thread
-rotation and posts nothing.  An enqueue on its work source, a memory
-response, a stall, a clock change or the end of the run settles the
-lattice arithmetically — ``polls`` and ``instructions_executed`` lag
-until then — and, except at run end, wakes the engine with one real poll
-completion at the next lattice instant.  Parking never changes a result;
-an engine with a per-poll observer attached never parks.
+light-load run.  The polls of an engine whose threads keep missing form
+a fixed lattice (one every ``P`` picoseconds, threads in round-robin),
+so such an engine *parks*: it records the next poll instant and its
+thread rotation and posts nothing.  An enqueue on its work source, a
+memory response, a stall, a clock change or the end of the run settles
+the lattice arithmetically — ``polls`` and ``instructions_executed`` lag
+until then — and, except at run end, wakes the engine with one real
+poll completion at the next lattice instant.  Parking never changes a
+result; an engine with a per-poll observer attached never parks.
 
 The runtime executes application *step streams* (:mod:`repro.npu.steps`);
 both the fast per-packet models and the detailed microcode interpreter
