@@ -136,7 +136,6 @@ class Session:
     def _stream(
         self, jobs: List[Job], hooks: EventHooks
     ) -> Iterator[SweepOutcome]:
-        from repro.backends import run_backend
         from repro.backends.base import ExecutionBackend
 
         from repro.obs.metrics import FORWARD_LATENCY_EDGES_US
@@ -246,8 +245,8 @@ class Session:
                         "run", "backend",
                         {"backend": backend.name, "jobs": len(pending)},
                     ):
-                        for outcome in run_backend(
-                            backend, pending, hooks.on_job_start
+                        for outcome in backend.run(
+                            pending, on_start=hooks.on_job_start
                         ):
                             if outcome.job_id not in open_ids:
                                 raise BackendError(

@@ -19,10 +19,10 @@ the ``benchmarks/bench_ablations.py`` sweeps exercise the sensitivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigError, NpuError
-from repro.npu.steps import Compute, Step
+from repro.npu.steps import Compute, MemPost, MemRead, Step
 from repro.sim.rng import RngStreams
 from repro.traffic.packet import Packet
 
@@ -90,36 +90,32 @@ class AppResources:
 
 
 class AppModel:
-    """Base class: one benchmark application's packet-processing model."""
+    """Base class: one benchmark application's packet-processing model.
+
+    Each app has exactly one receive and one transmit stream method.  A
+    *pure* stream — one whose steps depend only on a small per-packet
+    shape (chunk count, trie-walk strides, hash-block count) — returns
+    a memoized list shared by every packet of that shape, and applies
+    its per-packet effects (counters, ``packet.output_port``) when
+    called.  Steps are immutable and the microengine only iterates the
+    list, so sharing it is safe.  A stream whose effects depend on when
+    each step runs (NAT's translation table, real MD4 digests, the
+    microcode interpreter) is a generator instead.
+    """
 
     #: Benchmark name (matches ``RunConfig.benchmark``).
     name = "base"
-
-    #: Whether the rx/tx step streams are *pure* — per-packet side
-    #: effects limited to commutative counters — so the microengine may
-    #: materialize them eagerly at packet bind.  Apps whose
-    #: streams mutate order-sensitive shared state (NAT's translation
-    #: table, the detailed interpreter) must leave these False.
-    materialize_rx = False
-    materialize_tx = False
 
     def __init__(self, resources: AppResources, profile: Optional[AppProfile] = None):
         self.resources = resources
         self.profile = profile or AppProfile()
         self.profile.validate()
-        # Memoized materialized step lists, keyed by whatever the app's
-        # stream actually varies on (chunk count, trie depth, ...).
-        # Step objects are immutable and iterating a list never mutates
-        # it, so one list serves every packet with the same shape — the
-        # per-packet generator walk and step allocations disappear.
-        # Only apps with pure streams (``materialize_*``) install keys;
-        # per-packet side effects (counters, ``packet.output_port``) are
-        # replayed by the app's ``*_steps_list`` override on a hit.
-        self._rx_steps_memo: Dict[object, list] = {}
-        self._tx_steps_memo: Dict[object, list] = {}
+        #: Memoized pure streams, keyed by packet shape.
+        self._rx_steps_memo: Dict[object, List[Step]] = {}
+        self._tx_steps_memo: Dict[object, List[Step]] = {}
 
     # -- the two step streams ------------------------------------------
-    def rx_steps(self, packet: Packet) -> Iterator[Step]:
+    def rx_steps(self, packet: Packet) -> Iterable[Step]:
         """Receive-side processing for one packet.
 
         Must end with :class:`~repro.npu.steps.PutTx` (forward) or
@@ -127,54 +123,33 @@ class AppModel:
         """
         raise NotImplementedError
 
-    def tx_steps(self, packet: Packet) -> Iterator[Step]:
+    def tx_steps(self, packet: Packet) -> Iterable[Step]:
         """Transmit-side processing; the chip transmits when it ends."""
         raise NotImplementedError
 
-    # -- materialized (list) streams --------------------------------------
-    def rx_steps_list(self, packet: Packet) -> list:
-        """Receive stream as a list, for materializing microengines.
-
-        The base implementation lists out the generator per packet; apps
-        with pure streams override it to return a memoized shared list
-        (replaying the stream's per-packet side effects on a hit).
-        """
-        return list(self.rx_steps(packet))
-
-    def tx_steps_list(self, packet: Packet) -> list:
-        """Transmit stream as a list, for materializing microengines."""
-        return list(self.tx_steps(packet))
-
-    def _standard_tx_steps_list(
-        self, packet: Packet, fetch_sdram: bool = True
-    ) -> list:
-        """Memoized :meth:`_standard_tx_steps`; it is pure by design."""
-        key = (chunks_of(packet.size_bytes), fetch_sdram)
-        steps = self._tx_steps_memo.get(key)
-        if steps is None:
-            steps = list(self._standard_tx_steps(packet, fetch_sdram))
-            self._tx_steps_memo[key] = steps
-        return steps
-
     # -- shared transmit skeleton ----------------------------------------
-    def _standard_tx_steps(self, packet: Packet, fetch_sdram: bool = True):
+    def _standard_tx_steps(self, packet: Packet, fetch_sdram: bool = True) -> List[Step]:
         """Descriptor read, per-chunk data movement, MAC handoff.
 
         SDRAM fetches are *posted*: the transmit ME kicks off the
         SDRAM -> TFIFO move and busy-polls the TFIFO status while the
         transfer drains (SDRAM bandwidth is consumed, the thread is not
         blocked) — which is why transmit MEs show almost no idle time.
+        The stream is pure: memoized per chunk count.
         """
-        from repro.npu.steps import MemPost, MemRead
-
-        profile = self.profile
-        yield MemRead("scratch", 8)
-        yield Compute(profile.tx_header_instr)
-        for _ in range(chunks_of(packet.size_bytes)):
-            if fetch_sdram:
-                yield MemPost("sdram", CHUNK_BYTES)
-            yield Compute(profile.tx_chunk_instr)
-        yield Compute(profile.tx_finish_instr)
+        nchunks = chunks_of(packet.size_bytes)
+        key = (nchunks, fetch_sdram)
+        steps = self._tx_steps_memo.get(key)
+        if steps is None:
+            profile = self.profile
+            steps = [MemRead("scratch", 8), Compute(profile.tx_header_instr)]
+            for _ in range(nchunks):
+                if fetch_sdram:
+                    steps.append(MemPost("sdram", CHUNK_BYTES))
+                steps.append(Compute(profile.tx_chunk_instr))
+            steps.append(Compute(profile.tx_finish_instr))
+            self._tx_steps_memo[key] = steps
+        return steps
 
     # -- introspection ----------------------------------------------------
     def expected_rx_instructions(self, packet: Packet) -> int:

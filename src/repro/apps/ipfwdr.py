@@ -15,7 +15,7 @@ transmit
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import List
 
 from repro.apps.base import (
     CHUNK_BYTES,
@@ -55,11 +55,6 @@ class IpfwdrApp(AppModel):
 
     name = "ipfwdr"
 
-    # Pure streams: trie lookups are read-only and the per-packet
-    # counters commute, so both sides may be materialized.
-    materialize_rx = True
-    materialize_tx = True
-
     def __init__(self, resources: AppResources, profile=None):
         super().__init__(resources, profile or IPFWDR_PROFILE)
         if resources.routing_trie is None:
@@ -72,49 +67,43 @@ class IpfwdrApp(AppModel):
         self.lookups = 0
         self.total_lookup_depth = 0
 
-    def rx_steps(self, packet: Packet) -> Iterator[Step]:
-        profile = self.profile
-        yield Compute(profile.rx_header_instr)
-        # Move the packet RFIFO -> SDRAM, 64 bytes at a time.
-        for _ in range(chunks_of(packet.size_bytes)):
-            yield Compute(profile.rx_chunk_instr)
-            yield MemWrite("sdram", CHUNK_BYTES)
-        # LPM walk: one SRAM read per 8-bit stride of the match depth.
+    def rx_steps(self, packet: Packet) -> List[Step]:
+        # The trie lookup is read-only, so the stream is pure: its shape
+        # is the chunk count and the LPM walk's stride count.
         port, depth = self.trie.lookup(packet.dst_ip)
         self.lookups += 1
         self.total_lookup_depth += depth
-        for _ in range(strides_for_depth(depth)):
-            yield MemRead("sram", TRIE_NODE_BYTES)
-            yield Compute(profile.lookup_step_instr)
         packet.output_port = port
-        # Output-port information lives in SDRAM.
-        yield MemRead("sdram", PORT_INFO_BYTES)
-        yield Compute(profile.rx_finish_instr)
-        # Descriptor enqueue through the scratchpad ring.
-        yield MemWrite("scratch", 8)
-        yield Compute(profile.enqueue_instr)
-        yield PutTx()
-
-    def rx_steps_list(self, packet: Packet) -> list:
-        port, depth = self.trie.lookup(packet.dst_ip)
         key = (chunks_of(packet.size_bytes), strides_for_depth(depth))
         steps = self._rx_steps_memo.get(key)
         if steps is None:
-            # The generator performs the lookup and counter updates
-            # itself (one extra read-only trie walk, first time only).
-            steps = list(self.rx_steps(packet))
-            self._rx_steps_memo[key] = steps
-            return steps
-        self.lookups += 1
-        self.total_lookup_depth += depth
-        packet.output_port = port
+            steps = self._rx_steps_memo[key] = self._rx_shape(*key)
         return steps
 
-    def tx_steps(self, packet: Packet) -> Iterator[Step]:
-        return self._standard_tx_steps(packet, fetch_sdram=True)
+    def _rx_shape(self, nchunks: int, strides: int) -> List[Step]:
+        profile = self.profile
+        steps: List[Step] = [Compute(profile.rx_header_instr)]
+        # Move the packet RFIFO -> SDRAM, 64 bytes at a time.
+        for _ in range(nchunks):
+            steps.append(Compute(profile.rx_chunk_instr))
+            steps.append(MemWrite("sdram", CHUNK_BYTES))
+        # LPM walk: one SRAM read per 8-bit stride of the match depth.
+        for _ in range(strides):
+            steps.append(MemRead("sram", TRIE_NODE_BYTES))
+            steps.append(Compute(profile.lookup_step_instr))
+        steps += (
+            # Output-port information lives in SDRAM.
+            MemRead("sdram", PORT_INFO_BYTES),
+            Compute(profile.rx_finish_instr),
+            # Descriptor enqueue through the scratchpad ring.
+            MemWrite("scratch", 8),
+            Compute(profile.enqueue_instr),
+            PutTx(),
+        )
+        return steps
 
-    def tx_steps_list(self, packet: Packet) -> list:
-        return self._standard_tx_steps_list(packet, fetch_sdram=True)
+    def tx_steps(self, packet: Packet) -> List[Step]:
+        return self._standard_tx_steps(packet, fetch_sdram=True)
 
     @property
     def mean_lookup_depth(self) -> float:

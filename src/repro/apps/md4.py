@@ -20,7 +20,7 @@ payload (tests verify against the RFC test vectors).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.apps.base import (
     CHUNK_BYTES,
@@ -49,13 +49,15 @@ MD4_PROFILE = AppProfile(
 #: Digest bytes written back to SRAM.
 DIGEST_BYTES = 16
 
+#: Steps after the hash rounds: digest write-back, finish, descriptor
+#: write, enqueue and PutTx.
+_RX_TAIL_STEPS = 5
+
 
 class Md4App(AppModel):
     """Per-packet MD4 signatures: memory- and compute-intensive."""
 
     name = "md4"
-
-    materialize_tx = True
 
     def __init__(
         self,
@@ -67,59 +69,62 @@ class Md4App(AppModel):
         #: When true, actually hash each packet's payload (slow; used by
         #: detailed runs and tests rather than the big sweeps).
         self.compute_real_digests = compute_real_digests
-        # ``blocks_hashed`` commutes, but ``last_digest`` depends on
-        # packet completion order, so the rx stream is only pure (and
-        # materializable) when real digests are off.
-        self.materialize_rx = not compute_real_digests
         self.blocks_hashed = 0
         self.last_digest: Optional[bytes] = None
 
-    def rx_steps(self, packet: Packet) -> Iterator[Step]:
-        profile = self.profile
-        yield Compute(profile.rx_header_instr)
-        # Store the packet to SDRAM.
-        for _ in range(chunks_of(packet.size_bytes)):
-            yield Compute(profile.rx_chunk_instr)
-            yield MemWrite("sdram", CHUNK_BYTES)
-        # Hash the payload block by block: SDRAM -> SRAM -> rounds.
+    def rx_steps(self, packet: Packet) -> Iterable[Step]:
+        # The stream's shape is the chunk count and the RFC 1320 block
+        # count; ``blocks_hashed`` commutes, so the stream is pure unless
+        # real digests are on.
         blocks = md4_blocks_for(packet.payload_bytes_len)
-        for _ in range(blocks):
-            yield MemRead("sdram", CHUNK_BYTES)
-            yield MemWrite("sram", CHUNK_BYTES)
-            yield MemRead("sram", CHUNK_BYTES)
-            yield Compute(OPS_PER_BLOCK)
         self.blocks_hashed += blocks
-        if self.compute_real_digests:
-            self.last_digest = md4_digest(packet.payload())
-        # Digest write-back and descriptor enqueue.
-        yield MemWrite("sram", DIGEST_BYTES)
-        yield Compute(profile.rx_finish_instr)
         packet.output_port = packet.input_port
-        yield MemWrite("scratch", 8)
-        yield Compute(profile.enqueue_instr)
-        yield PutTx()
-
-    def rx_steps_list(self, packet: Packet) -> list:
-        if self.compute_real_digests:
-            # Impure stream (real digests): never memoized — matches
-            # ``materialize_rx`` being False in this configuration.
-            return list(self.rx_steps(packet))
-        blocks = md4_blocks_for(packet.payload_bytes_len)
         key = (chunks_of(packet.size_bytes), blocks)
         steps = self._rx_steps_memo.get(key)
         if steps is None:
-            steps = list(self.rx_steps(packet))
-            self._rx_steps_memo[key] = steps
-            return steps
-        self.blocks_hashed += blocks
-        packet.output_port = packet.input_port
+            steps = self._rx_steps_memo[key] = self._rx_shape(*key)
+        if self.compute_real_digests:
+            return self._hashing_steps(packet, steps)
         return steps
 
-    def tx_steps(self, packet: Packet) -> Iterator[Step]:
-        return self._standard_tx_steps(packet, fetch_sdram=True)
+    def _rx_shape(self, nchunks: int, blocks: int) -> List[Step]:
+        profile = self.profile
+        steps: List[Step] = [Compute(profile.rx_header_instr)]
+        # Store the packet to SDRAM.
+        for _ in range(nchunks):
+            steps.append(Compute(profile.rx_chunk_instr))
+            steps.append(MemWrite("sdram", CHUNK_BYTES))
+        # Hash the payload block by block: SDRAM -> SRAM -> rounds.
+        for _ in range(blocks):
+            steps += (
+                MemRead("sdram", CHUNK_BYTES),
+                MemWrite("sram", CHUNK_BYTES),
+                MemRead("sram", CHUNK_BYTES),
+                Compute(OPS_PER_BLOCK),
+            )
+        # Digest write-back and descriptor enqueue (``_RX_TAIL_STEPS``).
+        steps += (
+            MemWrite("sram", DIGEST_BYTES),
+            Compute(profile.rx_finish_instr),
+            MemWrite("scratch", 8),
+            Compute(profile.enqueue_instr),
+            PutTx(),
+        )
+        return steps
 
-    def tx_steps_list(self, packet: Packet) -> list:
-        return self._standard_tx_steps_list(packet, fetch_sdram=True)
+    def _hashing_steps(self, packet: Packet, steps: List[Step]) -> Iterator[Step]:
+        """``steps``, hashing the payload for real once the rounds ran.
+
+        A generator: ``last_digest`` follows the order in which packets
+        finish their rounds.
+        """
+        rounds_end = len(steps) - _RX_TAIL_STEPS
+        yield from steps[:rounds_end]
+        self.last_digest = md4_digest(packet.payload())
+        yield from steps[rounds_end:]
+
+    def tx_steps(self, packet: Packet) -> List[Step]:
+        return self._standard_tx_steps(packet, fetch_sdram=True)
 
 
 register_app("md4", Md4App)

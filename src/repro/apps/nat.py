@@ -18,7 +18,7 @@ transmit
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List
 
 from repro.apps.base import AppModel, AppProfile, AppResources, register_app
 from repro.apps.nat_table import NatTable
@@ -49,11 +49,6 @@ class NatApp(AppModel):
 
     name = "nat"
 
-    # The rx stream allocates translation-table entries as it runs, and
-    # entry order is observable across interleaved packets — rx must stay
-    # lazy.  The tx skeleton is pure.
-    materialize_tx = True
-
     def __init__(self, resources: AppResources, profile=None):
         super().__init__(resources, profile or NAT_PROFILE)
         if resources.nat_table is None:
@@ -63,6 +58,8 @@ class NatApp(AppModel):
         self.dropped_exhausted = 0
 
     def rx_steps(self, packet: Packet) -> Iterator[Step]:
+        # A generator: it allocates translation-table entries as it runs,
+        # and entry order is observable across interleaved packets.
         profile = self.profile
         yield Compute(profile.rx_header_instr)
         # The single SRAM lookup the paper describes.
@@ -87,7 +84,7 @@ class NatApp(AppModel):
         yield Compute(profile.enqueue_instr)
         yield PutTx()
 
-    def tx_steps(self, packet: Packet) -> Iterator[Step]:
+    def tx_steps(self, packet: Packet) -> List[Step]:
         # Cut-through transmit: no SDRAM fetch, per-chunk FIFO moves only.
         return self._standard_tx_steps(packet, fetch_sdram=False)
 

@@ -15,7 +15,7 @@ transmit
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import List
 
 from repro.apps.base import (
     CHUNK_BYTES,
@@ -56,59 +56,51 @@ class UrlApp(AppModel):
 
     name = "url"
 
-    # Pure streams: pattern scans only bump commutative counters and the
-    # route choice is a pure function of the packet.
-    materialize_rx = True
-    materialize_tx = True
-
     def __init__(self, resources: AppResources, profile=None):
         super().__init__(resources, profile or URL_PROFILE)
         self._route_rng = resources.rng_streams.get("apps.url.routes")
         self.scanned_chunks = 0
 
-    def rx_steps(self, packet: Packet) -> Iterator[Step]:
-        profile = self.profile
-        yield Compute(profile.rx_header_instr)
-        nchunks = chunks_of(packet.size_bytes)
-        # Store the packet to SDRAM...
-        for _ in range(nchunks):
-            yield Compute(profile.rx_chunk_instr)
-            yield MemWrite("sdram", CHUNK_BYTES)
-        # ...then read the payload back chunk by chunk and scan it.
+    def rx_steps(self, packet: Packet) -> List[Step]:
+        # Pattern scans only bump a commutative counter and the route is
+        # a pure function of the packet, so the stream is pure: its shape
+        # is the stored and the scanned chunk counts.
         payload_chunks = chunks_of(packet.payload_bytes_len)
-        for _ in range(payload_chunks):
-            yield MemRead("sdram", CHUNK_BYTES)
-            yield Compute(SCAN_CHUNK_INSTR)
-            self.scanned_chunks += 1
-        # Probe the URL table in SRAM.
-        for _ in range(URL_PROBES):
-            yield MemRead("sram", URL_BUCKET_BYTES)
-            yield Compute(profile.lookup_step_instr)
+        self.scanned_chunks += payload_chunks
         # Route on the (deterministic per-flow) match.
         packet.output_port = packet.flow_id % self.resources.num_ports
-        yield MemRead("sdram", PORT_INFO_BYTES)
-        yield Compute(profile.rx_finish_instr)
-        yield MemWrite("scratch", 8)
-        yield Compute(profile.enqueue_instr)
-        yield PutTx()
-
-    def rx_steps_list(self, packet: Packet) -> list:
-        payload_chunks = chunks_of(packet.payload_bytes_len)
         key = (chunks_of(packet.size_bytes), payload_chunks)
         steps = self._rx_steps_memo.get(key)
         if steps is None:
-            steps = list(self.rx_steps(packet))
-            self._rx_steps_memo[key] = steps
-            return steps
-        self.scanned_chunks += payload_chunks
-        packet.output_port = packet.flow_id % self.resources.num_ports
+            steps = self._rx_steps_memo[key] = self._rx_shape(*key)
         return steps
 
-    def tx_steps(self, packet: Packet) -> Iterator[Step]:
-        return self._standard_tx_steps(packet, fetch_sdram=True)
+    def _rx_shape(self, nchunks: int, payload_chunks: int) -> List[Step]:
+        profile = self.profile
+        steps: List[Step] = [Compute(profile.rx_header_instr)]
+        # Store the packet to SDRAM...
+        for _ in range(nchunks):
+            steps.append(Compute(profile.rx_chunk_instr))
+            steps.append(MemWrite("sdram", CHUNK_BYTES))
+        # ...then read the payload back chunk by chunk and scan it.
+        for _ in range(payload_chunks):
+            steps.append(MemRead("sdram", CHUNK_BYTES))
+            steps.append(Compute(SCAN_CHUNK_INSTR))
+        # Probe the URL table in SRAM.
+        for _ in range(URL_PROBES):
+            steps.append(MemRead("sram", URL_BUCKET_BYTES))
+            steps.append(Compute(profile.lookup_step_instr))
+        steps += (
+            MemRead("sdram", PORT_INFO_BYTES),
+            Compute(profile.rx_finish_instr),
+            MemWrite("scratch", 8),
+            Compute(profile.enqueue_instr),
+            PutTx(),
+        )
+        return steps
 
-    def tx_steps_list(self, packet: Packet) -> list:
-        return self._standard_tx_steps_list(packet, fetch_sdram=True)
+    def tx_steps(self, packet: Packet) -> List[Step]:
+        return self._standard_tx_steps(packet, fetch_sdram=True)
 
 
 register_app("url", UrlApp)

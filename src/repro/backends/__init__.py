@@ -36,7 +36,7 @@ import os
 from typing import Optional, Union
 
 from repro.errors import BackendError
-from repro.backends.base import ExecutionBackend, StartFn, run_backend
+from repro.backends.base import ExecutionBackend, StartFn
 from repro.backends.distributed import DistributedBackend, LeaseClock
 from repro.backends.local import ProcessBackend, SerialBackend
 from repro.backends.protocol import PROTOCOL_VERSION, parse_endpoint
@@ -120,6 +120,5 @@ __all__ = [
     "StartFn",
     "get_backend",
     "parse_endpoint",
-    "run_backend",
     "run_worker",
 ]

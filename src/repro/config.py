@@ -288,9 +288,10 @@ class DvsConfig(_Base):
     top_threshold_mbps: float = 1000.0
     idle_threshold: float = 0.10
     transition_penalty_us: float = 10.0
-    #: Ablation knob: TDVS down-steps only when the window rate falls
-    #: below ``threshold * (1 - tdvs_hysteresis)``.  The paper's policy
-    #: has no hysteresis (0.0).
+    #: Ablation knob: the traffic rule (TDVS, and the combined policy's
+    #: traffic floor) down-steps only when the window rate falls below
+    #: ``threshold * (1 - tdvs_hysteresis)``.  The paper's policy has no
+    #: hysteresis (0.0).
     tdvs_hysteresis: float = 0.0
 
     def validate(self) -> None:
@@ -394,8 +395,11 @@ class RunConfig(_Base):
     power: PowerConfig = field(default_factory=PowerConfig)
     dvs: DvsConfig = field(default_factory=DvsConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    #: Emit per-compute-chunk pipeline events ("chunk"), per-instruction
-    #: events in detailed mode ("instruction"), or none (None).
+    #: Publish ``m<k>_pipeline`` events (None: none).  Any non-None
+    #: value publishes one event per ``Compute`` step and per missed
+    #: poll, so "chunk" and "instruction" behave the same; the event
+    #: granularity follows the app (the microcoded apps issue one
+    #: ``Compute`` per instruction).
     pipeline_events: Optional[str] = None
 
     #: Fast per-packet models, plus the detailed (interpreted-microcode)

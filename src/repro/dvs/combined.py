@@ -71,13 +71,7 @@ class CombinedGovernor(GovernorBase):
     def _on_traffic_window(self) -> None:
         self._charge_window_overhead()
         rate_mbps = self.traffic_monitor.window_rate_per_s() / 1e6
-        threshold = self.vf_table.traffic_threshold_mbps(
-            self.traffic_floor, self.config.top_threshold_mbps
-        )
-        if rate_mbps > threshold:
-            self.traffic_floor = self.vf_table.step_up(self.traffic_floor)
-        elif rate_mbps < threshold:
-            self.traffic_floor = self.vf_table.step_down(self.traffic_floor)
+        self.traffic_floor = self._traffic_rule(self.traffic_floor, rate_mbps)
         for me in self.mes:
             self._apply_effective(me)
         self.traffic_monitor.reset_window()
@@ -86,12 +80,9 @@ class CombinedGovernor(GovernorBase):
     # -- per-ME idle rule ----------------------------------------------------
     def _on_idle_window(self, me: Microengine) -> None:
         self._charge_window_overhead()
-        idle_fraction = me.idle_fraction_window()
-        level = self.idle_levels[me.index]
-        if idle_fraction > self.config.idle_threshold:
-            self.idle_levels[me.index] = self.vf_table.step_down(level)
-        elif idle_fraction < self.config.idle_threshold:
-            self.idle_levels[me.index] = self.vf_table.step_up(level)
+        self.idle_levels[me.index] = self._idle_rule(
+            self.idle_levels[me.index], me.idle_fraction_window()
+        )
         self._apply_effective(me)
         me.reset_window()
         self.sim.schedule(

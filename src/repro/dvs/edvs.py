@@ -59,13 +59,8 @@ class EdvsGovernor(GovernorBase):
 
     def _on_window(self, me: Microengine) -> None:
         self._charge_window_overhead()
-        idle_fraction = me.idle_fraction_window()
         level = self.levels[me.index]
-        new_level = level
-        if idle_fraction > self.config.idle_threshold:
-            new_level = self.vf_table.step_down(level)
-        elif idle_fraction < self.config.idle_threshold:
-            new_level = self.vf_table.step_up(level)
+        new_level = self._idle_rule(level, me.idle_fraction_window())
         if new_level != level:
             self.levels[me.index] = new_level
             self.transitions_per_me[me.index] += 1

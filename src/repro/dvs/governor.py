@@ -4,8 +4,10 @@ Both policies follow the same skeleton — observe a window, compare a
 control signal against a threshold, step the VF ladder by at most one
 level, pay the transition penalty — and differ only in the signal
 (arrival traffic vs. idle time) and the scaling domain (chip-wide vs.
-per-ME).  The base class owns the mechanical parts so the policy classes
-stay small and the experiments can count transitions uniformly.
+per-ME).  The base class owns the two window rules and the mechanical
+parts, so the policy classes (and the combined governor, which applies
+both rules) stay small and the experiments can count transitions
+uniformly.
 """
 
 from __future__ import annotations
@@ -54,6 +56,38 @@ class GovernorBase:
 
     def _schedule_first(self) -> None:
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Policy rules
+    # ------------------------------------------------------------------
+    def _traffic_rule(self, level: int, rate_mbps: float) -> int:
+        """The TDVS rule: the level after a window of ``rate_mbps`` traffic.
+
+        Above ``level``'s threshold the ladder steps up (faster); below
+        the threshold less the ``tdvs_hysteresis`` band it steps down.
+        """
+        config = self.config
+        threshold = self.vf_table.traffic_threshold_mbps(
+            level, config.top_threshold_mbps
+        )
+        if rate_mbps > threshold:
+            return self.vf_table.step_up(level)
+        if rate_mbps < threshold * (1.0 - config.tdvs_hysteresis):
+            return self.vf_table.step_down(level)
+        return level
+
+    def _idle_rule(self, level: int, idle_fraction: float) -> int:
+        """The EDVS rule: the level after a window ``idle_fraction`` idle.
+
+        More idle than ``idle_threshold`` steps down (slower), less steps
+        up.
+        """
+        threshold = self.config.idle_threshold
+        if idle_fraction > threshold:
+            return self.vf_table.step_down(level)
+        if idle_fraction < threshold:
+            return self.vf_table.step_up(level)
+        return level
 
     # ------------------------------------------------------------------
     # Transition mechanics

@@ -69,22 +69,10 @@ class TdvsGovernor(GovernorBase):
         self.traffic_monitor.reset_window()
         self.sim.schedule(self._window_ps, self._on_window)
 
-    def current_threshold_mbps(self) -> float:
-        """The threshold in force at the current level."""
-        return self.vf_table.traffic_threshold_mbps(
-            self.level, self.config.top_threshold_mbps
-        )
-
     def _on_window(self) -> None:
         self._charge_window_overhead()
         rate_mbps = self.traffic_monitor.window_rate_per_s() / 1e6
-        threshold = self.current_threshold_mbps()
-        down_threshold = threshold * (1.0 - self.config.tdvs_hysteresis)
-        new_level = self.level
-        if rate_mbps > threshold:
-            new_level = self.vf_table.step_up(self.level)
-        elif rate_mbps < down_threshold:
-            new_level = self.vf_table.step_down(self.level)
+        new_level = self._traffic_rule(self.level, rate_mbps)
         if new_level != self.level:
             self.level = new_level
             self._apply_level(self.mes, new_level)

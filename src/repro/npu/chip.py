@@ -26,11 +26,12 @@ from typing import Dict, List, Optional
 from repro.apps.base import AppResources, build_app
 from repro.config import RunConfig
 from repro.errors import NpuError
-from repro.npu.fifo import TxRing
+from repro.npu.fifo import PacketQueue
 from repro.npu.memqueue import build_memories
 from repro.npu.microengine import BUSY, IDLE, STALLED, Microengine, RxPortMux
 from repro.npu.packetbuf import PacketBufferPool
 from repro.npu.ports import PortArray
+from repro.npu.steps import Compute, Drop
 from repro.power.model import MePowerModel, PowerAccountant
 from repro.sim.clock import ClockDomain, FixedClock
 from repro.sim.kernel import Simulator
@@ -40,6 +41,10 @@ from repro.trace.annotations import AnnotationProvider
 from repro.trace.bus import NOOP_EMITTER, TraceBus
 from repro.trace.events import prefixed_event_name
 from repro.traffic.packet import Packet
+
+#: Receive stream of a packet that found no free buffer: the failed
+#: allocation still burns cycles, then the packet is dropped.
+_NO_BUFFER_STEPS = (Compute(8), Drop("no-buffer"))
 
 
 @dataclass
@@ -173,17 +178,17 @@ class NpuChip:
         )
         self.app = build_app(config.benchmark, self.app_resources)
 
-        # -- transmit rings (one per transmit ME) ------------------------------
-        self.tx_rings: List[TxRing] = [
-            TxRing(f"txring{k}") for k in range(len(npu.tx_me_indices))
+        # -- transmit rings (one unbounded queue per transmit ME) --------------
+        self.tx_rings: List[PacketQueue] = [
+            PacketQueue(None, f"txring{k}") for k in range(len(npu.tx_me_indices))
         ]
         self._ports_per_tx_ring = npu.num_ports // len(npu.tx_me_indices)
         #: ``out_port % num_ports`` indexes straight to the owning ring's
-        #: bound ``put`` — the ring arithmetic is paid once at build time
+        #: bound ``offer`` — the ring arithmetic is paid once at build time
         #: instead of per transmitted packet.
         self._num_ports = npu.num_ports
-        self._ring_put_for_port = [
-            self.tx_rings[p // self._ports_per_tx_ring].put
+        self._ring_offer_for_port = [
+            self.tx_rings[p // self._ports_per_tx_ring].offer
             for p in range(npu.num_ports)
         ]
 
@@ -212,7 +217,6 @@ class NpuChip:
                     ctx_switch_cycles=npu.ctx_switch_cycles,
                     on_put_tx=self._on_put_tx,
                     on_drop=self._on_drop,
-                    materialize=self.app.materialize_rx,
                 )
             else:
                 pos = tx_position[me_index]
@@ -222,11 +226,7 @@ class NpuChip:
                     me_index,
                     "tx",
                     self.tx_rings[pos],
-                    (
-                        self.app.tx_steps_list
-                        if self.app.materialize_tx
-                        else self.app.tx_steps
-                    ),
+                    self.app.tx_steps,
                     self.memories,
                     num_threads=npu.threads_per_me,
                     poll_instructions=npu.poll_instructions,
@@ -234,7 +234,6 @@ class NpuChip:
                     ctx_switch_cycles=npu.ctx_switch_cycles,
                     on_packet_done=self._on_tx_done,
                     on_drop=self._on_drop,
-                    materialize=self.app.materialize_tx,
                 )
             self.accountant.attach_me(me)
             self.mes.append(me)
@@ -311,19 +310,9 @@ class NpuChip:
     def _make_rx_steps(self, packet: Packet):
         handle = self.buffer_pool.allocate()
         if handle is None:
-            return self._drop_steps(packet)
+            return _NO_BUFFER_STEPS
         self._buffer_handles[packet.seq] = handle
-        if self.app.materialize_rx:
-            # Materializing engines take the (possibly shared, memoized)
-            # list directly — no per-packet generator walk.
-            return self.app.rx_steps_list(packet)
         return self.app.rx_steps(packet)
-
-    def _drop_steps(self, packet: Packet):
-        from repro.npu.steps import Compute, Drop
-
-        yield Compute(8)  # the failed-allocation path still burns cycles
-        yield Drop("no-buffer")
 
     # ------------------------------------------------------------------
     # Transmit-side hooks
@@ -332,7 +321,7 @@ class NpuChip:
         out_port = packet.output_port
         if out_port is None:
             out_port = packet.input_port
-        self._ring_put_for_port[out_port % self._num_ports](packet)
+        self._ring_offer_for_port[out_port % self._num_ports](packet)
 
     def _on_tx_done(self, packet: Packet) -> None:
         self.ports.transmit(packet)

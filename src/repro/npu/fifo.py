@@ -1,14 +1,15 @@
-"""Bounded packet queues: receive queues and transmit rings.
+"""Packet queues: bounded receive queues and unbounded transmit rings.
 
-:class:`PacketQueue` is a plain bounded FIFO with drop counting — the
-receive queues are where packets are lost when the microengines fall
-behind (e.g. while stalled through a DVS transition penalty).
-:class:`TxRing` is the unbounded descriptor ring between receive and
-transmit microengines (scratchpad rings in the real chip; the apps pay
-the scratch-write cost explicitly in their step streams).
+:class:`PacketQueue` is a FIFO with drop counting.  Bounded, it is a
+port's receive queue — where packets are lost when the microengines
+fall behind (e.g. while stalled through a DVS transition penalty).
+Unbounded (``capacity=None``), it is the descriptor ring between
+receive and transmit microengines (scratchpad rings in the real chip;
+the apps pay the scratch-write cost explicitly in their step streams).
 
-Both wake the microengine parked on them: its wake hook, installed with
-``set_waiter`` while it is parked, runs after every enqueue.
+A queue wakes the microengine parked on it: the engine's wake hook,
+installed with ``set_waiter`` while it is parked, runs after every
+enqueue.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from repro.traffic.packet import Packet
 
 
 class PacketQueue:
-    """Bounded FIFO of packets with drop accounting."""
+    """FIFO of packets with drop accounting; ``capacity=None`` is unbounded."""
 
-    def __init__(self, capacity: int, name: str = "queue"):
-        if capacity <= 0:
+    def __init__(self, capacity: Optional[int], name: str = "queue"):
+        if capacity is not None and capacity <= 0:
             raise NpuError(f"queue {name!r}: capacity must be positive")
         self.capacity = capacity
         self.name = name
@@ -40,7 +41,7 @@ class PacketQueue:
 
     def offer(self, packet: Packet) -> bool:
         """Enqueue if space remains; returns False (and counts) on drop."""
-        if len(self._items) >= self.capacity:
+        if self.capacity is not None and len(self._items) >= self.capacity:
             self.dropped += 1
             return False
         self._items.append(packet)
@@ -70,39 +71,3 @@ class PacketQueue:
             f"<PacketQueue {self.name} depth={len(self._items)}/"
             f"{self.capacity} dropped={self.dropped}>"
         )
-
-
-class TxRing:
-    """Unbounded descriptor ring between receive and transmit MEs."""
-
-    def __init__(self, name: str = "txring"):
-        self.name = name
-        self._items: Deque[Packet] = deque()
-        self.enqueued = 0
-        self.max_depth = 0
-        self.waiter: Optional[Callable[[], None]] = None
-
-    def set_waiter(self, waiter: Optional[Callable[[], None]]) -> None:
-        """Install (``None``: clear) the parked consumer's wake hook."""
-        self.waiter = waiter
-
-    def put(self, packet: Packet) -> None:
-        """Append a descriptor."""
-        self._items.append(packet)
-        self.enqueued += 1
-        if len(self._items) > self.max_depth:
-            self.max_depth = len(self._items)
-        if self.waiter is not None:
-            self.waiter()
-
-    def poll(self) -> Optional[Packet]:
-        """Dequeue the oldest descriptor, or ``None`` when empty."""
-        if not self._items:
-            return None
-        return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<TxRing {self.name} depth={len(self._items)}>"

@@ -33,7 +33,7 @@ produce the same vocabulary, so they share this engine.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterator, List, Optional
+from typing import Callable, Deque, Iterable, Iterator, List, Optional
 
 from repro.errors import NpuError, SimulationError
 from repro.npu.steps import (
@@ -132,8 +132,9 @@ class Microengine:
         ``set_waiter(hook)``, whose hook (``None`` clears it) it calls
         after every enqueue.
     make_steps:
-        ``callable(packet) -> Iterator[Step]`` — the application's step
-        stream for one packet in this ME's role.
+        ``callable(packet) -> Iterable[Step]`` — the application's step
+        stream for one packet in this ME's role: a generator, or a list
+        the engine only iterates (see :class:`~repro.apps.base.AppModel`).
     memories:
         Mapping of target name (``sram``/``sdram``/``scratch``) to
         :class:`~repro.npu.memqueue.QueuedResource`.
@@ -146,11 +147,6 @@ class Microengine:
         (transmit-side MEs hand the packet to the wire here).
     on_drop:
         Chip hook for :class:`~repro.npu.steps.Drop` steps.
-    materialize:
-        List out each packet's step stream at bind time instead of
-        resuming the app generator per step.  Valid only for pure
-        streams (``AppModel.materialize_rx`` / ``materialize_tx``);
-        execution is bit-identical to lazy iteration.
     """
 
     def __init__(
@@ -160,7 +156,7 @@ class Microengine:
         index: int,
         role: str,
         work_source,
-        make_steps: Callable[[Packet], Iterator[Step]],
+        make_steps: Callable[[Packet], Iterable[Step]],
         memories: dict,
         num_threads: int = 4,
         poll_instructions: int = 24,
@@ -169,7 +165,6 @@ class Microengine:
         on_put_tx: Optional[Callable[[Packet], None]] = None,
         on_packet_done: Optional[Callable[[Packet], None]] = None,
         on_drop: Optional[Callable[[Packet, str], None]] = None,
-        materialize: bool = False,
     ):
         if role not in ("rx", "tx"):
             raise NpuError(f"role must be 'rx' or 'tx', got {role!r}")
@@ -238,11 +233,6 @@ class Microengine:
         self._park_next_ps = 0
         self._set_waiter = getattr(work_source, "set_waiter", None)
         sim.on_run_end.append(self._settle_at_run_end)
-
-        #: Materialize step streams at packet bind.  Only set for
-        #: applications whose streams are pure (``materialize_rx`` /
-        #: ``materialize_tx`` on the app model).
-        self._materialize = materialize
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -376,16 +366,7 @@ class Microengine:
     def _bind_packet(self, thread: _HwThread, packet: Packet) -> None:
         self._zero_time_ops = 0
         thread.packet = packet
-        steps = self.make_steps(packet)
-        if self._materialize:
-            # Pure stream: execute off a list (C-speed iteration).  The
-            # app usually hands one over already — possibly shared and
-            # memoized, which is safe because iteration never mutates
-            # the list and steps are immutable.
-            if steps.__class__ is not list:
-                steps = list(steps)
-            steps = iter(steps)
-        thread.step_iter = steps
+        thread.step_iter = iter(self.make_steps(packet))
 
     def _charge_poll(self, thread: _HwThread) -> None:
         # Busy-poll: burn cycles checking queues, then let the next

@@ -1,7 +1,8 @@
 """Processing steps: the contract between applications and microengines.
 
-An application describes per-packet work as a generator of *steps*; the
-microengine runtime executes them with real timing:
+An application describes per-packet work as a stream of *steps* (a
+generator, or a shared list the engine only iterates); the microengine
+runtime executes them with real timing:
 
 * :class:`Compute` — ``n`` single-cycle instructions on the engine;
 * :class:`MemRead` / :class:`MemWrite` — a reference to ``sram``,

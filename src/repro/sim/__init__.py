@@ -16,7 +16,7 @@ This subpackage provides the timing substrate every architectural model in
 """
 
 from repro.sim.clock import ClockDomain
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.stats import (
     Counter,
@@ -28,7 +28,6 @@ from repro.sim.stats import (
 __all__ = [
     "ClockDomain",
     "Counter",
-    "Event",
     "IntervalAccumulator",
     "RateWindow",
     "Simulator",

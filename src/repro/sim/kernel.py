@@ -15,12 +15,10 @@ picosecond has already gone by.
 
 Heap entries are plain ``(time_ps, seq, callback, args)`` tuples, so the
 hot path pays C-speed tuple comparisons instead of a Python ``__lt__``
-per sift.  Cancellation rides a side table: :meth:`Simulator.schedule` /
-:meth:`Simulator.schedule_at` return an :class:`Event` handle whose
-``cancel()`` records the entry's sequence number in a set the run loop
-consults only while it is non-empty.  Components that never cancel (the
-model hot paths) use :meth:`Simulator.post` / :meth:`Simulator.post_at`,
-which skip the handle allocation entirely.
+per sift.  A scheduled event always fires: there is no cancellation.
+:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` validate
+their time; the model hot paths use :meth:`Simulator.post` /
+:meth:`Simulator.post_at`, the same calls without the validation.
 
 There is no implicit global simulator; every model object receives the
 :class:`Simulator` it belongs to, so several simulations can coexist in
@@ -30,7 +28,7 @@ one process (the experiment sweeps rely on this).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
 
@@ -46,41 +44,10 @@ _Entry = Tuple[int, int, EventCallback, tuple]
 #: (key ``_POLL_BAND + rank``) sorts after every ordinary event.
 _POLL_BAND = 2**62
 
-#: Cancelled-set size past which the run loop compacts the heap instead
-#: of skipping entries one pop at a time.
-_COMPACT_THRESHOLD = 256
-
 #: Sentinel deadline for an unbounded :meth:`Simulator.run`: comparing
 #: every entry against one integer is cheaper than a per-event ``None``
 #: check, and no schedulable picosecond reaches 2**63.
 _NO_DEADLINE = 2**63
-
-
-class Event:
-    """Handle for a scheduled callback.
-
-    Instances are created by :class:`Simulator`; user code only cancels
-    them or inspects :attr:`time_ps`.
-    """
-
-    __slots__ = ("time_ps", "seq", "cancelled", "_sim")
-
-    def __init__(self, time_ps: int, seq: int, sim: "Simulator"):
-        self.time_ps = time_ps
-        self.seq = seq
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Cancel the event; a cancelled event's callback never runs."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self._sim._cancel_seq(self.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time_ps}ps seq={self.seq} {state}>"
 
 
 class Simulator:
@@ -95,8 +62,8 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(1_000, fired.append, "a")
-    >>> _ = sim.schedule(500, fired.append, "b")
+    >>> sim.schedule(1_000, fired.append, "a")
+    >>> sim.schedule(500, fired.append, "b")
     >>> sim.run()
     >>> fired
     ['b', 'a']
@@ -112,9 +79,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._events_executed = 0
-        #: Sequence numbers of cancelled-but-still-queued entries.  The
-        #: run loop checks membership only while the set is non-empty.
-        self._cancelled: Set[int] = set()
         #: Picosecond and rank of the poll completion delivered last
         #: (see :meth:`poll_passed`).
         self._band_ps = -1
@@ -129,7 +93,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay_ps: int, callback: EventCallback, *args: Any) -> Event:
+    def schedule(self, delay_ps: int, callback: EventCallback, *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay_ps`` from now.
 
         Non-integer delays are rounded to the nearest picosecond — the
@@ -142,13 +106,9 @@ class Simulator:
             )
         if type(delay_ps) is not int:
             delay_ps = round(delay_ps)
-        time_ps = self.now_ps + delay_ps
-        self._seq += 1
-        seq = self._seq
-        heapq.heappush(self._queue, (time_ps, seq, callback, args))
-        return Event(time_ps, seq, self)
+        self.post(delay_ps, callback, *args)
 
-    def schedule_at(self, time_ps: int, callback: EventCallback, *args: Any) -> Event:
+    def schedule_at(self, time_ps: int, callback: EventCallback, *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute time ``time_ps``.
 
         Non-integer times round to the nearest picosecond (see
@@ -160,16 +120,13 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at {time_ps} ps, now is {self.now_ps} ps"
             )
-        self._seq += 1
-        seq = self._seq
-        heapq.heappush(self._queue, (time_ps, seq, callback, args))
-        return Event(time_ps, seq, self)
+        self.post_at(time_ps, callback, *args)
 
     def post(self, delay_ps: int, callback: EventCallback, *args: Any) -> None:
-        """Schedule without a cancellation handle (model hot paths).
+        """:meth:`schedule` without the validation (model hot paths).
 
         ``delay_ps`` must be a non-negative integer; callers own the
-        invariant (the public :meth:`schedule` validates).
+        invariant.
         """
         self._seq += 1
         heapq.heappush(
@@ -213,20 +170,6 @@ class Simulator:
         """
         return self._band_ps == self.now_ps and self._band_rank >= rank
 
-    def _cancel_seq(self, seq: int) -> None:
-        self._cancelled.add(seq)
-        if len(self._cancelled) > _COMPACT_THRESHOLD and len(self._cancelled) * 2 > len(
-            self._queue
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries in one pass and re-heapify."""
-        cancelled = self._cancelled
-        self._queue = [e for e in self._queue if e[1] not in cancelled]
-        heapq.heapify(self._queue)
-        cancelled.clear()
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -242,7 +185,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         queue = self._queue
-        cancelled = self._cancelled
         pop = heapq.heappop
         deadline = _NO_DEADLINE if until_ps is None else until_ps
         # The executed-event count accumulates in a local and lands on
@@ -256,9 +198,6 @@ class Simulator:
                 if entry[0] > deadline:
                     break
                 pop(queue)
-                if cancelled and entry[1] in cancelled:
-                    cancelled.discard(entry[1])
-                    continue
                 self.now_ps = entry[0]
                 executed += 1
                 entry[2](*entry[3])
@@ -274,18 +213,13 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute exactly one pending event; return ``False`` if none."""
-        queue = self._queue
-        cancelled = self._cancelled
-        while queue:
-            entry = heapq.heappop(queue)
-            if cancelled and entry[1] in cancelled:
-                cancelled.discard(entry[1])
-                continue
-            self.now_ps = entry[0]
-            self._events_executed += 1
-            entry[2](*entry[3])
-            return True
-        return False
+        if not self._queue:
+            return False
+        entry = heapq.heappop(self._queue)
+        self.now_ps = entry[0]
+        self._events_executed += 1
+        entry[2](*entry[3])
+        return True
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -301,7 +235,7 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of queued (possibly cancelled) events."""
+        """Number of queued events."""
         return len(self._queue)
 
     @property
@@ -310,15 +244,8 @@ class Simulator:
         return self._events_executed
 
     def peek_next_time(self) -> Optional[int]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        queue = self._queue
-        cancelled = self._cancelled
-        while queue and cancelled and queue[0][1] in cancelled:
-            cancelled.discard(queue[0][1])
-            heapq.heappop(queue)
-        if not queue:
-            return None
-        return queue[0][0]
+        """Time of the next event, or ``None`` if the queue is empty."""
+        return self._queue[0][0] if self._queue else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

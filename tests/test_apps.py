@@ -49,6 +49,19 @@ def step_summary(steps):
     return kinds, instructions
 
 
+def step_record(steps):
+    """Each step as plain data: steps compare by identity, not value."""
+    return [
+        (
+            type(step).__name__,
+            getattr(step, "instructions", None),
+            getattr(step, "target", None),
+            getattr(step, "nbytes", None),
+        )
+        for step in steps
+    ]
+
+
 class TestChunks:
     def test_chunking(self):
         assert chunks_of(1) == 1
@@ -280,14 +293,81 @@ class TestMd4:
     def test_real_digest_mode(self):
         app = Md4App(fresh_resources(), compute_real_digests=True)
         packet = make_packet(size=128)
-        list(app.rx_steps(packet))
+        steps = list(app.rx_steps(packet))
         assert app.last_digest is not None
         from repro.apps.md4_core import md4_digest
 
         assert app.last_digest == md4_digest(packet.payload())
+        pure = build_app("md4", fresh_resources())
+        assert step_record(steps) == step_record(pure.rx_steps(packet))
+
+    def test_real_digest_computed_when_the_rounds_end(self):
+        app = Md4App(fresh_resources(), compute_real_digests=True)
+        stream = iter(app.rx_steps(make_packet(size=128)))
+        rounds = 1 + 2 * chunks_of(128) + 4 * md4_blocks_for(108)
+        for _ in range(rounds):
+            next(stream)
+        assert app.last_digest is None
+        assert isinstance(next(stream), MemWrite)  # the digest write-back
+        assert app.last_digest is not None
 
     def test_compute_scales_with_payload(self):
         app = build_app("md4", fresh_resources())
         small = app.expected_rx_instructions(make_packet(size=64))
         large = app.expected_rx_instructions(make_packet(size=1500))
         assert large > 2 * small
+
+
+#: Per-packet counters each pure receive stream bumps.
+RX_COUNTERS = {
+    "ipfwdr": ("lookups", "total_lookup_depth"),
+    "url": ("scanned_chunks",),
+    "md4": ("blocks_hashed",),
+}
+
+
+class TestMemoKeyCompleteness:
+    """A memo hit gives what a fresh app instance builds for the packet.
+
+    Pure streams share one list per memo key; a key that missed a
+    dimension the stream varies on would hand a packet another shape's
+    steps.  Packets vary in size (across chunk and MD4 padding
+    boundaries), destination, flow, input port and payload.
+    """
+
+    @pytest.mark.parametrize(
+        "name, side",
+        [
+            ("ipfwdr", "rx"),
+            ("url", "rx"),
+            ("md4", "rx"),
+            ("ipfwdr", "tx"),  # the shared skeleton, SDRAM fetch
+            ("nat", "tx"),  # the shared skeleton, cut-through
+        ],
+    )
+    def test_memo_hit_matches_fresh_instance(self, name, side):
+        rng = random.Random(5)
+        warm = build_app(name, fresh_resources())
+        counters = RX_COUNTERS[name] if side == "rx" else ()
+        for k in range(300):
+            fields = dict(
+                seq=k,
+                size=rng.randint(40, 1600),
+                dst_ip=rng.getrandbits(32),
+                flow_id=rng.randrange(1000),
+                input_port=rng.randrange(16),
+                payload_seed=rng.getrandbits(32),
+            )
+            warm_packet, fresh_packet = make_packet(**fields), make_packet(**fields)
+            fresh = build_app(name, fresh_resources())
+            before = [getattr(warm, counter) for counter in counters]
+            warm_steps = getattr(warm, f"{side}_steps")(warm_packet)
+            fresh_steps = getattr(fresh, f"{side}_steps")(fresh_packet)
+            assert step_record(warm_steps) == step_record(fresh_steps)
+            assert [
+                getattr(warm, counter) - count
+                for counter, count in zip(counters, before)
+            ] == [getattr(fresh, counter) for counter in counters]
+            assert warm_packet.output_port == fresh_packet.output_port
+        memo = warm._rx_steps_memo if side == "rx" else warm._tx_steps_memo
+        assert 2 <= len(memo) < 300  # many hits, across many shapes

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.config import DvsConfig, TrafficConfig
+from repro.config import DvsConfig, NpuConfig, TrafficConfig
+from repro.dvs.combined import CombinedGovernor
+from repro.dvs.vf_table import VfTable
 from repro.runner import SimulationRun, run_simulation
+from repro.sim.clock import FixedClock
+from repro.sim.kernel import Simulator
 
 from conftest import quick_config
 
@@ -88,3 +92,36 @@ def test_formula1_experiment():
     result = run_experiment("formula1", profile="bench")
     assert result.data["instances"] > 50
     assert 0 < result.data["mean_us"] < 1000
+
+
+class _FixedRate:
+    """Traffic-monitor stand-in whose every window carries one rate."""
+
+    def __init__(self, mbps):
+        self.rate_per_s = mbps * 1e6
+
+    def window_rate_per_s(self):
+        return self.rate_per_s
+
+    def reset_window(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "fraction, floor_after",
+    [(1.1, 0), (0.9, 1), (0.7, 2)],  # above, inside, below the band
+)
+def test_traffic_floor_honours_the_hysteresis_band(fraction, floor_after):
+    sim = Simulator()
+    npu = NpuConfig()
+    table = VfTable.from_config(npu)
+    config = DvsConfig(policy="combined", window_cycles=20_000,
+                       top_threshold_mbps=1000.0, tdvs_hysteresis=0.2)
+    threshold = table.traffic_threshold_mbps(1, config.top_threshold_mbps)
+    governor = CombinedGovernor(
+        sim, config, table, [], FixedClock(sim, npu.reference_freq_hz, "ref"),
+        _FixedRate(fraction * threshold),
+    )
+    governor.traffic_floor = 1
+    governor._on_traffic_window()
+    assert governor.traffic_floor == floor_after

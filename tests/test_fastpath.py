@@ -1,19 +1,21 @@
-"""Fast-path equivalence tests: materialized steps and parked engines.
+"""Fast-path equivalence tests: parked engines and memoized streams.
 
 Two execution shortcuts must never change a result:
 
-* the microengine materializes a pure app's step stream at packet bind
-  (list iteration instead of generator resumption);
 * an engine whose threads keep missing their polls parks instead of
   posting one kernel event per missed poll, and settles the poll
-  lattice arithmetically when it wakes or the run ends.
+  lattice arithmetically when it wakes or the run ends;
+* a pure app stream hands every packet of one shape the same memoized
+  step list.
 
-The per-ME tests pin both on per-ME observables — completion times,
+The per-ME tests pin parking on per-ME observables — completion times,
 instruction and poll counts, state totals, the kernel sequence layout
 — including under stalls, frequency changes, arrivals on poll-lattice
 instants, ``sim.stop()`` and runs that end and resume.  The chip-level
-oracle runs catalog configs twice: parked, and eager (a no-op
-``on_instructions`` observer on every engine keeps it from parking).
+oracles run catalog configs twice: parked, and eager (a no-op
+``on_instructions`` observer on every engine keeps it from parking);
+and memoized, and with memos that never store (every packet's stream
+built afresh).
 """
 
 import dataclasses
@@ -70,7 +72,6 @@ def rotation(me):
 
 
 def run_me(
-    materialize=False,
     perturb=None,
     until=60_000_000,
     npackets=4,
@@ -109,7 +110,6 @@ def run_me(
         num_threads=num_threads,
         ctx_switch_cycles=ctx_switch_cycles,
         on_packet_done=lambda p: done.append(sim.now_ps),
-        materialize=materialize,
     )
     if eager:
         me.on_instructions = _no_op_observer
@@ -141,16 +141,6 @@ def run_me(
     return snapshot
 
 
-def assert_equivalent(perturb=None, until=60_000_000, resume_until=None):
-    lazy = run_me(
-        materialize=False, perturb=perturb, until=until, resume_until=resume_until
-    )
-    listed = run_me(
-        materialize=True, perturb=perturb, until=until, resume_until=resume_until
-    )
-    assert listed == lazy
-
-
 def assert_parked_matches_eager(**kwargs):
     """Parked and eager runs agree on everything but the event count."""
     parked = run_me(**kwargs)
@@ -160,46 +150,6 @@ def assert_parked_matches_eager(**kwargs):
     assert parked == eager
     assert parked_events <= eager_events
     return parked_events, eager_events
-
-
-class TestMaterializedEquivalence:
-    def test_plain_run(self):
-        assert_equivalent()
-
-    def test_stall_inside_compute_run(self):
-        # 400_000 ps lands inside the second compute of the first run.
-        def perturb(sim, me):
-            sim.schedule_at(400_000, me.stall_for, 2_000_000)
-
-        assert_equivalent(perturb=perturb)
-
-    def test_frequency_change_inside_compute_run(self):
-        def perturb(sim, me):
-            sim.schedule_at(400_000, me.set_vf, mhz(300), 1.0)
-
-        assert_equivalent(perturb=perturb)
-
-    def test_vf_change_and_penalty_inside_compute_run(self):
-        # The governor pattern: retune, then freeze for the transition.
-        def perturb(sim, me):
-            def transition():
-                me.set_vf(mhz(400), 1.1)
-                me.stall_for(1_500_000)
-
-            sim.schedule_at(400_000, transition)
-
-        assert_equivalent(perturb=perturb)
-
-    def test_run_ending_inside_compute_run_then_resumed(self):
-        # 450_000 ps is inside the first compute run; the resumed run
-        # must land on exactly the lazy timeline.
-        assert_equivalent(until=450_000, resume_until=60_000_000)
-
-    def test_stop_inside_compute_run_keeps_charges(self):
-        def perturb(sim, me):
-            sim.schedule_at(400_000, sim.stop)
-
-        assert_equivalent(perturb=perturb, until=60_000_000)
 
 
 class TestParkedEquivalence:
@@ -306,9 +256,8 @@ def _arrivals():
 
 
 class TestSeqLayoutProperty:
-    """Hypothesis walls: under *any* schedule of stalls and V-F changes,
-    materialized execution draws exactly the lazy kernel seq layout, and
-    a parked engine matches an eager one."""
+    """Hypothesis wall: under *any* schedule of stalls, V-F changes,
+    arrivals and stops, a parked engine matches an eager one."""
 
     schedules = st.lists(
         st.tuples(
@@ -332,14 +281,6 @@ class TestSeqLayoutProperty:
                 sim.schedule_at(stop_ps, sim.stop)
 
         return perturb
-
-    @given(schedule=schedules)
-    @settings(deadline=None, max_examples=25)
-    def test_randomized_stall_vf_schedules_preserve_seq_layout(self, schedule):
-        perturb = self._perturb(schedule)
-        lazy = run_me(materialize=False, perturb=perturb)
-        listed = run_me(materialize=True, perturb=perturb)
-        assert listed == lazy
 
     @given(
         schedule=schedules,
@@ -384,12 +325,28 @@ def _jsonable(result):
     return result.to_dict() if hasattr(result, "to_dict") else dataclasses.asdict(result)
 
 
-def _observe(config, eager):
+def _make_eager(run):
+    for me in run.chip.mes:
+        me.on_instructions = _no_op_observer
+
+
+class _NeverStores(dict):
+    """A memo that never stores: every packet's stream is built afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _forget_memos(run):
+    run.chip.app._rx_steps_memo = _NeverStores()
+    run.chip.app._tx_steps_memo = _NeverStores()
+
+
+def _observe(config, prepare=None):
     monitors = _study_monitors(config.traffic.scenario)
     run = SimulationRun(config, monitors=monitors)
-    if eager:
-        for me in run.chip.mes:
-            me.on_instructions = _no_op_observer
+    if prepare is not None:
+        prepare(run)
     result = run.run()
     record = {
         "totals": dataclasses.asdict(result.totals),
@@ -399,14 +356,14 @@ def _observe(config, eager):
         "monitors": [_jsonable(monitor.finish()) for monitor in monitors],
         "kernel_seqs": run.sim._seq,
     }
-    return json.dumps(record, sort_keys=True), run.sim.events_executed
+    return json.dumps(record, sort_keys=True), run
 
 
 def assert_chip_parked_matches_eager(config):
-    parked, parked_events = _observe(config, eager=False)
-    eager, eager_events = _observe(config, eager=True)
+    parked, parked_run = _observe(config)
+    eager, eager_run = _observe(config, prepare=_make_eager)
     assert parked == eager
-    assert parked_events < eager_events
+    assert parked_run.sim.events_executed < eager_run.sim.events_executed
 
 
 def _config(scenario, policy, app, cycles, **npu):
@@ -448,6 +405,34 @@ class TestChipParkedMatchesEager:
         assert_chip_parked_matches_eager(_config(scenario, policy, app, 400_000))
 
 
+class TestChipMemoizedMatchesFresh:
+    """A run on memoized streams matches one whose memos never store."""
+
+    @pytest.mark.parametrize(
+        "app, scenario",
+        [
+            ("ipfwdr", "imix_drift"),
+            ("url", "flash_crowd"),
+            ("md4", "saturation_stress"),
+            ("nat", "link_failover"),
+        ],
+    )
+    def test_catalog_config(self, app, scenario):
+        config = _config(scenario, "edvs", app, 200_000)
+        memoized, run = _observe(config)
+        fresh, fresh_run = _observe(config, prepare=_forget_memos)
+        assert memoized == fresh
+        assert run.sim.events_executed == fresh_run.sim.events_executed
+        # The memos were exercised: several shapes, each shared by many
+        # packets (nat's receive stream is a generator, never memoized).
+        memos = [run.chip.app._tx_steps_memo]
+        if app != "nat":
+            memos.append(run.chip.app._rx_steps_memo)
+        packets = run.chip.forwarded_packets
+        for memo in memos:
+            assert 2 <= len(memo) < packets
+
+
 class TestAccountingBugfixes:
     def test_no_ctx_switch_charge_when_no_ready_thread(self):
         """Idle windows start at the memory-issue instant.
@@ -461,7 +446,6 @@ class TestAccountingBugfixes:
             yield MemRead("sdram", 2048)
 
         result = run_me(
-            materialize=False,
             steps_fn=steps,
             num_threads=1,
             npackets=1,

@@ -1,10 +1,10 @@
-"""Tests for packet queues, transmit rings and the port array."""
+"""Tests for packet queues and the port array."""
 
 import pytest
 
 from repro.config import MemoryConfig
 from repro.errors import NpuError
-from repro.npu.fifo import PacketQueue, TxRing
+from repro.npu.fifo import PacketQueue
 from repro.npu.memqueue import build_memories
 from repro.npu.ports import PortArray
 from repro.sim.kernel import Simulator
@@ -39,15 +39,14 @@ class TestPacketQueue:
         with pytest.raises(NpuError):
             PacketQueue(0)
 
-
-class TestTxRing:
     def test_unbounded_fifo(self):
-        ring = TxRing()
+        ring = PacketQueue(None)
         for k in range(100):
-            ring.put(make_packet(seq=k))
+            assert ring.offer(make_packet(seq=k))
         assert len(ring) == 100
         assert ring.poll().seq == 0
         assert ring.max_depth == 100
+        assert ring.dropped == 0
 
 
 def build_ports(sim, num_ports=4, rx_queue=2, rate=1e9, hooks=None):

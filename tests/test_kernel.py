@@ -56,15 +56,6 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(50, lambda: None)
 
 
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(100, fired.append, "x")
-    sim.schedule(50, event.cancel)
-    sim.run()
-    assert fired == []
-
-
 def test_run_until_pauses_and_resumes():
     sim = Simulator()
     fired = []
@@ -124,12 +115,15 @@ def test_step_executes_one_event():
     assert fired == [1, 2]
 
 
-def test_peek_next_time_skips_cancelled():
+def test_peek_next_time():
     sim = Simulator()
-    event = sim.schedule(10, lambda: None)
-    sim.schedule(20, lambda: None)
-    event.cancel()
+    assert sim.peek_next_time() is None
+    assert sim.schedule(20, lambda: None) is None
+    assert sim.schedule_at(10, lambda: None) is None
+    assert sim.peek_next_time() == 10
+    sim.step()
     assert sim.peek_next_time() == 20
+    assert sim.pending_events == 1
 
 
 def test_reentrant_run_rejected():
@@ -206,26 +200,3 @@ def test_poll_band_runs_after_ordinary_events_in_rank_order():
     sim.post_at(99, order.append, "early")
     sim.run()
     assert order == ["early", "a", "b", "poll0", "poll2"]
-
-
-def test_mass_cancellation_compacts_queue():
-    """Cancelling more than half the queue compacts it in place."""
-    sim = Simulator()
-    fired = []
-    events = [sim.schedule(1_000 + k, fired.append, k) for k in range(600)]
-    for event in events[:500]:
-        event.cancel()
-    assert sim.pending_events < 600  # cancelled entries were swept out
-    sim.run()
-    assert fired == list(range(500, 600))
-
-
-def test_cancel_is_idempotent():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(10, fired.append, "x")
-    event.cancel()
-    event.cancel()
-    sim.schedule(20, fired.append, "y")
-    sim.run()
-    assert fired == ["y"]
