@@ -103,7 +103,7 @@ def test_sweep_serial_vs_parallel_wall_clock(benchmark):
         f"speedup {serial_s / parallel_s:.2f}x"
     )
     # The acceptance property: worker count never changes the numbers.
-    for s, p in zip(serial, _by_job_order(jobs, parallel)):
+    for s, p in zip(_by_job_order(jobs, serial), _by_job_order(jobs, parallel)):
         assert s.result.totals == p.result.totals
         assert s.power_dist.counts == p.power_dist.counts
 
@@ -146,7 +146,7 @@ def test_sweep_distributed_loopback_wall_clock(benchmark):
         f"(first outcome {distributed_ttfo:.2f}s), "
         f"speedup {serial_s / distributed_s:.2f}x"
     )
-    for s, d in zip(serial, _by_job_order(jobs, distributed)):
+    for s, d in zip(_by_job_order(jobs, serial), _by_job_order(jobs, distributed)):
         assert s.result.totals == d.result.totals
         assert s.power_dist.counts == d.power_dist.counts
 

@@ -60,13 +60,15 @@ class Session:
         # per-channel TraceBus accounting aggregated across outcomes,
         # and backend fleet telemetry — exported via write_metrics().
         from repro.obs.metrics import MetricsRegistry
-        from repro.obs.spans import get_recorder
+        from repro.obs.spans import SpanRecorder
 
         self.metrics = MetricsRegistry()
-        # The span timeline shares the process-wide recorder, so
-        # backend-internal spans (coordinator grants, worker absorption)
-        # land in the same log as the session's own orchestration spans.
-        self.spans = get_recorder()
+        # The session's own span timeline.  While a sweep streams it is
+        # the process-wide recorder, so backend-internal spans
+        # (coordinator grants, worker absorption) land in the same log as
+        # the session's orchestration spans, and no session's records
+        # pile up in another's.
+        self.spans = SpanRecorder()
 
     # -- single runs -----------------------------------------------------
     def run(
@@ -139,6 +141,7 @@ class Session:
         from repro.backends.base import ExecutionBackend
 
         from repro.obs.metrics import FORWARD_LATENCY_EDGES_US
+        from repro.obs.spans import swap_recorder
 
         total = len(jobs)
         done = 0
@@ -213,6 +216,7 @@ class Session:
             if hooks.on_abort is not None and outcome.result.aborted_early:
                 hooks.on_abort(outcome)
 
+        previous_recorder = swap_recorder(spans)
         try:
             with spans.wall_span("stream", "session", {"jobs": total}):
                 store: Optional[ResultStore] = self.store.make()
@@ -276,6 +280,7 @@ class Session:
                         f"{len(open_ids)} job(s): {', '.join(sorted(open_ids))}"
                     )
         finally:
+            swap_recorder(previous_recorder)
             if hooks.on_span is not None:
                 spans.remove_listener(hooks.on_span)
 

@@ -1,13 +1,13 @@
 """The worker side of the distributed backend.
 
 :func:`run_worker` (CLI: ``repro worker --connect HOST:PORT``) connects
-to a coordinator, pulls jobs, runs each through the exact same
-:func:`~repro.sweep.engine.run_job` path every other backend uses, and
-pushes length-prefixed JSON outcomes back.  While a job runs, a side
-thread heartbeats the coordinator at a third of the lease term so slow
-jobs are not mistaken for dead workers; heartbeats are fire-and-forget,
-so the reply stream stays a clean request/response sequence for the
-main thread.
+to a coordinator, pulls jobs, runs each through
+:func:`~repro.sweep.engine.run_job` (a family of one on the path every
+other backend uses), and pushes length-prefixed JSON outcomes back.
+While a job runs, a side thread heartbeats the coordinator at a third
+of the lease term so slow jobs are not mistaken for dead workers;
+heartbeats are fire-and-forget, so the reply stream stays a clean
+request/response sequence for the main thread.
 
 Fault injection for the test wall: setting the environment variable
 ``REPRO_WORKER_CRASH_AFTER_PULL`` makes the worker die abruptly

@@ -285,13 +285,19 @@ class DvsConfig(_Base):
 
     policy: str = "none"
     window_cycles: int = 40_000
+    #: Read only by the traffic rule (:func:`repro.dvs.governor.traffic_rule`),
+    #: as is ``tdvs_hysteresis``: TDVS jobs differing only in these two
+    #: fields share a run whenever the rule decides alike.  A new reader
+    #: must make the field join the sweep engine's family key (drop it
+    #: from :data:`repro.dvs.governor.TRAFFIC_RULE_FIELDS`).
     top_threshold_mbps: float = 1000.0
     idle_threshold: float = 0.10
     transition_penalty_us: float = 10.0
     #: Ablation knob: the traffic rule (TDVS, and the combined policy's
     #: traffic floor) down-steps only when the window rate falls below
     #: ``threshold * (1 - tdvs_hysteresis)``.  The paper's policy has no
-    #: hysteresis (0.0).
+    #: hysteresis (0.0).  Read only by the traffic rule; see
+    #: ``top_threshold_mbps``.
     tdvs_hysteresis: float = 0.0
 
     def validate(self) -> None:

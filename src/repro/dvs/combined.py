@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.config import DvsConfig
-from repro.dvs.governor import GovernorBase
+from repro.dvs.governor import GovernorBase, traffic_rule
 from repro.dvs.vf_table import VfTable
 from repro.npu.microengine import Microengine
 from repro.power.overhead import DvsOverheadMeter
@@ -71,7 +71,9 @@ class CombinedGovernor(GovernorBase):
     def _on_traffic_window(self) -> None:
         self._charge_window_overhead()
         rate_mbps = self.traffic_monitor.window_rate_per_s() / 1e6
-        self.traffic_floor = self._traffic_rule(self.traffic_floor, rate_mbps)
+        self.traffic_floor = traffic_rule(
+            self.vf_table, self.config, self.traffic_floor, rate_mbps
+        )
         for me in self.mes:
             self._apply_effective(me)
         self.traffic_monitor.reset_window()

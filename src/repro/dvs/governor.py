@@ -4,10 +4,11 @@ Both policies follow the same skeleton — observe a window, compare a
 control signal against a threshold, step the VF ladder by at most one
 level, pay the transition penalty — and differ only in the signal
 (arrival traffic vs. idle time) and the scaling domain (chip-wide vs.
-per-ME).  The base class owns the two window rules and the mechanical
-parts, so the policy classes (and the combined governor, which applies
-both rules) stay small and the experiments can count transitions
-uniformly.
+per-ME).  The traffic rule is a pure module function, so the sweep
+engine can replay it over a finished run's window inputs; the base
+class owns the idle rule and the mechanical parts, so the policy
+classes (and the combined governor, which applies both rules) stay
+small and the experiments can count transitions uniformly.
 """
 
 from __future__ import annotations
@@ -20,6 +21,32 @@ from repro.npu.microengine import Microengine
 from repro.power.overhead import DvsOverheadMeter
 from repro.sim.kernel import Simulator
 from repro.units import us_to_ps
+
+#: The :class:`~repro.config.DvsConfig` fields that only
+#: :func:`traffic_rule` reads.  Two TDVS runs that differ only in these
+#: fields stay identical for as long as the rule decides alike, which is
+#: what lets threshold siblings share one simulation
+#: (:func:`repro.sweep.engine.run_family`); the sweep engine's family key
+#: blanks exactly these.  Any other reader of a listed field must take it
+#: off this list, so that the field joins the family key.
+TRAFFIC_RULE_FIELDS = ("top_threshold_mbps", "tdvs_hysteresis")
+
+
+def traffic_rule(
+    vf_table: VfTable, config: DvsConfig, level: int, rate_mbps: float
+) -> int:
+    """The TDVS rule: the level after a window of ``rate_mbps`` traffic.
+
+    Above ``level``'s threshold the ladder steps up (faster); below the
+    threshold less the ``tdvs_hysteresis`` band it steps down.  Pure:
+    the same inputs give the same level, in a run or in a replay.
+    """
+    threshold = vf_table.traffic_threshold_mbps(level, config.top_threshold_mbps)
+    if rate_mbps > threshold:
+        return vf_table.step_up(level)
+    if rate_mbps < threshold * (1.0 - config.tdvs_hysteresis):
+        return vf_table.step_down(level)
+    return level
 
 
 class GovernorBase:
@@ -60,22 +87,6 @@ class GovernorBase:
     # ------------------------------------------------------------------
     # Policy rules
     # ------------------------------------------------------------------
-    def _traffic_rule(self, level: int, rate_mbps: float) -> int:
-        """The TDVS rule: the level after a window of ``rate_mbps`` traffic.
-
-        Above ``level``'s threshold the ladder steps up (faster); below
-        the threshold less the ``tdvs_hysteresis`` band it steps down.
-        """
-        config = self.config
-        threshold = self.vf_table.traffic_threshold_mbps(
-            level, config.top_threshold_mbps
-        )
-        if rate_mbps > threshold:
-            return self.vf_table.step_up(level)
-        if rate_mbps < threshold * (1.0 - config.tdvs_hysteresis):
-            return self.vf_table.step_down(level)
-        return level
-
     def _idle_rule(self, level: int, idle_fraction: float) -> int:
         """The EDVS rule: the level after a window ``idle_fraction`` idle.
 

@@ -17,10 +17,11 @@ time") while 80 k windows save power with almost no performance loss.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.config import DvsConfig
-from repro.dvs.governor import GovernorBase
+from repro.dvs.governor import GovernorBase, traffic_rule
 from repro.dvs.vf_table import VfTable
 from repro.npu.microengine import Microengine
 from repro.power.overhead import DvsOverheadMeter
@@ -64,6 +65,10 @@ class TdvsGovernor(GovernorBase):
         self.level = 0
         self._window_ps = reference_clock.delay_for_cycles(config.window_cycles)
         self.level_history: List[int] = [0]
+        #: The arrival rate each window judged, the very float the rule
+        #: compared: window ``k`` took the chip from ``level_history[k]``
+        #: to ``level_history[k + 1]`` on ``window_rates_mbps[k]``.
+        self.window_rates_mbps: List[float] = []
 
     def _schedule_first(self) -> None:
         self.traffic_monitor.reset_window()
@@ -72,10 +77,46 @@ class TdvsGovernor(GovernorBase):
     def _on_window(self) -> None:
         self._charge_window_overhead()
         rate_mbps = self.traffic_monitor.window_rate_per_s() / 1e6
-        new_level = self._traffic_rule(self.level, rate_mbps)
+        new_level = traffic_rule(self.vf_table, self.config, self.level, rate_mbps)
         if new_level != self.level:
             self.level = new_level
             self._apply_level(self.mes, new_level)
+        self.window_rates_mbps.append(rate_mbps)
         self.level_history.append(self.level)
         self.traffic_monitor.reset_window()
         self.sim.schedule(self._window_ps, self._on_window)
+
+    def decisions(self) -> "TdvsDecisions":
+        """This run's window inputs and decisions, detached from the run."""
+        return TdvsDecisions(
+            self.vf_table, tuple(self.level_history), tuple(self.window_rates_mbps)
+        )
+
+
+@dataclass(frozen=True)
+class TdvsDecisions:
+    """What a finished TDVS run's traffic rule saw and decided.
+
+    Window ``k`` judged ``rates_mbps[k]`` at level ``levels[k]`` and left
+    the chip at ``levels[k + 1]``.
+    """
+
+    vf_table: VfTable
+    levels: Tuple[int, ...]
+    rates_mbps: Tuple[float, ...]
+
+    def reproduced_by(self, config: DvsConfig) -> bool:
+        """Whether the rule under ``config`` makes every recorded decision.
+
+        Each window is replayed on its own recorded level and rate, and
+        the rule must land on the recorded level after, at every window.
+        When it does, a run that differs from this one only in
+        :data:`~repro.dvs.governor.TRAFFIC_RULE_FIELDS` *is* this run,
+        event for event: by induction over the event sequence, equal
+        decisions leave every later event unchanged.
+        """
+        levels = self.levels
+        return all(
+            traffic_rule(self.vf_table, config, levels[k], rate) == levels[k + 1]
+            for k, rate in enumerate(self.rates_mbps)
+        )

@@ -19,9 +19,11 @@ one of two clocks:
   modes.
 
 The :class:`SpanRecorder` is lock-free in the CPython sense — appends to
-a plain list, safe from any thread without a mutex — and per-process:
-:func:`get_recorder` hands out one shared instance that the session,
-the backends and the store plumbing all feed.  It serializes to a
+a plain list, safe from any thread without a mutex.  Each
+:class:`~repro.api.Session` owns one, and while the session streams a
+sweep it is the process-wide recorder :func:`get_recorder` hands out,
+so the backends and the store plumbing feed the session's log; the
+previous recorder comes back when the stream ends.  It serializes to a
 versioned JSONL span log (one header line + one line per span) written
 next to the metrics snapshot; ``repro trace export --format perfetto``
 and ``repro report --html`` consume that log.
@@ -262,6 +264,14 @@ def reset_recorder() -> SpanRecorder:
     global _RECORDER
     _RECORDER = SpanRecorder()
     return _RECORDER
+
+
+def swap_recorder(recorder: Optional[SpanRecorder]) -> Optional[SpanRecorder]:
+    """Install ``recorder`` as the process-wide one; return the one it
+    replaces (``None`` when none was created yet), for restoring."""
+    global _RECORDER
+    previous, _RECORDER = _RECORDER, recorder
+    return previous
 
 
 # ---------------------------------------------------------------------------

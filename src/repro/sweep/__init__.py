@@ -2,9 +2,10 @@
 
 * :mod:`~repro.sweep.spec` — :class:`SweepSpec` grids and picklable
   :class:`Job` units keyed by config hash;
-* :mod:`~repro.sweep.engine` — :func:`run_job`, the shared in-process
-  execution path (sweeps run through :class:`repro.api.Session`, over
-  the pluggable backends of :mod:`repro.backends`);
+* :mod:`~repro.sweep.engine` — :func:`run_family` and :func:`run_job`
+  (a family of one), the shared in-process execution path (sweeps run
+  through :class:`repro.api.Session`, over the pluggable backends of
+  :mod:`repro.backends`);
 * :mod:`~repro.sweep.store` — :class:`ResultStore`, the JSONL result
   log that doubles as the resume/skip cache.
 

@@ -1,11 +1,27 @@
-"""The sweep runner: :func:`run_job` and the sweep report helpers.
+"""The sweep runner: :func:`run_family`, :func:`run_job` and the sweep
+report helpers.
 
-:func:`run_job` is the single in-process execution path every backend
-shares — the serial loop, the process-pool workers and the distributed
-``repro worker`` processes all call it, which is what makes results
-bit-identical regardless of where a job lands.  Sweeps themselves run
-through :meth:`repro.api.Session.sweep` (or ``Session.stream`` for
-completion-order results).
+:func:`run_family` is the single in-process execution path every
+backend shares: the serial loop and the process-pool workers run whole
+job families through it, and :func:`run_job` (the distributed
+``repro worker`` processes, custom backends) is a family of one.  That
+is what makes results bit-identical regardless of where a job lands.
+Sweeps themselves run through :meth:`repro.api.Session.sweep` (or
+``Session.stream`` for completion-order results).
+
+Threshold siblings share a run
+------------------------------
+A *family* is a set of TDVS jobs identical except for the traffic
+rule's own parameters (:data:`~repro.dvs.governor.TRAFFIC_RULE_FIELDS`:
+``top_threshold_mbps`` and ``tdvs_hysteresis``); :func:`family_key` is
+the job identity with those blanked.  Members run in job order.  Each
+simulated member leaves its governor's window inputs behind (the level
+before and the judged arrival rate, per window).  A later member whose
+own rule, replayed over those inputs, lands on the recorded level after
+at *every* window makes every decision that member made, so by
+induction over the event sequence its run is that member's run, event
+for event.  It takes a deep copy of that member's outcome instead of
+simulating.  The inputs never leave the process that recorded them.
 
 A :class:`~repro.sweep.store.ResultStore` makes sweeps resumable:
 completed job ids are skipped and their stored outcomes returned
@@ -16,11 +32,15 @@ the missing cells on the next run.
 
 from __future__ import annotations
 
+import copy
 import os
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.config import RunConfig
+from repro.dvs.governor import TRAFFIC_RULE_FIELDS
+from repro.dvs.tdvs import TdvsDecisions, TdvsGovernor
 from repro.errors import ExperimentError
 from repro.loc.builtin import (
     power_distribution_formula,
@@ -28,7 +48,7 @@ from repro.loc.builtin import (
 )
 from repro.loc.monitor import build_monitor
 from repro.runner import SimulationRun
-from repro.sweep.spec import Job
+from repro.sweep.spec import Job, config_hash
 from repro.sweep.store import SweepOutcome
 
 #: Environment override for the default worker count (see
@@ -54,11 +74,92 @@ def default_workers() -> int:
     return max(1, workers)
 
 
-def run_job(job: Job) -> SweepOutcome:
-    """Execute one job in this process.
+def family_key(job: Job) -> Optional[str]:
+    """The identity a TDVS job shares with its threshold siblings.
 
-    This is the single execution path shared by the serial loop, the
-    process-pool workers and :func:`repro.experiments.common.instrumented_run`.
+    The job's identity hash (config dict, span, scenario, checks,
+    early-abort policy) with the traffic rule's own fields blanked.
+    ``None`` for every other policy: ``combined``'s idle rule reads the
+    chip, so only TDVS qualifies.  Works on the job's dicts alone, with
+    no :class:`~repro.config.RunConfig` built.
+    """
+    dvs = job.config.get("dvs") or {}
+    if dvs.get("policy") != "tdvs":
+        return None
+    config = dict(job.config)
+    config["dvs"] = {**dvs, **dict.fromkeys(TRAFFIC_RULE_FIELDS)}
+    return config_hash(config, job.span, job.scenario, job.checks, job.early_abort)
+
+
+def job_families(jobs: Sequence[Job]) -> List[List[Job]]:
+    """Group ``jobs`` into families, in order of first appearance.
+
+    Members keep job order; a job without a :func:`family_key` is a
+    family of one.
+    """
+    families: List[List[Job]] = []
+    by_key: Dict[str, List[Job]] = {}
+    for job in jobs:
+        key = family_key(job)
+        if key is None:
+            families.append([job])
+        elif key in by_key:
+            by_key[key].append(job)
+        else:
+            by_key[key] = [job]
+            families.append(by_key[key])
+    return families
+
+
+def run_family(jobs: Sequence[Job]) -> Iterator[Tuple[SweepOutcome, bool]]:
+    """Run a family's members in order, yielding ``(outcome, shared)``.
+
+    ``shared`` is true when a sibling's run answered the member: its
+    rule, replayed over that sibling's recorded window inputs,
+    reproduced every decision (see the module docstring).  The outcome
+    is then a deep copy of the sibling's, carrying the member's own
+    ``job_id``, ``label`` and ``result.config``, and its ``to_dict()``
+    equals that of an independent run byte for byte.  A job is only
+    ever compared with earlier jobs of its own :func:`family_key`, so
+    any job list is safe to pass.  Each member's
+    :class:`~repro.runner.SimulationRun` is released before the next
+    member runs; only its outcome and window inputs are kept.
+    """
+    finished: Dict[Optional[str], List[Tuple[TdvsDecisions, SweepOutcome]]] = {}
+    for job in jobs:
+        config = job.run_config()
+        siblings = finished.setdefault(family_key(job), [])
+        source = next(
+            (
+                outcome
+                for decisions, outcome in siblings
+                if decisions.reproduced_by(config.dvs)
+            ),
+            None,
+        )
+        if source is not None:
+            yield _derived(source, job, config), True
+            continue
+        outcome, decisions = _simulate(job, config)
+        if decisions is not None:
+            siblings.append((decisions, outcome))
+        yield outcome, False
+
+
+def _derived(source: SweepOutcome, job: Job, config: RunConfig) -> SweepOutcome:
+    """``source`` as ``job``'s outcome, sharing no mutable object with it."""
+    outcome = copy.deepcopy(source)
+    outcome.job_id = job.job_id
+    outcome.label = job.label
+    outcome.result.config = config
+    return outcome
+
+
+def run_job(job: Job) -> SweepOutcome:
+    """Execute one job in this process: a family of one.
+
+    This is the execution path of the distributed workers, custom
+    backends and :func:`repro.experiments.common.instrumented_run`.
     Determinism comes from the job itself: the config carries the seed,
     and every RNG stream derives from it.
 
@@ -79,7 +180,14 @@ def run_job(job: Job) -> SweepOutcome:
     accounting depends on subscriber topology, which differs between
     compiled monitors and the interpreted wildcard-sink fallback).
     """
-    config = job.run_config()
+    ((outcome, _shared),) = run_family([job])
+    return outcome
+
+
+def _simulate(
+    job: Job, config: RunConfig
+) -> Tuple[SweepOutcome, Optional[TdvsDecisions]]:
+    """Simulate ``job``: its outcome, plus its TDVS window inputs."""
     power_monitor = throughput_monitor = None
     monitors = []
     if job.span is not None:
@@ -137,7 +245,7 @@ def run_job(job: Job) -> SweepOutcome:
             })
         obs = dict(obs or {})
         obs["spans"] = spans
-    return SweepOutcome(
+    outcome = SweepOutcome(
         job_id=job.job_id,
         label=job.label,
         result=result,
@@ -146,6 +254,9 @@ def run_job(job: Job) -> SweepOutcome:
         check_results=check_results,
         obs=obs,
     )
+    governor = run.governor
+    decisions = governor.decisions() if isinstance(governor, TdvsGovernor) else None
+    return outcome, decisions
 
 
 def summarize(outcomes: Sequence[SweepOutcome]) -> str:

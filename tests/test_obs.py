@@ -318,7 +318,7 @@ class TestSessionMetrics:
 
         backend = SerialBackend()
         list(backend.run(small_jobs()))
-        assert backend.telemetry() == {"jobs_run": 1}
+        assert backend.telemetry() == {"jobs_run": 1, "jobs_shared": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -230,11 +230,12 @@ class TestSimSpanDeterminism:
     def test_off_switch_removes_span_payload(self, monkeypatch):
         monkeypatch.setenv(OBS_SPANS_ENV_VAR, "off")
         reset_recorder()
-        outcomes = Session(execution=ExecutionPolicy(workers=1)).sweep(small_spec().jobs())
+        session = Session(execution=ExecutionPolicy(workers=1))
+        outcomes = session.sweep(small_spec().jobs())
         assert all(
             o.obs is None or "spans" not in o.obs for o in outcomes
         )
-        assert len(get_recorder()) == 0
+        assert len(session.spans) == 0
         reset_recorder()
 
     def test_study_json_identical_with_spans_on_and_off(
@@ -265,7 +266,7 @@ class TestSessionSpans:
         seen = []
         session = Session(hooks=EventHooks(on_span=seen.append))
         outcomes = session.sweep(small_spec().jobs())
-        records = get_recorder().records()
+        records = session.spans.records()
         tracks = {r["track"] for r in records}
         assert {"session", "backend", "coordinator", "job"} <= tracks
         # Absorbed sim spans are tagged with their job id.
@@ -282,6 +283,28 @@ class TestSessionSpans:
         header, read_back = read_spans(path)
         assert header["command"] == "test-sweep"
         assert read_back == records
+
+    def test_each_session_keeps_its_own_span_log(self, spans_on):
+        def job_ids(session):
+            return {
+                r["attrs"]["job"]
+                for r in session.spans.records()
+                if "job" in r.get("attrs", {})
+            }
+
+        first = Session(execution=ExecutionPolicy(workers=1))
+        first_ids = {o.job_id for o in first.sweep(small_spec().jobs())}
+        second = Session(execution=ExecutionPolicy(workers=1))
+        second_ids = {
+            o.job_id for o in second.sweep(small_spec(seeds=(12,)).jobs())
+        }
+        assert first_ids.isdisjoint(second_ids)
+        assert job_ids(first) == first_ids
+        assert job_ids(second) == second_ids
+        # Each stream installed its session's recorder as the process
+        # recorder, then put the previous one back.
+        assert get_recorder() is spans_on
+        assert len(spans_on) == 0
 
     def test_forward_latency_histogram_lands_in_snapshot(self, spans_on):
         # Satellite regression: the span-latency gate's unparsed LHS is
@@ -330,10 +353,6 @@ class TestDistributedSpans:
 
         jobs = small_spec().jobs()
         serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
-        # The serial reference run above recorded its own
-        # ``worker:serial`` lane; start clean so the absence check below
-        # sees only the distributed run.
-        reset_recorder()
         backend = DistributedBackend(port=0)
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         src = os.path.join(repo_root, "src")
@@ -348,8 +367,9 @@ class TestDistributedSpans:
              "--connect", backend.address, "--quiet", "--timeout", "60"],
             env=env, cwd=repo_root,
         )
+        session = Session(execution=ExecutionPolicy(backend=backend))
         try:
-            distributed = Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            distributed = session.sweep(jobs)
         finally:
             worker.wait(timeout=30)
         assert [o.job_id for o in distributed] == [o.job_id for o in serial]
@@ -357,7 +377,7 @@ class TestDistributedSpans:
             o.result.totals for o in serial
         ]
         # The worker sent no spans, so nothing worker-side was absorbed.
-        tracks = {r["track"] for r in get_recorder().records()}
+        tracks = {r["track"] for r in session.spans.records()}
         assert not any(t.startswith("worker:") for t in tracks)
 
 
