@@ -7,9 +7,9 @@ Unbounded (``capacity=None``), it is the descriptor ring between
 receive and transmit microengines (scratchpad rings in the real chip;
 the apps pay the scratch-write cost explicitly in their step streams).
 
-A queue wakes the microengine parked on it: the engine's wake hook,
-installed with ``set_waiter`` while it is parked, runs after every
-enqueue.
+A queue wakes the microengine parked on it: the consuming engine
+installs its wake hook once, with ``set_waiter``, and the hook runs
+after every enqueue (returning at once while the engine is not parked).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class PacketQueue:
         self.max_depth = 0
         self.waiter: Optional[Callable[[], None]] = None
 
-    def set_waiter(self, waiter: Optional[Callable[[], None]]) -> None:
-        """Install (``None``: clear) the parked consumer's wake hook."""
+    def set_waiter(self, waiter: Callable[[], None]) -> None:
+        """Install the consuming engine's wake hook, run after every enqueue."""
         self.waiter = waiter
 
     def offer(self, packet: Packet) -> bool:

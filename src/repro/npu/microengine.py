@@ -18,12 +18,19 @@ Simulating every missed poll as a kernel event would cost most of a
 light-load run.  The polls of an engine whose threads keep missing form
 a fixed lattice (one every ``P`` picoseconds, threads in round-robin),
 so such an engine *parks*: it records the next poll instant and its
-thread rotation and posts nothing.  An enqueue on its work source, a
-memory response, a stall, a clock change or the end of the run settles
-the lattice arithmetically — ``polls`` and ``instructions_executed`` lag
+thread rotation, and posts at most one poll completion — at the *turn*
+of the first ready thread that holds a packet, ``position × P`` past the
+next poll, since every poller ahead of it misses.  An enqueue on its
+work source, a stall, a clock change or the end of the run settles the
+lattice arithmetically — ``polls`` and ``instructions_executed`` lag
 until then — and, except at run end, wakes the engine with one real
-poll completion at the next lattice instant.  Parking never changes a
-result; an engine with a per-poll observer attached never parks.
+poll completion at the next lattice instant.  A memory response settles
+the lattice, queues its thread and keeps the engine parked until the
+first holder's turn.  The kernel cannot cancel an entry, so a wake
+leaves a superseded turn queued; it fires as a no-op (counted in
+``stale_polls``), or is revived when the engine wants that instant
+again.  Parking never changes a result; an engine with a per-poll
+observer attached never parks.
 
 The runtime executes application *step streams* (:mod:`repro.npu.steps`);
 both the fast per-packet models and the detailed microcode interpreter
@@ -33,7 +40,7 @@ produce the same vocabulary, so they share this engine.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, Iterator, List, Optional
+from typing import Callable, Deque, Iterable, Iterator, List, Optional, Set
 
 from repro.errors import NpuError, SimulationError
 from repro.npu.steps import (
@@ -109,8 +116,8 @@ class RxPortMux:
                 return packet
         return None  # pragma: no cover - unreachable (a queue was non-empty)
 
-    def set_waiter(self, waiter: Optional[Callable[[], None]]) -> None:
-        """Hang (``None``: remove) a parked engine's wake hook on every port."""
+    def set_waiter(self, waiter: Callable[[], None]) -> None:
+        """Install the consuming engine's wake hook on every port's queue."""
         for port in self.ports:
             port.rx_queue.set_waiter(waiter)
 
@@ -129,8 +136,9 @@ class Microengine:
     work_source:
         Object with ``poll() -> Optional[Packet]`` supplying work.  The
         engine parks only on a source that can wake it: one with
-        ``set_waiter(hook)``, whose hook (``None`` clears it) it calls
-        after every enqueue.
+        ``set_waiter(hook)``.  The engine installs its hook once, at
+        construction; the source calls it after every enqueue, and it
+        returns at once unless the engine is parked.
     make_steps:
         ``callable(packet) -> Iterable[Step]`` — the application's step
         stream for one packet in this ME's role: a generator, or a list
@@ -223,6 +231,9 @@ class Microengine:
         self.packets_processed = 0
         self.mem_accesses = 0
         self.polls = 0
+        #: Superseded poll-band entries that fired and did nothing (see
+        #: :meth:`_poll_entry`); the simulated counters above never see them.
+        self.stale_polls = 0
         self._zero_time_ops = 0
         self._started = False
 
@@ -231,7 +242,15 @@ class Microengine:
         #: and no kernel event stands for it.
         self._parked = False
         self._park_next_ps = 0
-        self._set_waiter = getattr(work_source, "set_waiter", None)
+        #: Instant of the engine's one live poll-band entry (``-1``:
+        #: none queued), and the instants of superseded entries still
+        #: queued, which an entry that fires checks against.
+        self._live_ps = -1
+        self._stale_ps: Set[int] = set()
+        set_waiter = getattr(work_source, "set_waiter", None)
+        self._wakeable = set_waiter is not None
+        if self._wakeable:
+            set_waiter(self._wake)
         sim.on_run_end.append(self._settle_at_run_end)
 
     # ------------------------------------------------------------------
@@ -262,8 +281,7 @@ class Microengine:
         A parked engine wakes first, on the old delay: as with a posted
         poll, the poll in flight keeps the delay it started with.
         """
-        if self._parked:
-            self._wake()
+        self._wake()
         self._poll_delay_ps = self._delay_for_cycles(self.poll_instructions)
         self._ctx_delay_ps = self._delay_for_cycles(self.ctx_switch_cycles)
 
@@ -277,8 +295,7 @@ class Microengine:
         """
         if duration_ps <= 0:
             return
-        if self._parked:
-            self._wake()
+        self._wake()
         end = self.sim.now_ps + duration_ps
         self._stalled = True
         if end > self._stall_until_ps:
@@ -427,8 +444,9 @@ class Microengine:
     def _poll_done(self, thread: _HwThread) -> None:
         """Poll delay elapsed: rotate to the next ready thread.
 
-        Every poll completion that runs as an event lands here, so the
-        whole round-robin cycle — requeue the poller, dispatch the next
+        Every poll completion that runs as an event lands here (a
+        parkable engine's through :meth:`_poll_entry`), so the whole
+        round-robin cycle — requeue the poller, dispatch the next
         thread, re-poll, charge, re-post or park — runs inline.
         Behaviour is exactly ``_dispatch`` + ``_continue`` +
         ``_acquire``; only the intermediate frames are elided.
@@ -447,8 +465,7 @@ class Microengine:
             packet = self._ws_poll()
             if packet is None:
                 # Missed poll: charge it inline (the _charge_poll body,
-                # minus the call frame — the miss that parks an engine,
-                # and every miss while a thread holds a packet).
+                # minus the call frame — the miss that parks an engine).
                 self.polls += 1
                 instructions = self.poll_instructions
                 self.instructions_executed += instructions
@@ -475,7 +492,17 @@ class Microengine:
 
     def _mem_done(self, thread: _HwThread) -> None:
         if self._parked:
-            self._wake()
+            # Stay parked: the responder queues behind the pollers, and
+            # the first holder's turn (already posted, or this thread's)
+            # ends the lattice.
+            self._settle_before_now()
+            ready = self._ready
+            ready.append(thread)
+            if self._live_ps < 0:
+                self._want_poll(
+                    self._park_next_ps + (len(ready) - 1) * self._poll_delay_ps
+                )
+            return
         self._ready.append(thread)
         if self._current is None and not self._stalled:
             self._dispatch()
@@ -501,32 +528,74 @@ class Microengine:
     def _await_poll(self, thread: _HwThread, done_ps: int) -> None:
         """Let ``thread``'s missed poll complete at ``done_ps``.
 
-        Posts the completion, or parks the engine when the polls to come
-        are a pure lattice: no ready thread holds a packet, the work
-        source can wake the engine, and no per-poll observer is attached.
+        Posts the completion, or parks the engine when its work source
+        can wake it and no per-poll observer is attached.  A parked
+        engine posts one entry, at the turn of the first ready thread
+        that holds a packet: each poller ahead of it misses, and an
+        enqueue before the turn wakes the engine.
         """
         if (
-            self._set_waiter is not None
+            self._wakeable
             and self.pipeline_emitter is None
             and self.on_instructions is None
             and not self.poll_counts_as_idle
         ):
-            for ready in self._ready:
+            self._parked = True
+            self._park_next_ps = done_ps
+            for position, ready in enumerate(self._ready):
                 if ready.step_iter is not None:
-                    break
-            else:
-                self._parked = True
-                self._park_next_ps = done_ps
-                self._set_waiter(self._wake)
-                return
+                    self._want_poll(done_ps + position * self._poll_delay_ps)
+                    return
+            return
         self._post_poll(done_ps, self.index, self._poll_done, thread)
 
+    def _want_poll(self, at_ps: int) -> None:
+        """Make the engine's one live poll-band entry the one at ``at_ps``.
+
+        Revives a superseded entry still queued there — the kernel keeps
+        one entry per rank and picosecond — and posts one otherwise.
+        """
+        self._live_ps = at_ps
+        stale = self._stale_ps
+        if at_ps in stale:
+            stale.remove(at_ps)
+        else:
+            self._post_poll(at_ps, self.index, self._poll_entry)
+
+    def _poll_entry(self) -> None:
+        """A parkable engine's poll-band entry fires.
+
+        A superseded entry does nothing.  The live one settles the polls
+        ordered before it (at a holder's turn, the pollers' misses),
+        unparks the engine and completes the poll in flight.
+        """
+        now = self.sim.now_ps
+        if now != self._live_ps:
+            self.stale_polls += 1
+            self._stale_ps.remove(now)
+            return
+        self._live_ps = -1
+        if self._parked:
+            self._settle(now - 1)
+            self._parked = False
+        self._poll_done(self._current)
+
     def _wake(self) -> None:
-        """Settle the polls ordered before now, then post the next one."""
+        """Work-source hook: wake a parked engine, else do nothing.
+
+        Settles the polls ordered before now, then posts the next one;
+        a turn queued for another instant is superseded.
+        """
+        if not self._parked:
+            return
         self._settle_before_now()
         self._parked = False
-        self._set_waiter(None)
-        self._post_poll(self._park_next_ps, self.index, self._poll_done, self._current)
+        next_ps = self._park_next_ps
+        live = self._live_ps
+        if live != next_ps:
+            if live >= 0:
+                self._stale_ps.add(live)
+            self._want_poll(next_ps)
 
     def _settle_before_now(self) -> None:
         sim = self.sim

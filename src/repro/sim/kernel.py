@@ -147,7 +147,10 @@ class Simulator:
         number: at ``time_ps`` it runs after every ordinary event, and
         poll completions run lowest rank first.  A rank may have at most
         one completion pending per picosecond, which keeps heap keys
-        unique.  Like :meth:`post_at`, ``time_ps`` must not be in the past.
+        unique.  A parked microengine keeps to that even though it leaves
+        superseded entries queued (there is no cancellation): it revives
+        a superseded entry it wants again, never posting a second one.
+        Like :meth:`post_at`, ``time_ps`` must not be in the past.
         Delivery records how far the band has got (:meth:`poll_passed`);
         ordinary events pay nothing for it.
         """

@@ -11,11 +11,13 @@ Two execution shortcuts must never change a result:
 The per-ME tests pin parking on per-ME observables — completion times,
 instruction and poll counts, state totals, the kernel sequence layout
 — including under stalls, frequency changes, arrivals on poll-lattice
-instants, ``sim.stop()`` and runs that end and resume.  The chip-level
-oracles run catalog configs twice: parked, and eager (a no-op
-``on_instructions`` observer on every engine keeps it from parking);
-and memoized, and with memos that never store (every packet's stream
-built afresh).
+instants, ``sim.stop()`` and runs that end and resume, and with each of
+those landing while a packet holder waits behind pollers for its turn.
+They run on a kernel that fails loudly on a second poll-band entry for
+one (picosecond, rank) key.  The chip-level oracles run catalog configs
+twice: parked, and eager (a no-op ``on_instructions`` observer on every
+engine keeps it from parking); and memoized, and with memos that never
+store (every packet's stream built afresh).
 """
 
 import dataclasses
@@ -64,6 +66,49 @@ def compute_run_steps(packet):
     yield Compute(71)
 
 
+def read_then_compute(packet):
+    """One 2 KB SDRAM read: on four threads its response queues the
+    thread behind two pollers, two to three poll periods before its
+    turn."""
+    yield MemRead("sdram", 2048)
+    yield Compute(60)
+
+
+def three_read_steps(packet):
+    """Three blocking reads per packet: each response queues a holder
+    behind the pollers, so most runs contain holder turns."""
+    yield Compute(40)
+    yield MemRead("sdram", 256)
+    yield Compute(30)
+    yield MemRead("sram", 8)
+    yield Compute(20)
+    yield MemRead("scratch", 4)
+    yield Compute(10)
+
+
+class StrictPollSimulator(Simulator):
+    """A kernel that fails loudly on a second poll-band entry queued
+    for one (picosecond, rank) key — the plain kernel would only raise a
+    ``TypeError`` from ``heapq`` comparing bound methods, if at all — and
+    records every poll-band post as ``(posted_ps, time_ps)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.queued_polls = set()
+        self.poll_posts = []
+
+    def post_poll(self, time_ps, rank, callback, *args):
+        key = (time_ps, rank)
+        assert key not in self.queued_polls, f"second poll entry at {key}"
+        self.queued_polls.add(key)
+        self.poll_posts.append((self.now_ps, time_ps))
+        super().post_poll(time_ps, rank, callback, *args)
+
+    def _deliver_poll(self, rank, callback, args):
+        self.queued_polls.remove((self.now_ps, rank))
+        super()._deliver_poll(rank, callback, args)
+
+
 def rotation(me):
     """The arbiter's thread rotation: current thread, then the ready
     queue, as thread numbers."""
@@ -84,8 +129,9 @@ def run_me(
 ):
     """Run one engine on a packet queue; ``arrivals`` are ``(time_ps,
     late)`` enqueues, ``late`` ones posted after the poll completing at
-    the same instant was."""
-    sim = Simulator()
+    the same instant was.  ``effort`` holds what parking may change:
+    kernel events, poll-band posts and the engine's park state."""
+    sim = StrictPollSimulator()
     clock = ClockDomain(sim, mhz(600), "me0")
     sram, sdram, scratch, _ = build_memories(sim, MemoryConfig())
     memories = {"sram": sram, "sdram": sdram, "scratch": scratch}
@@ -127,8 +173,12 @@ def run_me(
         # Ordinary (non-poll) events draw kernel sequence numbers; the
         # same count means the same tie-ordering layout.
         "kernel_seqs": sim._seq,
-        "events_executed": sim.events_executed,
         "rotation": rotation(me),
+    }
+    park_state = {
+        "parked": me._parked,
+        "live_ps": me._live_ps,
+        "holders": sum(t.step_iter is not None for t in me._ready),
     }
     if resume_until is not None:
         sim.run(until_ps=resume_until)
@@ -138,29 +188,38 @@ def run_me(
         snapshot["final_totals"] = dict(me.states.totals_ps())
         snapshot["final_kernel_seqs"] = sim._seq
         snapshot["final_rotation"] = rotation(me)
+    snapshot["effort"] = {
+        "events": sim.events_executed,
+        "poll_posts": list(sim.poll_posts),
+        "stale_polls": me.stale_polls,
+        # As of the first run's end.
+        **park_state,
+    }
     return snapshot
 
 
 def assert_parked_matches_eager(**kwargs):
-    """Parked and eager runs agree on everything but the event count."""
+    """Parked and eager runs agree on everything but their effort;
+    returns both efforts."""
     parked = run_me(**kwargs)
     eager = run_me(eager=True, **kwargs)
-    parked_events = parked.pop("events_executed")
-    eager_events = eager.pop("events_executed")
+    parked_effort = parked.pop("effort")
+    eager_effort = eager.pop("effort")
     assert parked == eager
-    assert parked_events <= eager_events
-    return parked_events, eager_events
+    assert parked_effort["events"] <= eager_effort["events"]
+    assert eager_effort["stale_polls"] == 0
+    return parked_effort, eager_effort
 
 
 class TestParkedEquivalence:
     def test_idle_engine_parks(self):
         parked, eager = assert_parked_matches_eager(npackets=0)
-        assert parked == 0
-        assert eager == 60_000_000 // POLL_PS
+        assert parked["events"] == 0
+        assert eager["events"] == 60_000_000 // POLL_PS
 
     def test_packets_then_idle(self):
         parked, eager = assert_parked_matches_eager()
-        assert parked < eager // 10
+        assert parked["events"] < eager["events"] // 10
 
     def test_arrival_on_a_lattice_instant(self):
         for late in (False, True):
@@ -179,12 +238,14 @@ class TestParkedEquivalence:
 
     def test_memory_response_wakes_a_parked_engine(self):
         # One thread blocks on a 2 KB SDRAM read while the other three
-        # poll: they park, and the response must wake them.
-        def steps(packet):
-            yield MemRead("sdram", 2048)
-            yield Compute(60)
-
-        assert_parked_matches_eager(npackets=1, steps_fn=steps)
+        # poll: they park, and the response queues the thread behind
+        # them.  Four events: the context switch, the response, the
+        # holder's turn (the pollers' misses ahead of it post nothing)
+        # and the compute completion.
+        parked, _ = assert_parked_matches_eager(
+            npackets=1, steps_fn=read_then_compute
+        )
+        assert parked["events"] == 4
 
     def test_run_end_then_resume(self):
         assert_parked_matches_eager(
@@ -198,7 +259,7 @@ class TestParkedEquivalence:
         already run, so it takes the packet one poll later."""
 
         def run(eager):
-            sim = Simulator()
+            sim = StrictPollSimulator()
             sram, sdram, scratch, _ = build_memories(sim, MemoryConfig())
             memories = {"sram": sram, "sdram": sdram, "scratch": scratch}
             ring, rx_queue = PacketQueue(8), PacketQueue(8)
@@ -245,6 +306,124 @@ class TestParkedEquivalence:
         assert_parked_matches_eager(
             perturb=perturb, resume_until=60_000_000, npackets=0
         )
+
+
+def first_turn(**kwargs):
+    """``(posted_ps, turn_ps)`` of the first holder turn a parked run
+    posts more than one poll period ahead: a memory response queued the
+    holder behind at least one poller."""
+    for posted_ps, turn_ps in run_me(**kwargs)["effort"]["poll_posts"]:
+        if turn_ps - posted_ps > POLL_PS:
+            return posted_ps, turn_ps
+    raise AssertionError("no holder waited behind a poller")
+
+
+class TestHolderTurns:
+    """Something happens while a packet holder waits behind pollers.
+
+    With :func:`read_then_compute` on four threads, the response at
+    ``R`` queues the holder behind two pollers: the next lattice polls
+    complete at ``T - 2P`` and ``T - P``, the holder's turn is ``T`` and
+    the parked engine posts one entry, at ``T``.  A wake at or before
+    ``T - P`` supersedes that entry; a later one keeps it.
+    """
+
+    BASE = dict(npackets=1, steps_fn=read_then_compute)
+
+    def turn(self):
+        response_ps, turn_ps = first_turn(**self.BASE)
+        assert turn_ps - 3 * POLL_PS < response_ps < turn_ps - 2 * POLL_PS
+        return turn_ps
+
+    @pytest.mark.parametrize("late", (False, True))
+    @pytest.mark.parametrize(
+        "offset, superseded",
+        [
+            (-2 * POLL_PS, True),  # on the lattice
+            (-3 * POLL_PS // 2, True),
+            (-POLL_PS, True),  # on the lattice
+            (-POLL_PS // 2, False),
+            (-1, False),
+            (0, False),  # exactly at the turn
+        ],
+    )
+    def test_arrival(self, offset, superseded, late):
+        turn_ps = self.turn()
+        parked, _ = assert_parked_matches_eager(
+            arrivals=[(turn_ps + offset, late)], **self.BASE
+        )
+        assert parked["stale_polls"] == int(superseded)
+
+    @pytest.mark.parametrize("compute", (2470, 2490))
+    def test_second_response(self, compute):
+        """A second thread's read returns while the first holder waits:
+        it queues behind it, and the one posted turn stands.  The
+        compute run before the SRAM read orders the two responses either
+        way round."""
+
+        def steps(packet):
+            if packet.seq == 1:
+                yield Compute(compute)
+                yield MemRead("sram", 8)
+            else:
+                yield MemRead("sdram", 2048)
+            yield Compute(60)
+
+        kwargs = dict(npackets=2, steps_fn=steps)
+        _, turn_ps = first_turn(**kwargs)
+        waiting = run_me(until=turn_ps - 1, **kwargs)["effort"]
+        assert waiting["parked"] and waiting["holders"] == 2
+        assert waiting["live_ps"] == turn_ps
+        assert_parked_matches_eager(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, revived",
+        [
+            ("long stall", False),
+            ("short stall", True),
+            ("new frequency", False),
+            ("frequency there and back", True),
+        ],
+    )
+    def test_stall_and_frequency_change(self, name, revived):
+        """Each wakes the engine at ``T - 3P/2``, superseding the turn.
+        A stall that ends, or a frequency that returns, before ``T - P``
+        leaves the lattice where it was: re-parking then revives the
+        entry at ``T`` instead of posting a second one."""
+        wake_ps = self.turn() - 3 * POLL_PS // 2
+
+        def perturb(sim, me):
+            if name == "long stall":
+                sim.schedule_at(wake_ps, me.stall_for, 3 * POLL_PS)
+            elif name == "short stall":
+                sim.schedule_at(wake_ps, me.stall_for, POLL_PS // 4)
+            else:
+                sim.schedule_at(wake_ps, me.set_vf, mhz(450), 1.1)
+                if name == "frequency there and back":
+                    sim.schedule_at(wake_ps + POLL_PS // 4, me.set_vf, mhz(600), 1.3)
+
+        parked, _ = assert_parked_matches_eager(perturb=perturb, **self.BASE)
+        assert parked["stale_polls"] == int(not revived)
+
+    @pytest.mark.parametrize("offset", (-3 * POLL_PS // 2, -POLL_PS, 0))
+    def test_stop_then_resume(self, offset):
+        turn_ps = self.turn()
+
+        def perturb(sim, me):
+            sim.schedule_at(turn_ps + offset, sim.stop)
+
+        parked, _ = assert_parked_matches_eager(
+            perturb=perturb, resume_until=60_000_000, **self.BASE
+        )
+        assert parked["parked"] and parked["live_ps"] == turn_ps
+
+    @pytest.mark.parametrize("offset", (-POLL_PS, -POLL_PS // 2, -1))
+    def test_run_end_then_resume(self, offset):
+        turn_ps = self.turn()
+        parked, _ = assert_parked_matches_eager(
+            until=turn_ps + offset, resume_until=60_000_000, **self.BASE
+        )
+        assert parked["parked"] and parked["live_ps"] == turn_ps
 
 
 def _arrivals():
@@ -303,6 +482,7 @@ class TestSeqLayoutProperty:
             npackets=npackets,
             until=until,
             resume_until=60_000_000,
+            steps_fn=three_read_steps,
         )
 
 
@@ -363,7 +543,10 @@ def assert_chip_parked_matches_eager(config):
     parked, parked_run = _observe(config)
     eager, eager_run = _observe(config, prepare=_make_eager)
     assert parked == eager
-    assert parked_run.sim.events_executed < eager_run.sim.events_executed
+    events = parked_run.sim.events_executed
+    assert events < eager_run.sim.events_executed
+    # Superseded holder turns, which fire as no-ops, stay a small share.
+    assert sum(me.stale_polls for me in parked_run.chip.mes) < 0.01 * events
 
 
 def _config(scenario, policy, app, cycles, **npu):
