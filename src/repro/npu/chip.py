@@ -130,8 +130,10 @@ class NpuChip:
 
         # -- memories and bus --------------------------------------------
         self.sram, self.sdram, self.scratch, self.ixbus = build_memories(
-            sim, npu.memory, self.accountant.on_memory_energy
+            sim, npu.memory
         )
+        for resource in (self.sram, self.sdram, self.scratch, self.ixbus):
+            self.accountant.attach_memory(resource)
         self.memories = {
             "sram": self.sram,
             "sdram": self.sdram,
@@ -147,8 +149,6 @@ class NpuChip:
         self.forwarded_packets = 0
         self.forwarded_bits = 0
         self.drops_by_reason: Dict[str, int] = {}
-        #: Extra per-arrival callbacks (DVS overhead meter plugs in here).
-        self.arrival_hooks: List = []
 
         # -- trace ---------------------------------------------------------
         self.annotations = AnnotationProvider(
@@ -302,10 +302,6 @@ class NpuChip:
         self.traffic_monitor.add(packet.size_bits)
         if self._emit_arrival is not None:
             self._emit_arrival()
-        hooks = self.arrival_hooks
-        if hooks:
-            for hook in hooks:
-                hook()
 
     def _make_rx_steps(self, packet: Packet):
         handle = self.buffer_pool.allocate()

@@ -45,9 +45,9 @@ class QueuedResource:
         Server hold time per request, before the per-byte term.
     byte_ns:
         Additional server hold and latency per byte transferred.
-    on_energy:
-        Optional callback ``(name, nbytes)`` the power model uses to
-        charge per-access energy.
+
+    The power accountant prices ``requests`` and ``bytes_moved`` when
+    energy is read; a request does no power work.
     """
 
     def __init__(
@@ -57,7 +57,6 @@ class QueuedResource:
         access_ns: float,
         occupancy_ns: float,
         byte_ns: float,
-        on_energy: Optional[Callable[[str, int], None]] = None,
     ):
         if access_ns <= 0 or occupancy_ns <= 0:
             raise MemoryModelError(f"{name}: access/occupancy must be positive")
@@ -68,7 +67,6 @@ class QueuedResource:
         self._access_ps = ns_to_ps(access_ns)
         self._occupancy_ps = ns_to_ps(occupancy_ns)
         self._byte_ps = byte_ns * 1000.0  # ps per byte, kept fractional
-        self.on_energy = on_energy
 
         self._free_at_ps = 0
         self.requests = 0
@@ -130,8 +128,6 @@ class QueuedResource:
         self.total_wait_ps += wait
         if wait > self.max_wait_ps:
             self.max_wait_ps = wait
-        if self.on_energy is not None:
-            self.on_energy(self.name, nbytes)
         if self._trace_emit is not None:
             self._trace_emit()
 
@@ -162,7 +158,7 @@ class QueuedResource:
         )
 
 
-def build_memories(sim: Simulator, memory_config, on_energy=None):
+def build_memories(sim: Simulator, memory_config):
     """Build the (sram, sdram, scratch, ixbus) resources from config."""
     sram = QueuedResource(
         sim,
@@ -170,7 +166,6 @@ def build_memories(sim: Simulator, memory_config, on_energy=None):
         memory_config.sram_access_ns,
         memory_config.sram_occupancy_ns,
         memory_config.sram_byte_ns,
-        on_energy,
     )
     sdram = QueuedResource(
         sim,
@@ -178,7 +173,6 @@ def build_memories(sim: Simulator, memory_config, on_energy=None):
         memory_config.sdram_access_ns,
         memory_config.sdram_occupancy_ns,
         memory_config.sdram_byte_ns,
-        on_energy,
     )
     scratch = QueuedResource(
         sim,
@@ -186,7 +180,6 @@ def build_memories(sim: Simulator, memory_config, on_energy=None):
         memory_config.scratch_access_ns,
         memory_config.scratch_occupancy_ns,
         memory_config.scratch_byte_ns,
-        on_energy,
     )
     ixbus = QueuedResource(
         sim,
@@ -194,6 +187,5 @@ def build_memories(sim: Simulator, memory_config, on_energy=None):
         memory_config.bus_access_ns,
         memory_config.bus_access_ns,
         memory_config.bus_byte_ns,
-        on_energy,
     )
     return sram, sdram, scratch, ixbus

@@ -218,8 +218,9 @@ class Microengine:
 
         #: Supply voltage paired with the clock frequency (set by DVS).
         self.vdd = 1.3
-        #: Listener invoked on every state or VF change (power model).
-        self.power_listener: Optional[Callable[["Microengine"], None]] = None
+        #: Called after every V/F change: the power accountant closes the
+        #: engine's energy interval at the old point.
+        self.on_vf_change: Optional[Callable[[], None]] = None
         #: Listener invoked per executed instruction batch (trace events).
         self.on_instructions: Optional[Callable[[int, int], None]] = None
         #: Bound ``m<k>_pipeline`` bus emitter, one call per instruction
@@ -263,17 +264,21 @@ class Microengine:
         self._started = True
         for thread in self.threads:
             self._ready.append(thread)
-        self._set_state(BUSY)
+        self.states.set_state(BUSY)
         self._dispatch()
 
     # ------------------------------------------------------------------
     # DVS interface
     # ------------------------------------------------------------------
     def set_vf(self, freq_hz: float, vdd: float) -> None:
-        """Apply a new voltage/frequency point (takes effect now)."""
+        """Apply a new voltage/frequency point (takes effect now).
+
+        The engine's only V/F actuator; ``on_vf_change`` runs after it.
+        """
         self.clock.set_frequency(freq_hz)
         self.vdd = vdd
-        self._notify_power()
+        if self.on_vf_change is not None:
+            self.on_vf_change()
 
     def _refresh_fixed_delays(self) -> None:
         """Clock ``on_change`` listener: re-derive cached fixed delays.
@@ -304,7 +309,7 @@ class Microengine:
         if self._current is None:
             # Nothing mid-compute: the engine freezes as of now; an
             # in-flight compute instead parks its thread on completion.
-            self._set_state(STALLED)
+            self.states.set_state(STALLED)
 
     def _maybe_unstall(self, scheduled_end: int) -> None:
         if not self._stalled or scheduled_end < self._stall_until_ps:
@@ -322,17 +327,17 @@ class Microengine:
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
         if self._stalled:
-            self._set_state(STALLED)
+            self.states.set_state(STALLED)
             return
         if self._current is not None:
             return
         if not self._ready:
-            self._set_state(IDLE)
+            self.states.set_state(IDLE)
             return
         thread = self._ready.popleft()
         self._current = thread
         if self.states.state != BUSY:
-            self._set_state(BUSY)
+            self.states.set_state(BUSY)
         self._continue(thread)
 
     def _continue(self, thread: _HwThread) -> None:
@@ -397,7 +402,7 @@ class Microengine:
             self.on_instructions(self.index, instructions)
         if self.poll_counts_as_idle:
             # Ablation accounting: treat the poll loop as idle time.
-            self._set_state(IDLE)
+            self.states.set_state(IDLE)
         self._await_poll(thread, self.sim.now_ps + self._poll_delay_ps)
 
     def _run_compute(self, thread: _HwThread, instructions: int) -> None:
@@ -455,12 +460,12 @@ class Microengine:
         ready.append(thread)
         if self._stalled:
             self._current = None
-            self._set_state(STALLED)
+            self.states.set_state(STALLED)
             return
         nxt = ready.popleft()
         self._current = nxt
         if self.states.state != BUSY:
-            self._set_state(BUSY)
+            self.states.set_state(BUSY)
         if nxt.step_iter is None:
             packet = self._ws_poll()
             if packet is None:
@@ -474,7 +479,7 @@ class Microengine:
                 if self.on_instructions is not None:
                     self.on_instructions(self.index, instructions)
                 if self.poll_counts_as_idle:
-                    self._set_state(IDLE)
+                    self.states.set_state(IDLE)
                 self._await_poll(nxt, self.sim.now_ps + self._poll_delay_ps)
                 return
             self._bind_packet(nxt, packet)
@@ -486,7 +491,7 @@ class Microengine:
             # front so it resumes first after the stall.
             self._current = None
             self._ready.appendleft(thread)
-            self._set_state(STALLED)
+            self.states.set_state(STALLED)
             return
         self._continue(thread)
 
@@ -510,7 +515,7 @@ class Microengine:
             # Mark the freeze only when nothing is executing: a compute
             # in flight keeps the engine BUSY until it completes (the
             # thread is requeued in _compute_done).
-            self._set_state(STALLED)
+            self.states.set_state(STALLED)
 
     def _finish_packet(self, thread: _HwThread) -> None:
         self._count_zero_time()
@@ -640,15 +645,6 @@ class Microengine:
     # ------------------------------------------------------------------
     # Accounting helpers
     # ------------------------------------------------------------------
-    def _set_state(self, state: str) -> None:
-        if self.states.state != state:
-            self.states.set_state(state)
-            self._notify_power()
-
-    def _notify_power(self) -> None:
-        if self.power_listener is not None:
-            self.power_listener(self)
-
     def _count_zero_time(self) -> None:
         self._zero_time_ops += 1
         if self._zero_time_ops > _ZERO_TIME_LIMIT:

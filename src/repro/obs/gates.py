@@ -22,11 +22,11 @@ job's fate is sealed:
 
 Everything here is **opt-in** via
 :attr:`repro.api.policy.ExecutionPolicy.early_abort`; with the policy
-unset no gate ever subscribes and runs are byte-identical to an
-ungated release.  A gated run is *not* byte-guaranteed even when no
-gate trips: subscribing the ``arrival`` channel reads annotations at
-instants primary events never settle (see
-:meth:`repro.trace.bus.TraceBus.emitter`).
+unset no gate ever subscribes.  A gated run whose gates never trip has
+the same ``RunTotals`` as the ungated run, byte for byte: reading the
+annotations changes no result (see :mod:`repro.power.model`), so the
+gates' subscriptions, ``arrival`` included, are invisible to the
+simulation.
 """
 
 from __future__ import annotations

@@ -6,17 +6,65 @@ once (``C_eff = P / (Vdd^2 * f)``) and every other VF point follows the
 physics: halving voltage quarters the dynamic power, lowering frequency
 scales it linearly — which is why DVS saves energy rather than merely
 stretching execution.
+
+Energy is exact integer arithmetic.  Each power is quantized once to
+integer femtowatts (:data:`FW_PER_W`) and each per-event energy to
+integer units of 1 fW·ps = 1e-27 J (:data:`UNITS_PER_J`); the quantum
+is a constant.  A component's energy is then an integer product of
+counters the model keeps anyway, as time in each power state × that
+state's power:
+
+* a microengine: the picoseconds its
+  :class:`~repro.sim.stats.IntervalAccumulator` charged to BUSY, and to
+  IDLE or STALLED, times the busy and idle power of the V/F point in
+  effect.  :meth:`~repro.npu.microengine.Microengine.set_vf`, the only
+  V/F actuator, closes the interval at the old point through its
+  ``on_vf_change`` hook;
+* a memory target or the IX bus: ``requests`` × per-access energy +
+  ``bytes_moved`` × per-byte energy;
+* the DVS monitor hardware: a
+  :class:`~repro.power.overhead.DvsOverheadMeter`'s charge counts ×
+  their per-charge energies;
+* the base power: elapsed picoseconds × base femtowatts.
+
+No power code runs per state change, memory request or packet arrival.
+A read costs O(#MEs), changes no state and converts to float once, so
+no read changes a later one, and the components sum exactly to the
+total in integer units.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.config import PowerConfig
 from repro.errors import ConfigError
+from repro.npu.memqueue import QueuedResource
 from repro.npu.microengine import BUSY, Microengine
 from repro.sim.kernel import Simulator
-from repro.sim.stats import TimeWeightedValue
+
+if TYPE_CHECKING:
+    from repro.power.overhead import DvsOverheadMeter
+
+#: Power quantum: integer powers count femtowatts.
+FW_PER_W = 10**15
+#: Energy quantum: integer energies count 1 fW·ps = 1e-27 J.
+UNITS_PER_J = 10**27
+_UNITS_PER_UJ = 10**21
+_UNITS_PER_NJ = 10**18
+
+#: Memory targets and the IX bus, in report order.
+MEMORY_TARGETS = ("sram", "sdram", "scratch", "ixbus")
+
+
+def quantize_w(watts: float) -> int:
+    """``watts`` in integer femtowatts."""
+    return round(watts * FW_PER_W)
+
+
+def quantize_nj(nanojoules: float) -> int:
+    """``nanojoules`` in integer energy units."""
+    return round(nanojoules * _UNITS_PER_NJ)
 
 
 class MePowerModel:
@@ -37,24 +85,58 @@ class MePowerModel:
         """Power while idle or stalled (clock partially gated)."""
         return self.config.me_idle_fraction * self.active_w(freq_hz, vdd)
 
-    def watts_for(self, me: Microengine) -> float:
-        """Current power draw of a live microengine."""
-        if me.states.state == BUSY:
-            return self.active_w(me.clock.freq_hz, me.vdd)
-        return self.idle_w(me.clock.freq_hz, me.vdd)
+    def point_fw(self, freq_hz: float, vdd: float) -> Tuple[int, int]:
+        """``(busy, idle)`` power at one V/F point, in femtowatts."""
+        return quantize_w(self.active_w(freq_hz, vdd)), quantize_w(
+            self.idle_w(freq_hz, vdd)
+        )
+
+
+class _MeEnergy:
+    """One microengine's energy: closed V/F intervals plus the open one."""
+
+    __slots__ = ("me", "model", "closed", "busy_ps", "other_ps", "busy_fw", "idle_fw")
+
+    def __init__(self, me: Microengine, model: MePowerModel):
+        self.me = me
+        self.model = model
+        #: Units of the V/F intervals closed so far.
+        self.closed = 0
+        #: Residency when the open interval began.
+        self.busy_ps, self.other_ps = self._residency()
+        #: Prices of the open interval's V/F point.
+        self.busy_fw, self.idle_fw = model.point_fw(me.clock.freq_hz, me.vdd)
+
+    def _residency(self) -> Tuple[int, int]:
+        """Picoseconds charged so far to BUSY and to every other state."""
+        totals = self.me.states.totals_ps()
+        busy = totals.get(BUSY, 0)
+        return busy, sum(totals.values()) - busy
+
+    def units(self) -> int:
+        """Energy so far, the open interval included; changes nothing."""
+        busy, other = self._residency()
+        return (
+            self.closed
+            + (busy - self.busy_ps) * self.busy_fw
+            + (other - self.other_ps) * self.idle_fw
+        )
+
+    def close(self) -> None:
+        """``on_vf_change`` hook: close the open interval at the old
+        point, then price the next one at the engine's new point."""
+        self.closed = self.units()
+        self.busy_ps, self.other_ps = self._residency()
+        me = self.me
+        self.busy_fw, self.idle_fw = self.model.point_fw(me.clock.freq_hz, me.vdd)
 
 
 class PowerAccountant:
     """Aggregates all chip energy; source of the ``energy`` annotation.
 
-    Components:
-
-    * per-ME continuous signals (updated through the MEs'
-      ``power_listener`` hooks);
-    * per-access memory/bus energy (updated through the controllers'
-      ``on_energy`` hooks);
-    * the constant base power;
-    * discrete DVS-monitor overhead charges.
+    Components, in report order: each attached ME (``me<k>``), each
+    memory target of :data:`MEMORY_TARGETS` (zero when none is
+    attached), the constant base power and the DVS-monitor overhead.
     """
 
     def __init__(
@@ -66,101 +148,107 @@ class PowerAccountant:
         self.sim = sim
         self.config = config
         self.me_model = me_model
-        self._me_signals: Dict[int, TimeWeightedValue] = {}
-        self._discrete_j = 0.0
         self._start_ps = sim.now_ps
-        self.memory_energy_j: Dict[str, float] = {}
-        self.overhead_j = 0.0
-
-        self._per_byte_nj = {
-            "sram": config.sram_byte_nj,
-            "sdram": config.sdram_byte_nj,
-            "scratch": config.scratch_byte_nj,
-            "ixbus": config.bus_byte_nj,
+        self._base_fw = quantize_w(config.base_w)
+        self._mes: Dict[int, _MeEnergy] = {}
+        #: Per-target ``(access, per-byte)`` energies, in units.
+        self._memory_prices = {
+            "sram": (quantize_nj(config.sram_access_nj), quantize_nj(config.sram_byte_nj)),
+            "sdram": (quantize_nj(config.sdram_access_nj), quantize_nj(config.sdram_byte_nj)),
+            "scratch": (
+                quantize_nj(config.scratch_access_nj),
+                quantize_nj(config.scratch_byte_nj),
+            ),
+            "ixbus": (0, quantize_nj(config.bus_byte_nj)),
         }
-        self._per_access_nj = {
-            "sram": config.sram_access_nj,
-            "sdram": config.sdram_access_nj,
-            "scratch": config.scratch_access_nj,
-            "ixbus": 0.0,
-        }
-        # (access, per-byte) pairs in one table: ``on_memory_energy``
-        # runs once per memory transaction, so it pays one lookup.
-        self._energy_coeffs_nj = {
-            name: (self._per_access_nj[name], self._per_byte_nj[name])
-            for name in self._per_byte_nj
-        }
+        self._memories: Dict[str, Tuple[QueuedResource, int, int]] = {}
+        self._overhead: Optional["DvsOverheadMeter"] = None
 
     # ------------------------------------------------------------------
-    # Hook endpoints
+    # Attachment
     # ------------------------------------------------------------------
     def attach_me(self, me: Microengine) -> None:
-        """Register a microengine and start integrating its power."""
-        signal = TimeWeightedValue(
-            self.sim, self.me_model.watts_for(me), name=f"me{me.index}.power"
-        )
-        self._me_signals[me.index] = signal
-        me.power_listener = self._on_me_change
+        """Start charging a microengine's energy, from now."""
+        if me.index in self._mes:
+            raise ConfigError(f"ME{me.index} is already attached")
+        meter = _MeEnergy(me, self.me_model)
+        self._mes[me.index] = meter
+        me.on_vf_change = meter.close
 
-    def _on_me_change(self, me: Microengine) -> None:
-        self._me_signals[me.index].set(self.me_model.watts_for(me))
+    def attach_memory(self, resource: QueuedResource) -> None:
+        """Charge a memory target's or the IX bus's accesses and bytes."""
+        prices = self._memory_prices.get(resource.name)
+        if prices is None:
+            raise ConfigError(
+                f"no energy prices for memory target {resource.name!r} "
+                f"(known: {', '.join(MEMORY_TARGETS)})"
+            )
+        if resource.name in self._memories:
+            raise ConfigError(f"memory target {resource.name!r} is already attached")
+        self._memories[resource.name] = (resource, *prices)
 
-    def on_memory_energy(self, name: str, nbytes: int) -> None:
-        """Charge per-access + per-byte energy for a memory/bus transfer."""
-        access_nj, byte_nj = self._energy_coeffs_nj.get(name, (0.0, 0.0))
-        joules = (access_nj + nbytes * byte_nj) * 1e-9
-        self._discrete_j += joules
-        self.memory_energy_j[name] = self.memory_energy_j.get(name, 0.0) + joules
-
-    def add_overhead_nj(self, nanojoules: float) -> None:
-        """Charge DVS monitor-hardware overhead energy."""
-        joules = nanojoules * 1e-9
-        self._discrete_j += joules
-        self.overhead_j += joules
+    def attach_overhead(self, meter: "DvsOverheadMeter") -> None:
+        """Charge a :class:`~repro.power.overhead.DvsOverheadMeter`'s counts."""
+        if self._overhead is not None:
+            raise ConfigError("a DVS overhead meter is already attached")
+        self._overhead = meter
 
     # ------------------------------------------------------------------
     # Readouts
     # ------------------------------------------------------------------
-    def total_energy_j(self) -> float:
-        """Cumulative chip energy since construction, in joules.
+    def total_units(self) -> int:
+        """Cumulative chip energy since construction, in units.
 
-        Explicit loop rather than a ``sum`` genexpr: this runs once per
-        annotated trace event, and a plain loop keeps the profile
-        attribution on this method instead of a ``<genexpr>`` frame.
+        The same sum as :meth:`component_units` without building the
+        report dict: this runs once per annotated trace event.
         """
-        now_ps = self.sim.now_ps
-        elapsed_s = (now_ps - self._start_ps) / 1e12
-        me_j = 0.0
-        for signal in self._me_signals.values():
-            me_j += signal.integral_at(now_ps)
-        return me_j + self._discrete_j + self.config.base_w * elapsed_s
+        total = self._base_fw * (self.sim.now_ps - self._start_ps)
+        for meter in self._mes.values():
+            total += meter.units()
+        for resource, access, per_byte in self._memories.values():
+            total += resource.requests * access + resource.bytes_moved * per_byte
+        if self._overhead is not None:
+            total += self._overhead.units()
+        return total
+
+    def component_units(self) -> Dict[str, int]:
+        """Cumulative energy per component in units, in report order."""
+        out = {f"me{index}": self._mes[index].units() for index in sorted(self._mes)}
+        for name in MEMORY_TARGETS:
+            entry = self._memories.get(name)
+            if entry is None:
+                out[name] = 0
+            else:
+                resource, access, per_byte = entry
+                out[name] = resource.requests * access + resource.bytes_moved * per_byte
+        out["base"] = self._base_fw * (self.sim.now_ps - self._start_ps)
+        out["dvs_overhead"] = 0 if self._overhead is None else self._overhead.units()
+        return out
+
+    def total_energy_j(self) -> float:
+        """Cumulative chip energy since construction, in joules."""
+        return self.total_units() / UNITS_PER_J
 
     def total_energy_uj(self) -> float:
         """Cumulative chip energy in microjoules (trace annotation)."""
-        return self.total_energy_j() * 1e6
+        return self.total_units() / _UNITS_PER_UJ
 
     def me_energy_j(self, index: int) -> float:
         """Energy one ME has consumed so far."""
-        return self._me_signals[index].integral
+        return self._mes[index].units() / UNITS_PER_J
 
     def mean_power_w(self) -> float:
         """Average chip power since construction."""
-        elapsed_s = (self.sim.now_ps - self._start_ps) / 1e12
-        if elapsed_s <= 0:
+        elapsed_ps = self.sim.now_ps - self._start_ps
+        if elapsed_ps <= 0:
             return 0.0
-        return self.total_energy_j() / elapsed_s
+        return self.total_units() / (elapsed_ps * FW_PER_W)
 
     def breakdown_w(self) -> Dict[str, float]:
-        """Mean power per component group (for reports and tests)."""
-        elapsed_s = (self.sim.now_ps - self._start_ps) / 1e12
-        if elapsed_s <= 0:
-            return {}
-        out = {
-            f"me{index}": signal.integral / elapsed_s
-            for index, signal in self._me_signals.items()
-        }
-        for name, joules in self.memory_energy_j.items():
-            out[name] = joules / elapsed_s
-        out["base"] = self.config.base_w
-        out["dvs_overhead"] = self.overhead_j / elapsed_s
-        return out
+        """Mean power per component, in report order, zeros included."""
+        components = self.component_units()
+        elapsed_ps = self.sim.now_ps - self._start_ps
+        if elapsed_ps <= 0:
+            return {name: 0.0 for name in components}
+        scale = elapsed_ps * FW_PER_W
+        return {name: units / scale for name, units in components.items()}

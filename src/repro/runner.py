@@ -168,7 +168,17 @@ class SimulationRun:
         self.overhead_meter = None
         if config.dvs.policy != "none":
             vf_table = VfTable.from_config(config.npu)
-            self.overhead_meter = DvsOverheadMeter(self.chip.accountant, config.power)
+            # The TDVS monitor adder charges once per packet arrival.
+            chip = self.chip
+            self.overhead_meter = DvsOverheadMeter(
+                chip.accountant,
+                config.power,
+                arrivals=(
+                    (lambda: chip.offered_packets)
+                    if config.dvs.policy in ("tdvs", "combined")
+                    else None
+                ),
+            )
             if config.dvs.policy == "tdvs":
                 self.governor = TdvsGovernor(
                     self.sim,
@@ -179,8 +189,6 @@ class SimulationRun:
                     self.chip.traffic_monitor,
                     overhead=self.overhead_meter,
                 )
-                # The monitor adder runs on every packet arrival.
-                self.chip.arrival_hooks.append(self.overhead_meter.on_packet_arrival)
             elif config.dvs.policy == "edvs":
                 self.governor = EdvsGovernor(
                     self.sim,
@@ -199,7 +207,6 @@ class SimulationRun:
                     self.chip.traffic_monitor,
                     overhead=self.overhead_meter,
                 )
-                self.chip.arrival_hooks.append(self.overhead_meter.on_packet_arrival)
             else:  # pragma: no cover - config validation rejects others
                 raise ConfigError(f"unhandled policy {config.dvs.policy!r}")
 
@@ -294,11 +301,6 @@ class SimulationRun:
         self.sim.run(until_ps=stop_ps)
 
         totals = self.chip.totals()
-        overhead_w = (
-            self.overhead_meter.mean_overhead_w(totals.duration_s)
-            if self.overhead_meter is not None
-            else 0.0
-        )
         aborted = self.abort_signal is not None and self.abort_signal.tripped
         return RunResult(
             config=self.config,
@@ -306,7 +308,7 @@ class SimulationRun:
             governor_policy=self.config.dvs.policy,
             governor_transitions=self.governor.transitions if self.governor else 0,
             governor_windows=self.governor.windows_evaluated if self.governor else 0,
-            dvs_overhead_w=overhead_w,
+            dvs_overhead_w=totals.power_breakdown_w["dvs_overhead"],
             aborted_early=aborted,
             abort_reason=self.abort_signal.reason if aborted else "",
         )

@@ -22,7 +22,6 @@ from repro.sim.stats import (
     Counter,
     IntervalAccumulator,
     RateWindow,
-    TimeWeightedValue,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "IntervalAccumulator",
     "RateWindow",
     "Simulator",
-    "TimeWeightedValue",
 ]

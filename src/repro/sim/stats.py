@@ -5,12 +5,10 @@ accounting rather than end-of-run totals:
 
 * :class:`Counter` — monotone event counts (packets forwarded, memory
   accesses issued) with the ability to snapshot deltas over a window;
-* :class:`TimeWeightedValue` — integral of a piecewise-constant signal
-  over time (e.g. "watts" integrating to joules, or a busy/idle flag
-  integrating to busy time);
 * :class:`IntervalAccumulator` — accumulates named durations (busy, idle,
-  stalled) and reports fractions of an observation window — the quantity
-  EDVS thresholds on;
+  stalled) in integer picoseconds and reports fractions of an
+  observation window — the quantity EDVS thresholds on, and the
+  residency the power accountant prices;
 * :class:`RateWindow` — volume accumulated in the current observation
   window — the quantity TDVS thresholds on.
 """
@@ -40,62 +38,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Counter {self.name}={self.value}>"
-
-
-class TimeWeightedValue:
-    """Integral of a piecewise-constant signal over simulation time.
-
-    ``set(v)`` changes the signal level at the current time; ``integral``
-    is the exact time integral so far.  Used for energy (signal = watts)
-    and utilization (signal = 0/1).
-    """
-
-    __slots__ = ("sim", "name", "_level", "_last_ps", "_integral")
-
-    def __init__(self, sim: Simulator, initial: float = 0.0, name: str = "signal"):
-        self.sim = sim
-        self.name = name
-        self._level = float(initial)
-        self._last_ps = sim.now_ps
-        self._integral = 0.0
-
-    @property
-    def level(self) -> float:
-        """Current signal level."""
-        return self._level
-
-    def set(self, value: float) -> None:
-        """Change the signal level, effective now."""
-        self._settle()
-        self._level = float(value)
-
-    def add(self, delta: float) -> None:
-        """Adjust the signal level by ``delta``, effective now."""
-        self.set(self._level + delta)
-
-    @property
-    def integral(self) -> float:
-        """Time integral of the signal in (level-unit × seconds)."""
-        self._settle()
-        return self._integral
-
-    def integral_at(self, now_ps: int) -> float:
-        """Settle to ``now_ps`` (the current sim time) and return the
-        integral — one call instead of a property plus a settle, for
-        readers that poll many signals per trace event."""
-        if now_ps > self._last_ps:
-            self._integral += self._level * (now_ps - self._last_ps) / 1e12
-            self._last_ps = now_ps
-        return self._integral
-
-    def _settle(self) -> None:
-        now = self.sim.now_ps
-        if now > self._last_ps:
-            self._integral += self._level * (now - self._last_ps) / 1e12
-            self._last_ps = now
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<TimeWeightedValue {self.name} level={self._level}>"
 
 
 class IntervalAccumulator:

@@ -4,7 +4,8 @@ Annotations are the per-event quantities of the paper's Figure 3.  The
 :class:`AnnotationProvider` gathers them from live model objects (the
 reference clock, the energy accountant, the packet counters) so that every
 emitted :class:`~repro.trace.events.TraceEvent` carries a consistent
-snapshot.
+snapshot.  Every source is a pure read: taking a snapshot changes no
+model state, so which events are observed never changes a run's numbers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ class AnnotationProvider:
         Fixed clock whose cycle count stamps the ``cycle`` annotation
         (NePSim's core cycle counter; 600 MHz in this model).
     energy_uj:
-        Zero-argument callable returning cumulative energy in microjoules.
+        Zero-argument callable returning cumulative energy in microjoules
+        (:meth:`repro.power.model.PowerAccountant.total_energy_uj`, an
+        exact integer read converted once).
     total_pkt:
         Zero-argument callable returning the packet counter.
     total_bit:
@@ -71,20 +74,6 @@ class AnnotationProvider:
             self._total_pkt(),
             self._total_bit(),
         )
-
-    def settle(self) -> None:
-        """Settle lazy accumulators at the current instant, record nothing.
-
-        The energy accountant integrates lazily: reading it chunks the
-        integral at the read instant, and float addition makes the
-        chunking grid part of the numeric identity of a run.  Observed
-        runs historically read energy at every trace-event occurrence,
-        so the bus settles at event occurrences whose names have no
-        subscriber (see :meth:`repro.trace.bus.TraceBus.emitter`) —
-        keeping results bit-identical no matter which subset of events
-        the attached monitors actually consume.
-        """
-        self._energy_uj()
 
     def make_event(self, name: str) -> TraceEvent:
         """Create a :class:`TraceEvent` named ``name`` stamped *now*."""

@@ -104,8 +104,8 @@ class TraceBus:
         self._channels: Dict[str, Dict[str, Any]] = {}
         #: Whether per-channel counters are live.  ``None`` defers to
         #: ``REPRO_OBS_COUNTERS`` (default on); the bench overhead lane
-        #: passes ``False`` explicitly.  Counting never changes the
-        #: annotation read grid — it only adds integer increments.
+        #: passes ``False`` explicitly.  Counting reads no annotation —
+        #: it only adds integer increments.
         self.counting = _counting_default() if counting is None else counting
 
     # ------------------------------------------------------------------
@@ -126,11 +126,11 @@ class TraceBus:
 
         ``sample=N`` subscribes at 1/N with a deterministic stride: the
         handler sees the channel's first event and every N-th after it.
-        Sampling **never** moves the annotation settle grid — the bus
-        still snapshots the row at every event occurrence of a
-        subscribed name; a sampled handler merely skips its dispatch —
-        so numeric results are identical at any stride.  Skipped
-        dispatches are accounted as shed in :meth:`channel_stats`.
+        The bus still snapshots the row at every event occurrence of a
+        subscribed name; a sampled handler merely skips its dispatch.
+        Reading the annotations changes nothing, so numeric results are
+        identical at any stride.  Skipped dispatches are accounted as
+        shed in :meth:`channel_stats`.
         Structured sinks (:meth:`attach_sink`) are never sampled.
         """
         self._require_open(name)
@@ -183,17 +183,20 @@ class TraceBus:
         """Bind and return the emitter for ``name`` (seals the bus).
 
         Returns :data:`NOOP_EMITTER` when nothing subscribes to the
-        name — publishing then materializes nothing at all.
+        name — publishing then materializes nothing at all.  On an
+        observed bus with counters on, a primary name nobody subscribes
+        gets an emitter that only counts ``published``: an interpreted
+        LOC monitor is a wildcard sink and sees the name, a compiled
+        one does not, and the channel counters must not tell the two
+        monitor modes apart.  No emitter reads the annotations unless
+        it dispatches a row.
 
         ``to_sinks=False`` binds a **named-only** channel: the event
         dispatches to the name's tuple handlers but never to wildcard
         sinks.  Auxiliary instrumentation (memory-queue events) uses
         this so that opting into a trace file does not change its
-        contents.  Note that *subscribing* a named-only channel reads
-        the annotations at instants primary events never settle, which
-        can shift the energy accountant's float rounding — the
-        bit-identity guarantee covers the primary (``to_sinks``)
-        events only.
+        contents.  Reading the annotations changes no result, so which
+        channels are subscribed never changes a run's numbers.
         """
         name = intern(name)
         key = name if to_sinks else f"{name}\x00named"
@@ -203,13 +206,8 @@ class TraceBus:
         entries = list(self._handlers.get(name, ()))
         sinks = list(self._sinks) if to_sinks else []
         if not entries and not sinks:
-            if to_sinks and self.has_any_subscriber():
-                # An *observed* run historically read the annotations at
-                # every primary event occurrence, and the energy
-                # accountant's lazy integration makes that read grid
-                # part of the run's float identity.  Keep it: settle at
-                # this name's occurrences without materializing records.
-                emit = self._settle_emitter(key, name)
+            if to_sinks and self.counting and self.has_any_subscriber():
+                emit = self._counting_emitter(key, name)
             else:
                 emit = NOOP_EMITTER
         else:
@@ -243,7 +241,7 @@ class TraceBus:
              "shed":      dispatches skipped by sampled subscriptions}
 
         Unobserved (no-op bound) channels never count — producers skip
-        them entirely, so there is nothing to account.  Settle-bound
+        them entirely, so there is nothing to account.  Count-only
         channels count published events with zero deliveries: that is
         the backpressure picture of a heavy channel nobody drains.
         """
@@ -261,15 +259,11 @@ class TraceBus:
             entry["shed"] += published * record["sampled"] - sampled_delivered
         return stats
 
-    def _settle_emitter(self, key: str, name: str) -> Emitter:
-        settle = self._annotations.settle
-        if not self.counting:
-            return settle
+    def _counting_emitter(self, key: str, name: str) -> Emitter:
         cell = self._register_channel(key, name, full=0, sampled=0, sinks=0)
 
         def emit() -> None:
             cell[0] += 1
-            settle()
 
         return emit
 

@@ -39,7 +39,7 @@ GOLDEN_CHECKED_JOB_ID = "336cec82d6b48e68"
 #: sha256 of the policy-map JSON that ``test_study_output_digest``
 #: renders: a 27-job TDVS+EDVS study over the whole scenario catalog.
 GOLDEN_STUDY_SHA256 = (
-    "ec7124b7390c204607eff191f7d0911e12a8099a2552479f8cf5745ea699a4ea"
+    "9f01a4605172613287baf04a2a33ef4b9313035aa4227d248a9273b581625722"
 )
 
 #: sha256 of one bench-profile study job's outcome record (ddos_min64,
@@ -47,13 +47,13 @@ GOLDEN_STUDY_SHA256 = (
 #: 27-job study above, this run has same-picosecond poll ties, so it
 #: pins the poll-band tie rule of :meth:`repro.sim.kernel.Simulator.post_poll`.
 GOLDEN_TIE_JOB_SHA256 = (
-    "64ab319984a35380f99fd4e3d47cb7b60fff9efd02e8e48f16b63a9f37a8da31"
+    "3fa0c3b43254da8f82ddfc6f2c130616e19b64cdfe675c2a8d55d13083182529"
 )
 
 #: md5 of the report ``repro study --scenario all --policy tdvs,edvs
 #: --json --quiet --out FILE`` writes: the full-catalog study at the
 #: quick profile, the number each md5-move commit message quotes.
-GOLDEN_CATALOG_STUDY_MD5 = "e98165c561fecaa0047501c8e4c5cfaa"
+GOLDEN_CATALOG_STUDY_MD5 = "299e9f449b030caf01e1a0f5a31aff9b"
 
 CHECK = "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1"
 

@@ -8,8 +8,8 @@ from repro.npu.memqueue import QueuedResource, build_memories
 from repro.sim.kernel import Simulator
 
 
-def make_resource(sim, access_ns=60.0, occupancy_ns=20.0, byte_ns=1.0, on_energy=None):
-    return QueuedResource(sim, "mem", access_ns, occupancy_ns, byte_ns, on_energy)
+def make_resource(sim, access_ns=60.0, occupancy_ns=20.0, byte_ns=1.0):
+    return QueuedResource(sim, "mem", access_ns, occupancy_ns, byte_ns)
 
 
 def test_single_request_latency():
@@ -68,15 +68,6 @@ def test_wait_statistics():
     assert resource.total_wait_ps == 84_000 + 168_000
     assert resource.max_wait_ps == 168_000
     assert resource.mean_wait_ns == pytest.approx(84.0)
-
-
-def test_energy_hook_called():
-    sim = Simulator()
-    charges = []
-    resource = make_resource(sim, on_energy=lambda name, n: charges.append((name, n)))
-    resource.request(32, lambda: None)
-    sim.run()
-    assert charges == [("mem", 32)]
 
 
 def test_utilization():

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.config import MemoryConfig, PowerConfig
-from repro.npu.memqueue import build_memories
+from repro.errors import ConfigError
+from repro.npu.memqueue import QueuedResource, build_memories
 from repro.npu.microengine import Microengine
-from repro.power.model import MePowerModel, PowerAccountant
+from repro.power.model import UNITS_PER_J, MePowerModel, PowerAccountant
 from repro.power.overhead import DvsOverheadMeter
 from repro.sim.clock import ClockDomain
 from repro.sim.kernel import Simulator
@@ -67,10 +68,12 @@ class TestPowerAccountant:
         sim = Simulator()
         config = PowerConfig(sdram_access_nj=5.0, sdram_byte_nj=0.1, base_w=0.0)
         accountant = PowerAccountant(sim, config, MePowerModel(config, mhz(600), 1.3))
-        accountant.on_memory_energy("sdram", 100)
+        _, sdram, _, _ = build_memories(sim, MemoryConfig())
+        accountant.attach_memory(sdram)
+        sdram.request(100)
         # 5 nJ + 100 * 0.1 nJ = 15 nJ
         assert accountant.total_energy_j() == pytest.approx(15e-9)
-        assert accountant.memory_energy_j["sdram"] == pytest.approx(15e-9)
+        assert accountant.component_units()["sdram"] == 15 * UNITS_PER_J // 10**9
 
     def test_total_energy_uj(self):
         sim = Simulator()
@@ -85,12 +88,47 @@ class TestPowerAccountant:
         accountant = PowerAccountant(sim, config, MePowerModel(config, mhz(600), 1.3))
         me = make_idle_me(sim)
         accountant.attach_me(me)
-        accountant.on_memory_energy("sram", 4)
+        sram = me.memories["sram"]
+        accountant.attach_memory(sram)
+        sram.request(4)
         sim.run(until_ps=1_000_000)
         breakdown = accountant.breakdown_w()
         assert "me0" in breakdown
-        assert "sram" in breakdown
+        assert breakdown["sram"] > 0
         assert "base" in breakdown
+
+    def test_breakdown_keys_fixed_with_zeros(self):
+        # Memory keys exist before any access, in a fixed order, even
+        # for a target nobody attached (here: all but ixbus).
+        sim = Simulator()
+        config = PowerConfig()
+        accountant = PowerAccountant(sim, config, MePowerModel(config, mhz(600), 1.3))
+        for index in (1, 0):
+            clock = ClockDomain(sim, mhz(600), f"me{index}")
+            accountant.attach_me(
+                Microengine(sim, clock, index, "rx", ListSource([]), lambda p: iter(()), {})
+            )
+        *_, ixbus = build_memories(sim, MemoryConfig())
+        accountant.attach_memory(ixbus)
+        assert list(accountant.breakdown_w()) == [
+            "me0", "me1", "sram", "sdram", "scratch", "ixbus", "base", "dvs_overhead"
+        ]
+        assert set(accountant.breakdown_w().values()) == {0.0}
+        sim.run(until_ps=1_000_000)
+        breakdown = accountant.breakdown_w()
+        assert list(breakdown) == list(accountant.component_units())
+        assert breakdown["ixbus"] == breakdown["sram"] == breakdown["dvs_overhead"] == 0.0
+
+    def test_unknown_memory_target_rejected(self):
+        sim = Simulator()
+        config = PowerConfig()
+        accountant = PowerAccountant(sim, config, MePowerModel(config, mhz(600), 1.3))
+        with pytest.raises(ConfigError, match="no energy prices"):
+            accountant.attach_memory(QueuedResource(sim, "dram", 60.0, 20.0, 1.0))
+        sram, *_ = build_memories(sim, MemoryConfig())
+        accountant.attach_memory(sram)
+        with pytest.raises(ConfigError, match="already attached"):
+            accountant.attach_memory(sram)
 
 
 class TestDvsOverheadMeter:
@@ -100,9 +138,9 @@ class TestDvsOverheadMeter:
             tdvs_adder_nj_per_packet=0.5, edvs_counter_nj_per_window=2.0
         )
         accountant = PowerAccountant(sim, config, MePowerModel(config, mhz(600), 1.3))
-        meter = DvsOverheadMeter(accountant, config)
-        for _ in range(10):
-            meter.on_packet_arrival()
+        arrivals = [0]
+        meter = DvsOverheadMeter(accountant, config, arrivals=lambda: arrivals[0])
+        arrivals[0] = 10
         meter.on_window_evaluation()
         assert meter.packet_charges == 10
         assert meter.window_charges == 1

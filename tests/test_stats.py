@@ -8,7 +8,6 @@ from repro.sim.stats import (
     Counter,
     IntervalAccumulator,
     RateWindow,
-    TimeWeightedValue,
 )
 
 
@@ -23,37 +22,6 @@ class TestCounter:
         counter = Counter("c")
         with pytest.raises(SimulationError):
             counter.add(-1)
-
-
-class TestTimeWeightedValue:
-    def test_integral_of_constant(self):
-        sim = Simulator()
-        signal = TimeWeightedValue(sim, initial=2.0)
-        sim.run(until_ps=1_000_000)  # 1 us
-        assert signal.integral == pytest.approx(2.0 * 1e-6)
-
-    def test_integral_across_level_changes(self):
-        sim = Simulator()
-        signal = TimeWeightedValue(sim, initial=1.0)
-        sim.run(until_ps=1_000_000)
-        signal.set(3.0)
-        sim.run(until_ps=2_000_000)
-        # 1 us at 1.0 + 1 us at 3.0 = 4.0 us-units
-        assert signal.integral == pytest.approx(4.0e-6)
-
-    def test_add_adjusts_level(self):
-        sim = Simulator()
-        signal = TimeWeightedValue(sim, initial=1.0)
-        signal.add(0.5)
-        assert signal.level == 1.5
-
-    def test_integral_is_idempotent_readout(self):
-        sim = Simulator()
-        signal = TimeWeightedValue(sim, initial=1.0)
-        sim.run(until_ps=500)
-        first = signal.integral
-        second = signal.integral
-        assert first == second
 
 
 class TestIntervalAccumulator:

@@ -2,8 +2,8 @@
 
 Covers the pub/sub contract (tuple handlers, wildcard sinks, dispatch
 order, interning), the no-op emitter optimization the chip relies on,
-the seal semantics (subscribe-before-start), the settle probe that
-keeps observed runs bit-identical, and the end-to-end chip wiring
+the seal semantics (subscribe-before-start), the count-only emitter of
+unsubscribed primary names on an observed bus, and the end-to-end chip wiring
 (ports publish ``fifo``, chip publishes ``forward``, MEs publish
 ``m<k>_pipeline``, memqueues publish named-only ``mem_*`` channels).
 """
@@ -24,14 +24,10 @@ class _StubAnnotations:
 
     def __init__(self):
         self.snapshots = 0
-        self.settles = 0
 
     def snapshot(self):
         self.snapshots += 1
         return (self.snapshots, float(self.snapshots), 0.0, 1, 64)
-
-    def settle(self):
-        self.settles += 1
 
 
 def quick_config(**overrides) -> RunConfig:
@@ -111,17 +107,21 @@ class TestTraceBus:
         with pytest.raises(TraceError):
             bus.attach_sink(object())
 
-    def test_settle_probe_for_unsubscribed_names_on_observed_bus(self):
+    def test_unsubscribed_primary_name_on_observed_bus_only_counts(self):
         annotations = _StubAnnotations()
-        bus = TraceBus(annotations)
+        bus = TraceBus(annotations, counting=True)
         bus.subscribe("forward", lambda row: None)
         fifo = bus.emitter("fifo")
         assert fifo is not NOOP_EMITTER
         fifo()
-        # The probe settles the lazy accumulators but records nothing.
-        assert annotations.settles == 1
+        # The emitter counts the event and reads no annotation.
         assert annotations.snapshots == 0
         assert bus.events_published == 0
+        assert bus.channel_stats()["fifo"]["published"] == 1
+        # With counters off there is nothing to do: the shared no-op.
+        quiet = TraceBus(_StubAnnotations(), counting=False)
+        quiet.subscribe("forward", lambda row: None)
+        assert quiet.emitter("fifo") is NOOP_EMITTER
 
     def test_named_only_channel_skips_sinks_and_probe(self):
         annotations = _StubAnnotations()
@@ -196,18 +196,18 @@ class TestSampling:
         assert annotations.snapshots == 6
         assert [row[0] for row in sampled] == [1, 3, 5]
 
-    def test_sampling_does_not_change_settle_points(self):
-        # Settle probes for unsubscribed primary names fire exactly as
-        # they do with an unsampled subscriber: the annotation read
-        # grid is part of the run's float identity.
+    def test_sampled_bus_counts_unsubscribed_primary_names_only(self):
+        # A sampled subscription observes the bus like a full one: an
+        # unsubscribed primary name counts every event and reads no
+        # annotation.
         annotations = _StubAnnotations()
-        bus = TraceBus(annotations)
+        bus = TraceBus(annotations, counting=True)
         bus.subscribe("forward", lambda row: None, sample=100)
         fifo = bus.emitter("fifo")
         assert fifo is not NOOP_EMITTER
         for _ in range(5):
             fifo()
-        assert annotations.settles == 5
+        assert bus.channel_stats()["fifo"]["published"] == 5
         assert annotations.snapshots == 0
 
     def test_sampled_and_full_handlers_coexist(self):
