@@ -53,9 +53,6 @@ UNITS_PER_J = 10**27
 _UNITS_PER_UJ = 10**21
 _UNITS_PER_NJ = 10**18
 
-#: Memory targets and the IX bus, in report order.
-MEMORY_TARGETS = ("sram", "sdram", "scratch", "ixbus")
-
 
 def quantize_w(watts: float) -> int:
     """``watts`` in integer femtowatts."""
@@ -93,40 +90,40 @@ class MePowerModel:
 
 
 class _MeEnergy:
-    """One microengine's energy: closed V/F intervals plus the open one."""
+    """One microengine's energy: closed V/F intervals plus the open one.
 
-    __slots__ = ("me", "model", "closed", "busy_ps", "other_ps", "busy_fw", "idle_fw")
+    The accumulator charges every picosecond to exactly one state, so
+    the open interval's non-busy (idle or stalled) time is its length
+    minus its busy time.
+    """
+
+    __slots__ = ("me", "states", "sim", "model", "closed", "open_ps", "busy_ps", "busy_fw", "idle_fw")
 
     def __init__(self, me: Microengine, model: MePowerModel):
         self.me = me
+        self.states = me.states
+        self.sim = me.sim
         self.model = model
         #: Units of the V/F intervals closed so far.
         self.closed = 0
-        #: Residency when the open interval began.
-        self.busy_ps, self.other_ps = self._residency()
+        #: Start of the open interval, and the busy residency then.
+        self.open_ps = me.sim.now_ps
+        self.busy_ps = self.states.total_ps(BUSY)
         #: Prices of the open interval's V/F point.
         self.busy_fw, self.idle_fw = model.point_fw(me.clock.freq_hz, me.vdd)
 
-    def _residency(self) -> Tuple[int, int]:
-        """Picoseconds charged so far to BUSY and to every other state."""
-        totals = self.me.states.totals_ps()
-        busy = totals.get(BUSY, 0)
-        return busy, sum(totals.values()) - busy
-
     def units(self) -> int:
         """Energy so far, the open interval included; changes nothing."""
-        busy, other = self._residency()
-        return (
-            self.closed
-            + (busy - self.busy_ps) * self.busy_fw
-            + (other - self.other_ps) * self.idle_fw
-        )
+        busy = self.states.total_ps(BUSY) - self.busy_ps
+        other = self.sim.now_ps - self.open_ps - busy
+        return self.closed + busy * self.busy_fw + other * self.idle_fw
 
     def close(self) -> None:
         """``on_vf_change`` hook: close the open interval at the old
         point, then price the next one at the engine's new point."""
         self.closed = self.units()
-        self.busy_ps, self.other_ps = self._residency()
+        self.open_ps = self.sim.now_ps
+        self.busy_ps = self.states.total_ps(BUSY)
         me = self.me
         self.busy_fw, self.idle_fw = self.model.point_fw(me.clock.freq_hz, me.vdd)
 
@@ -134,9 +131,10 @@ class _MeEnergy:
 class PowerAccountant:
     """Aggregates all chip energy; source of the ``energy`` annotation.
 
-    Components, in report order: each attached ME (``me<k>``), each
-    memory target of :data:`MEMORY_TARGETS` (zero when none is
-    attached), the constant base power and the DVS-monitor overhead.
+    Components, in report order: each attached ME (``me<k>``), the
+    memory targets ``sram``, ``sdram``, ``scratch`` and ``ixbus`` (zero
+    when none is attached), the constant base power and the DVS-monitor
+    overhead.
     """
 
     def __init__(
@@ -151,7 +149,8 @@ class PowerAccountant:
         self._start_ps = sim.now_ps
         self._base_fw = quantize_w(config.base_w)
         self._mes: Dict[int, _MeEnergy] = {}
-        #: Per-target ``(access, per-byte)`` energies, in units.
+        #: Per-target ``(access, per-byte)`` energies, in units, in
+        #: report order.
         self._memory_prices = {
             "sram": (quantize_nj(config.sram_access_nj), quantize_nj(config.sram_byte_nj)),
             "sdram": (quantize_nj(config.sdram_access_nj), quantize_nj(config.sdram_byte_nj)),
@@ -181,7 +180,7 @@ class PowerAccountant:
         if prices is None:
             raise ConfigError(
                 f"no energy prices for memory target {resource.name!r} "
-                f"(known: {', '.join(MEMORY_TARGETS)})"
+                f"(known: {', '.join(self._memory_prices)})"
             )
         if resource.name in self._memories:
             raise ConfigError(f"memory target {resource.name!r} is already attached")
@@ -214,7 +213,7 @@ class PowerAccountant:
     def component_units(self) -> Dict[str, int]:
         """Cumulative energy per component in units, in report order."""
         out = {f"me{index}": self._mes[index].units() for index in sorted(self._mes)}
-        for name in MEMORY_TARGETS:
+        for name in self._memory_prices:
             entry = self._memories.get(name)
             if entry is None:
                 out[name] = 0

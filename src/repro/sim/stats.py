@@ -83,6 +83,18 @@ class IntervalAccumulator:
         self._settle()
         return dict(self._totals)
 
+    def total_ps(self, state: str) -> int:
+        """Picoseconds charged to ``state`` since creation, up to now.
+
+        A pure read: unlike :meth:`totals_ps` it settles nothing, so a
+        reader (the power accountant, once per annotated trace event)
+        leaves the accumulator exactly as it found it.
+        """
+        total = self._totals.get(state, 0)
+        if state == self.state:
+            total += self.sim.now_ps - self._since_ps
+        return total
+
     def window_ps(self) -> Dict[str, int]:
         """Picoseconds charged to each state in the current window."""
         self._settle()

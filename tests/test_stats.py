@@ -35,6 +35,16 @@ class TestIntervalAccumulator:
         assert totals["busy"] == 1000
         assert totals["idle"] == 2000
 
+    def test_total_ps_includes_the_open_interval(self):
+        sim = Simulator()
+        acc = IntervalAccumulator(sim, "busy")
+        sim.run(until_ps=1000)
+        acc.set_state("idle")
+        sim.run(until_ps=3000)
+        # Read before any settle: the open idle interval counts.
+        assert [acc.total_ps(s) for s in ("busy", "idle", "stalled")] == [1000, 2000, 0]
+        assert acc.totals_ps() == {"busy": 1000, "idle": 2000}
+
     def test_same_state_transition_is_noop(self):
         sim = Simulator()
         acc = IntervalAccumulator(sim, "busy")
