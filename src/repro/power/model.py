@@ -144,7 +144,6 @@ class PowerAccountant:
         me_model: MePowerModel,
     ):
         self.sim = sim
-        self.config = config
         self.me_model = me_model
         self._start_ps = sim.now_ps
         self._base_fw = quantize_w(config.base_w)

@@ -33,7 +33,6 @@ class DvsOverheadMeter:
         config: PowerConfig,
         arrivals: Optional[Callable[[], int]] = None,
     ):
-        self.config = config
         self._arrivals = arrivals
         self._adder_units = quantize_nj(config.tdvs_adder_nj_per_packet)
         self._counter_units = quantize_nj(config.edvs_counter_nj_per_window)
