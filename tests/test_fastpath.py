@@ -17,7 +17,9 @@ They run on a kernel that fails loudly on a second poll-band entry for
 one (picosecond, rank) key.  The chip-level oracles run catalog configs
 twice: parked, and eager (a no-op ``on_instructions`` observer on every
 engine keeps it from parking); and memoized, and with memos that never
-store (every packet's stream built afresh).
+store (every packet's stream built afresh).  A last wall pins the
+kernel events and effort counters of three bench-length configs, so a
+change meant only to make events cheaper cannot move the event graph.
 """
 
 import dataclasses
@@ -586,6 +588,64 @@ class TestChipParkedMatchesEager:
     @pytest.mark.parametrize("scenario", list_scenarios())
     def test_full_grid(self, scenario, policy, app):
         assert_chip_parked_matches_eager(_config(scenario, policy, app, 400_000))
+
+
+class TestEventGraphFrozen:
+    """Pinned effort counts for three bench-length configs.
+
+    A change that only makes events cheaper leaves every count equal; a
+    deliberate change to the event graph updates them in its own commit.
+    The configs cover an engine that parks (``overnight_trough``), a
+    generator stream on the busy path under the study's monitors (nat
+    receive on ``saturation_stress``) and stalls and V/F changes that
+    land mid-compute (``bursty_onoff``).
+    """
+
+    @pytest.mark.parametrize(
+        "scenario, app, policy, monitored, expected",
+        [
+            (
+                "overnight_trough", "ipfwdr", "tdvs", False,
+                {
+                    "events": 1_666, "polls": 64_438,
+                    "instructions": 1_586_262, "stale_polls": 0,
+                    "requests": {"sram": 70, "sdram": 336, "scratch": 56, "ixbus": 29},
+                },
+            ),
+            (
+                "saturation_stress", "nat", "edvs", True,
+                {
+                    "events": 12_220, "polls": 55_228,
+                    "instructions": 2_399_864, "stale_polls": 23,
+                    "requests": {"sram": 645, "sdram": 0, "scratch": 897, "ixbus": 465},
+                },
+            ),
+            (
+                "bursty_onoff", "ipfwdr", "tdvs", False,
+                {
+                    "events": 14_071, "polls": 24_737,
+                    "instructions": 1_083_633, "stale_polls": 12,
+                    "requests": {"sram": 839, "sdram": 4_187, "scratch": 682, "ixbus": 437},
+                },
+            ),
+        ],
+    )
+    def test_effort_counts(self, scenario, app, policy, monitored, expected):
+        monitors = _study_monitors(scenario) if monitored else []
+        run = SimulationRun(_config(scenario, policy, app, 400_000), monitors=monitors)
+        run.run()
+        chip = run.chip
+        controllers = (
+            ("sram", chip.sram), ("sdram", chip.sdram),
+            ("scratch", chip.scratch), ("ixbus", chip.ixbus),
+        )
+        assert {
+            "events": run.sim.events_executed,
+            "polls": sum(me.polls for me in chip.mes),
+            "instructions": sum(me.instructions_executed for me in chip.mes),
+            "stale_polls": sum(me.stale_polls for me in chip.mes),
+            "requests": {name: memory.requests for name, memory in controllers},
+        } == expected
 
 
 class TestChipMemoizedMatchesFresh:
