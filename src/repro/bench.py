@@ -735,7 +735,7 @@ def _render_profile_table(stats: pstats.Stats, top_n: int) -> str:
     Same columns as ``pstats.print_stats`` but rendered here so frame
     names pass through :func:`_readable_name` — table-dispatched steps
     appear as the bound methods they are
-    (``microengine.py:...(Microengine._compute_done)``), and compiled
+    (``microengine.py:...(Microengine._mem_done)``), and compiled
     monitor feeds lose the ``<locals>`` hop.
     """
     total_calls = 0

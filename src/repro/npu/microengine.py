@@ -34,7 +34,15 @@ observer attached never parks.
 
 The runtime executes application *step streams* (:mod:`repro.npu.steps`);
 both the fast per-packet models and the detailed microcode interpreter
-produce the same vocabulary, so they share this engine.
+produce the same vocabulary, so they share this engine.  One step
+interpreter, :meth:`Microengine._continue`, runs a thread's zero-time
+steps inline and stops at the first step that takes time.  A compute
+posts ``_continue`` itself as its completion, so the thread resumes
+there.  A blocking reference posts its response (``_mem_done``) and
+then the context switch (``_dispatch``), in that order: the order fixes
+their sequence numbers.  A compute's delay comes from the clock's
+per-frequency memo (:attr:`ClockDomain.delay_memo`), and the completion
+callbacks are bound once, so a post allocates no bound method.
 """
 
 from __future__ import annotations
@@ -193,6 +201,15 @@ class Microengine:
         self._post = sim.post
         self._post_poll = sim.post_poll
         self._delay_for_cycles = clock.delay_for_cycles
+        # The clock's per-frequency delay memo: one dict for the clock's
+        # life, cleared in place on a frequency change, so a compute
+        # looks its delay up here and converts only on a miss.
+        self._delay_memo = clock.delay_memo
+        # Completion callbacks, bound once: a post hands the kernel the
+        # same bound method every time instead of allocating one.
+        self._continue_cb = self._continue
+        self._mem_done_cb = self._mem_done
+        self._dispatch_cb = self._dispatch
         self.poll_instructions = poll_instructions
         self.poll_counts_as_idle = poll_counts_as_idle
         self.ctx_switch_cycles = ctx_switch_cycles
@@ -341,7 +358,23 @@ class Microengine:
         self._continue(thread)
 
     def _continue(self, thread: _HwThread) -> None:
-        """Run ``thread`` until it schedules a timed action or blocks."""
+        """Run ``thread``'s steps until one takes simulated time.
+
+        The engine's step interpreter, and the completion callback of
+        every compute: a compute posts ``_continue`` itself, so the
+        thread's next step runs on re-entry.  A blocking memory
+        reference hands the engine to the next ready thread; posted
+        transfers, puts and drops take no time and run inline.
+        """
+        if self._stalled:
+            # Only a compute completion gets here stalled (_dispatch and
+            # _poll_done return first): the penalty began mid-compute,
+            # so the thread goes to the front of the ready queue and
+            # resumes first after the stall.
+            self._current = None
+            self._ready.appendleft(thread)
+            self.states.set_state(STALLED)
+            return
         while True:
             step_iter = thread.step_iter
             if step_iter is None:
@@ -354,14 +387,46 @@ class Microengine:
                 continue
             op = step.op
             if op == OP_COMPUTE:
-                self._run_compute(thread, step.instructions)
+                self._zero_time_ops = 0
+                instructions = step.instructions
+                self.instructions_executed += instructions
+                if self.pipeline_emitter is not None:
+                    self.pipeline_emitter()
+                if self.on_instructions is not None:
+                    self.on_instructions(self.index, instructions)
+                delay = self._delay_memo.get(instructions)
+                if delay is None:
+                    delay = self._delay_for_cycles(instructions)
+                self._post(delay, self._continue_cb, thread)
                 return
             if op == OP_MEM_BLOCKING:
-                self._issue_memory(thread, step)
+                self._zero_time_ops = 0
+                try:
+                    resource = self.memories[step.target]
+                except KeyError:
+                    raise self._no_controller(step.target) from None
+                self.mem_accesses += 1
+                # The response is posted before the context switch: the
+                # two posts' order fixes their sequence numbers.
+                resource.request(step.nbytes, self._mem_done_cb, thread)
+                self._current = None
+                # A context switch burns engine cycles only when there is
+                # a ready thread to switch to; with every other thread
+                # blocked the engine goes idle (or stalled) as of the
+                # issue itself.
+                if self.ctx_switch_cycles > 0 and self._ready:
+                    self._post(self._ctx_delay_ps, self._dispatch_cb)
+                else:
+                    self._dispatch()
                 return
             if op == OP_MEM_POST:
                 self._count_zero_time()
-                self._post_memory(step)
+                try:
+                    resource = self.memories[step.target]
+                except KeyError:
+                    raise self._no_controller(step.target) from None
+                self.mem_accesses += 1
+                resource.request(step.nbytes)
                 continue
             if op == OP_PUT_TX:
                 self._count_zero_time()
@@ -405,46 +470,6 @@ class Microengine:
             self.states.set_state(IDLE)
         self._await_poll(thread, self.sim.now_ps + self._poll_delay_ps)
 
-    def _run_compute(self, thread: _HwThread, instructions: int) -> None:
-        self._zero_time_ops = 0
-        self.instructions_executed += instructions
-        if self.pipeline_emitter is not None:
-            self.pipeline_emitter()
-        if self.on_instructions is not None:
-            self.on_instructions(self.index, instructions)
-        self._post(
-            self._delay_for_cycles(instructions), self._compute_done, thread
-        )
-
-    def _post_memory(self, step) -> None:
-        try:
-            resource = self.memories[step.target]
-        except KeyError:
-            raise NpuError(
-                f"ME{self.index}: no {step.target!r} controller attached"
-            ) from None
-        self.mem_accesses += 1
-        resource.request(step.nbytes)
-
-    def _issue_memory(self, thread: _HwThread, step) -> None:
-        self._zero_time_ops = 0
-        try:
-            resource = self.memories[step.target]
-        except KeyError:
-            raise NpuError(
-                f"ME{self.index}: no {step.target!r} controller attached"
-            ) from None
-        self.mem_accesses += 1
-        resource.request(step.nbytes, self._mem_done, thread)
-        self._current = None
-        # A context switch burns engine cycles only when there is a
-        # ready thread to switch to; with every other thread blocked the
-        # engine goes idle (or stalled) as of the issue itself.
-        if self.ctx_switch_cycles > 0 and self._ready:
-            self._post(self._ctx_delay_ps, self._dispatch)
-        else:
-            self._dispatch()
-
     # -- timed-action completions ------------------------------------------
     def _poll_done(self, thread: _HwThread) -> None:
         """Poll delay elapsed: rotate to the next ready thread.
@@ -485,16 +510,6 @@ class Microengine:
             self._bind_packet(nxt, packet)
         self._continue(nxt)
 
-    def _compute_done(self, thread: _HwThread) -> None:
-        if self._stalled:
-            # The penalty began mid-compute: requeue the thread at the
-            # front so it resumes first after the stall.
-            self._current = None
-            self._ready.appendleft(thread)
-            self.states.set_state(STALLED)
-            return
-        self._continue(thread)
-
     def _mem_done(self, thread: _HwThread) -> None:
         if self._parked:
             # Stay parked: the responder queues behind the pollers, and
@@ -513,8 +528,8 @@ class Microengine:
             self._dispatch()
         elif self._stalled and self._current is None:
             # Mark the freeze only when nothing is executing: a compute
-            # in flight keeps the engine BUSY until it completes (the
-            # thread is requeued in _compute_done).
+            # in flight keeps the engine BUSY until it completes (its
+            # completion requeues the thread, in _continue).
             self.states.set_state(STALLED)
 
     def _finish_packet(self, thread: _HwThread) -> None:
@@ -645,6 +660,9 @@ class Microengine:
     # ------------------------------------------------------------------
     # Accounting helpers
     # ------------------------------------------------------------------
+    def _no_controller(self, target: str) -> NpuError:
+        return NpuError(f"ME{self.index}: no {target!r} controller attached")
+
     def _count_zero_time(self) -> None:
         self._zero_time_ops += 1
         if self._zero_time_ops > _ZERO_TIME_LIMIT:

@@ -57,9 +57,9 @@ class ClockDomain:
         self._freq_changes = 0
         # Current-segment caches, invalidated by set_frequency: the
         # frequency itself (saves the list indexing on every conversion)
-        # and the exact delay_for_cycles result per cycle count.  The
-        # cache stores the *rounded* value, so a hit reproduces the
-        # uncached arithmetic bit for bit.
+        # and the exact delay_for_cycles result per cycle count (see
+        # :attr:`delay_memo`).  The cache stores the *rounded* value, so
+        # a hit reproduces the uncached arithmetic bit for bit.
         self._freq_hz = float(freq_hz)
         self._delay_cache: Dict[float, int] = {}
         #: Called (no arguments) after every applied frequency change;
@@ -126,6 +126,19 @@ class ClockDomain:
     def cycles_now(self) -> float:
         """Cycles elapsed up to the current simulation time."""
         return self.cycles_at(self.sim.now_ps)
+
+    @property
+    def delay_memo(self) -> Dict[float, int]:
+        """The ``cycles -> picoseconds`` memo behind :meth:`delay_for_cycles`.
+
+        It holds the current frequency's conversions only.  The dict
+        keeps one identity for the clock's life and :meth:`set_frequency`
+        clears it in place, so a hot caller may bind it once, look a
+        cycle count up itself and call :meth:`delay_for_cycles` only on
+        a miss: a hit is the value that call would return.  Callers only
+        read it; :meth:`delay_for_cycles` writes every entry.
+        """
+        return self._delay_cache
 
     def delay_for_cycles(self, cycles: float) -> int:
         """Picoseconds spanned by ``cycles`` cycles at the *current* rate."""

@@ -27,7 +27,7 @@ one process (the experiment sweeps rely on this).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
@@ -129,14 +129,12 @@ class Simulator:
         invariant.
         """
         self._seq += 1
-        heapq.heappush(
-            self._queue, (self.now_ps + delay_ps, self._seq, callback, args)
-        )
+        heappush(self._queue, (self.now_ps + delay_ps, self._seq, callback, args))
 
     def post_at(self, time_ps: int, callback: EventCallback, *args: Any) -> None:
         """Absolute-time :meth:`post`; ``time_ps`` must not be in the past."""
         self._seq += 1
-        heapq.heappush(self._queue, (time_ps, self._seq, callback, args))
+        heappush(self._queue, (time_ps, self._seq, callback, args))
 
     def post_poll(
         self, time_ps: int, rank: int, callback: EventCallback, *args: Any
@@ -154,7 +152,7 @@ class Simulator:
         Delivery records how far the band has got (:meth:`poll_passed`);
         ordinary events pay nothing for it.
         """
-        heapq.heappush(
+        heappush(
             self._queue,
             (time_ps, _POLL_BAND + rank, self._deliver_poll, (rank, callback, args)),
         )
@@ -188,22 +186,24 @@ class Simulator:
         self._running = True
         self._stopped = False
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         deadline = _NO_DEADLINE if until_ps is None else until_ps
         # The executed-event count accumulates in a local and lands on
         # the instance in one store: nothing reads it mid-run (the
         # property is a post-run statistic), and the loop body is the
-        # per-event cost floor for the whole simulator.
+        # per-event cost floor for the whole simulator.  Each entry is
+        # popped and unpacked once; the one entry past the deadline goes
+        # back, and since keys are unique the pop order is unchanged.
         executed = 0
         try:
             while queue and not self._stopped:
-                entry = queue[0]
-                if entry[0] > deadline:
+                time_ps, seq, callback, args = pop(queue)
+                if time_ps > deadline:
+                    heappush(queue, (time_ps, seq, callback, args))
                     break
-                pop(queue)
-                self.now_ps = entry[0]
+                self.now_ps = time_ps
                 executed += 1
-                entry[2](*entry[3])
+                callback(*args)
             if until_ps is not None and not self._stopped and until_ps > self.now_ps:
                 self.now_ps = until_ps
         finally:
@@ -218,10 +218,10 @@ class Simulator:
         """Execute exactly one pending event; return ``False`` if none."""
         if not self._queue:
             return False
-        entry = heapq.heappop(self._queue)
-        self.now_ps = entry[0]
+        time_ps, _, callback, args = heappop(self._queue)
+        self.now_ps = time_ps
         self._events_executed += 1
-        entry[2](*entry[3])
+        callback(*args)
         return True
 
     def stop(self) -> None:

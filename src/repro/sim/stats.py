@@ -47,6 +47,10 @@ class IntervalAccumulator:
     time to whichever state is active.  :meth:`window_fractions` reports
     the share of each state since the last :meth:`reset_window` — exactly
     the "idle time as a percentage of an observed period" that EDVS uses.
+
+    One dict holds the totals since creation.  The window is those
+    totals minus a snapshot taken at :meth:`reset_window`, so a state
+    change updates one dict.
     """
 
     def __init__(self, sim: Simulator, initial_state: str, name: str = "states"):
@@ -60,14 +64,20 @@ class IntervalAccumulator:
         self.state = initial_state
         self._since_ps = sim.now_ps
         self._totals: Dict[str, int] = {}
-        self._window: Dict[str, int] = {}
+        self._window_base: Dict[str, int] = {}
         self._window_start_ps = sim.now_ps
 
     def set_state(self, state: str) -> None:
         """Switch to ``state``, charging elapsed time to the previous one."""
         if state == self.state:
             return
-        self._settle()
+        now = self.sim.now_ps
+        elapsed = now - self._since_ps
+        if elapsed > 0:
+            totals = self._totals
+            previous = self.state
+            totals[previous] = totals.get(previous, 0) + elapsed
+            self._since_ps = now
         self.state = state
 
     def _settle(self) -> None:
@@ -75,7 +85,6 @@ class IntervalAccumulator:
         elapsed = now - self._since_ps
         if elapsed > 0:
             self._totals[self.state] = self._totals.get(self.state, 0) + elapsed
-            self._window[self.state] = self._window.get(self.state, 0) + elapsed
             self._since_ps = now
 
     def totals_ps(self) -> Dict[str, int]:
@@ -96,25 +105,33 @@ class IntervalAccumulator:
         return total
 
     def window_ps(self) -> Dict[str, int]:
-        """Picoseconds charged to each state in the current window."""
+        """Picoseconds charged to each state in the current window.
+
+        Only states charged in the window appear.
+        """
         self._settle()
-        return dict(self._window)
+        base = self._window_base
+        window = {}
+        for state, total in self._totals.items():
+            ps = total - base.get(state, 0)
+            if ps > 0:
+                window[state] = ps
+        return window
 
     def window_fractions(self) -> Dict[str, float]:
         """Fraction of the current window spent in each state.
 
         Returns an empty dict for a zero-length window.
         """
-        self._settle()
         span = self.sim.now_ps - self._window_start_ps
         if span <= 0:
             return {}
-        return {state: ps / span for state, ps in self._window.items()}
+        return {state: ps / span for state, ps in self.window_ps().items()}
 
     def reset_window(self) -> None:
         """Start a new observation window at the current time."""
         self._settle()
-        self._window = {}
+        self._window_base = dict(self._totals)
         self._window_start_ps = self.sim.now_ps
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
