@@ -14,6 +14,7 @@ them (``url`` scanning, ``md4`` hashing in detailed mode).
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -154,8 +155,6 @@ class FlowPool:
 
     def draw(self) -> int:
         """Draw a flow index according to the popularity distribution."""
-        from bisect import bisect_left
-
         return bisect_left(self._cdf, self._rng.random())
 
     def endpoints(self, flow_id: int) -> Tuple[int, int, int, int, int]:
