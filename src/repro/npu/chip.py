@@ -93,7 +93,13 @@ class RunTotals:
 
     @property
     def loss_fraction(self) -> float:
-        """Packets lost (any reason) over packets offered."""
+        """Packets offered but not forwarded, over packets offered.
+
+        That counts drops of any reason and also the backlog: packets
+        still queued at cutoff count as lost, until a packet ledger
+        splits drops from backlog (ROADMAP.md, item 1).  At the short
+        ``bench`` profile the backlog can be most of the loss.
+        """
         if self.offered_packets == 0:
             return 0.0
         lost = self.offered_packets - self.forwarded_packets
