@@ -28,9 +28,8 @@ it streams — the assertion-based-methodology move of checking verdicts
     One span record landed in the session's process-wide
     :class:`~repro.obs.spans.SpanRecorder` (wall-clock orchestration
     spans and absorbed sim-time job spans alike).  Registered as a
-    recorder listener for the duration of each streamed sweep; never
-    fires when ``REPRO_OBS_SPANS=off``.  May fire from a non-main
-    thread (distributed grants and completions).
+    recorder listener for the duration of each streamed sweep.  May
+    fire from a non-main thread (distributed grants and completions).
 
 Hooks must not raise: an exception escapes into (and aborts) the sweep,
 by design — a monitoring bug should be loud, not silent.

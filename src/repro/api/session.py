@@ -299,9 +299,8 @@ class Session:
 
         One header line (schema tag + version) then one sorted line per
         span — the artifact ``repro trace export`` and ``repro report
-        --html`` consume.  Written even when ``REPRO_OBS_SPANS=off``
-        (the log is then just the header), so downstream tooling can
-        always tell "spans disabled" from "file missing".
+        --html`` consume.  A session that recorded nothing still writes
+        the header line.
         """
         self.spans.write(path, meta=meta)
 
@@ -362,38 +361,6 @@ class Session:
             spec=spec,
             policy_map=policy_map,
             outcomes_by_scenario=outcomes_by_scenario,
-        )
-
-    # -- benchmarks ------------------------------------------------------
-    def bench_run(
-        self,
-        scenarios=None,
-        profile: str = "bench",
-        repeats: int = 3,
-        replay_target_events: int = 100_000,
-        progress=None,
-    ):
-        """Run the per-run observation benchmark (:mod:`repro.bench`).
-
-        Measures whole-run wall clock with/without checkers and the
-        checking path's events/sec, compiled monitors vs the
-        interpretive baseline, per scenario — the artifact behind
-        ``BENCH_run.json``.  ``progress(scenario, entry)`` fires as
-        each scenario lands.
-
-        Bench runs are deliberately in-process and serial (timings must
-        not share cores), so the session's execution/store policies and
-        event hooks are *not* consulted here — this method is the
-        API-surface anchor, not a policy application.
-        """
-        from repro.bench import run_bench
-
-        return run_bench(
-            scenarios=scenarios,
-            profile=profile,
-            repeats=repeats,
-            replay_target_events=replay_target_events,
-            progress=progress,
         )
 
     # -- experiments -----------------------------------------------------

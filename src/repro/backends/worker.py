@@ -143,9 +143,7 @@ def _serve_session(
     worker_name = f"{socket.gethostname()}:{os.getpid()}"
     # Per-job wall spans (pull-wait, execute, ship) ride each outcome
     # message as the optional ``spans`` key — protocol-compatible the
-    # way ``telemetry`` is, and disabled by REPRO_OBS_SPANS=off on the
-    # worker side (the message then simply omits the key, which is also
-    # what a pre-spans peer looks like to the coordinator).
+    # way ``telemetry`` is: a pre-spans peer simply omits the key.
     span_track = f"worker:{worker_name}"
 
     def say(line: str) -> None:
@@ -260,9 +258,8 @@ def _serve_session(
                         "jobs_run": 1,
                         "heartbeats_sent": beats[0],
                     },
+                    "spans": job_spans.records(),
                 }
-                if len(job_spans):
-                    message["spans"] = job_spans.records()
                 send_message(sock, message, send_lock)
                 recv_message(sock)  # ok
             except (OSError, BackendError):

@@ -12,7 +12,6 @@ Usage::
     repro study --scenario all --policy tdvs,edvs --workers 4
     repro sweep --backend distributed --connect 0.0.0.0:7641  # coordinator
     repro worker --connect HOST:7641        # pull jobs from a coordinator
-    repro bench --out BENCH_run.json        # observation-path benchmark
     repro loc-gen "FORMULA" --out analyzer.py
 
 ``repro simulate`` runs a single configuration and prints the totals;
@@ -334,88 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the LOC compiled-vs-fallback coverage report "
         "as JSON",
-    )
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="per-run observation benchmark: events/sec through the "
-        "checking path, compiled monitors vs the interpretive baseline",
-    )
-    bench_parser.add_argument(
-        "--scenario",
-        action="append",
-        help="scenario names (repeatable, comma lists allowed; 'all' for "
-        "the catalog; default: a diverse 3-scenario subset)",
-    )
-    bench_parser.add_argument(
-        "--profile",
-        default="bench",
-        choices=("bench", "quick", "paper"),
-        help="run-length profile (default: bench)",
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timed repetitions per mode; the best wall-clock counts "
-        "(default: 3)",
-    )
-    bench_parser.add_argument(
-        "--replay-events",
-        type=int,
-        default=100_000,
-        help="approximate events replayed through each checking path "
-        "(default: 100000)",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default="BENCH_run.json",
-        help="JSON artifact path (default: BENCH_run.json)",
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        default=None,
-        help="previous BENCH_run.json to diff against (soft gate: "
-        "regressions print warnings, the exit code stays 0)",
-    )
-    bench_parser.add_argument(
-        "--regress-warn",
-        type=float,
-        default=0.20,
-        help="events/sec drop fraction that triggers a warning against "
-        "--baseline (default: 0.20)",
-    )
-    bench_parser.add_argument(
-        "--regress-fail",
-        action="store_true",
-        help="promote the --baseline gate from warnings to a hard "
-        "failure: exit 1 when any events/sec drop exceeds --regress-warn",
-    )
-    bench_parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-scenario progress"
-    )
-    bench_parser.add_argument(
-        "--profile-kernel",
-        nargs="?",
-        const="flash_crowd",
-        default=None,
-        metavar="SCENARIO",
-        help="instead of the benchmark, run one compiled-monitor "
-        "simulation under cProfile and print the top cumulative-time "
-        "table (default scenario: flash_crowd)",
-    )
-    bench_parser.add_argument(
-        "--profile-top",
-        type=int,
-        default=25,
-        help="rows in the --profile-kernel cumulative table (default: 25)",
-    )
-    bench_parser.add_argument(
-        "--profile-stacks",
-        default=None,
-        metavar="PATH",
-        help="with --profile-kernel: also write collapsed (folded) "
-        "stacks here for flamegraph tooling",
     )
 
     metrics_parser = sub.add_parser(
@@ -910,106 +827,6 @@ def _cmd_worker(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.api import Session
-    from repro.bench import (
-        compare_bench,
-        load_bench_json,
-        render_bench_text,
-        write_bench_json,
-    )
-
-    if args.profile_kernel is not None:
-        from repro.bench import profile_kernel
-
-        report = profile_kernel(
-            scenario_name=args.profile_kernel,
-            profile=args.profile,
-            top_n=args.profile_top,
-            stacks_path=args.profile_stacks,
-        )
-        print(
-            f"profiled {report['scenario']} ({report['events']} events, "
-            f"profile={report['profile']})"
-        )
-        print(report["table"], end="")
-        if args.profile_stacks:
-            print(
-                f"wrote {report['stack_lines']} collapsed-stack lines to "
-                f"{args.profile_stacks}"
-            )
-        return 0
-
-    scenarios = _split_csv(args.scenario) or None
-
-    def live_line(name: str, entry: dict) -> None:
-        checking = entry["checking"]
-        print(
-            f"bench: {name}: {entry['events']} events, "
-            f"checking {checking['interpreted']['events_per_s']:,.0f} -> "
-            f"{checking['compiled']['events_per_s']:,.0f} ev/s "
-            f"({checking['speedup']:.1f}x)",
-            file=sys.stderr,
-        )
-
-    # Load the baseline up front: --baseline may point at the same path
-    # as --out (the natural "compare against my last run" invocation),
-    # and writing first would make the gate compare the run to itself.
-    # A missing baseline is a first run, not an error — the gate is soft.
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_bench_json(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"bench: no baseline at {args.baseline} (first run?) — "
-                "skipping the regression gate",
-                file=sys.stderr,
-            )
-        except (OSError, ValueError) as exc:
-            # A torn/corrupt artifact (e.g. a previous run killed
-            # mid-write landing in the CI cache) must not turn the soft
-            # gate into a hard failure.
-            print(
-                f"bench: unreadable baseline {args.baseline} ({exc!r}) — "
-                "skipping the regression gate",
-                file=sys.stderr,
-            )
-
-    session = Session()
-    data = session.bench_run(
-        scenarios=scenarios,
-        profile=args.profile,
-        repeats=args.repeats,
-        replay_target_events=args.replay_events,
-        progress=None if args.quiet else live_line,
-    )
-    write_bench_json(data, args.out)
-    print(render_bench_text(data))
-    print(f"wrote {args.out}")
-
-    if baseline is not None:
-        warnings = compare_bench(baseline, data, tolerance=args.regress_warn)
-        severity = "FAIL" if args.regress_fail else "WARNING"
-        for warning in warnings:
-            print(f"bench: {severity} {warning}", file=sys.stderr)
-            if os.environ.get("GITHUB_ACTIONS"):
-                # Surface as an Actions annotation: an error when the
-                # gate is hard (--regress-fail, the nightly lane against
-                # the committed baseline), a warning otherwise —
-                # wall-clock noise across runners is expected on the
-                # soft path.
-                kind = "error" if args.regress_fail else "warning"
-                print(f"::{kind} title=bench_run regression::{warning}")
-        if not warnings:
-            print("bench: no events/sec regression vs baseline", file=sys.stderr)
-        elif args.regress_fail:
-            return 1
-    return 0
-
-
 def _cmd_metrics(args) -> int:
     from repro.obs.metrics import diff_snapshots, read_snapshot, summarize_snapshot
 
@@ -1163,8 +980,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_study(args)
     if args.command == "worker":
         return _cmd_worker(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
     if args.command == "trace":

@@ -47,20 +47,17 @@ from repro.obs.metrics import (
     summarize_snapshot,
 )
 from repro.obs.spans import (
-    OBS_SPANS_ENV_VAR,
     SPAN_SCHEMA_VERSION,
     SpanRecorder,
     get_recorder,
     read_spans,
     reset_recorder,
-    spans_enabled,
     summarize_spans,
 )
 
 __all__ = [
     "FORWARD_LATENCY_EDGES_US",
     "METRICS_SCHEMA_VERSION",
-    "OBS_SPANS_ENV_VAR",
     "SPAN_SCHEMA_VERSION",
     "AbortSignal",
     "CheckUnsatGate",
@@ -78,7 +75,6 @@ __all__ = [
     "read_snapshot",
     "read_spans",
     "reset_recorder",
-    "spans_enabled",
     "summarize_snapshot",
     "summarize_spans",
 ]

@@ -28,17 +28,13 @@ versioned JSONL span log (one header line + one line per span) written
 next to the metrics snapshot; ``repro trace export --format perfetto``
 and ``repro report --html`` consume that log.
 
-``REPRO_OBS_SPANS=off`` disables recording entirely: every entry point
-short-circuits before touching the clock, sweeps produce no span
-payloads, and study JSON is byte-identical to an uninstrumented run
-(it is byte-identical with spans *on* too — spans never reach report
-renderers).
+Recording is always on.  Spans never reach report renderers, so study
+JSON does not depend on them.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -52,24 +48,13 @@ SPAN_SCHEMA_VERSION = 1
 #: The span-log header line's ``schema`` tag.
 SPAN_SCHEMA_TAG = "repro.obs.spans"
 
-#: Environment switch for span recording (``off`` / ``0`` / ``false`` /
-#: ``no`` disables it).  Mirrors ``REPRO_OBS_COUNTERS``: default on,
-#: priced by the bench span-overhead lane (must stay under ~1%).
-OBS_SPANS_ENV_VAR = "REPRO_OBS_SPANS"
-
 #: Span listener: receives each record as it is added (see
 #: :attr:`repro.api.events.EventHooks.on_span`).
 SpanListener = Callable[[Dict[str, Any]], None]
 
 
-def spans_enabled() -> bool:
-    """Whether span recording is on (the ``REPRO_OBS_SPANS`` switch)."""
-    value = os.environ.get(OBS_SPANS_ENV_VAR, "").strip().lower()
-    return value not in ("off", "0", "false", "no")
-
-
 class _WallSpan:
-    """Context manager for one wall-clock span (or a no-op when off)."""
+    """Context manager for one wall-clock span."""
 
     __slots__ = ("_recorder", "_name", "_track", "_attrs", "_start")
 
@@ -79,45 +64,31 @@ class _WallSpan:
         self._name = name
         self._track = track
         self._attrs = attrs
-        self._start: Optional[float] = None
+        self._start = 0.0
 
     def __enter__(self) -> "_WallSpan":
-        if self._recorder is not None:
-            self._start = time.perf_counter()
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._start is not None:
-            self._recorder.add_wall(
-                self._name,
-                self._track,
-                self._start,
-                time.perf_counter() - self._start,
-                self._attrs,
-            )
-
-
-#: The shared disabled context manager (no clock reads, no allocation
-#: beyond this singleton).
-_NOOP_SPAN = _WallSpan(None, "", "", None)  # type: ignore[arg-type]
+        self._recorder.add_wall(
+            self._name,
+            self._track,
+            self._start,
+            time.perf_counter() - self._start,
+            self._attrs,
+        )
 
 
 class SpanRecorder:
     """Per-process span sink: append-only, serialized on demand.
 
-    ``enabled`` is re-read from the environment on every entry point so
-    tests (and the bench overhead lane) can flip ``REPRO_OBS_SPANS``
-    without rebuilding sessions; the check is one dict lookup, paid
-    per *span*, never per simulated event.
+    Recording costs one record per *span*, never per simulated event.
     """
 
     def __init__(self):
         self._records: List[Dict[str, Any]] = []
         self._listeners: List[SpanListener] = []
-
-    @property
-    def enabled(self) -> bool:
-        return spans_enabled()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -140,15 +111,11 @@ class SpanRecorder:
     def wall_span(self, name: str, track: str,
                   attrs: Optional[Dict[str, Any]] = None) -> _WallSpan:
         """A ``with`` block timing one wall-clock span."""
-        if not self.enabled:
-            return _NOOP_SPAN
         return _WallSpan(self, name, track, attrs)
 
     def add_wall(self, name: str, track: str, start_s: float, dur_s: float,
                  attrs: Optional[Dict[str, Any]] = None) -> None:
         """Record one wall-clock span (``perf_counter`` seconds)."""
-        if not self.enabled:
-            return
         record: Dict[str, Any] = {
             "clock": "wall",
             "name": name,
@@ -163,8 +130,6 @@ class SpanRecorder:
     def add_sim(self, name: str, track: str, start_ps: int, dur_ps: int,
                 attrs: Optional[Dict[str, Any]] = None) -> None:
         """Record one sim-time span (integer picoseconds)."""
-        if not self.enabled:
-            return
         record: Dict[str, Any] = {
             "clock": "sim",
             "name": name,
@@ -186,8 +151,6 @@ class SpanRecorder:
         key stays protocol-compatible the way ``telemetry`` is.
         Returns the number of records absorbed.
         """
-        if not self.enabled:
-            return 0
         absorbed = 0
         for record in records or ():
             if not _valid_span(record):

@@ -27,7 +27,6 @@ from repro.dvs.vf_table import VfTable
 from repro.errors import ConfigError
 from repro.npu.chip import NpuChip, RunTotals
 from repro.npu.microengine import BUSY, IDLE, STALLED
-from repro.obs.spans import spans_enabled
 from repro.power.overhead import DvsOverheadMeter
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.source import ScenarioTrafficSource
@@ -214,10 +213,9 @@ class SimulationRun:
 
         # Kernel-phase spans ride existing end-of-run accounting (the
         # per-ME IntervalAccumulator totals), never per-event hooks: one
-        # on_run_end snapshot when spans are on, zero cost when off.
+        # on_run_end snapshot per run.
         self._span_totals: Optional[List] = None
-        if spans_enabled():
-            self.sim.on_run_end.append(self._capture_span_totals)
+        self.sim.on_run_end.append(self._capture_span_totals)
 
     def _capture_span_totals(self) -> None:
         self._span_totals = [
@@ -235,8 +233,8 @@ class SimulationRun:
         them from :meth:`~repro.sim.stats.IntervalAccumulator.totals_ps`
         is what keeps span overhead out of the kernel hot loop.  Every
         value is integer picoseconds from run start, so records are
-        byte-identical across backends and monitor modes.  Empty when
-        spans are disabled or the run has not finished.
+        byte-identical across backends and monitor modes.  Empty until
+        the run has finished.
         """
         if self._span_totals is None:
             return []

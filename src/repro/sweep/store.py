@@ -42,10 +42,10 @@ class SweepOutcome:
     #: counts (the observer-independent half of
     #: :meth:`repro.trace.bus.TraceBus.channel_stats` — delivery/shed
     #: accounting varies with subscriber topology and stays bus-local)
-    #: and, under ``spans`` when ``REPRO_OBS_SPANS`` is on, the run's
-    #: deterministic sim-time span records (scenario segments, per-ME
-    #: phase windows, check-evaluation windows — see
-    #: :mod:`repro.obs.spans`); ``None`` when nothing was collected.
+    #: and, under ``spans``, the run's deterministic sim-time span
+    #: records (scenario segments, per-ME phase windows,
+    #: check-evaluation windows — see :mod:`repro.obs.spans`); ``None``
+    #: when nothing was collected.
     #: Contents are deterministic — event counts and integer-picosecond
     #: sim times, never wall-clock — so outcomes stay bit-identical
     #: across backends and monitor modes.

@@ -38,9 +38,8 @@ the same row.
 
 from __future__ import annotations
 
-import os
 from sys import intern
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import TraceError
 from repro.trace.annotations import AnnotationProvider
@@ -49,17 +48,6 @@ from repro.trace.events import TraceEvent
 #: One annotation snapshot, in :data:`~repro.trace.annotations.ANNOTATION_NAMES`
 #: order: ``(cycle, time, energy, total_pkt, total_bit)``.
 Row = Tuple[int, float, float, int, int]
-
-#: Environment switch for the default-on per-channel event counters
-#: (``off`` / ``0`` / ``false`` / ``no`` disables them).  The counters
-#: cost one integer increment per published event; the benchmark lane
-#: measures that overhead by comparing runs with the switch flipped.
-OBS_COUNTERS_ENV_VAR = "REPRO_OBS_COUNTERS"
-
-
-def _counting_default() -> bool:
-    value = os.environ.get(OBS_COUNTERS_ENV_VAR, "").strip().lower()
-    return value not in ("off", "0", "false", "no")
 
 #: A per-name tuple subscriber.
 TupleHandler = Callable[[Row], None]
@@ -88,9 +76,7 @@ class TraceBus:
         stamps each published event exactly once.
     """
 
-    def __init__(
-        self, annotations: AnnotationProvider, counting: Optional[bool] = None
-    ):
+    def __init__(self, annotations: AnnotationProvider):
         self._annotations = annotations
         self._handlers: Dict[str, List[Tuple[TupleHandler, int]]] = {}
         self._sinks: List = []
@@ -100,13 +86,9 @@ class TraceBus:
         self.events_published = 0
         #: Per-channel counter records, keyed by the binding key (one
         #: record per bound emitter; :meth:`channel_stats` merges the
-        #: primary and named-only bindings of a name).
+        #: primary and named-only bindings of a name).  Counting reads
+        #: no annotation — it only adds integer increments.
         self._channels: Dict[str, Dict[str, Any]] = {}
-        #: Whether per-channel counters are live.  ``None`` defers to
-        #: ``REPRO_OBS_COUNTERS`` (default on); the bench overhead lane
-        #: passes ``False`` explicitly.  Counting reads no annotation —
-        #: it only adds integer increments.
-        self.counting = _counting_default() if counting is None else counting
 
     # ------------------------------------------------------------------
     # Subscription (before producers bind)
@@ -184,12 +166,11 @@ class TraceBus:
 
         Returns :data:`NOOP_EMITTER` when nothing subscribes to the
         name — publishing then materializes nothing at all.  On an
-        observed bus with counters on, a primary name nobody subscribes
-        gets an emitter that only counts ``published``: an interpreted
-        LOC monitor is a wildcard sink and sees the name, a compiled
-        one does not, and the channel counters must not tell the two
-        monitor modes apart.  No emitter reads the annotations unless
-        it dispatches a row.
+        observed bus, a primary name nobody subscribes gets an emitter
+        that only counts ``published``: an interpreted LOC monitor is a
+        wildcard sink and sees the name, a compiled one does not, and
+        the channel counters must not tell the two monitor modes apart.
+        No emitter reads the annotations unless it dispatches a row.
 
         ``to_sinks=False`` binds a **named-only** channel: the event
         dispatches to the name's tuple handlers but never to wildcard
@@ -206,7 +187,7 @@ class TraceBus:
         entries = list(self._handlers.get(name, ()))
         sinks = list(self._sinks) if to_sinks else []
         if not entries and not sinks:
-            if to_sinks and self.counting and self.has_any_subscriber():
+            if to_sinks and self.has_any_subscriber():
                 emit = self._counting_emitter(key, name)
             else:
                 emit = NOOP_EMITTER
@@ -232,7 +213,7 @@ class TraceBus:
         return record["cell"]
 
     def channel_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-channel event accounting (empty when counting is off).
+        """Per-channel event accounting.
 
         Maps each counted channel name to::
 
@@ -271,22 +252,13 @@ class TraceBus:
     def _wrap_sampled(handler: TupleHandler, sample: int, cell) -> TupleHandler:
         """A 1/``sample`` deterministic-stride wrapper (first event in)."""
         tick = [0]
-        if cell is None:
 
-            def wrapped(row: Row) -> None:
-                t = tick[0]
-                tick[0] = t + 1
-                if not t % sample:
-                    handler(row)
-
-        else:
-
-            def wrapped(row: Row) -> None:
-                t = tick[0]
-                tick[0] = t + 1
-                if not t % sample:
-                    cell[1] += 1
-                    handler(row)
+        def wrapped(row: Row) -> None:
+            t = tick[0]
+            tick[0] = t + 1
+            if not t % sample:
+                cell[1] += 1
+                handler(row)
 
         return wrapped
 
@@ -294,13 +266,11 @@ class TraceBus:
         self, key: str, name: str, entries: List, sinks: List
     ) -> Emitter:
         snapshot = self._annotations.snapshot
-        cell = None
-        if self.counting:
-            full = sum(1 for _, sample in entries if sample == 1)
-            cell = self._register_channel(
-                key, name, full=full, sampled=len(entries) - full,
-                sinks=len(sinks),
-            )
+        full = sum(1 for _, sample in entries if sample == 1)
+        cell = self._register_channel(
+            key, name, full=full, sampled=len(entries) - full,
+            sinks=len(sinks),
+        )
         handlers = [
             handler if sample == 1 else self._wrap_sampled(handler, sample, cell)
             for handler, sample in entries
@@ -310,25 +280,16 @@ class TraceBus:
             # The hottest shape: one compiled monitor on one name.
             handler = handlers[0]
 
-            if cell is None:
-
-                def emit() -> None:
-                    self.events_published += 1
-                    handler(snapshot())
-
-            else:
-
-                def emit() -> None:
-                    self.events_published += 1
-                    cell[0] += 1
-                    handler(snapshot())
+            def emit() -> None:
+                self.events_published += 1
+                cell[0] += 1
+                handler(snapshot())
 
             return emit
 
         def emit() -> None:
             self.events_published += 1
-            if cell is not None:
-                cell[0] += 1
+            cell[0] += 1
             row = snapshot()
             for handler in handlers:
                 handler(row)

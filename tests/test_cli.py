@@ -173,23 +173,3 @@ def test_bad_formula_raises():
 def test_unknown_experiment_raises():
     with pytest.raises(Exception):
         main(["run", "fig99"])
-
-
-@pytest.mark.slow
-def test_bench_command_writes_artifact(tmp_path, capsys):
-    out = tmp_path / "BENCH_run.json"
-    argv = [
-        "bench", "--scenario", "flash_crowd", "--repeats", "1",
-        "--replay-events", "2000", "--out", str(out), "--quiet",
-    ]
-    assert main(argv) == 0
-    captured = capsys.readouterr().out
-    assert "checking path" in captured
-    import json
-
-    data = json.loads(out.read_text())
-    assert data["bench"] == "run"
-    assert "flash_crowd" in data["scenarios"]
-    # The soft gate: a matching baseline produces no warnings.
-    argv += ["--baseline", str(out)]
-    assert main(argv) == 0

@@ -322,45 +322,6 @@ class TestSessionMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Bench gate tolerance (satellite: one-sided scenario keys)
-# ---------------------------------------------------------------------------
-class TestCompareBench:
-    def _artifact(self, scenarios):
-        return {
-            "totals": {"events_per_s_checking": {"compiled": 1000.0}},
-            "scenarios": {
-                name: {"checking": {"compiled": {"events_per_s": value}}}
-                for name, value in scenarios.items()
-            },
-        }
-
-    def test_one_sided_scenarios_warn_and_skip(self):
-        from repro.bench import compare_bench
-
-        baseline = self._artifact({"old_only": 1000.0, "both": 1000.0})
-        current = self._artifact({"new_only": 1000.0, "both": 900.0})
-        warnings = compare_bench(baseline, current, tolerance=0.20)
-        assert any("old_only" in w and "skipping" in w for w in warnings)
-        assert any("new_only" in w and "skipping" in w for w in warnings)
-        assert not any("both" in w for w in warnings)
-
-    def test_regression_still_detected_on_shared_keys(self):
-        from repro.bench import compare_bench
-
-        baseline = self._artifact({"both": 1000.0})
-        current = self._artifact({"both": 500.0})
-        warnings = compare_bench(baseline, current, tolerance=0.20)
-        assert any("both.compiled" in w for w in warnings)
-
-    def test_schema_drifted_entries_skip_quietly(self):
-        from repro.bench import compare_bench
-
-        baseline = {"scenarios": {"x": {}}, "totals": {}}
-        current = {"scenarios": {"x": {}}, "totals": {}}
-        assert compare_bench(baseline, current) == []
-
-
-# ---------------------------------------------------------------------------
 # Fleet telemetry counters (coordinator state machine, no sockets)
 # ---------------------------------------------------------------------------
 class TestFleetTelemetry:

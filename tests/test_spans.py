@@ -1,22 +1,25 @@
 """Tests for the dual-clock span layer (repro.obs.spans) and exporters.
 
-Covers the recorder contract (env gate, malformed-record tolerance,
-JSONL round trip), the determinism acceptance property (sim spans
-byte-identical across backends and monitor modes; study JSON untouched
-by the span switch), the distributed-protocol compatibility story (a
-worker without the ``spans`` key still drains sweeps), and the two
-exporters (Perfetto trace-event JSON, HTML study report).
+Covers the recorder contract (malformed-record tolerance, JSONL round
+trip), the determinism acceptance property (sim spans byte-identical
+across backends and monitor modes), the distributed-protocol
+compatibility story (a peer without the ``spans`` key still drains
+sweeps), and the two exporters (Perfetto trace-event JSON, HTML study
+report).
 """
 
 import json
 import os
 import re
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.api import ExecutionPolicy, Session
 from repro.backends import DistributedBackend
+from repro.backends.protocol import PROTOCOL_VERSION, recv_message, send_message
 from repro.backends.worker import run_worker
 from repro.cli import main
 from repro.errors import ExperimentError
@@ -24,19 +27,16 @@ from repro.loc.monitor import MONITOR_MODE_ENV_VAR
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.perfetto import render_perfetto, to_perfetto, track_types
 from repro.obs.spans import (
-    OBS_SPANS_ENV_VAR,
     SPAN_SCHEMA_TAG,
     SPAN_SCHEMA_VERSION,
-    SpanRecorder,
     get_recorder,
     read_spans,
     reset_recorder,
-    spans_enabled,
     summarize_spans,
 )
 from repro.studies import StudySpec
 from repro.studies.report import render_html, render_json
-from repro.sweep import SweepSpec
+from repro.sweep import Job, SweepSpec, run_job
 
 #: Short, deterministic grid shared by the execution tests (the
 #: test_backends shape).
@@ -62,9 +62,8 @@ def sim_spans_of(outcomes):
 
 
 @pytest.fixture
-def spans_on(monkeypatch):
-    """Default-on recording with a fresh per-process recorder."""
-    monkeypatch.delenv(OBS_SPANS_ENV_VAR, raising=False)
+def spans_on():
+    """A fresh per-process recorder, reset again afterwards."""
     recorder = reset_recorder()
     yield recorder
     reset_recorder()
@@ -108,18 +107,6 @@ class TestSpanRecorder:
         }
         assert type(record["start"]) is int and type(record["dur"]) is int
 
-    def test_env_gate_disables_recording(self, monkeypatch):
-        monkeypatch.setenv(OBS_SPANS_ENV_VAR, "off")
-        recorder = SpanRecorder()
-        assert not spans_enabled()
-        with recorder.wall_span("stream", "session"):
-            pass
-        recorder.add_sim("busy", "me0", 0, 10)
-        recorder.add_wall("job", "job", 0.0, 1.0)
-        assert recorder.extend([{"clock": "sim", "name": "x", "track": "t",
-                                 "start": 0, "dur": 1}]) == 0
-        assert len(recorder) == 0
-
     def test_extend_drops_malformed_and_merges_attrs(self, spans_on):
         absorbed = spans_on.extend(
             [
@@ -155,16 +142,6 @@ class TestSpanRecorder:
         assert header["version"] == SPAN_SCHEMA_VERSION
         assert header["command"] == "test"
         assert records == spans_on.records()
-
-    def test_disabled_log_is_header_only(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(OBS_SPANS_ENV_VAR, "off")
-        recorder = SpanRecorder()
-        recorder.add_sim("busy", "me0", 0, 42)
-        path = str(tmp_path / "off.spans.jsonl")
-        recorder.write(path)
-        header, records = read_spans(path)
-        assert header["version"] == SPAN_SCHEMA_VERSION
-        assert records == []
 
     def test_read_rejects_foreign_files(self, tmp_path):
         wrong_tag = tmp_path / "metrics.jsonl"
@@ -226,34 +203,6 @@ class TestSimSpanDeterminism:
         segments = [s for s in spans if s["track"] == "scenario"]
         assert segments and all(s["name"].startswith("segment") for s in segments)
         assert all("load_mbps" in s["attrs"] for s in segments)
-
-    def test_off_switch_removes_span_payload(self, monkeypatch):
-        monkeypatch.setenv(OBS_SPANS_ENV_VAR, "off")
-        reset_recorder()
-        session = Session(execution=ExecutionPolicy(workers=1))
-        outcomes = session.sweep(small_spec().jobs())
-        assert all(
-            o.obs is None or "spans" not in o.obs for o in outcomes
-        )
-        assert len(session.spans) == 0
-        reset_recorder()
-
-    def test_study_json_identical_with_spans_on_and_off(
-        self, spans_on, monkeypatch
-    ):
-        spec = StudySpec(
-            scenarios=("link_failover",),
-            policies=("tdvs",),
-            thresholds_mbps=(1200.0,),
-            windows_cycles=(40_000,),
-            duration_cycles=120_000,
-            span=20,
-        )
-        with_spans = render_json(Session().study(spec).policy_map)
-        monkeypatch.setenv(OBS_SPANS_ENV_VAR, "off")
-        reset_recorder()
-        without = render_json(Session().study(spec).policy_map)
-        assert with_spans == without
 
 
 # ---------------------------------------------------------------------------
@@ -345,38 +294,49 @@ class TestDistributedSpans:
         assert sim_spans_of(serial) == sim_spans_of(distributed)
 
     def test_worker_without_spans_key_still_drains(self, spans_on):
-        # Protocol compatibility: a peer that never learned the
-        # optional ``spans`` key (or runs with spans off) must behave
-        # exactly like a v1 worker.
-        import subprocess
-        import sys
-
+        # Protocol compatibility: a v1 peer that never learned the
+        # optional ``spans`` and ``telemetry`` keys must drain a sweep
+        # like any worker.  The peer speaks the wire protocol directly,
+        # runs each granted job and ships bare outcome messages.
         jobs = small_spec().jobs()
         serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0)
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        src = os.path.join(repo_root, "src")
-        existing = os.environ.get("PYTHONPATH")
-        env = {
-            **os.environ,
-            "PYTHONPATH": f"{src}{os.pathsep}{existing}" if existing else src,
-            OBS_SPANS_ENV_VAR: "off",
-        }
-        worker = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--connect", backend.address, "--quiet", "--timeout", "60"],
-            env=env, cwd=repo_root,
-        )
         session = Session(execution=ExecutionPolicy(backend=backend))
+        result = {}
+        sweep = threading.Thread(
+            target=lambda: result.update(outcomes=session.sweep(jobs)),
+            daemon=True,
+        )
+        sweep.start()
+        peer = socket.create_connection((backend.host, backend.port), timeout=10)
         try:
-            distributed = session.sweep(jobs)
+            send_message(peer, {"type": "hello", "protocol": PROTOCOL_VERSION})
+            assert recv_message(peer)["type"] == "welcome"
+            shipped = 0
+            while shipped < len(jobs):
+                send_message(peer, {"type": "pull"})
+                reply = recv_message(peer)
+                if reply["type"] == "wait":
+                    time.sleep(reply["poll_s"])
+                    continue
+                assert reply["type"] == "job"
+                outcome = run_job(Job.from_dict(reply["job"]))
+                send_message(peer, {
+                    "type": "outcome", "job_id": outcome.job_id,
+                    "outcome": outcome.to_dict(),
+                })
+                assert recv_message(peer)["type"] == "ok"
+                shipped += 1
+            sweep.join(timeout=120)
         finally:
-            worker.wait(timeout=30)
+            peer.close()
+        assert not sweep.is_alive()
+        distributed = result["outcomes"]
         assert [o.job_id for o in distributed] == [o.job_id for o in serial]
-        assert [o.result.totals for o in distributed] == [
-            o.result.totals for o in serial
+        assert [o.to_dict() for o in distributed] == [
+            o.to_dict() for o in serial
         ]
-        # The worker sent no spans, so nothing worker-side was absorbed.
+        # The peer sent no spans, so nothing worker-side was absorbed.
         tracks = {r["track"] for r in session.spans.records()}
         assert not any(t.startswith("worker:") for t in tracks)
 

@@ -109,7 +109,7 @@ class TestTraceBus:
 
     def test_unsubscribed_primary_name_on_observed_bus_only_counts(self):
         annotations = _StubAnnotations()
-        bus = TraceBus(annotations, counting=True)
+        bus = TraceBus(annotations)
         bus.subscribe("forward", lambda row: None)
         fifo = bus.emitter("fifo")
         assert fifo is not NOOP_EMITTER
@@ -118,10 +118,6 @@ class TestTraceBus:
         assert annotations.snapshots == 0
         assert bus.events_published == 0
         assert bus.channel_stats()["fifo"]["published"] == 1
-        # With counters off there is nothing to do: the shared no-op.
-        quiet = TraceBus(_StubAnnotations(), counting=False)
-        quiet.subscribe("forward", lambda row: None)
-        assert quiet.emitter("fifo") is NOOP_EMITTER
 
     def test_named_only_channel_skips_sinks_and_probe(self):
         annotations = _StubAnnotations()
@@ -201,7 +197,7 @@ class TestSampling:
         # unsubscribed primary name counts every event and reads no
         # annotation.
         annotations = _StubAnnotations()
-        bus = TraceBus(annotations, counting=True)
+        bus = TraceBus(annotations)
         bus.subscribe("forward", lambda row: None, sample=100)
         fifo = bus.emitter("fifo")
         assert fifo is not NOOP_EMITTER
@@ -244,14 +240,8 @@ class TestSampling:
 
 
 class TestChannelStats:
-    def test_counting_off_yields_no_stats(self):
-        bus = TraceBus(_StubAnnotations(), counting=False)
-        bus.subscribe("forward", lambda row: None)
-        bus.emitter("forward")()
-        assert bus.channel_stats() == {}
-
     def test_published_delivered_shed_accounting(self):
-        bus = TraceBus(_StubAnnotations(), counting=True)
+        bus = TraceBus(_StubAnnotations())
         bus.subscribe("forward", lambda row: None)
         bus.subscribe("forward", lambda row: None, sample=4)
         emit = bus.emitter("forward")
@@ -264,7 +254,7 @@ class TestChannelStats:
         assert stats["forward"]["shed"] == 6
 
     def test_settle_channels_count_published_only(self):
-        bus = TraceBus(_StubAnnotations(), counting=True)
+        bus = TraceBus(_StubAnnotations())
         bus.subscribe("forward", lambda row: None)
         fifo = bus.emitter("fifo")
         for _ in range(3):
@@ -273,27 +263,19 @@ class TestChannelStats:
         assert stats["fifo"] == {"published": 3, "delivered": 0, "shed": 0}
 
     def test_noop_channels_never_counted(self):
-        bus = TraceBus(_StubAnnotations(), counting=True)
+        bus = TraceBus(_StubAnnotations())
         emit = bus.emitter("forward")
         assert emit is NOOP_EMITTER
         emit()
         assert bus.channel_stats() == {}
 
     def test_counting_does_not_change_events_published(self):
-        for counting in (False, True):
-            bus = TraceBus(_StubAnnotations(), counting=counting)
-            bus.subscribe("forward", lambda row: None)
-            emit = bus.emitter("forward")
-            for _ in range(5):
-                emit()
-            assert bus.events_published == 5
-
-    def test_env_var_disables_counting(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_COUNTERS", "off")
         bus = TraceBus(_StubAnnotations())
-        assert bus.counting is False
-        monkeypatch.delenv("REPRO_OBS_COUNTERS")
-        assert TraceBus(_StubAnnotations()).counting is True
+        bus.subscribe("forward", lambda row: None)
+        emit = bus.emitter("forward")
+        for _ in range(5):
+            emit()
+        assert bus.events_published == 5
 
 
 class TestChipWiring:
