@@ -144,11 +144,14 @@ def _replay(monitor_cls, rows, formulas):
 
 def test_checking_path_speedup():
     """Formulas (2) and (3) over 20k ``forward`` rows: compiled vs
-    interpreted, best of 5 each, same results."""
+    interpreted, best of 5 each, same results.  The two sides alternate,
+    so a host that changes speed mid-test slows both alike."""
     rows = _forward_rows(20_000)
     formulas = [power_distribution_formula(), throughput_distribution_formula()]
-    compiled = [_replay(CompiledMonitor, rows, formulas) for _ in range(5)]
-    interpreted = [_replay(InterpretedMonitor, rows, formulas) for _ in range(5)]
+    compiled, interpreted = [], []
+    for _ in range(5):
+        compiled.append(_replay(CompiledMonitor, rows, formulas))
+        interpreted.append(_replay(InterpretedMonitor, rows, formulas))
     assert compiled[0][1] == interpreted[0][1]
     assert all(result[0].total == 20_000 - 100 for _, result in compiled)
     speedup = min(w for w, _ in interpreted) / min(w for w, _ in compiled)

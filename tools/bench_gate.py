@@ -39,12 +39,6 @@ GATED = ("sim_cycles_per_s", "study_wall_s")
 MAX_WORSE = 0.20
 
 
-def directions(benchmark: Path = BENCHMARK) -> Dict[str, str]:
-    """``{metric: "higher" | "lower"}`` from ``BENCHMARK.json``."""
-    spec = json.loads(benchmark.read_text(encoding="utf-8"))
-    return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
-
-
 def newest_entry(workload: str, history: Path = HISTORY) -> Optional[Dict]:
     """The metrics of the last history line that names ``workload``."""
     found = None
@@ -77,7 +71,8 @@ def gate(
     outputs: Sequence[str], history: Path = HISTORY, benchmark: Path = BENCHMARK
 ) -> List[str]:
     """Failure messages for the simbench ``outputs``; empty means pass."""
-    better = directions(benchmark)
+    spec = json.loads(benchmark.read_text(encoding="utf-8"))
+    better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
     failures: List[str] = []
     for name in outputs:
         workload, result = read_run(Path(name))
@@ -113,8 +108,8 @@ def gate(
     return failures
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    outputs = list(sys.argv[1:] if argv is None else argv)
+def main() -> int:
+    outputs = sys.argv[1:]
     if not outputs:
         print("usage: bench_gate.py SIMBENCH_OUT...", file=sys.stderr)
         return 2
