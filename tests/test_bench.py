@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import host_calibration
+from repro.bench import CALIBRATION_OPS, _calibration_spin, host_calibration
 
 
 class TestHostCalibration:
@@ -13,3 +13,13 @@ class TestHostCalibration:
         assert host["ops_per_s"] == pytest.approx(
             host["spin_ops"] / host["spin_best_s"], rel=1e-3
         )
+
+    def test_spin_is_fixed_work(self):
+        # The same checksum every call: every score times the same work.
+        assert _calibration_spin() == _calibration_spin()
+        assert host_calibration(repeats=1)["spin_ops"] == CALIBRATION_OPS
+
+    def test_repeats_below_one_still_measure_once(self):
+        host = host_calibration(repeats=0)
+        assert host["spin_best_s"] > 0
+        assert host["ops_per_s"] > 0

@@ -173,3 +173,12 @@ def test_bad_formula_raises():
 def test_unknown_experiment_raises():
     with pytest.raises(Exception):
         main(["run", "fig99"])
+
+
+def test_bench_subcommand_is_retired(capsys):
+    # simbench/run.py is the one benchmark; the CLI no longer parses
+    # ``bench`` nor lists it.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -29,6 +29,7 @@ from repro.obs.perfetto import render_perfetto, to_perfetto, track_types
 from repro.obs.spans import (
     SPAN_SCHEMA_TAG,
     SPAN_SCHEMA_VERSION,
+    SpanRecorder,
     get_recorder,
     read_spans,
     reset_recorder,
@@ -143,6 +144,30 @@ class TestSpanRecorder:
         assert header["command"] == "test"
         assert records == spans_on.records()
 
+    def test_empty_log_is_header_only(self, tmp_path):
+        path = str(tmp_path / "empty.spans.jsonl")
+        SpanRecorder().write(path)
+        header, records = read_spans(path)
+        assert header == {
+            "schema": SPAN_SCHEMA_TAG, "version": SPAN_SCHEMA_VERSION,
+        }
+        assert records == []
+
+    def test_recording_has_no_off_switch(self, monkeypatch):
+        # The retired REPRO_OBS_SPANS variable no longer reaches the
+        # recorder: every kind of span lands whatever it says.
+        monkeypatch.setenv("REPRO_OBS_SPANS", "off")
+        recorder = SpanRecorder()
+        with recorder.wall_span("stream", "session"):
+            pass
+        recorder.add_sim("busy", "me0", 0, 10)
+        recorder.add_wall("job", "job", 0.0, 1.0)
+        assert recorder.extend([{"clock": "sim", "name": "x", "track": "t",
+                                 "start": 0, "dur": 1}]) == 1
+        assert [r["name"] for r in recorder.records()] == [
+            "stream", "busy", "job", "x",
+        ]
+
     def test_read_rejects_foreign_files(self, tmp_path):
         wrong_tag = tmp_path / "metrics.jsonl"
         wrong_tag.write_text(
@@ -203,6 +228,34 @@ class TestSimSpanDeterminism:
         segments = [s for s in spans if s["track"] == "scenario"]
         assert segments and all(s["name"].startswith("segment") for s in segments)
         assert all("load_mbps" in s["attrs"] for s in segments)
+
+    def test_retired_off_switch_keeps_span_payload(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_SPANS", "off")
+        reset_recorder()
+        session = Session(execution=ExecutionPolicy(workers=1))
+        outcomes = session.sweep(small_spec().jobs())
+        assert all(o.obs["spans"] for o in outcomes)
+        assert any(r["clock"] == "sim" for r in session.spans.records())
+        reset_recorder()
+
+    def test_study_json_carries_no_span_timing(self, spans_on):
+        # Wall spans differ from run to run; the study JSON must not
+        # see them, so two runs render the same bytes.
+        spec = StudySpec(
+            scenarios=("link_failover",),
+            policies=("tdvs",),
+            thresholds_mbps=(1200.0,),
+            windows_cycles=(40_000,),
+            duration_cycles=120_000,
+            span=20,
+        )
+        rendered = []
+        for _ in range(2):
+            session = Session()
+            rendered.append(render_json(session.study(spec).policy_map))
+            assert any(r["clock"] == "wall" for r in session.spans.records())
+        assert rendered[0] == rendered[1]
+        assert '"clock"' not in rendered[0]
 
 
 # ---------------------------------------------------------------------------

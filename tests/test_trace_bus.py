@@ -277,6 +277,47 @@ class TestChannelStats:
             emit()
         assert bus.events_published == 5
 
+    def test_primary_and_named_only_bindings_merge(self):
+        # One name bound twice, once for sinks and once named-only,
+        # reports as one channel.
+        bus = TraceBus(_StubAnnotations())
+        bus.subscribe("mem_sram", lambda row: None)
+        bus.attach_sink(TraceBuffer())
+        primary = bus.emitter("mem_sram")
+        named = bus.emitter("mem_sram", to_sinks=False)
+        assert primary is not named
+        for _ in range(2):
+            primary()
+        for _ in range(3):
+            named()
+        stats = bus.channel_stats()
+        assert stats["mem_sram"] == {"published": 5, "delivered": 7, "shed": 0}
+
+    def test_sink_dispatches_count_as_deliveries(self):
+        bus = TraceBus(_StubAnnotations())
+        buffer = TraceBuffer()
+        bus.attach_sink(buffer)
+        emit = bus.emitter("forward")
+        for _ in range(4):
+            emit()
+        assert len(buffer.events) == 4
+        assert bus.channel_stats()["forward"] == {
+            "published": 4, "delivered": 4, "shed": 0,
+        }
+
+    def test_counters_have_no_off_switch(self, monkeypatch):
+        # The retired REPRO_OBS_COUNTERS variable no longer reaches the
+        # bus: channels count whatever the environment says.
+        monkeypatch.setenv("REPRO_OBS_COUNTERS", "off")
+        bus = TraceBus(_StubAnnotations())
+        bus.subscribe("forward", lambda row: None)
+        bus.emitter("forward")()
+        bus.emitter("fifo")()
+        assert bus.channel_stats() == {
+            "forward": {"published": 1, "delivered": 1, "shed": 0},
+            "fifo": {"published": 1, "delivered": 0, "shed": 0},
+        }
+
 
 class TestChipWiring:
     def test_unobserved_run_publishes_nothing(self):
