@@ -32,23 +32,13 @@ execution policy (backend, workers, store, event hooks) once:
 
 See ``examples/`` for runnable scenarios and ``repro.experiments`` for
 the per-figure reproduction harnesses.
+
+Exported names resolve on first access (:mod:`repro._exports`), so
+``import repro.runner`` loads the simulator's model packages and none of
+the session, sweep or study machinery.
 """
 
-from repro.api import EventHooks, ExecutionPolicy, Session, StorePolicy
-from repro.config import (
-    DvsConfig,
-    MemoryConfig,
-    NpuConfig,
-    PowerConfig,
-    RunConfig,
-    TrafficConfig,
-)
-from repro.errors import ReproError
-from repro.runner import RunResult, SimulationRun, run_simulation
-from repro.scenarios import Scenario, get_scenario, list_scenarios
-from repro.studies import PolicyMap, StudySpec
-from repro.sweep import ResultStore, SweepSpec
-from repro.version import PAPER, __version__
+from repro._exports import lazy_exports
 
 __all__ = [
     "DvsConfig",
@@ -75,3 +65,31 @@ __all__ = [
     "list_scenarios",
     "run_simulation",
 ]
+
+_EXPORTS = {
+    "DvsConfig": "repro.config",
+    "EventHooks": "repro.api.events",
+    "ExecutionPolicy": "repro.api.policy",
+    "MemoryConfig": "repro.config",
+    "NpuConfig": "repro.config",
+    "PAPER": "repro.version",
+    "PolicyMap": "repro.studies.policymap",
+    "PowerConfig": "repro.config",
+    "ReproError": "repro.errors",
+    "ResultStore": "repro.sweep.store",
+    "RunConfig": "repro.config",
+    "RunResult": "repro.runner",
+    "Scenario": "repro.scenarios.spec",
+    "Session": "repro.api.session",
+    "SimulationRun": "repro.runner",
+    "StorePolicy": "repro.api.policy",
+    "StudySpec": "repro.studies.spec",
+    "SweepSpec": "repro.sweep.spec",
+    "TrafficConfig": "repro.config",
+    "__version__": "repro.version",
+    "get_scenario": "repro.scenarios.catalog",
+    "list_scenarios": "repro.scenarios.catalog",
+    "run_simulation": "repro.runner",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -32,11 +32,11 @@ Quickstart::
     # Streaming: outcomes in completion order, any backend.
     for outcome in session.stream(spec):
         print(outcome.label, outcome.mean_power_w)
+
+Exported names resolve on first access (:mod:`repro._exports`).
 """
 
-from repro.api.events import EventHooks, chain_hooks
-from repro.api.policy import ExecutionPolicy, StorePolicy
-from repro.api.session import Session, default_session
+from repro._exports import lazy_exports
 
 __all__ = [
     "EventHooks",
@@ -46,3 +46,14 @@ __all__ = [
     "chain_hooks",
     "default_session",
 ]
+
+_EXPORTS = {
+    "EventHooks": "repro.api.events",
+    "ExecutionPolicy": "repro.api.policy",
+    "Session": "repro.api.session",
+    "StorePolicy": "repro.api.policy",
+    "chain_hooks": "repro.api.events",
+    "default_session": "repro.api.session",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

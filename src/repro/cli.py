@@ -35,9 +35,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.config import DvsConfig, RunConfig, TrafficConfig
-from repro.experiments import get_experiment, list_experiments
-from repro.loc.codegen import generate_analyzer_source
-from repro.runner import run_simulation
 from repro.version import PAPER, __version__
 
 
@@ -540,6 +537,8 @@ def _write_session_metrics(session, args, meta: dict) -> None:
 
 
 def _cmd_list() -> int:
+    from repro.experiments import get_experiment, list_experiments
+
     for experiment_id in list_experiments():
         experiment = get_experiment(experiment_id)
         print(f"{experiment_id:15s} {experiment.paper_ref:12s} {experiment.title}")
@@ -548,6 +547,7 @@ def _cmd_list() -> int:
 
 def _cmd_run(args) -> int:
     from repro.api import ExecutionPolicy, Session
+    from repro.experiments import list_experiments
 
     ids = list_experiments() if args.experiment == "all" else [args.experiment]
     # max(1, ...) keeps the historical tolerance for ``--workers 0``.
@@ -577,6 +577,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.runner import run_simulation
+
     dvs = DvsConfig(
         policy=args.policy,
         window_cycles=args.window,
@@ -619,7 +621,6 @@ def _print_run_totals(result) -> None:
 
 
 def _cmd_scenarios(args) -> int:
-    from repro.experiments.common import cycles_for
     from repro.scenarios import all_scenarios, get_scenario
 
     if args.name is None:
@@ -649,6 +650,9 @@ def _cmd_scenarios(args) -> int:
         )
     if not args.run:
         return 0
+
+    from repro.experiments.common import cycles_for
+    from repro.runner import run_simulation
 
     config = RunConfig(
         benchmark=args.benchmark,
@@ -918,6 +922,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_loc_gen(args) -> int:
+    from repro.loc.codegen import generate_analyzer_source
+
     source = generate_analyzer_source(args.formula)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -25,35 +25,11 @@ Both JSONL schemas are documented (and version-pinned) in
 :data:`~repro.obs.metrics.METRICS_SCHEMA_VERSION` or
 :data:`~repro.obs.spans.SPAN_SCHEMA_VERSION` changes without a matching
 SCHEMA.md update.
+
+Exported names resolve on first access (:mod:`repro._exports`).
 """
 
-from repro.obs.gates import (
-    AbortSignal,
-    CheckUnsatGate,
-    EarlyAbortPolicy,
-    LossRateGate,
-    RollingQuantileGate,
-    build_gates,
-)
-from repro.obs.metrics import (
-    FORWARD_LATENCY_EDGES_US,
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    diff_snapshots,
-    read_snapshot,
-    summarize_snapshot,
-)
-from repro.obs.spans import (
-    SPAN_SCHEMA_VERSION,
-    SpanRecorder,
-    get_recorder,
-    read_spans,
-    reset_recorder,
-    summarize_spans,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "FORWARD_LATENCY_EDGES_US",
@@ -78,3 +54,29 @@ __all__ = [
     "summarize_snapshot",
     "summarize_spans",
 ]
+
+_EXPORTS = {
+    "FORWARD_LATENCY_EDGES_US": "repro.obs.metrics",
+    "METRICS_SCHEMA_VERSION": "repro.obs.metrics",
+    "SPAN_SCHEMA_VERSION": "repro.obs.spans",
+    "AbortSignal": "repro.obs.gates",
+    "CheckUnsatGate": "repro.obs.gates",
+    "Counter": "repro.obs.metrics",
+    "EarlyAbortPolicy": "repro.obs.gates",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "LossRateGate": "repro.obs.gates",
+    "MetricsRegistry": "repro.obs.metrics",
+    "RollingQuantileGate": "repro.obs.gates",
+    "SpanRecorder": "repro.obs.spans",
+    "build_gates": "repro.obs.gates",
+    "diff_snapshots": "repro.obs.metrics",
+    "get_recorder": "repro.obs.spans",
+    "read_snapshot": "repro.obs.metrics",
+    "read_spans": "repro.obs.spans",
+    "reset_recorder": "repro.obs.spans",
+    "summarize_snapshot": "repro.obs.metrics",
+    "summarize_spans": "repro.obs.spans",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -36,31 +36,11 @@ Quickstart::
     print(render_text(result.policy_map))
 
 ``repro study`` on the CLI wraps exactly this.
+
+Exported names resolve on first access (:mod:`repro._exports`).
 """
 
-from repro.studies.engine import StudyResult
-from repro.studies.objective import (
-    OBJECTIVES,
-    Objective,
-    get_objective,
-    list_objectives,
-    select_design_point,
-)
-from repro.studies.pareto import dominates, pareto_front
-from repro.studies.policymap import (
-    CandidateSummary,
-    PolicyMap,
-    ScenarioVerdict,
-    summarize_candidate,
-)
-from repro.studies.report import render_json, render_markdown, render_text
-from repro.studies.spec import (
-    NPU_CAPACITY_MBPS,
-    STUDY_THRESHOLDS_MBPS,
-    STUDY_WINDOWS_CYCLES,
-    StudyAssertion,
-    StudySpec,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "CandidateSummary",
@@ -84,3 +64,28 @@ __all__ = [
     "select_design_point",
     "summarize_candidate",
 ]
+
+_EXPORTS = {
+    "CandidateSummary": "repro.studies.policymap",
+    "NPU_CAPACITY_MBPS": "repro.studies.spec",
+    "OBJECTIVES": "repro.studies.objective",
+    "Objective": "repro.studies.objective",
+    "PolicyMap": "repro.studies.policymap",
+    "STUDY_THRESHOLDS_MBPS": "repro.studies.spec",
+    "STUDY_WINDOWS_CYCLES": "repro.studies.spec",
+    "ScenarioVerdict": "repro.studies.policymap",
+    "StudyAssertion": "repro.studies.spec",
+    "StudyResult": "repro.studies.engine",
+    "StudySpec": "repro.studies.spec",
+    "dominates": "repro.studies.pareto",
+    "get_objective": "repro.studies.objective",
+    "list_objectives": "repro.studies.objective",
+    "pareto_front": "repro.studies.pareto",
+    "render_json": "repro.studies.report",
+    "render_markdown": "repro.studies.report",
+    "render_text": "repro.studies.report",
+    "select_design_point": "repro.studies.objective",
+    "summarize_candidate": "repro.studies.policymap",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

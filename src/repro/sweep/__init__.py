@@ -26,17 +26,11 @@ Quickstart::
     outcomes = session.sweep(spec)           # job order
     for outcome in session.stream(spec):     # completion order
         ...
+
+Exported names resolve on first access (:mod:`repro._exports`).
 """
 
-from repro.sweep.engine import (
-    WORKERS_ENV_VAR,
-    default_workers,
-    progress_printer,
-    run_job,
-    summarize,
-)
-from repro.sweep.spec import Job, SweepSpec, config_hash, parse_traffic_token
-from repro.sweep.store import ResultStore, SweepOutcome
+from repro._exports import lazy_exports
 
 __all__ = [
     "Job",
@@ -51,3 +45,19 @@ __all__ = [
     "run_job",
     "summarize",
 ]
+
+_EXPORTS = {
+    "Job": "repro.sweep.spec",
+    "ResultStore": "repro.sweep.store",
+    "SweepOutcome": "repro.sweep.store",
+    "SweepSpec": "repro.sweep.spec",
+    "WORKERS_ENV_VAR": "repro.sweep.engine",
+    "config_hash": "repro.sweep.spec",
+    "default_workers": "repro.sweep.engine",
+    "parse_traffic_token": "repro.sweep.spec",
+    "progress_printer": "repro.sweep.engine",
+    "run_job": "repro.sweep.engine",
+    "summarize": "repro.sweep.engine",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
