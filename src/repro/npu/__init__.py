@@ -21,7 +21,7 @@ Applications plug in as step-stream generators (see
 domains and the stall interface.
 """
 
-from repro.npu.chip import NpuChip, RunTotals, build_chip
+from repro._exports import lazy_exports
 from repro.npu.microengine import Microengine
 from repro.npu.steps import (
     Compute,
@@ -42,3 +42,14 @@ __all__ = [
     "RunTotals",
     "build_chip",
 ]
+
+# The chip imports the apps and the power model, which import
+# ``repro.npu`` submodules: binding it lazily lets either package load
+# first.
+_EXPORTS = {
+    "NpuChip": "repro.npu.chip",
+    "RunTotals": "repro.npu.chip",
+    "build_chip": "repro.npu.chip",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
