@@ -16,16 +16,16 @@ The TDVS design-space experiments (Figures 6-9) share one 17-run grid;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.api import ExecutionPolicy, Session
 from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.errors import ExperimentError
-from repro.loc.analyzer import DistributionResult
-from repro.runner import RunResult
-from repro.sweep.engine import run_job
 from repro.sweep.spec import Job
-from repro.sweep.store import SweepOutcome
+
+if TYPE_CHECKING:
+    from repro.loc.analyzer import DistributionResult
+    from repro.runner import RunResult
+    from repro.sweep.store import SweepOutcome
 
 #: Run lengths (reference-clock cycles) per profile.  ``paper`` is the
 #: paper's 8x10^6; ``quick`` keeps several 80k windows while staying
@@ -153,6 +153,8 @@ def instrumented_run(
     process: str = "mmpp",
 ) -> InstrumentedRun:
     """Run one configuration with formula (2)/(3) analyzers attached."""
+    from repro.sweep.engine import run_job
+
     job = instrumented_job(
         profile,
         benchmark=benchmark,
@@ -181,6 +183,8 @@ def tdvs_design_space(
     The 17 runs go through the session API, so ``workers > 1``
     regenerates the grid in parallel with identical results.
     """
+    from repro.api import ExecutionPolicy, Session
+
     cached = _TDVS_CACHE.get(profile)
     if cached is not None:
         return cached

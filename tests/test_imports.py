@@ -23,6 +23,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 LAZY_PACKAGES = ("repro", "repro.api", "repro.sweep", "repro.studies", "repro.obs")
 
+ALL_PACKAGES = sorted(
+    ".".join(init.parent.relative_to(SRC).parts)
+    for init in (SRC / "repro").rglob("__init__.py")
+)
+
 
 def _fresh(code: str, *args: str):
     """Run ``code`` in a fresh interpreter with only ``src`` on the path;
@@ -118,6 +123,32 @@ class TestImportGraph:
         loaded = _loaded_after("import repro.cli")
         assert "repro.cli" in loaded
         assert _hits(loaded, ("repro.runner", "repro.loc")) == []
+
+    def test_run_length_loads_no_session_sweep_or_loc(self):
+        # ``repro scenarios NAME --run`` reads its run length here.
+        loaded = _loaded_after(
+            """
+            from repro.experiments.common import cycles_for
+
+            assert cycles_for("bench") == 400_000
+            """
+        )
+        assert "repro.experiments.common" in loaded
+        assert _hits(loaded, (
+            "repro.api",
+            "repro.runner",
+            "repro.sweep.engine",
+            "repro.sweep.store",
+            "repro.loc",
+        )) == []
+
+
+@pytest.mark.parametrize("package", ALL_PACKAGES)
+def test_each_package_imports_first(package):
+    # Import order must not matter: a package that only loads after
+    # another has (an import cycle) fails here.
+    loaded = _loaded_after(f"import {package}")
+    assert package in loaded
 
 
 _RESOLVE = """
