@@ -27,7 +27,7 @@ from repro.apps.microcode import (
     serialize_stride_trie,
     write_port_info_blocks,
 )
-from repro.apps.routing import random_routing_trie
+from repro.apps.routing import routing_trie_for
 from repro.npu.assembler import assemble
 from repro.npu.interpreter import Interpreter
 from repro.npu.memstore import MemStore
@@ -88,13 +88,7 @@ class IpfwdrMicrocodeApp(MicrocodeApp):
     source = IPFWDR_UC
 
     def __init__(self, resources: AppResources):
-        if resources.routing_trie is None:
-            resources.routing_trie = random_routing_trie(
-                resources.rng_streams.get("apps.routing"),
-                num_prefixes=256,
-                num_ports=resources.num_ports,
-            )
-        self.trie = resources.routing_trie
+        self.trie = routing_trie_for(resources)
         super().__init__(resources)
 
     def _setup_tables(self) -> None:

@@ -25,7 +25,7 @@ from repro.apps.base import (
     chunks_of,
     register_app,
 )
-from repro.apps.routing import RoutingTrie, random_routing_trie, strides_for_depth
+from repro.apps.routing import RoutingTrie, routing_trie_for, strides_for_depth
 from repro.npu.steps import Compute, MemRead, MemWrite, PutTx, Step
 from repro.traffic.packet import Packet
 
@@ -57,13 +57,7 @@ class IpfwdrApp(AppModel):
 
     def __init__(self, resources: AppResources, profile=None):
         super().__init__(resources, profile or IPFWDR_PROFILE)
-        if resources.routing_trie is None:
-            resources.routing_trie = random_routing_trie(
-                resources.rng_streams.get("apps.routing"),
-                num_prefixes=256,
-                num_ports=resources.num_ports,
-            )
-        self.trie: RoutingTrie = resources.routing_trie
+        self.trie: RoutingTrie = routing_trie_for(resources)
         self.lookups = 0
         self.total_lookup_depth = 0
 

@@ -9,9 +9,18 @@ against a brute-force reference.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import random
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import NpuError
+
+if TYPE_CHECKING:
+    from repro.apps.base import AppResources
+
+#: Routing tables one process keeps (about 225 KB each).  A study builds
+#: one per seed.
+SHARED_TRIES_MAX = 8
 
 
 class _TrieNode:
@@ -106,6 +115,35 @@ def random_routing_trie(
         prefix = rng.getrandbits(length) << (32 - length)
         trie.insert(prefix, length, rng.randrange(num_ports))
     return trie
+
+
+def routing_trie_for(resources: AppResources) -> RoutingTrie:
+    """The chip's routing table, ``resources.routing_trie``, filled in
+    on first use.
+
+    The table is the one :func:`random_routing_trie` builds from the
+    ``apps.routing`` stream (256 prefixes over the chip's ports), built
+    once per process: it is a pure function of the stream's state and
+    the two sizes, so every run whose stream starts alike (every job of
+    one seed) shares it, and the stream is left where the build would
+    have left it.  The shared trie is read-only: apps only look it up or
+    serialize it.  A caller that inserts routes builds its own with
+    :func:`random_routing_trie`.
+    """
+    if resources.routing_trie is None:
+        rng = resources.rng_streams.get("apps.routing")
+        trie, state_after = _built_trie(rng.getstate(), 256, resources.num_ports)
+        rng.setstate(state_after)
+        resources.routing_trie = trie
+    return resources.routing_trie
+
+
+@lru_cache(maxsize=SHARED_TRIES_MAX)
+def _built_trie(state: tuple, num_prefixes: int, num_ports: int):
+    rng = random.Random()
+    rng.setstate(state)
+    trie = random_routing_trie(rng, num_prefixes=num_prefixes, num_ports=num_ports)
+    return trie, rng.getstate()
 
 
 def strides_for_depth(depth_bits: int, stride_bits: int = 8, max_strides: int = 5) -> int:

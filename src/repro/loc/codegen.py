@@ -32,6 +32,8 @@ absolute instance pins).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import CodeType
 from typing import Callable, Dict, List, Tuple, Union
 
 from repro.errors import LocError
@@ -50,6 +52,10 @@ from repro.loc.parser import parse_formula
 #: Column order of the text trace format (mirrors repro.trace.writer)
 #: and of the trace bus's annotation rows.
 _COLUMNS = ("cycle", "time", "energy", "total_pkt", "total_bit")
+
+#: Compiled monitor sources one process keeps.  The jobs of a catalog
+#: study attach 11 distinct monitors.
+MONITOR_CODE_MAX = 64
 
 
 def _render_expr(expr: Expr) -> str:
@@ -717,6 +723,16 @@ def compile_monitor_feed(
         namespace["bisect_left"] = bisect_left
         namespace["bisect_right"] = bisect_right
     exec(  # noqa: S102 - the source is generated above, not user input
-        compile(source, f"<loc-monitor {parsed.unparse()}>", "exec"), namespace
+        _monitor_code(source, f"<loc-monitor {parsed.unparse()}>"), namespace
     )
     return namespace["_make_monitor"]()
+
+
+@lru_cache(maxsize=MONITOR_CODE_MAX)
+def _monitor_code(source: str, filename: str) -> CodeType:
+    """``source`` compiled once per process.
+
+    A code object is immutable and each monitor execs it into its own
+    namespace, so monitors sharing it share no state.
+    """
+    return compile(source, filename, "exec")

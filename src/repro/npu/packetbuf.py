@@ -4,6 +4,13 @@ IP packets live in SDRAM between reception and transmission.  The
 allocator hands out fixed-size buffers from a freelist, mirroring the
 IXP1200's buffer pools; exhaustion is a (rare, but real) loss mechanism
 that the receive path checks before copying packet data into SDRAM.
+
+The freelist is lazy: handles never used yet come from a counter, and
+released handles are reused last-in first-out ahead of them.  That is
+the handle sequence of an eager freelist holding every handle in
+reverse order (``tests/test_packetbuf.py`` keeps one as the oracle),
+without building it: at the default 128 MB packet area it held 65,536
+ints, built again for every run.
 """
 
 from __future__ import annotations
@@ -33,11 +40,13 @@ class PacketBufferPool:
             )
         self.buffer_bytes = buffer_bytes
         self.num_buffers = total_bytes // buffer_bytes
-        self._free: List[int] = list(range(self.num_buffers - 1, -1, -1))
-        # Free-membership mask mirroring ``_free``: the double-free check
-        # must not scan the freelist (it held tens of thousands of
-        # handles and dominated the release hot path).
-        self._free_mask = bytearray(b"\x01") * self.num_buffers
+        # Handles below ``_next`` have been handed out at least once;
+        # ``_released`` holds those of them that are free again.
+        self._next = 0
+        self._released: List[int] = []
+        # Allocation mask, so the double-free check never scans the
+        # released list.
+        self._allocated = bytearray(self.num_buffers)
         self.allocations = 0
         self.failures = 0
         self.peak_in_use = 0
@@ -45,23 +54,29 @@ class PacketBufferPool:
     @property
     def in_use(self) -> int:
         """Buffers currently allocated."""
-        return self.num_buffers - len(self._free)
+        return self._next - len(self._released)
 
     @property
     def free_buffers(self) -> int:
         """Buffers currently free."""
-        return len(self._free)
+        return self.num_buffers - self.in_use
 
     def allocate(self) -> Optional[int]:
         """Return a buffer handle, or ``None`` when exhausted."""
-        if not self._free:
+        released = self._released
+        if released:
+            handle = released.pop()
+        elif self._next < self.num_buffers:
+            handle = self._next
+            self._next = handle + 1
+        else:
             self.failures += 1
             return None
-        handle = self._free.pop()
-        self._free_mask[handle] = 0
+        self._allocated[handle] = 1
         self.allocations += 1
-        if self.in_use > self.peak_in_use:
-            self.peak_in_use = self.in_use
+        in_use = self._next - len(released)
+        if in_use > self.peak_in_use:
+            self.peak_in_use = in_use
         return handle
 
     def release(self, handle: int) -> None:
@@ -72,10 +87,10 @@ class PacketBufferPool:
         """
         if not 0 <= handle < self.num_buffers:
             raise MemoryModelError(f"bad buffer handle {handle}")
-        if self._free_mask[handle]:
+        if not self._allocated[handle]:
             raise MemoryModelError(f"double free of buffer {handle}")
-        self._free_mask[handle] = 1
-        self._free.append(handle)
+        self._allocated[handle] = 0
+        self._released.append(handle)
 
     def address_of(self, handle: int) -> int:
         """Byte address of a buffer within the packet area."""

@@ -13,9 +13,11 @@ them (``url`` scanning, ``md4`` hashing in detailed mode).
 
 from __future__ import annotations
 
+import random
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.errors import TrafficError
@@ -23,6 +25,10 @@ from repro.errors import TrafficError
 #: Minimum and maximum legal IPv4 packet sizes this model accepts.
 MIN_PACKET_BYTES = 40
 MAX_PACKET_BYTES = 9000
+
+#: Flow tables one process keeps (160 KB at 512 flows, 490 KB at 2048).
+#: The catalog builds two per seed: its scenarios have two flow shapes.
+SHARED_FLOW_TABLES_MAX = 16
 
 #: IP header bytes assumed by the applications (no options).
 IP_HEADER_BYTES = 20
@@ -133,25 +139,13 @@ class FlowPool:
         self.num_flows = num_flows
         self.zipf_s = zipf_s
         self._rng = rng
-        # Precompute the flow endpoint tuples and the popularity CDF.
-        self._flows = [self._make_flow(k) for k in range(num_flows)]
-        weights = [1.0 / (rank + 1) ** zipf_s for rank in range(num_flows)]
-        total = sum(weights)
-        cumulative = 0.0
-        self._cdf = []
-        for weight in weights:
-            cumulative += weight / total
-            self._cdf.append(cumulative)
-        self._cdf[-1] = 1.0  # guard float drift
-
-    def _make_flow(self, index: int) -> Tuple[int, int, int, int, int]:
-        rng = self._rng
-        src_ip = rng.getrandbits(32)
-        dst_ip = rng.getrandbits(32)
-        src_port = rng.randrange(1024, 65536)
-        dst_port = rng.choice((80, 80, 443, 8080, 53, rng.randrange(1024, 65536)))
-        protocol = 6 if rng.random() < 0.85 else 17
-        return (src_ip, dst_ip, src_port, dst_port, protocol)
+        # The endpoint tuples and the popularity CDF are built once per
+        # process for each stream state (see ``_flow_table``); the pool
+        # keeps drawing from ``rng``, so it resumes where the build left it.
+        self._flows, self._cdf, state_after = _flow_table(
+            rng.getstate(), num_flows, zipf_s
+        )
+        rng.setstate(state_after)
 
     def draw(self) -> int:
         """Draw a flow index according to the popularity distribution."""
@@ -163,3 +157,33 @@ class FlowPool:
 
     def __len__(self) -> int:
         return self.num_flows
+
+
+@lru_cache(maxsize=SHARED_FLOW_TABLES_MAX)
+def _flow_table(state: tuple, num_flows: int, zipf_s: float):
+    """``(endpoints, cdf, state_after)`` of a :class:`FlowPool` whose
+    stream starts at ``state``.
+
+    A pure function of its arguments, so pools built from equal stream
+    states share the two tables (tuples: no pool mutates them), and
+    ``state_after`` is where the build leaves the stream.
+    """
+    rng = random.Random()
+    rng.setstate(state)
+    flows = []
+    for _ in range(num_flows):
+        src_ip = rng.getrandbits(32)
+        dst_ip = rng.getrandbits(32)
+        src_port = rng.randrange(1024, 65536)
+        dst_port = rng.choice((80, 80, 443, 8080, 53, rng.randrange(1024, 65536)))
+        protocol = 6 if rng.random() < 0.85 else 17
+        flows.append((src_ip, dst_ip, src_port, dst_port, protocol))
+    weights = [1.0 / (rank + 1) ** zipf_s for rank in range(num_flows)]
+    total = sum(weights)
+    cumulative = 0.0
+    cdf = []
+    for weight in weights:
+        cumulative += weight / total
+        cdf.append(cumulative)
+    cdf[-1] = 1.0  # guard float drift
+    return tuple(flows), tuple(cdf), rng.getstate()
