@@ -9,8 +9,7 @@ The freelist is lazy: handles never used yet come from a counter, and
 released handles are reused last-in first-out ahead of them.  That is
 the handle sequence of an eager freelist holding every handle in
 reverse order (``tests/test_packetbuf.py`` keeps one as the oracle),
-without building it: at the default 128 MB packet area it held 65,536
-ints, built again for every run.
+without building 65,536 ints per run at the default 128 MB packet area.
 """
 
 from __future__ import annotations

@@ -113,12 +113,29 @@ def test_trie_hit_leaves_stream_where_a_build_does(cold_memos):
     assert [shared.lookup(a) for a in addresses] == [fresh.lookup(a) for a in addresses]
 
 
+def _drawn_endpoints(rng, num_flows):
+    """The reference: a pool's endpoints drawn one flow at a time."""
+    return [
+        (
+            rng.getrandbits(32),
+            rng.getrandbits(32),
+            rng.randrange(1024, 65536),
+            rng.choice((80, 80, 443, 8080, 53, rng.randrange(1024, 65536))),
+            6 if rng.random() < 0.85 else 17,
+        )
+        for _ in range(num_flows)
+    ]
+
+
 def test_flow_table_hit_leaves_stream_where_a_build_does(cold_memos):
+    built = random.Random(5)
+    endpoints = _drawn_endpoints(built, 64)
     missed = FlowPool(64, 0.9, random.Random(5))
     hit = FlowPool(64, 0.9, random.Random(5))
     assert _flow_table.cache_info().hits == 1
-    assert hit._rng.getstate() == missed._rng.getstate()
-    assert [hit.endpoints(k) for k in range(64)] == [missed.endpoints(k) for k in range(64)]
+    for pool in (missed, hit):
+        assert pool._rng.getstate() == built.getstate()
+        assert [pool.endpoints(k) for k in range(64)] == endpoints
     assert [hit.draw() for _ in range(200)] == [missed.draw() for _ in range(200)]
 
 
