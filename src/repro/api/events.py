@@ -16,10 +16,6 @@ it streams — the assertion-based-methodology move of checking verdicts
     Convenience subset of ``on_outcome``: the outcome carried LOC
     checker verdicts and at least one recorded violations.  ``failed``
     is the violating :class:`~repro.loc.checker.CheckResult` list.
-``on_abort(outcome)``
-    Convenience subset of ``on_outcome``: a streaming anomaly gate
-    stopped this job early (``outcome.result.aborted_early``); the
-    reason line is ``outcome.result.abort_reason``.
 ``progress(done, total, outcome)``
     The legacy per-delivery callback, counted per job *index* (so a
     duplicated job id ticks once per occurrence) — exactly what
@@ -58,7 +54,6 @@ class EventHooks:
     on_job_start: Optional[StartHook] = field(default=None, compare=False)
     on_outcome: Optional[OutcomeHook] = field(default=None, compare=False)
     on_check_failed: Optional[CheckFailedHook] = field(default=None, compare=False)
-    on_abort: Optional[OutcomeHook] = field(default=None, compare=False)
     progress: Optional[ProgressHook] = field(default=None, compare=False)
     on_span: Optional[SpanHook] = field(default=None, compare=False)
 
@@ -102,7 +97,6 @@ def chain_hooks(*bundles: Optional[EventHooks]) -> EventHooks:
         on_job_start=fan("on_job_start"),
         on_outcome=fan("on_outcome"),
         on_check_failed=fan("on_check_failed"),
-        on_abort=fan("on_abort"),
         progress=fan("progress"),
         on_span=fan("on_span"),
     )

@@ -80,13 +80,6 @@ class ExecutionPolicy:
         term then adapts to observed job wall-clock).
     log:
         Coordinator event-line callback (distributed backend only).
-    early_abort:
-        Streaming anomaly-gate policy
-        (:class:`~repro.obs.gates.EarlyAbortPolicy` or its dict form;
-        normalized to the dataclass).  ``None`` (the default) runs
-        every job to its full cycle budget; when set, the session
-        attaches it to every fresh job, which **changes job identity**
-        — gated partial outcomes never alias full-run cache entries.
     """
 
     backend: BackendSelector = None
@@ -95,7 +88,6 @@ class ExecutionPolicy:
     retries: Optional[int] = None
     lease_s: Optional[float] = None
     log: Optional[Callable[[str], None]] = field(default=None, compare=False)
-    early_abort: Optional["object"] = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
@@ -104,18 +96,6 @@ class ExecutionPolicy:
             raise ExperimentError(f"retries must be >= 0, got {self.retries}")
         if self.lease_s is not None and self.lease_s <= 0:
             raise ExperimentError(f"lease_s must be positive, got {self.lease_s}")
-        if self.early_abort is not None:
-            from repro.obs.gates import EarlyAbortPolicy
-
-            policy = self.early_abort
-            if isinstance(policy, dict):
-                policy = EarlyAbortPolicy.from_dict(policy)
-            if not isinstance(policy, EarlyAbortPolicy):
-                raise ExperimentError(
-                    "early_abort must be an EarlyAbortPolicy or its dict "
-                    f"form, got {type(self.early_abort).__name__}"
-                )
-            object.__setattr__(self, "early_abort", policy)
 
     @classmethod
     def from_env(

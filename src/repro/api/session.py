@@ -126,14 +126,8 @@ class Session:
 
     def _expand(self, jobs: JobsLike) -> List[Job]:
         if isinstance(jobs, SweepSpec):
-            jobs = jobs.jobs()
-        jobs = list(jobs)
-        policy = self.execution.early_abort
-        if policy is not None and policy.enabled():
-            # Gated jobs have distinct ids: a partial outcome must never
-            # be served as the cache entry of its full-run twin.
-            jobs = [job.gated(policy) for job in jobs]
-        return jobs
+            return jobs.jobs()
+        return list(jobs)
 
     def _stream(
         self, jobs: List[Job], hooks: EventHooks
@@ -169,15 +163,11 @@ class Session:
             metrics.counter("session.outcomes").inc()
             if outcome.cached:
                 metrics.counter("session.outcomes_cached").inc()
-            if outcome.result.aborted_early:
-                metrics.counter("session.outcomes_aborted_early").inc()
             if outcome.obs:
                 for name, stats in outcome.obs.get("channels", {}).items():
-                    for field in ("published", "delivered", "shed"):
-                        if field in stats:
-                            metrics.counter(f"trace.{name}.{field}").inc(
-                                int(stats[field])
-                            )
+                    metrics.counter(f"trace.{name}.published").inc(
+                        int(stats["published"])
+                    )
                 # The job's deterministic sim-time timeline joins the
                 # session span log, tagged with the job id so exporters
                 # can group each run's kernel phases into its own track
@@ -213,8 +203,6 @@ class Session:
                 failed = [c for c in outcome.check_results if not c.passed]
                 if failed:
                     hooks.on_check_failed(outcome, failed)
-            if hooks.on_abort is not None and outcome.result.aborted_early:
-                hooks.on_abort(outcome)
 
         previous_recorder = swap_recorder(spans)
         try:

@@ -444,13 +444,6 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         "JSONL span log; feed it to 'repro trace export' or "
         "'repro report --html'",
     )
-    parser.add_argument(
-        "--early-abort",
-        action="store_true",
-        help="let streaming anomaly gates stop doomed jobs early "
-        "(aborted_early outcomes; changes job identity, so gated runs "
-        "never alias full-run caches)",
-    )
 
 
 def _make_backend(args):
@@ -500,16 +493,9 @@ def _run_session(args, backend=None) -> "Session":
     """
     from repro.api import ExecutionPolicy, Session, StorePolicy
 
-    early_abort = None
-    if getattr(args, "early_abort", False):
-        from repro.obs.gates import EarlyAbortPolicy
-
-        early_abort = EarlyAbortPolicy()
     return Session(
         execution=ExecutionPolicy(
-            backend=backend,
-            workers=getattr(args, "workers", None),
-            early_abort=early_abort,
+            backend=backend, workers=getattr(args, "workers", None)
         ),
         store=StorePolicy(path=getattr(args, "store", None)),
     )

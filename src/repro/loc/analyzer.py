@@ -253,11 +253,6 @@ class DistributionAnalyzer:
         if value > self._max:
             self._max = value
 
-    @property
-    def instances_so_far(self) -> int:
-        """Number of defined instances observed so far."""
-        return self._total
-
     def finish(self) -> DistributionResult:
         """Snapshot the accumulated distribution."""
         return DistributionResult(

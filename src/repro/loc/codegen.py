@@ -629,68 +629,6 @@ def generate_monitor_source(
     )
 
 
-_TAP_MONITOR = (
-    _MONITOR_HEAD
-    + '''\
-
-    def feed(row):
-        nonlocal count, next_i
-'''
-    + _MONITOR_DRIVE
-    + '''\
-            try:
-                value = {expr}
-            except ZeroDivisionError:
-                continue
-            if value != value:
-                continue
-            _sink(value)
-
-    return feed
-'''
-)
-
-
-def compile_value_tap(
-    formula: Union[str, Formula], sink: Callable[[float], None]
-) -> Tuple[str, Callable]:
-    """Compile a checker formula's left-hand side into a value stream.
-
-    Returns ``(event_name, feed)``: feed one annotation row of
-    ``event_name`` per call, and ``sink(value)`` fires once per ready,
-    defined formula instance with the lhs value — the stream the
-    streaming anomaly gates (:mod:`repro.obs.gates`) window over.
-    Undefined instances (division by zero, NaN) are skipped, matching
-    the checker monitors' instance accounting.
-    """
-    parsed = parse_formula(formula) if isinstance(formula, str) else formula
-    if not isinstance(parsed, CheckerFormula):
-        raise LocError(
-            "value taps need a checker formula (relational operator), got "
-            f"{parsed.unparse()!r}"
-        )
-    event = monitor_event(parsed)
-    if event is None:
-        raise LocError(
-            f"formula {parsed.unparse()!r} is not compilable to a "
-            "single-event value tap (multi-event window or absolute "
-            "instance pins)"
-        )
-    window, ready_lag, first_instance, _ = _ring_prelude(parsed)
-    source = _TAP_MONITOR.format(
-        window=window,
-        ready_lag=ready_lag,
-        first_instance=first_instance,
-        fetches=_fetch_lines(window, [parsed.lhs]),
-        expr=_render_ring_expr(parsed.lhs),
-    )
-    namespace: Dict = {"_sink": sink}
-    exec(  # noqa: S102 - the source is generated above, not user input
-        compile(source, f"<loc-tap {parsed.unparse()}>", "exec"), namespace
-    )
-    return event, namespace["_make_monitor"]()
-
-
 def compile_monitor_feed(
     formula: Union[str, Formula], max_recorded_violations: int = 100
 ) -> Tuple[Callable, Callable]:

@@ -137,14 +137,6 @@ class CompiledMonitor:
             value_sum=value_sum,
         )
 
-    def poll(self) -> Union[CheckResult, DistributionResult]:
-        """Mid-run snapshot for streaming consumers (anomaly gates).
-
-        Identical to :meth:`finish` — the name marks call sites that
-        deliberately read a *partial* verdict while the stream is live.
-        """
-        return self.finish()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CompiledMonitor {self.formula.unparse()!r} on {self.event!r}>"
 
@@ -180,10 +172,6 @@ class InterpretedMonitor:
     def finish(self) -> Union[CheckResult, DistributionResult]:
         """Snapshot the accumulated result (the stream may keep going)."""
         return self._sink.finish()
-
-    def poll(self) -> Union[CheckResult, DistributionResult]:
-        """Mid-run snapshot for streaming consumers (see the compiled twin)."""
-        return self.finish()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<InterpretedMonitor {self.formula.unparse()!r}>"

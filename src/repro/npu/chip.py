@@ -165,7 +165,6 @@ class NpuChip:
         )
         self.bus = TraceBus(self.annotations)
         self._emit_forward = NOOP_EMITTER
-        self._emit_arrival = None
 
         # -- ports ---------------------------------------------------------
         self.ports = PortArray(
@@ -260,13 +259,6 @@ class NpuChip:
             raise NpuError("chip already started")
         self._started = True
         self._emit_forward = self.bus.emitter("forward")
-        # Named-only arrival channel: one event per offered packet, for
-        # loss-rate instrumentation (repro.obs.gates).  Named-only keeps
-        # trace files unchanged; unobserved it costs nothing at all.
-        emit_arrival = self.bus.emitter("arrival", to_sinks=False)
-        self._emit_arrival = (
-            None if emit_arrival is NOOP_EMITTER else emit_arrival
-        )
         self.ports.bind_trace(self.bus)
         for name, resource in self.memories.items():
             resource.bind_trace(self.bus, f"mem_{name}")
@@ -306,8 +298,6 @@ class NpuChip:
         self.offered_packets += 1
         self.offered_bits += packet.size_bits
         self.traffic_monitor.add(packet.size_bits)
-        if self._emit_arrival is not None:
-            self._emit_arrival()
 
     def _make_rx_steps(self, packet: Packet):
         handle = self.buffer_pool.allocate()

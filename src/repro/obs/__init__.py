@@ -1,4 +1,4 @@
-"""``repro.obs`` — metrics, spans, run telemetry and anomaly gates.
+"""``repro.obs`` — metrics, spans and run telemetry.
 
 The observation spine (:mod:`repro.trace.bus`) answers *what happened
 inside one run*; this package answers *what the system is doing* while
@@ -15,10 +15,6 @@ sweeps, studies and worker fleets execute:
   JSONL span log.  ``repro trace export`` turns the log into a
   Perfetto-loadable Chrome trace (:mod:`repro.obs.perfetto`);
   ``repro report --html`` embeds its summary.
-* :mod:`repro.obs.gates` — streaming anomaly gates that ride the
-  TraceBus and abort a doomed job early (``aborted_early`` partial
-  outcomes), opt-in via
-  :attr:`repro.api.policy.ExecutionPolicy.early_abort`.
 
 Both JSONL schemas are documented (and version-pinned) in
 ``src/repro/obs/SCHEMA.md``; CI fails hard when
@@ -35,17 +31,11 @@ __all__ = [
     "FORWARD_LATENCY_EDGES_US",
     "METRICS_SCHEMA_VERSION",
     "SPAN_SCHEMA_VERSION",
-    "AbortSignal",
-    "CheckUnsatGate",
     "Counter",
-    "EarlyAbortPolicy",
     "Gauge",
     "Histogram",
-    "LossRateGate",
     "MetricsRegistry",
-    "RollingQuantileGate",
     "SpanRecorder",
-    "build_gates",
     "diff_snapshots",
     "get_recorder",
     "read_snapshot",
@@ -59,17 +49,11 @@ _EXPORTS = {
     "FORWARD_LATENCY_EDGES_US": "repro.obs.metrics",
     "METRICS_SCHEMA_VERSION": "repro.obs.metrics",
     "SPAN_SCHEMA_VERSION": "repro.obs.spans",
-    "AbortSignal": "repro.obs.gates",
-    "CheckUnsatGate": "repro.obs.gates",
     "Counter": "repro.obs.metrics",
-    "EarlyAbortPolicy": "repro.obs.gates",
     "Gauge": "repro.obs.metrics",
     "Histogram": "repro.obs.metrics",
-    "LossRateGate": "repro.obs.gates",
     "MetricsRegistry": "repro.obs.metrics",
-    "RollingQuantileGate": "repro.obs.gates",
     "SpanRecorder": "repro.obs.spans",
-    "build_gates": "repro.obs.gates",
     "diff_snapshots": "repro.obs.metrics",
     "get_recorder": "repro.obs.spans",
     "read_snapshot": "repro.obs.metrics",

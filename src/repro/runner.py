@@ -77,12 +77,6 @@ class RunResult:
     governor_transitions: int
     governor_windows: int
     dvs_overhead_w: float
-    #: True when a streaming anomaly gate stopped the run before its
-    #: cycle budget; ``totals`` then cover exactly the simulated prefix
-    #: (the simulator clock freezes at the trip instant).
-    aborted_early: bool = False
-    #: The tripping gate's reason line (empty for full runs).
-    abort_reason: str = ""
 
     @property
     def mean_power_w(self) -> float:
@@ -110,7 +104,6 @@ class SimulationRun:
         config: RunConfig,
         sinks: Sequence = (),
         monitors: Sequence = (),
-        gates: Sequence = (),
     ):
         config.validate()
         self.config = config
@@ -122,16 +115,6 @@ class SimulationRun:
             self.chip.add_sink(sink)
         for monitor in monitors:
             monitor.attach(self.bus)
-        # Anomaly gates attach last: their polls subscribe after the
-        # monitors they watch, so dispatch order guarantees a poll sees
-        # the monitor state *after* it consumed the same event.
-        self.abort_signal = None
-        if gates:
-            from repro.obs.gates import AbortSignal
-
-            self.abort_signal = AbortSignal(self.sim)
-            for gate in gates:
-                gate.attach(self.bus, self.abort_signal)
 
         # -- traffic -----------------------------------------------------
         if config.traffic.scenario is not None:
@@ -299,7 +282,6 @@ class SimulationRun:
         self.sim.run(until_ps=stop_ps)
 
         totals = self.chip.totals()
-        aborted = self.abort_signal is not None and self.abort_signal.tripped
         return RunResult(
             config=self.config,
             totals=totals,
@@ -307,8 +289,6 @@ class SimulationRun:
             governor_transitions=self.governor.transitions if self.governor else 0,
             governor_windows=self.governor.windows_evaluated if self.governor else 0,
             dvs_overhead_w=totals.power_breakdown_w["dvs_overhead"],
-            aborted_early=aborted,
-            abort_reason=self.abort_signal.reason if aborted else "",
         )
 
 
@@ -316,7 +296,6 @@ def run_simulation(
     config: RunConfig,
     sinks: Sequence = (),
     monitors: Sequence = (),
-    gates: Sequence = (),
 ) -> RunResult:
     """Build and run a simulation in one call."""
-    return SimulationRun(config, sinks=sinks, monitors=monitors, gates=gates).run()
+    return SimulationRun(config, sinks=sinks, monitors=monitors).run()

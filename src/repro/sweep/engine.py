@@ -77,8 +77,8 @@ def default_workers() -> int:
 def family_key(job: Job) -> Optional[str]:
     """The identity a TDVS job shares with its threshold siblings.
 
-    The job's identity hash (config dict, span, scenario, checks,
-    early-abort policy) with the traffic rule's own fields blanked.
+    The job's identity hash (config dict, span, scenario, checks) with
+    the traffic rule's own fields blanked.
     ``None`` for every other policy: ``combined``'s idle rule reads the
     chip, so only TDVS qualifies.  Works on the job's dicts alone, with
     no :class:`~repro.config.RunConfig` built.
@@ -88,7 +88,7 @@ def family_key(job: Job) -> Optional[str]:
         return None
     config = dict(job.config)
     config["dvs"] = {**dvs, **dict.fromkeys(TRAFFIC_RULE_FIELDS)}
-    return config_hash(config, job.span, job.scenario, job.checks, job.early_abort)
+    return config_hash(config, job.span, job.scenario, job.checks)
 
 
 def job_families(jobs: Sequence[Job]) -> List[List[Job]]:
@@ -169,16 +169,12 @@ def run_job(job: Job) -> SweepOutcome:
     ``REPRO_LOC_MONITOR=interpreted`` — with results proven identical
     either way (``tests/test_monitors.py``).
 
-    When the job carries an early-abort policy (``job.early_abort``),
-    streaming anomaly gates (:mod:`repro.obs.gates`) attach after the
-    monitors and may stop the simulator mid-run; the outcome then
-    reports ``result.aborted_early`` with partial totals.  Observed
-    runs additionally carry per-channel ``published`` event counts in
-    ``outcome.obs`` — only the observer-independent half of
+    Observed runs additionally carry per-channel ``published`` event
+    counts in ``outcome.obs`` — only the observer-independent half of
     :meth:`~repro.trace.bus.TraceBus.channel_stats`, so outcomes stay
-    byte-identical across backends *and* monitor modes (delivery/shed
-    accounting depends on subscriber topology, which differs between
-    compiled monitors and the interpreted wildcard-sink fallback).
+    byte-identical across backends *and* monitor modes (delivery counts
+    depend on subscriber topology, which differs between compiled
+    monitors and the interpreted wildcard-sink fallback).
     """
     ((outcome, _shared),) = run_family([job])
     return outcome
@@ -203,14 +199,7 @@ def _simulate(
         build_monitor(check, expect="checker") for check in job.checks
     ]
     monitors = monitors + check_monitors
-    gates = []
-    if job.early_abort:
-        from repro.obs.gates import EarlyAbortPolicy, build_gates
-
-        gates = build_gates(
-            EarlyAbortPolicy.from_dict(job.early_abort), check_monitors
-        )
-    run = SimulationRun(config, monitors=monitors, gates=gates)
+    run = SimulationRun(config, monitors=monitors)
     result = run.run()
     channel_stats = run.bus.channel_stats()
     check_results = [monitor.finish() for monitor in check_monitors]

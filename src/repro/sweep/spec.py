@@ -33,21 +33,16 @@ def config_hash(
     span: Optional[int] = None,
     scenario: Optional[Dict[str, Any]] = None,
     checks: Sequence[str] = (),
-    early_abort: Optional[Dict[str, Any]] = None,
 ) -> str:
-    """Stable short hash of a config dict (+ span, scenario, checks,
-    early-abort policy).
+    """Stable short hash of a config dict (+ span, scenario, checks).
 
     Key order does not matter; values must be JSON-serializable, which
     every ``RunConfig.to_dict`` / ``Scenario.to_dict`` output is.  The
     scenario *definition* participates so that re-registering a name
     with different segments changes job identity; so do the attached LOC
-    checker formulas.  The ``checks`` key is omitted when empty — and
-    the ``early_abort`` key when unset — keeping job ids of plain
-    sweeps identical to those of earlier releases (existing result
-    stores stay valid caches).  An early-abort policy *must*
-    participate when set: a gated job may report a partial outcome,
-    which would poison the cache entry of its full-run twin.
+    checker formulas.  The ``checks`` key is omitted when empty, keeping
+    job ids of plain sweeps identical to those of earlier releases
+    (existing result stores stay valid caches).
     """
     payload_dict: Dict[str, Any] = {
         "config": config,
@@ -56,8 +51,6 @@ def config_hash(
     }
     if checks:
         payload_dict["checks"] = list(checks)
-    if early_abort:
-        payload_dict["early_abort"] = early_abort
     payload = json.dumps(payload_dict, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -76,12 +69,8 @@ class Job:
     *checker* formulas (relational assertions); the worker attaches one
     streaming :class:`~repro.loc.checker.Checker` per formula and the
     outcome carries their :class:`~repro.loc.checker.CheckResult`
-    verdicts in the same order.  ``early_abort`` is the serialized
-    :class:`~repro.obs.gates.EarlyAbortPolicy` dict when the job may be
-    stopped by streaming anomaly gates (``None`` for full runs; it
-    participates in the identity hash only when set, so gated partial
-    outcomes never alias full-run cache entries).  ``label`` is
-    display-only and excluded from the identity hash.
+    verdicts in the same order.  ``label`` is display-only and excluded
+    from the identity hash.
     """
 
     job_id: str
@@ -90,7 +79,6 @@ class Job:
     label: str = ""
     scenario: Optional[Dict[str, Any]] = None
     checks: Tuple[str, ...] = ()
-    early_abort: Optional[Dict[str, Any]] = None
 
     @classmethod
     def build(
@@ -99,7 +87,6 @@ class Job:
         span: Optional[int] = None,
         label: str = "",
         checks: Sequence[str] = (),
-        early_abort: Optional[Dict[str, Any]] = None,
     ) -> "Job":
         """Make a job from a config (validated) or a config dict."""
         if isinstance(config, RunConfig):
@@ -121,42 +108,13 @@ class Job:
             from repro.scenarios.catalog import get_scenario
 
             scenario = get_scenario(scenario_name).to_dict()
-        if early_abort is not None and not isinstance(early_abort, dict):
-            early_abort = early_abort.to_dict()
         return cls(
-            job_id=config_hash(config, span, scenario, checks, early_abort),
+            job_id=config_hash(config, span, scenario, checks),
             config=config,
             span=span,
             label=label,
             scenario=scenario,
             checks=checks,
-            early_abort=early_abort,
-        )
-
-    def gated(self, early_abort) -> "Job":
-        """A copy of this job with an early-abort policy attached.
-
-        ``early_abort`` is an :class:`~repro.obs.gates.EarlyAbortPolicy`
-        or its dict form (``None`` returns the job unchanged).  The
-        returned job has a *different* id: partial outcomes must never
-        be served as cache hits for the full run.
-        """
-        if early_abort is None:
-            return self
-        if not isinstance(early_abort, dict):
-            early_abort = early_abort.to_dict()
-        if early_abort == self.early_abort:
-            return self
-        return Job(
-            job_id=config_hash(
-                self.config, self.span, self.scenario, self.checks, early_abort
-            ),
-            config=self.config,
-            span=self.span,
-            label=self.label,
-            scenario=self.scenario,
-            checks=self.checks,
-            early_abort=early_abort,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -166,7 +124,7 @@ class Job:
         side rebuilds the exact same job, so config hashes, embedded
         scenarios and check formulas survive the network unchanged.
         """
-        payload = {
+        return {
             "job_id": self.job_id,
             "config": self.config,
             "span": self.span,
@@ -174,9 +132,6 @@ class Job:
             "scenario": self.scenario,
             "checks": list(self.checks),
         }
-        if self.early_abort is not None:
-            payload["early_abort"] = self.early_abort
-        return payload
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Job":
@@ -190,7 +145,6 @@ class Job:
                 label=data.get("label", ""),
                 scenario=data.get("scenario"),
                 checks=tuple(data.get("checks") or ()),
-                early_abort=data.get("early_abort"),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed job payload: {exc!r}") from None

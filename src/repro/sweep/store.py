@@ -40,8 +40,8 @@ class SweepOutcome:
     cached: bool = False
     #: Run-level observability payload: per-channel ``published`` event
     #: counts (the observer-independent half of
-    #: :meth:`repro.trace.bus.TraceBus.channel_stats` — delivery/shed
-    #: accounting varies with subscriber topology and stays bus-local)
+    #: :meth:`repro.trace.bus.TraceBus.channel_stats` — delivery counts
+    #: vary with subscriber topology and stay bus-local)
     #: and, under ``spans``, the run's deterministic sim-time span
     #: records (scenario segments, per-ME phase windows,
     #: check-evaluation windows — see :mod:`repro.obs.spans`); ``None``
@@ -118,7 +118,7 @@ class SweepOutcome:
 # RunResult / DistributionResult <-> dict
 # ---------------------------------------------------------------------------
 def _result_to_dict(result: RunResult) -> Dict[str, Any]:
-    record = {
+    return {
         "config": result.config.to_dict(),
         "totals": asdict(result.totals),
         "governor_policy": result.governor_policy,
@@ -126,12 +126,6 @@ def _result_to_dict(result: RunResult) -> Dict[str, Any]:
         "governor_windows": result.governor_windows,
         "dvs_overhead_w": result.dvs_overhead_w,
     }
-    # Abort markers appear only on gated partial outcomes, keeping full
-    # runs' record shape (and byte identity) untouched.
-    if result.aborted_early:
-        record["aborted_early"] = True
-        record["abort_reason"] = result.abort_reason
-    return record
 
 
 def _result_from_dict(data: Dict[str, Any]) -> RunResult:
@@ -144,8 +138,6 @@ def _result_from_dict(data: Dict[str, Any]) -> RunResult:
         governor_transitions=data["governor_transitions"],
         governor_windows=data["governor_windows"],
         dvs_overhead_w=data["dvs_overhead_w"],
-        aborted_early=bool(data.get("aborted_early", False)),
-        abort_reason=data.get("abort_reason", ""),
     )
 
 

@@ -78,7 +78,7 @@ class TraceBus:
 
     def __init__(self, annotations: AnnotationProvider):
         self._annotations = annotations
-        self._handlers: Dict[str, List[Tuple[TupleHandler, int]]] = {}
+        self._handlers: Dict[str, List[TupleHandler]] = {}
         self._sinks: List = []
         self._bound: Dict[str, Emitter] = {}
         #: Events dispatched to at least one subscriber (no-op emitter
@@ -98,30 +98,14 @@ class TraceBus:
         """True once any producer bound an emitter."""
         return bool(self._bound)
 
-    def subscribe(
-        self, name: str, handler: TupleHandler, sample: int = 1
-    ) -> None:
+    def subscribe(self, name: str, handler: TupleHandler) -> None:
         """Subscribe a tuple handler to one event name.
 
         The handler is called with the bare annotation row; no
         :class:`TraceEvent` is allocated on its account.
-
-        ``sample=N`` subscribes at 1/N with a deterministic stride: the
-        handler sees the channel's first event and every N-th after it.
-        The bus still snapshots the row at every event occurrence of a
-        subscribed name; a sampled handler merely skips its dispatch.
-        Reading the annotations changes nothing, so numeric results are
-        identical at any stride.  Skipped dispatches are accounted as
-        shed in :meth:`channel_stats`.
-        Structured sinks (:meth:`attach_sink`) are never sampled.
         """
         self._require_open(name)
-        sample = int(sample)
-        if sample < 1:
-            raise TraceError(
-                f"sample stride for {name!r} must be >= 1, got {sample}"
-            )
-        self._handlers.setdefault(intern(name), []).append((handler, sample))
+        self._handlers.setdefault(intern(name), []).append(handler)
 
     def attach_sink(self, sink) -> None:
         """Attach a structured (wildcard) sink with ``emit(TraceEvent)``."""
@@ -184,33 +168,26 @@ class TraceBus:
         emit = self._bound.get(key)
         if emit is not None:
             return emit
-        entries = list(self._handlers.get(name, ()))
+        handlers = list(self._handlers.get(name, ()))
         sinks = list(self._sinks) if to_sinks else []
-        if not entries and not sinks:
+        if not handlers and not sinks:
             if to_sinks and self.has_any_subscriber():
                 emit = self._counting_emitter(key, name)
             else:
                 emit = NOOP_EMITTER
         else:
-            emit = self._make_emitter(key, name, entries, sinks)
+            emit = self._make_emitter(key, name, handlers, sinks)
         self._bound[key] = emit
         return emit
 
     # -- per-channel counters --------------------------------------------
-    def _register_channel(
-        self, key: str, name: str, full: int, sampled: int, sinks: int
-    ) -> List[int]:
-        """The counter cell ``[published, sampled_deliveries]`` for one
-        bound emitter (created once per binding key)."""
-        record = {
-            "name": name,
-            "cell": [0, 0],
-            "full": full,
-            "sampled": sampled,
-            "sinks": sinks,
-        }
-        self._channels[key] = record
-        return record["cell"]
+    def _register_channel(self, key: str, name: str, fanout: int) -> List[int]:
+        """The ``[published]`` counter cell for one bound emitter
+        (created once per binding key); each published event runs
+        ``fanout`` handler and sink dispatches."""
+        cell = [0]
+        self._channels[key] = {"name": name, "cell": cell, "fanout": fanout}
+        return cell
 
     def channel_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-channel event accounting.
@@ -218,63 +195,36 @@ class TraceBus:
         Maps each counted channel name to::
 
             {"published": events the producer published,
-             "delivered": handler + sink dispatches that actually ran,
-             "shed":      dispatches skipped by sampled subscriptions}
+             "delivered": handler + sink dispatches those events ran}
 
         Unobserved (no-op bound) channels never count — producers skip
         them entirely, so there is nothing to account.  Count-only
-        channels count published events with zero deliveries: that is
-        the backpressure picture of a heavy channel nobody drains.
+        channels count published events with zero deliveries: a heavy
+        channel nobody drains shows up as such.
         """
         stats: Dict[str, Dict[str, int]] = {}
         for record in self._channels.values():
-            published, sampled_delivered = record["cell"]
+            (published,) = record["cell"]
             entry = stats.setdefault(
-                record["name"], {"published": 0, "delivered": 0, "shed": 0}
+                record["name"], {"published": 0, "delivered": 0}
             )
             entry["published"] += published
-            entry["delivered"] += (
-                published * (record["full"] + record["sinks"])
-                + sampled_delivered
-            )
-            entry["shed"] += published * record["sampled"] - sampled_delivered
+            entry["delivered"] += published * record["fanout"]
         return stats
 
     def _counting_emitter(self, key: str, name: str) -> Emitter:
-        cell = self._register_channel(key, name, full=0, sampled=0, sinks=0)
+        cell = self._register_channel(key, name, fanout=0)
 
         def emit() -> None:
             cell[0] += 1
 
         return emit
 
-    @staticmethod
-    def _wrap_sampled(handler: TupleHandler, sample: int, cell) -> TupleHandler:
-        """A 1/``sample`` deterministic-stride wrapper (first event in)."""
-        tick = [0]
-
-        def wrapped(row: Row) -> None:
-            t = tick[0]
-            tick[0] = t + 1
-            if not t % sample:
-                cell[1] += 1
-                handler(row)
-
-        return wrapped
-
     def _make_emitter(
-        self, key: str, name: str, entries: List, sinks: List
+        self, key: str, name: str, handlers: List, sinks: List
     ) -> Emitter:
         snapshot = self._annotations.snapshot
-        full = sum(1 for _, sample in entries if sample == 1)
-        cell = self._register_channel(
-            key, name, full=full, sampled=len(entries) - full,
-            sinks=len(sinks),
-        )
-        handlers = [
-            handler if sample == 1 else self._wrap_sampled(handler, sample, cell)
-            for handler, sample in entries
-        ]
+        cell = self._register_channel(key, name, len(handlers) + len(sinks))
 
         if len(handlers) == 1 and not sinks:
             # The hottest shape: one compiled monitor on one name.

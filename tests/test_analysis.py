@@ -492,6 +492,16 @@ class TestLocRules:
         assert not registry.knows("bogus")
         assert not registry.knows("mem_")  # bare prefix is not a channel
 
+    def test_shipped_registry_drops_the_retired_arrival_channel(self):
+        # The chip publishes no per-arrival event, so a formula over
+        # ``arrival`` is an unknown-event finding, not a vacuous check.
+        registry = build_channel_registry(ModuleCache(REPO_ROOT))
+        assert not registry.knows("arrival")
+        findings = check_events(
+            "cycle(arrival[i+1]) - cycle(arrival[i]) <= 10", registry
+        )
+        assert any(f.code == "LOC203" for f in findings)
+
     def test_shipped_registry_covers_study_gate_events(self):
         cache = ModuleCache(REPO_ROOT)
         registry = build_channel_registry(cache)

@@ -112,6 +112,10 @@ class TestExecutionPolicy:
         with pytest.raises(ExperimentError, match="retries"):
             ExecutionPolicy(retries=-1)
 
+    def test_early_abort_field_is_retired(self):
+        with pytest.raises(TypeError):
+            ExecutionPolicy(early_abort={"check_interval": 8})
+
     def test_bad_env_workers_rejected(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
         with pytest.raises(ExperimentError):
@@ -333,6 +337,31 @@ class TestEventHooks:
     def test_chain_hooks_empty_is_falsy(self):
         assert not chain_hooks(None, EventHooks())
         assert chain_hooks(EventHooks(progress=print))
+
+    def test_chain_hooks_fans_out_every_hook(self):
+        # chain_hooks names each hook by hand; every field of
+        # EventHooks must reach both bundles, session first.
+        import dataclasses
+
+        names = [spec.name for spec in dataclasses.fields(EventHooks)]
+        calls = []
+
+        def bundle(tag):
+            return EventHooks(**{
+                name: (lambda *args, name=name: calls.append((name, tag)))
+                for name in names
+            })
+
+        chained = chain_hooks(bundle("session"), bundle("call"))
+        for name in names:
+            getattr(chained, name)(None)
+        assert calls == [
+            (name, tag) for name in names for tag in ("session", "call")
+        ]
+
+    def test_on_abort_hook_is_retired(self):
+        with pytest.raises(TypeError):
+            EventHooks(on_abort=print)
 
 
 class TestStorePolicy:

@@ -30,7 +30,7 @@ from repro.backends import (
 )
 from repro.backends.protocol import PROTOCOL_VERSION, recv_message, send_message
 from repro.backends.worker import CRASH_ENV_VAR, run_worker
-from repro.sweep import ResultStore, SweepSpec
+from repro.sweep import ResultStore, SweepSpec, run_job
 
 #: Short, deterministic grid shared by the execution tests.
 FAST = dict(duration_cycles=120_000, process="cbr", seeds=(11,))
@@ -235,6 +235,43 @@ class TestDistributedBackend:
         assert clock.ewma_s is not None
         assert clock.term_s < 30.0
         assert clock.term_s >= clock.floor_s
+
+    def test_worker_runs_an_older_coordinators_gated_job_in_full(self):
+        """A coordinator from before early abort was retired may grant
+        a job payload carrying an ``early_abort`` policy.  Protocol v1
+        still admits it: the worker ignores the key and ships the full
+        run, which is what such a job returns when no gate trips."""
+        (job,) = small_spec(
+            policies=("none",),
+            checks=("total_pkt(forward[i+1]) - total_pkt(forward[i]) == 2",),
+        ).jobs()
+        grant = {
+            "type": "job",
+            "job": dict(job.to_dict(), early_abort={"check_interval": 16}),
+            "lease_s": 60.0,
+        }
+        listener = socket.create_server(("127.0.0.1", 0))
+        worker = start_worker(
+            f"127.0.0.1:{listener.getsockname()[1]}", max_jobs=1
+        )
+        conn, _ = listener.accept()
+        try:
+            assert recv_message(conn)["type"] == "hello"
+            send_message(conn, {
+                "type": "welcome", "protocol": PROTOCOL_VERSION, "lease_s": 60.0,
+            })
+            assert recv_message(conn)["type"] == "pull"
+            send_message(conn, grant)
+            reply = recv_message(conn)
+            send_message(conn, {"type": "ok"})
+        finally:
+            conn.close()
+            listener.close()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert reply["type"] == "outcome"
+        full = json.loads(json.dumps(run_job(job).to_dict()))
+        assert reply["outcome"] == full
 
     def test_grant_carries_adapted_lease_term(self):
         """The per-grant lease_s in the wire message reflects the

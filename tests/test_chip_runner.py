@@ -163,6 +163,20 @@ class TestRunner:
         with pytest.raises(ConfigError):
             run.run()
 
+    def test_early_abort_gates_are_retired(self):
+        # Every run goes to its full cycle budget: nothing takes gates,
+        # and a result carries no abort marker.
+        import dataclasses
+
+        from repro.runner import RunResult
+
+        with pytest.raises(TypeError):
+            SimulationRun(quick_config(), gates=())
+        with pytest.raises(TypeError):
+            run_simulation(quick_config(), gates=())
+        names = {field.name for field in dataclasses.fields(RunResult)}
+        assert not names & {"aborted_early", "abort_reason"}
+
     def test_resolve_level_loads(self):
         low = resolve_offered_load_bps(
             quick_config(traffic=TrafficConfig(level="low", offered_load_mbps=None))

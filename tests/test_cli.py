@@ -182,3 +182,11 @@ def test_bench_subcommand_is_retired(capsys):
         main(["bench"])
     assert exc.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "study"])
+def test_early_abort_flag_is_retired(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--early-abort"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --early-abort" in capsys.readouterr().err

@@ -5,8 +5,7 @@ Energy is computed from counters only when it is read (see
 
 * the report has a fixed set of components, in a fixed order;
 * who watches a run never changes its totals — study monitors,
-  named-only subscribers, readers at random events and untripped
-  early-abort gates alike;
+  named-only subscribers and readers at random events alike;
 * at any instant the components' integer units sum exactly to the
   total, and two reads at one instant agree;
 * an ME's units equal busy_ps × P_busy + other_ps × P_idle summed over
@@ -25,7 +24,6 @@ from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.experiments.common import cycles_for, span_for
 from repro.npu.chip import build_chip
 from repro.npu.microengine import BUSY
-from repro.obs.gates import EarlyAbortPolicy
 from repro.power.model import FW_PER_W
 from repro.runner import SimulationRun, run_simulation
 from repro.studies import StudySpec
@@ -38,9 +36,8 @@ BREAKDOWN_KEYS = [
     "sram", "sdram", "scratch", "ixbus", "base", "dvs_overhead",
 ]
 
-#: Every named-only channel that reads the annotations per request or
-#: per arrival.
-NAMED_ONLY_CHANNELS = ("mem_sram", "mem_sdram", "mem_scratch", "mem_ixbus", "arrival")
+#: Every named-only channel that reads the annotations per request.
+NAMED_ONLY_CHANNELS = ("mem_sram", "mem_sdram", "mem_scratch", "mem_ixbus")
 
 
 def totals_json(result) -> str:
@@ -127,7 +124,7 @@ class TestObservationIndependence:
 
     @given(
         config=configs,
-        channel=st.sampled_from(["forward", "fifo", "mem_sdram", "mem_sram", "arrival"]),
+        channel=st.sampled_from(["forward", "fifo", "mem_sdram", "mem_sram"]),
         read_seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=25, deadline=None)
@@ -145,22 +142,6 @@ class TestObservationIndependence:
 
         run.bus.subscribe(channel, maybe_read)
         assert totals_json(run.run()) == totals_json(unobserved)
-
-    def test_untripped_gates_leave_totals_unchanged(self):
-        job = next(j for j in CATALOG_JOBS if "flash_crowd tdvs" in j.label)
-        policy = EarlyAbortPolicy(
-            check_tolerance=0.99,
-            check_interval=8,
-            min_instances=8,
-            latency_quantile=0.99,
-            latency_factor=1e6,
-            loss_threshold=1.0,
-            loss_window=64,
-            loss_interval=4,
-        )
-        gated = run_job(job.gated(policy)).result
-        assert not gated.aborted_early
-        assert totals_json(gated) == totals_json(run_job(job).result)
 
 
 class TestIntegerIdentity:

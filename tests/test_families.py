@@ -178,7 +178,7 @@ def with_leaf(config, path, value):
 def job_with(job, **changes):
     fields = dict(
         job_id="x", config=job.config, span=job.span, label=job.label,
-        scenario=job.scenario, checks=job.checks, early_abort=job.early_abort,
+        scenario=job.scenario, checks=job.checks,
     )
     fields.update(changes)
     return Job(**fields)
@@ -210,7 +210,6 @@ class TestFamilyKey:
             job_with(job, span=job.span + 1),
             job_with(job, scenario=scenario),
             job_with(job, checks=()),
-            job_with(job, early_abort={"enabled": True}),
         ):
             assert family_key(changed) != key
 

@@ -1,12 +1,10 @@
-"""Tests for repro.obs: metrics, run telemetry, streaming anomaly gates.
+"""Tests for repro.obs: metrics and run telemetry.
 
 Covers the metrics registry and its JSONL snapshot format (determinism,
-merge rules, read/summarize/diff), the early-abort policy object and its
-job-identity effects, the end-to-end early-abort demo (a doomed job
-stops in strictly fewer simulated cycles than its full run), session
-metrics aggregation, backend telemetry, the bench regression gate's
-one-sided-scenario tolerance, and the SCHEMA.md version cross-check the
-nightly CI enforces.
+merge rules, read/summarize/diff), the per-outcome ``obs`` payload and
+the record shape around it, session metrics aggregation, backend
+telemetry, and the SCHEMA.md version cross-check the nightly CI
+enforces.
 """
 
 import json
@@ -16,7 +14,6 @@ import re
 import pytest
 
 from repro.errors import ExperimentError
-from repro.obs.gates import EarlyAbortPolicy, build_gates
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     MetricsRegistry,
@@ -152,10 +149,26 @@ class TestMetricsRegistry:
         assert int(match.group(1)) == METRICS_SCHEMA_VERSION
 
 
+def test_gate_exports_are_retired():
+    import importlib
+
+    import repro.obs
+
+    for name in (
+        "AbortSignal", "CheckUnsatGate", "EarlyAbortPolicy",
+        "LossRateGate", "RollingQuantileGate", "build_gates",
+    ):
+        assert name not in repro.obs.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro.obs, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.gates")
+
+
 # ---------------------------------------------------------------------------
-# Early-abort policy + gates
+# Per-outcome obs payload
 # ---------------------------------------------------------------------------
-def small_jobs(**early_abort):
+def small_jobs():
     """A one-job sweep with the always-false forward-count check."""
     spec = SweepSpec(
         policies=("tdvs",),
@@ -166,89 +179,10 @@ def small_jobs(**early_abort):
     )
     jobs = spec.jobs()
     assert len(jobs) == 1
-    if early_abort:
-        policy = EarlyAbortPolicy(**early_abort)
-        jobs = [job.gated(policy.to_dict()) for job in jobs]
     return jobs
 
 
-class TestEarlyAbortPolicy:
-    def test_defaults_and_enabled(self):
-        policy = EarlyAbortPolicy()
-        assert policy.enabled()  # check_unsat defaults on
-        assert not EarlyAbortPolicy(check_unsat=False).enabled()
-        assert EarlyAbortPolicy(
-            check_unsat=False, loss_threshold=0.5
-        ).enabled()
-
-    def test_round_trip_and_validation(self):
-        policy = EarlyAbortPolicy(check_interval=64, latency_quantile=0.95)
-        assert EarlyAbortPolicy.from_dict(policy.to_dict()) == policy
-        with pytest.raises(ExperimentError):
-            EarlyAbortPolicy.from_dict({"bogus_knob": 1})
-        with pytest.raises(ExperimentError):
-            EarlyAbortPolicy(check_interval=0)
-        with pytest.raises(ExperimentError):
-            EarlyAbortPolicy(latency_quantile=1.5)
-
-    def test_gated_job_changes_identity(self):
-        (plain,) = small_jobs()
-        policy = EarlyAbortPolicy()
-        gated = plain.gated(policy.to_dict())
-        assert gated.job_id != plain.job_id
-        assert gated.early_abort == policy.to_dict()
-        # Idempotent: re-gating with the same policy keeps the id.
-        assert gated.gated(policy.to_dict()).job_id == gated.job_id
-        assert plain.gated(None) is plain
-        # Serialization round-trips the gate.
-        from repro.sweep.spec import Job
-
-        assert Job.from_dict(gated.to_dict()) == gated
-        assert "early_abort" not in plain.to_dict()
-
-    def test_build_gates_selects_by_policy(self):
-        from repro.loc.monitor import build_monitor
-
-        monitor = build_monitor(
-            "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1",
-            mode="compiled",
-        )
-        gates = build_gates(EarlyAbortPolicy(), [monitor])
-        assert len(gates) == 1
-        assert not build_gates(
-            EarlyAbortPolicy(check_unsat=False), [monitor]
-        )
-
-
-class TestEarlyAbortEndToEnd:
-    def test_doomed_job_aborts_in_fewer_cycles(self):
-        # The acceptance demo: the forward-count check asks every
-        # packet to advance the counter by 2, which is unsatisfiable —
-        # the gate must stop the run strictly before full duration.
-        (full_job,) = small_jobs()
-        full = run_job(full_job)
-        (doomed,) = small_jobs(check_unsat=True, check_interval=16)
-        aborted = run_job(doomed)
-        assert not full.result.aborted_early
-        assert aborted.result.aborted_early
-        assert "unsatisfiable" in aborted.result.abort_reason
-        assert aborted.result.totals.duration_s < full.result.totals.duration_s
-        assert aborted.job_id != full.job_id
-
-    def test_abort_fields_serialize_only_when_set(self):
-        (full_job,) = small_jobs()
-        full = run_job(full_job)
-        record = full.to_dict()
-        assert "aborted_early" not in record["result"]
-        assert SweepOutcome.from_dict(record) is not None
-        (doomed,) = small_jobs(check_unsat=True, check_interval=16)
-        aborted = run_job(doomed)
-        record = aborted.to_dict()
-        assert record["result"]["aborted_early"] is True
-        restored = SweepOutcome.from_dict(record)
-        assert restored.result.aborted_early
-        assert restored.result.abort_reason == aborted.result.abort_reason
-
+class TestOutcomeObs:
     def test_outcome_obs_counts_are_deterministic(self):
         (job,) = small_jobs()
         first, second = run_job(job), run_job(job)
@@ -263,6 +197,15 @@ class TestEarlyAbortEndToEnd:
         legacy = outcome.to_dict()
         del legacy["obs"]
         assert SweepOutcome.from_dict(legacy).obs is None
+        # The job and result records keep their shape: job ids and the
+        # study md5 hash them, so a key added to either moves both.
+        assert set(job.to_dict()) == {
+            "job_id", "config", "span", "label", "scenario", "checks",
+        }
+        assert set(legacy["result"]) == {
+            "config", "totals", "governor_policy", "governor_transitions",
+            "governor_windows", "dvs_overhead_w",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +228,32 @@ class TestSessionMetrics:
         assert header["jobs"] == 1
         assert records
 
-    def test_on_abort_hook_fires(self):
-        from repro.api import EventHooks, ExecutionPolicy, Session
+    def test_trace_counters_sum_outcome_published_counts(self):
+        from repro.api import Session
 
-        aborted = []
-        session = Session(
-            execution=ExecutionPolicy(
-                early_abort=EarlyAbortPolicy(check_interval=16)
-            )
+        spec = SweepSpec(
+            policies=("tdvs", "edvs"),
+            thresholds_mbps=(1000.0,),
+            windows_cycles=(40_000,),
+            duration_cycles=200_000,
+            span=20,
+            checks=("total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1",),
         )
-        outcomes = session.sweep(
-            small_jobs(), hooks=EventHooks(on_abort=aborted.append)
-        )
-        assert len(aborted) == 1
-        assert aborted[0].result.aborted_early
-        assert outcomes[0].result.aborted_early
-        counters = {r["name"]: r["value"] for r in session.metrics.records()}
-        assert counters["session.outcomes_aborted_early"] == 1
-
-    def test_execution_policy_normalizes_early_abort_dict(self):
-        from repro.api import ExecutionPolicy
-        from repro.errors import ExperimentError as ApiError
-
-        policy = ExecutionPolicy(early_abort={"check_interval": 8})
-        assert isinstance(policy.early_abort, EarlyAbortPolicy)
-        assert policy.early_abort.check_interval == 8
-        with pytest.raises(ApiError):
-            ExecutionPolicy(early_abort=42)
+        session = Session()
+        outcomes = session.sweep(spec)
+        assert len(outcomes) == 2
+        expected = {}
+        for outcome in outcomes:
+            for name, stats in outcome.obs["channels"].items():
+                key = f"trace.{name}.published"
+                expected[key] = expected.get(key, 0) + stats["published"]
+        counters = {
+            r["name"]: r["value"]
+            for r in session.metrics.records()
+            if r["name"].startswith("trace.")
+        }
+        assert counters == expected
+        assert counters["trace.forward.published"] > 0
 
     def test_serial_backend_telemetry(self):
         from repro.backends.local import SerialBackend

@@ -143,6 +143,14 @@ class TestConfigHash:
         b = RunConfig(seed=2).to_dict()
         assert config_hash(a) != config_hash(b)
 
+    def test_early_abort_identity_key_is_retired(self):
+        config = RunConfig().to_dict()
+        with pytest.raises(TypeError):
+            config_hash(config, None, None, (), {"check_interval": 8})
+        with pytest.raises(TypeError):
+            Job.build(config, early_abort={"check_interval": 8})
+        assert not hasattr(Job, "gated")
+
 
 class TestExecution:
     def test_parallel_identical_to_serial(self):
@@ -265,6 +273,26 @@ class TestExecution:
 
 
 class TestResultStore:
+    def test_store_with_retired_abort_records_still_opens(self, tmp_path):
+        # An older release stored gated runs under their own job ids,
+        # with abort keys in the result.  Such a store still opens; its
+        # plain records are served as they were, and no record read
+        # back carries the retired keys.
+        def as_json(outcome):
+            return json.loads(json.dumps(outcome.to_dict()))
+
+        (job,) = small_spec(policies=("none",)).jobs()
+        record = as_json(run_job(job))
+        gated = json.loads(json.dumps(record))
+        gated["job_id"] = "0123456789abcdef"
+        gated["result"].update(aborted_early=True, abort_reason="unsatisfiable")
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(gated) + "\n" + json.dumps(record) + "\n")
+        store = ResultStore(str(path))
+        assert len(store) == 2
+        assert as_json(store.get(job.job_id)) == record
+        assert as_json(store.get(gated["job_id"]))["result"] == record["result"]
+
     def test_cache_hit_skips_completed_jobs(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec().jobs()

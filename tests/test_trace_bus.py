@@ -3,7 +3,8 @@
 Covers the pub/sub contract (tuple handlers, wildcard sinks, dispatch
 order, interning), the no-op emitter optimization the chip relies on,
 the seal semantics (subscribe-before-start), the count-only emitter of
-unsubscribed primary names on an observed bus, and the end-to-end chip wiring
+unsubscribed primary names on an observed bus, the per-channel
+``published``/``delivered`` counts, and the end-to-end chip wiring
 (ports publish ``fifo``, chip publishes ``forward``, MEs publish
 ``m<k>_pipeline``, memqueues publish named-only ``mem_*`` channels).
 """
@@ -107,6 +108,11 @@ class TestTraceBus:
         with pytest.raises(TraceError):
             bus.attach_sink(object())
 
+    def test_sampled_subscriptions_are_retired(self):
+        bus = TraceBus(_StubAnnotations())
+        with pytest.raises(TypeError):
+            bus.subscribe("forward", lambda row: None, sample=4)
+
     def test_unsubscribed_primary_name_on_observed_bus_only_counts(self):
         annotations = _StubAnnotations()
         bus = TraceBus(annotations)
@@ -147,111 +153,26 @@ class TestTraceBus:
         assert bus.has_any_subscriber()
 
 
-class TestSampling:
-    def test_sampled_handler_deterministic_stride(self):
-        bus = TraceBus(_StubAnnotations())
-        rows = []
-        bus.subscribe("forward", rows.append, sample=3)
-        emit = bus.emitter("forward")
-        for _ in range(10):
-            emit()
-        # First event in, then every 3rd: occurrences 1, 4, 7, 10.
-        assert [row[0] for row in rows] == [1, 4, 7, 10]
-
-    def test_bad_sample_stride_rejected(self):
-        bus = TraceBus(_StubAnnotations())
-        with pytest.raises(TraceError):
-            bus.subscribe("forward", lambda row: None, sample=0)
-
-    def test_sampling_never_applies_to_wildcard_sinks(self):
-        bus = TraceBus(_StubAnnotations())
-        rows = []
-        buffer = TraceBuffer()
-        bus.subscribe("forward", rows.append, sample=4)
-        bus.attach_sink(buffer)
-        emit = bus.emitter("forward")
-        for _ in range(8):
-            emit()
-        # The legacy emit(TraceEvent) sink saw every event ...
-        assert len(buffer.events) == 8
-        # ... while the sampled tuple handler saw 1/4 of them.
-        assert len(rows) == 2
-
-    def test_sampling_does_not_move_the_snapshot_grid(self):
-        # The row is snapshotted at EVERY event of a subscribed name;
-        # a sampled handler merely skips dispatch.  The rows it does
-        # see are therefore identical to an unsampled subscriber's at
-        # the same occurrences.
-        annotations = _StubAnnotations()
-        bus = TraceBus(annotations)
-        sampled = []
-        bus.subscribe("forward", sampled.append, sample=2)
-        emit = bus.emitter("forward")
-        for _ in range(6):
-            emit()
-        assert annotations.snapshots == 6
-        assert [row[0] for row in sampled] == [1, 3, 5]
-
-    def test_sampled_bus_counts_unsubscribed_primary_names_only(self):
-        # A sampled subscription observes the bus like a full one: an
-        # unsubscribed primary name counts every event and reads no
-        # annotation.
-        annotations = _StubAnnotations()
-        bus = TraceBus(annotations)
-        bus.subscribe("forward", lambda row: None, sample=100)
-        fifo = bus.emitter("fifo")
-        assert fifo is not NOOP_EMITTER
-        for _ in range(5):
-            fifo()
-        assert bus.channel_stats()["fifo"]["published"] == 5
-        assert annotations.snapshots == 0
-
-    def test_sampled_and_full_handlers_coexist(self):
-        bus = TraceBus(_StubAnnotations())
-        full, sampled = [], []
-        bus.subscribe("forward", full.append)
-        bus.subscribe("forward", sampled.append, sample=5)
-        emit = bus.emitter("forward")
-        for _ in range(10):
-            emit()
-        assert len(full) == 10
-        assert len(sampled) == 2
-        assert bus.events_published == 10
-
-    def test_sampled_run_results_identical(self):
-        # End to end: a run observed through a sampled subscription is
-        # numerically identical to one observed at full rate.
-        full_run = SimulationRun(quick_config())
-        full_run.bus.subscribe("forward", lambda row: None)
-        full_result = full_run.run()
-        sampled_rows = []
-        sampled_run = SimulationRun(quick_config())
-        sampled_run.bus.subscribe("forward", sampled_rows.append, sample=16)
-        sampled_result = sampled_run.run()
-        import dataclasses
-
-        assert dataclasses.asdict(sampled_result.totals) == (
-            dataclasses.asdict(full_result.totals)
-        )
-        assert sampled_run.bus.events_published == (
-            full_run.bus.events_published
-        )
-        assert 0 < len(sampled_rows) < full_run.bus.events_published
-
-
 class TestChannelStats:
-    def test_published_delivered_shed_accounting(self):
+    @pytest.mark.parametrize("handlers,sinks", [(1, 0), (3, 0), (0, 2), (2, 1)])
+    def test_delivered_is_published_times_fanout(self, handlers, sinks):
+        # Every published event dispatches once to each handler of its
+        # name and once to each wildcard sink.
         bus = TraceBus(_StubAnnotations())
-        bus.subscribe("forward", lambda row: None)
-        bus.subscribe("forward", lambda row: None, sample=4)
+        rows = []
+        for _ in range(handlers):
+            bus.subscribe("forward", rows.append)
+        buffers = [TraceBuffer() for _ in range(sinks)]
+        for buffer in buffers:
+            bus.attach_sink(buffer)
         emit = bus.emitter("forward")
-        for _ in range(8):
+        for _ in range(7):
             emit()
-        stats = bus.channel_stats()
-        assert stats["forward"]["published"] == 8
-        # 8 full deliveries + 2 sampled deliveries (events 1 and 5).
-        assert stats["forward"]["delivered"] == 10
-        assert stats["forward"]["shed"] == 6
+        dispatched = len(rows) + sum(len(b.events) for b in buffers)
+        assert dispatched == 7 * (handlers + sinks)
+        assert bus.channel_stats() == {
+            "forward": {"published": 7, "delivered": dispatched},
+        }
 
     def test_settle_channels_count_published_only(self):
         bus = TraceBus(_StubAnnotations())
@@ -260,7 +181,7 @@ class TestChannelStats:
         for _ in range(3):
             fifo()
         stats = bus.channel_stats()
-        assert stats["fifo"] == {"published": 3, "delivered": 0, "shed": 0}
+        assert stats["fifo"] == {"published": 3, "delivered": 0}
 
     def test_noop_channels_never_counted(self):
         bus = TraceBus(_StubAnnotations())
@@ -291,7 +212,7 @@ class TestChannelStats:
         for _ in range(3):
             named()
         stats = bus.channel_stats()
-        assert stats["mem_sram"] == {"published": 5, "delivered": 7, "shed": 0}
+        assert stats["mem_sram"] == {"published": 5, "delivered": 7}
 
     def test_sink_dispatches_count_as_deliveries(self):
         bus = TraceBus(_StubAnnotations())
@@ -302,7 +223,7 @@ class TestChannelStats:
             emit()
         assert len(buffer.events) == 4
         assert bus.channel_stats()["forward"] == {
-            "published": 4, "delivered": 4, "shed": 0,
+            "published": 4, "delivered": 4,
         }
 
     def test_counters_have_no_off_switch(self, monkeypatch):
@@ -314,8 +235,8 @@ class TestChannelStats:
         bus.emitter("forward")()
         bus.emitter("fifo")()
         assert bus.channel_stats() == {
-            "forward": {"published": 1, "delivered": 1, "shed": 0},
-            "fifo": {"published": 1, "delivered": 0, "shed": 0},
+            "forward": {"published": 1, "delivered": 1},
+            "fifo": {"published": 1, "delivered": 0},
         }
 
 
@@ -335,6 +256,17 @@ class TestChipWiring:
         assert run.bus.events_published == len(rows)
         # Rows carry the cumulative forward counter as total_pkt.
         assert [row[3] for row in rows] == list(range(1, len(rows) + 1))
+
+    def test_arrival_channel_is_retired(self):
+        # The chip publishes no per-arrival event: a handler subscribed
+        # to the name is never called and the channel is never counted.
+        rows = []
+        run = SimulationRun(quick_config())
+        run.bus.subscribe("arrival", rows.append)
+        result = run.run()
+        assert result.totals.offered_packets > 0
+        assert rows == []
+        assert "arrival" not in run.bus.channel_stats()
 
     def test_wildcard_sink_equivalent_to_legacy_sinks(self):
         buffer = TraceBuffer()
