@@ -251,10 +251,12 @@ class TestDistributedBackend:
             "lease_s": 60.0,
         }
         listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(30)
         worker = start_worker(
             f"127.0.0.1:{listener.getsockname()[1]}", max_jobs=1
         )
         conn, _ = listener.accept()
+        conn.settimeout(60)
         try:
             assert recv_message(conn)["type"] == "hello"
             send_message(conn, {
