@@ -5,7 +5,8 @@
 2. Checks a latency-style assertion over the live event stream.
 3. Runs the paper's formula (2) distribution analysis two ways:
    in-process and through a *generated standalone analyzer script*
-   executed on the trace file — and shows they agree.
+   executed on the trace file — the same generated code both times —
+   and shows they agree.
 
 Run:  python examples/loc_assertions.py
 """
@@ -17,8 +18,7 @@ from pathlib import Path
 
 from repro import RunConfig, TrafficConfig, run_simulation
 from repro.loc import (
-    DistributionAnalyzer,
-    build_checker,
+    build_monitor,
     generate_analyzer_source,
     power_distribution_formula,
 )
@@ -35,17 +35,18 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="loc_demo_"))
     trace_path = workdir / "trace.txt"
 
-    # 1. Simulate with three sinks: a file writer, a checker, an analyzer.
+    # 1. Simulate with a file-writer sink and two monitors: a checker
+    #    and a distribution analyzer.
     writer = TextTraceWriter.open(str(trace_path))
-    checker = build_checker(CHECKER_TEXT)
-    analyzer = DistributionAnalyzer(FORMULA)
+    checker = build_monitor(CHECKER_TEXT, expect="checker")
+    analyzer = build_monitor(FORMULA, expect="distribution")
     config = RunConfig(
         benchmark="ipfwdr",
         duration_cycles=600_000,
         seed=3,
         traffic=TrafficConfig(offered_load_mbps=900.0),
     )
-    result = run_simulation(config, sinks=[writer, checker, analyzer])
+    result = run_simulation(config, sinks=[writer], monitors=[checker, analyzer])
     writer.close()
     print(f"simulated {result.totals.forwarded_packets} forwarded packets; "
           f"trace: {trace_path}")

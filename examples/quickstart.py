@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Quickstart: simulate the NPU, attach LOC analyzers, compare policies.
+"""Quickstart: simulate the NPU, attach LOC monitors, compare policies.
 
 Runs the `ipfwdr` benchmark at a medium traffic sample three times — no
 DVS, traffic-based DVS (TDVS) and execution-based DVS (EDVS) — with the
-paper's power/throughput LOC formulas attached as live trace sinks, then
+paper's power/throughput LOC formulas attached as live monitors, then
 prints a side-by-side summary.
 
 Run:  python examples/quickstart.py
@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro import DvsConfig, RunConfig, TrafficConfig, run_simulation
 from repro.loc import (
-    DistributionAnalyzer,
+    build_monitor,
     power_distribution_formula,
     throughput_distribution_formula,
 )
@@ -22,8 +22,8 @@ LOAD_MBPS = 1000.0
 
 def simulate(policy: str):
     """Run one policy and return (result, power dist, throughput dist)."""
-    power = DistributionAnalyzer(power_distribution_formula(span=50))
-    throughput = DistributionAnalyzer(throughput_distribution_formula(span=50))
+    power = build_monitor(power_distribution_formula(span=50))
+    throughput = build_monitor(throughput_distribution_formula(span=50))
     config = RunConfig(
         benchmark="ipfwdr",
         duration_cycles=CYCLES,
@@ -38,7 +38,7 @@ def simulate(policy: str):
         if policy != "none"
         else DvsConfig(policy="none"),
     )
-    result = run_simulation(config, sinks=[power, throughput])
+    result = run_simulation(config, monitors=[power, throughput])
     return result, power.finish(), throughput.finish()
 
 

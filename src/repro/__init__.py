@@ -11,16 +11,18 @@ trace checkers and distribution analyzers.
 Quickstart
 ----------
 >>> from repro import RunConfig, DvsConfig, run_simulation
->>> from repro.loc import DistributionAnalyzer, power_distribution_formula
->>> analyzer = DistributionAnalyzer(power_distribution_formula())
+>>> from repro.loc import build_monitor, power_distribution_formula
+>>> power = build_monitor(power_distribution_formula(), expect="distribution")
 >>> config = RunConfig(
 ...     benchmark="ipfwdr",
 ...     duration_cycles=200_000,
 ...     dvs=DvsConfig(policy="tdvs", window_cycles=40_000,
 ...                   top_threshold_mbps=1000.0),
 ... )
->>> result = run_simulation(config, sinks=[analyzer])
+>>> result = run_simulation(config, monitors=[power])
 >>> result.totals.forwarded_packets > 0
+True
+>>> power.finish().total > 0
 True
 
 Grids, studies and experiments run through the session API

@@ -5,8 +5,8 @@ parse cache (one ``ast.parse`` per file):
 
 * **determinism** (``DET1xx``) — hazards that can break cross-backend
   bit-identity (:mod:`~repro.analysis.lint.determinism`);
-* **LOC formulas** (``LOC2xx``) — compiled-vs-fallback classification,
-  bound vacuity, unknown event names
+* **LOC formulas** (``LOC2xx``) — bound vacuity, unknown event names,
+  parse failures
   (:mod:`~repro.analysis.lint.formulas`, registry from
   :mod:`~repro.analysis.lint.channels`);
 * **wire/schema** (``WIRE3xx``) — protocol key vocabulary and schema
@@ -19,7 +19,7 @@ Findings are suppressed per line with ``# repro: noqa(RULE)``; the
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Union
 
 from repro.analysis.lint.channels import ChannelRegistry, build_channel_registry
 from repro.analysis.lint.core import (
@@ -33,29 +33,22 @@ from repro.analysis.lint.determinism import (
     check_determinism,
 )
 from repro.analysis.lint.format import FORMATS, render
-from repro.analysis.lint.formulas import (
-    CoverageReport,
-    FormulaClassification,
-    analyze_catalog,
-    classify_formula,
-)
+from repro.analysis.lint.formulas import analyze_catalog, catalog_formulas
 from repro.analysis.lint.wire import check_wire
 
 __all__ = [
     "ChannelRegistry",
-    "CoverageReport",
     "DETERMINISM_SCOPE",
     "FORMATS",
     "Finding",
-    "FormulaClassification",
     "LintResult",
     "Module",
     "ModuleCache",
     "analyze_catalog",
     "build_channel_registry",
+    "catalog_formulas",
     "check_determinism",
     "check_wire",
-    "classify_formula",
     "render",
     "run_lint",
 ]
@@ -65,31 +58,17 @@ def _sort_key(finding: Finding) -> tuple:
     return (finding.path, finding.line, finding.col, finding.code)
 
 
-def run_lint(
-    root: Union[str, Path],
-    catalog: bool = True,
-) -> Tuple[LintResult, Optional[CoverageReport]]:
+def run_lint(root: Union[str, Path], catalog: bool = True) -> LintResult:
     """Run every pass over the tree rooted at ``root``.
 
     ``catalog=False`` skips the builtin/study-gate formula analysis
     (which imports the scenario catalog) — fixture trees that only
     exercise the file-level passes don't have one.
-
-    Returns the :class:`LintResult` plus the formula
-    :class:`CoverageReport` (``None`` when ``catalog=False``).
     """
     cache = ModuleCache(Path(root))
     findings = list(check_determinism(cache))
     findings.extend(check_wire(cache))
-
-    coverage: Optional[CoverageReport] = None
     if catalog:
-        registry = build_channel_registry(cache)
-        coverage = analyze_catalog(registry)
-        findings.extend(coverage.findings)
-
+        findings.extend(analyze_catalog(build_channel_registry(cache)))
     findings.sort(key=_sort_key)
-    return (
-        LintResult(findings=findings, files_scanned=cache.parsed_count()),
-        coverage,
-    )
+    return LintResult(findings=findings, files_scanned=cache.parsed_count())

@@ -1,11 +1,11 @@
 """Determinism lint: hazards that can break cross-backend bit-identity.
 
-Study JSON must be byte-identical across serial/process/distributed
-backends and compiled/interpreted monitors, so anything whose result
-depends on process identity — unseeded RNG, wall clocks in outcome
-paths, set-iteration order, float accumulation over unordered
-collections, ``id()``-keyed ordering — is a lint finding here rather
-than a differential-test failure later.
+Study JSON must be byte-identical across the serial, process and
+distributed backends, so anything whose result depends on process
+identity — unseeded RNG, wall clocks in outcome paths, set-iteration
+order, float accumulation over unordered collections, ``id()``-keyed
+ordering — is a lint finding here rather than a differential-test
+failure later.
 
 Rules
 -----

@@ -1,22 +1,13 @@
-"""LOC formula analyzer: compiled-vs-fallback, bounds, event names.
+"""LOC formula analyzer: bounds and event names.
 
-This is the static instrument for the ROADMAP's compiled-monitor item:
-it classifies every builtin formula and every study-gate derivation as
-**compiled** (handled by the closure monitor) or **interpreter
-fallback**, with the reason (multi-event window, absolute pin, no
-references), checks bounds for vacuity/unsatisfiability, and verifies
-event names against the statically generated TraceBus channel registry
-(:mod:`repro.analysis.lint.channels`).
-
-Classification delegates the compiled/fallback decision to
-:func:`repro.loc.codegen.monitor_event` — the same predicate
-:func:`repro.loc.monitor.build_monitor` routes on — so the lint
-verdict agrees with the runtime routing by construction; only the
-human-readable *reason* is derived here.
+Every builtin formula and every study-gate derivation is checked
+statically: bounds for vacuity/unsatisfiability, and event names
+against the statically generated TraceBus channel registry
+(:mod:`repro.analysis.lint.channels`).  The pass only parses; it
+builds no monitor.
 
 Rules
 -----
-LOC201  formula falls back to the interpretive evaluator
 LOC202  vacuous or unsatisfiable bound
 LOC203  unknown event/channel name
 LOC204  formula fails to parse
@@ -24,7 +15,6 @@ LOC204  formula fails to parse
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.lint.channels import ChannelRegistry
@@ -45,97 +35,11 @@ from repro.loc.builtin import (
     power_distribution_formula,
     throughput_distribution_formula,
 )
-from repro.loc.codegen import monitor_event
 from repro.loc.parser import parse_formula
 
 #: Annotation columns; all five are cumulative (monotone non-decreasing
 #: in the instance index), which powers the delta-sign analysis below.
 CUMULATIVE_ANNOTATIONS = ("cycle", "time", "energy", "total_pkt", "total_bit")
-
-
-@dataclass(frozen=True)
-class FormulaClassification:
-    """Static verdict for one formula."""
-
-    source: str
-    text: str
-    kind: str  # "checker" | "distribution" | "invalid"
-    compiled: bool
-    event: Optional[str] = None
-    fallback_reason: Optional[str] = None
-    parse_error: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "source": self.source,
-            "formula": self.text,
-            "kind": self.kind,
-            "compiled": self.compiled,
-            "event": self.event,
-            "fallback_reason": self.fallback_reason,
-            "parse_error": self.parse_error,
-        }
-
-
-def _fallback_reason(formula: Formula) -> Optional[str]:
-    """Why :func:`monitor_event` rejects ``formula`` (``None`` if it
-    doesn't).  Mirrors the predicate's checks in its order."""
-    refs = formula.refs()
-    events = {ref.event for ref in refs}
-    if not refs:
-        return "no annotation references"
-    if len(events) != 1:
-        return (
-            "multi-event window: references "
-            + ", ".join(sorted(events))
-        )
-    if any(ref.index.absolute for ref in refs):
-        pins = sorted(
-            ref.index.offset for ref in refs if ref.index.absolute
-        )
-        return f"absolute instance pin: {pins}"
-    return None
-
-
-def classify_formula(
-    formula: Union[str, Formula], source: str = "<formula>"
-) -> FormulaClassification:
-    """Classify one formula as compiled vs interpreter-fallback.
-
-    The ``compiled`` bit comes straight from
-    :func:`~repro.loc.codegen.monitor_event`, so it cannot drift from
-    :func:`~repro.loc.monitor.build_monitor`'s actual routing.
-    """
-    if isinstance(formula, str):
-        text = formula
-        try:
-            parsed = parse_formula(formula)
-        except LocError as exc:
-            return FormulaClassification(
-                source=source,
-                text=text,
-                kind="invalid",
-                compiled=False,
-                parse_error=str(exc),
-            )
-    else:
-        parsed = formula
-        text = parsed.unparse()
-    event = monitor_event(parsed)
-    kind = (
-        "checker" if isinstance(parsed, CheckerFormula) else "distribution"
-    )
-    if event is not None:
-        return FormulaClassification(
-            source=source, text=text, kind=kind, compiled=True, event=event
-        )
-    return FormulaClassification(
-        source=source,
-        text=text,
-        kind=kind,
-        compiled=False,
-        fallback_reason=_fallback_reason(parsed),
-    )
 
 
 # -- bound analysis ------------------------------------------------------
@@ -367,7 +271,7 @@ def study_gate_formulas(mem_gates: bool = True) -> Dict[str, str]:
     """Every study-gate formula the default catalog derives.
 
     ``mem_gates=True`` also includes the opt-in ``mem_*`` pace gates so
-    the coverage report sees the full gate surface.
+    the lint sees the full gate surface.
     """
     # Imported here: repro.studies pulls in the sweep/backend stack,
     # which the pure fixture-level lint paths should not need.
@@ -385,68 +289,18 @@ def study_gate_formulas(mem_gates: bool = True) -> Dict[str, str]:
     return out
 
 
-def analyze_catalog(registry: ChannelRegistry) -> "CoverageReport":
-    """Classify builtins + all study gates; collect LOC20x findings."""
-    classifications: List[FormulaClassification] = []
-    findings: List[Finding] = []
-
+def catalog_formulas() -> List[Tuple[str, Union[str, Formula]]]:
+    """The builtins and every study gate, ``mem_*`` gates included."""
     items: List[Tuple[str, Union[str, Formula]]] = []
     items.extend(sorted(builtin_formulas().items()))
     items.extend(sorted(study_gate_formulas().items()))
-    for source, formula in items:
-        classification = classify_formula(formula, source=source)
-        classifications.append(classification)
-        findings.extend(classification_findings(classification))
+    return items
+
+
+def analyze_catalog(registry: ChannelRegistry) -> List[Finding]:
+    """LOC202-LOC204 findings over :func:`catalog_formulas`."""
+    findings: List[Finding] = []
+    for source, formula in catalog_formulas():
         findings.extend(analyze_bounds(formula, source=source))
         findings.extend(check_events(formula, registry, source=source))
-
-    return CoverageReport(classifications=classifications, findings=findings)
-
-
-def classification_findings(
-    classification: FormulaClassification,
-) -> List[Finding]:
-    """LOC201 for interpreter-fallback formulas (parse errors excluded —
-    those are LOC204, reported by :func:`check_events`)."""
-    if classification.compiled or classification.kind == "invalid":
-        return []
-    return [
-        Finding(
-            code="LOC201",
-            message=(
-                f"[{classification.source}] formula runs on the "
-                f"interpreter fallback ({classification.fallback_reason}): "
-                f"{classification.text!r}"
-            ),
-            path=classification.source,
-            hint=(
-                "restructure to a single-event relative-index window, or "
-                "accept the ~13x slower interpretive monitor"
-            ),
-        )
-    ]
-
-
-@dataclass
-class CoverageReport:
-    """Fallback-coverage report over the whole formula catalog."""
-
-    classifications: List[FormulaClassification]
-    findings: List[Finding]
-
-    def compiled_count(self) -> int:
-        return sum(1 for c in self.classifications if c.compiled)
-
-    def fallback(self) -> List[FormulaClassification]:
-        return [c for c in self.classifications if not c.compiled]
-
-    def to_dict(self) -> Dict[str, object]:
-        total = len(self.classifications)
-        compiled = self.compiled_count()
-        return {
-            "total_formulas": total,
-            "compiled": compiled,
-            "fallback": total - compiled,
-            "compiled_fraction": (compiled / total) if total else 1.0,
-            "formulas": [c.to_dict() for c in self.classifications],
-        }
+    return findings

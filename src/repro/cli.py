@@ -324,13 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the builtin/study-gate formula analysis (file-level "
         "passes only)",
     )
-    lint_parser.add_argument(
-        "--loc-coverage",
-        default=None,
-        metavar="PATH",
-        help="also write the LOC compiled-vs-fallback coverage report "
-        "as JSON",
-    )
 
     metrics_parser = sub.add_parser(
         "metrics",
@@ -936,20 +929,8 @@ def _cmd_lint(args) -> int:
     if not (Path(root) / "src" / "repro").is_dir():
         print(f"repro lint: no src/repro under {root}", file=sys.stderr)
         return 2
-    result, coverage = run_lint(root, catalog=not args.no_catalog)
+    result = run_lint(root, catalog=not args.no_catalog)
     print(render(result, args.fmt))
-    if args.loc_coverage:
-        if coverage is None:
-            print(
-                "repro lint: --loc-coverage needs the catalog passes "
-                "(drop --no-catalog)",
-                file=sys.stderr,
-            )
-            return 2
-        with open(args.loc_coverage, "w", encoding="utf-8") as handle:
-            json.dump(coverage.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote LOC coverage report {args.loc_coverage}", file=sys.stderr)
     if args.strict and result.active:
         return 1
     return 0

@@ -89,10 +89,6 @@ class LocSemanticError(LocError):
     """A parsed LOC formula references unknown events or annotations."""
 
 
-class LocEvaluationError(LocError):
-    """A LOC formula could not be evaluated over the supplied trace."""
-
-
 class AnalysisError(ReproError):
     """A distribution/percentile/surface computation was invalid."""
 

@@ -21,8 +21,8 @@ from repro.analysis.report import format_table
 from repro.config import DvsConfig
 from repro.experiments.common import instrumented_run
 from repro.experiments.registry import ExperimentResult, register
-from repro.loc.analyzer import DistributionAnalyzer
 from repro.loc.builtin import forwarding_latency_formula
+from repro.loc.monitor import build_monitor
 from repro.config import RunConfig, TrafficConfig
 from repro.experiments.common import (
     EXPERIMENT_SEED,
@@ -90,8 +90,9 @@ def run_formula1(profile: str) -> ExperimentResult:
     model's measured scale, then reports both.
     """
     span = span_for(profile)
-    analyzer = DistributionAnalyzer(
-        forwarding_latency_formula(span=span, low=0.0, high=1000.0, step=10.0)
+    monitor = build_monitor(
+        forwarding_latency_formula(span=span, low=0.0, high=1000.0, step=10.0),
+        expect="distribution",
     )
     config = RunConfig(
         benchmark="ipfwdr",
@@ -99,8 +100,8 @@ def run_formula1(profile: str) -> ExperimentResult:
         seed=EXPERIMENT_SEED,
         traffic=TrafficConfig(offered_load_mbps=LEVEL_LOADS_MBPS["med"]),
     )
-    run_simulation(config, sinks=[analyzer])
-    result = analyzer.finish()
+    run_simulation(config, monitors=[monitor])
+    result = monitor.finish()
     text = (
         f"Formula (1): time(forward[i+{span}]) - time(forward[i])  "
         "in <0, 1000, 10>  (us)\n\n" + result.report(max_rows=14)

@@ -17,24 +17,24 @@ methodology end to end:
   ``above``  reports the fraction of instances **>=** each cutoff
              (the CCDF view used for the throughput plots).
 
-* a streaming **checker** reporting assertion violations with bounded
-  memory (:mod:`~repro.loc.checker`);
-* a streaming **distribution analyzer** (:mod:`~repro.loc.analyzer`);
-* **online monitors** (:mod:`~repro.loc.monitor`): the default
-  simulation-time checking path — formulas compiled to closure-based
-  ring-buffer monitors (:func:`~repro.loc.monitor.build_monitor`) that
-  subscribe directly to the run's :class:`~repro.trace.bus.TraceBus`,
-  with the interpretive evaluator kept as a proven-equivalent fallback
-  (``REPRO_LOC_MONITOR=interpreted``);
-* a **code generator** that emits a standalone, dependency-free Python
-  analyzer for a formula, and the online-monitor compiler behind the
-  monitor API (:mod:`~repro.loc.codegen`) — the paper's
-  "automatically generated, simulation-language-independent" tooling;
+* one **code generator** (:mod:`~repro.loc.codegen`) that turns every
+  formula into straight-line Python — the paper's "automatically
+  generated, simulation-language-independent" tooling.  The same
+  generated code runs in-process and as a standalone, dependency-free
+  analyzer script for a trace file;
+* **monitors** (:mod:`~repro.loc.monitor`): the generated code wrapped
+  by :func:`~repro.loc.monitor.build_monitor`, subscribed to a run's
+  :class:`~repro.trace.bus.TraceBus` for simulation-time checking, or
+  driven offline by :func:`~repro.loc.checker.check_trace` /
+  :func:`~repro.loc.analyzer.analyze_trace`;
+* the result types: a **checker** verdict with its violations
+  (:mod:`~repro.loc.checker`) and a **distribution** over the formula's
+  ranges (:mod:`~repro.loc.analyzer`);
 * the paper's formulas (1)-(3) as ready-made builders
   (:mod:`~repro.loc.builtin`).
 """
 
-from repro.loc.analyzer import DistributionAnalyzer, DistributionResult
+from repro.loc.analyzer import DistributionResult, analyze_trace
 from repro.loc.ast_nodes import (
     AnnotationRef,
     BinaryOp,
@@ -49,23 +49,14 @@ from repro.loc.builtin import (
     power_distribution_formula,
     throughput_distribution_formula,
 )
-from repro.loc.checker import CheckResult, Violation, build_checker, check_trace
+from repro.loc.checker import CheckResult, Violation, check_trace
 from repro.loc.codegen import (
     compile_monitor_feed,
     generate_analyzer_source,
     generate_monitor_source,
-    monitor_event,
 )
-from repro.loc.evaluator import StreamingEvaluator
 from repro.loc.lexer import Token, tokenize
-from repro.loc.monitor import (
-    MONITOR_MODE_ENV_VAR,
-    CompiledMonitor,
-    InterpretedMonitor,
-    build_monitor,
-    resolve_monitor_mode,
-    run_monitor,
-)
+from repro.loc.monitor import Monitor, build_monitor, run_monitor
 from repro.loc.parser import parse_formula
 
 __all__ = [
@@ -73,29 +64,23 @@ __all__ = [
     "BinaryOp",
     "CheckResult",
     "CheckerFormula",
-    "CompiledMonitor",
-    "DistributionAnalyzer",
     "DistributionFormula",
     "DistributionResult",
     "IndexExpr",
-    "InterpretedMonitor",
-    "MONITOR_MODE_ENV_VAR",
+    "Monitor",
     "Negate",
     "Number",
-    "StreamingEvaluator",
     "Token",
     "Violation",
-    "build_checker",
+    "analyze_trace",
     "build_monitor",
     "check_trace",
     "compile_monitor_feed",
     "forwarding_latency_formula",
     "generate_analyzer_source",
     "generate_monitor_source",
-    "monitor_event",
     "parse_formula",
     "power_distribution_formula",
-    "resolve_monitor_mode",
     "run_monitor",
     "throughput_distribution_formula",
     "tokenize",

@@ -20,15 +20,11 @@ curves; Figures 8/9 take the 80 % level of them.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import AnalysisError, LocError
+from repro.errors import AnalysisError
 from repro.loc.ast_nodes import DistributionFormula
-from repro.loc.evaluator import StreamingEvaluator
-from repro.loc.parser import parse_formula
 from repro.trace.events import TraceEvent
 
 
@@ -206,80 +202,17 @@ def _thin(rows: Sequence, max_rows: int) -> List:
     return [rows[round(k * stride)] for k in range(max_rows)]
 
 
-class DistributionAnalyzer:
-    """Streaming analyzer for one distribution formula.
-
-    Usable directly as a trace sink (``emit``); call :meth:`finish` to
-    obtain the :class:`DistributionResult`.
-    """
-
-    def __init__(self, formula: Union[str, DistributionFormula]):
-        if isinstance(formula, str):
-            parsed = parse_formula(formula)
-        else:
-            parsed = formula
-        if not isinstance(parsed, DistributionFormula):
-            raise LocError(
-                "expected a distribution formula (in/below/above <...>); "
-                "got a checker formula — use build_checker for those"
-            )
-        self.formula = parsed
-        self.edges = build_edges(parsed.low, parsed.high, parsed.step)
-        self._counts = [0] * (len(self.edges) + 1)
-        self._total = 0
-        self._min = math.inf
-        self._max = -math.inf
-        self._sum = 0.0
-        self._evaluator = StreamingEvaluator(parsed)
-
-    def emit(self, event: TraceEvent) -> None:
-        """Trace-sink interface: consume one event."""
-        for _instance, (value,) in self._evaluator.feed(event):
-            self.observe(value)
-
-    def observe(self, value: float) -> None:
-        """Record one instance value directly (used by tests/codegen)."""
-        if math.isnan(value):
-            return  # counted via the evaluator's undefined counter
-        if self.formula.mode == "above":
-            bin_index = bisect_right(self.edges, value)
-        else:
-            bin_index = bisect_left(self.edges, value)
-        self._counts[bin_index] += 1
-        self._total += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    def finish(self) -> DistributionResult:
-        """Snapshot the accumulated distribution."""
-        return DistributionResult(
-            formula_text=self.formula.unparse(),
-            mode=self.formula.mode,
-            edges=list(self.edges),
-            counts=list(self._counts),
-            total=self._total,
-            undefined=self._evaluator.undefined_instances,
-            value_min=self._min if self._total else math.nan,
-            value_max=self._max if self._total else math.nan,
-            value_sum=self._sum,
-        )
-
-
 def analyze_trace(
     formula: Union[str, DistributionFormula],
     events: Iterable[TraceEvent],
-    mode: Optional[str] = None,
 ) -> DistributionResult:
     """Run a distribution analysis over an event iterable.
 
-    Routes through :func:`repro.loc.monitor.build_monitor`, so offline
-    trace analysis gets the compiled fast path too; ``mode`` (or
-    ``REPRO_LOC_MONITOR``) selects the interpretive fallback.
+    Runs the formula's generated monitor
+    (:func:`repro.loc.monitor.build_monitor`), the same code that
+    analyzes a live run.
     """
     from repro.loc.monitor import build_monitor, run_monitor
 
-    monitor = build_monitor(formula, mode=mode, expect="distribution")
+    monitor = build_monitor(formula, expect="distribution")
     return run_monitor(monitor, events)

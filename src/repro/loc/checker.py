@@ -2,31 +2,20 @@
 
 This mirrors the paper's original (pre-distribution) use of LOC: a
 checker formula such as ``cycle(deq[i]) - cycle(enq[i]) <= 50`` is turned
-into a streaming monitor that evaluates every instance and records the
-ones where the relation fails.
+into a streaming monitor (:func:`repro.loc.monitor.build_monitor`) that
+evaluates every instance and records the ones where the relation fails,
+in a :class:`CheckResult`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 from repro.errors import LocError
 from repro.loc.ast_nodes import CheckerFormula
-from repro.loc.evaluator import StreamingEvaluator
-from repro.loc.parser import parse_formula
 from repro.trace.events import TraceEvent
-
-_OPS: dict = {
-    "<=": operator.le,
-    "<": operator.lt,
-    ">=": operator.ge,
-    ">": operator.gt,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
 
 
 @dataclass
@@ -138,74 +127,21 @@ class CheckResult:
         return "\n".join(lines)
 
 
-class Checker:
-    """Streaming checker; also usable directly as a trace sink."""
-
-    def __init__(self, formula: CheckerFormula, max_recorded_violations: int = 100):
-        self.formula = formula
-        self.max_recorded_violations = max_recorded_violations
-        self._compare: Callable[[float, float], bool] = _OPS[formula.op]
-        self.result = CheckResult(formula_text=formula.unparse(), op=formula.op)
-        self._evaluator = StreamingEvaluator(formula)
-
-    def emit(self, event: TraceEvent) -> None:
-        """Trace-sink interface."""
-        for instance, (lhs, rhs) in self._evaluator.feed(event):
-            self._judge(instance, lhs, rhs)
-
-    def _judge(self, instance: int, lhs: float, rhs: float) -> None:
-        if math.isnan(lhs) or math.isnan(rhs):
-            self.result.undefined_instances += 1
-            return
-        self.result.instances_checked += 1
-        self.result.lhs_sum += lhs
-        if lhs < self.result.lhs_min:
-            self.result.lhs_min = lhs
-        if lhs > self.result.lhs_max:
-            self.result.lhs_max = lhs
-        if not self._compare(lhs, rhs):
-            self.result.violations_total += 1
-            if len(self.result.violations) < self.max_recorded_violations:
-                self.result.violations.append(Violation(instance, lhs, rhs))
-
-    def finish(self) -> CheckResult:
-        """Return the accumulated result (the stream may keep going)."""
-        return self.result
-
-
-def build_checker(
-    formula: Union[str, CheckerFormula], max_recorded_violations: int = 100
-) -> Checker:
-    """Build a streaming checker from formula text or a parsed AST."""
-    if isinstance(formula, str):
-        parsed = parse_formula(formula)
-    else:
-        parsed = formula
-    if not isinstance(parsed, CheckerFormula):
-        raise LocError(
-            "expected a checker formula (relational operator); got a "
-            "distribution formula — use DistributionAnalyzer for those"
-        )
-    return Checker(parsed, max_recorded_violations=max_recorded_violations)
-
-
 def check_trace(
     formula: Union[str, CheckerFormula],
     events: Iterable[TraceEvent],
     max_recorded_violations: int = 100,
-    mode: Optional[str] = None,
 ) -> CheckResult:
     """Check ``formula`` over an event iterable and return the result.
 
-    Routes through :func:`repro.loc.monitor.build_monitor`, so offline
-    trace analysis gets the compiled fast path too; ``mode`` (or
-    ``REPRO_LOC_MONITOR``) selects the interpretive fallback.
+    Runs the formula's generated monitor
+    (:func:`repro.loc.monitor.build_monitor`), the same code that checks
+    a live run.
     """
     from repro.loc.monitor import build_monitor, run_monitor
 
     monitor = build_monitor(
         formula,
-        mode=mode,
         max_recorded_violations=max_recorded_violations,
         expect="checker",
     )

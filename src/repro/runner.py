@@ -3,9 +3,9 @@
 :class:`SimulationRun` wires a :class:`~repro.npu.chip.NpuChip`, a
 traffic source and (optionally) a DVS governor together from a single
 :class:`~repro.config.RunConfig`, attaches observers to the chip's
-:class:`~repro.trace.bus.TraceBus` — compiled LOC monitors
-(``monitors=``, see :mod:`repro.loc.monitor`) and legacy structured
-sinks (``sinks=``: analyzers, trace writers) — and runs for the
+:class:`~repro.trace.bus.TraceBus` — LOC monitors (``monitors=``,
+see :mod:`repro.loc.monitor`) and structured sinks (``sinks=``: trace
+writers, buffers) — and runs for the
 configured number of reference-clock cycles.  This is the entry point
 the experiments, the examples and most integration tests use.
 
@@ -92,11 +92,11 @@ class RunResult:
 class SimulationRun:
     """A fully wired simulation, ready to run once.
 
-    ``sinks`` are legacy structured observers (``emit(TraceEvent)``);
-    ``monitors`` are bus-native observers exposing ``attach(bus)`` —
-    typically :func:`repro.loc.monitor.build_monitor` products riding
-    the tuple-payload fast path.  Both subscribe to :attr:`bus` before
-    the chip starts.
+    ``sinks`` are structured observers (``emit(TraceEvent)``: trace
+    writers, buffers); ``monitors`` are bus-native observers exposing
+    ``attach(bus)`` — typically :func:`repro.loc.monitor.build_monitor`
+    products riding the tuple-payload path.  Both subscribe to
+    :attr:`bus` before the chip starts.
     """
 
     def __init__(
@@ -216,7 +216,7 @@ class SimulationRun:
         them from :meth:`~repro.sim.stats.IntervalAccumulator.totals_ps`
         is what keeps span overhead out of the kernel hot loop.  Every
         value is integer picoseconds from run start, so records are
-        byte-identical across backends and monitor modes.  Empty until
+        byte-identical across backends.  Empty until
         the run has finished.
         """
         if self._span_totals is None:

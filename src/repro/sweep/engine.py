@@ -164,17 +164,14 @@ def run_job(job: Job) -> SweepOutcome:
     and every RNG stream derives from it.
 
     LOC analysis (the span distributions and ``job.checks``) rides the
-    run's :class:`~repro.trace.bus.TraceBus` as online monitors —
-    compiled by default, interpretive under
-    ``REPRO_LOC_MONITOR=interpreted`` — with results proven identical
-    either way (``tests/test_monitors.py``).
+    run's :class:`~repro.trace.bus.TraceBus` as generated monitors
+    (:func:`~repro.loc.monitor.build_monitor`).
 
     Observed runs additionally carry per-channel ``published`` event
     counts in ``outcome.obs`` — only the observer-independent half of
     :meth:`~repro.trace.bus.TraceBus.channel_stats`, so outcomes stay
-    byte-identical across backends *and* monitor modes (delivery counts
-    depend on subscriber topology, which differs between compiled
-    monitors and the interpreted wildcard-sink fallback).
+    byte-identical across backends (delivery counts depend on which
+    monitors subscribe to which names).
     """
     ((outcome, _shared),) = run_family([job])
     return outcome
@@ -214,9 +211,9 @@ def _simulate(
     # Deterministic sim-clock spans (scenario segments, per-ME phase
     # windows, check-evaluation windows) ride the outcome like the
     # channel counters: same integer-picosecond values from every
-    # backend and monitor mode, so byte-identity holds.  Wall-clock
-    # spans never go through outcomes — they stay in the per-process
-    # recorder (see repro.obs.spans).
+    # backend, so byte-identity holds.  Wall-clock spans never go
+    # through outcomes — they stay in the per-process recorder (see
+    # repro.obs.spans).
     spans = run.sim_spans()
     if spans:
         end_ps = run.sim.now_ps

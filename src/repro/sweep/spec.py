@@ -67,8 +67,8 @@ class Job:
     custom (non-built-in) scenarios sweep correctly even under spawn /
     forkserver start methods.  ``checks`` is an ordered tuple of LOC
     *checker* formulas (relational assertions); the worker attaches one
-    streaming :class:`~repro.loc.checker.Checker` per formula and the
-    outcome carries their :class:`~repro.loc.checker.CheckResult`
+    monitor (:func:`~repro.loc.monitor.build_monitor`) per formula and
+    the outcome carries their :class:`~repro.loc.checker.CheckResult`
     verdicts in the same order.  ``label`` is display-only and excluded
     from the identity hash.
     """
@@ -96,12 +96,13 @@ class Job:
             RunConfig.from_dict(config)  # validates (and normalizes errors)
         checks = tuple(checks)
         if checks:
-            # Parse now so a malformed formula fails at build time, in
-            # the submitting process, rather than inside a worker.
-            from repro.loc.checker import build_checker
+            # Generate each check's monitor now, so a malformed formula
+            # fails at build time, in the submitting process, rather
+            # than inside a worker.
+            from repro.loc.monitor import build_monitor
 
             for check in checks:
-                build_checker(check)
+                build_monitor(check, expect="checker")
         scenario = None
         scenario_name = (config.get("traffic") or {}).get("scenario")
         if scenario_name is not None:

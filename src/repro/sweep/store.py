@@ -41,14 +41,14 @@ class SweepOutcome:
     #: Run-level observability payload: per-channel ``published`` event
     #: counts (the observer-independent half of
     #: :meth:`repro.trace.bus.TraceBus.channel_stats` — delivery counts
-    #: vary with subscriber topology and stay bus-local)
+    #: vary with which monitors subscribe and stay bus-local)
     #: and, under ``spans``, the run's deterministic sim-time span
     #: records (scenario segments, per-ME phase windows,
     #: check-evaluation windows — see :mod:`repro.obs.spans`); ``None``
     #: when nothing was collected.
     #: Contents are deterministic — event counts and integer-picosecond
     #: sim times, never wall-clock — so outcomes stay bit-identical
-    #: across backends and monitor modes.
+    #: across backends.
     obs: Optional[Dict[str, Any]] = None
 
     @property

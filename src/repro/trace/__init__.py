@@ -8,9 +8,9 @@ distinguish microengines (``m2_pipeline`` is a pipeline event from ME2).
 The subpackage provides:
 
 * :class:`~repro.trace.bus.TraceBus` — the streaming observation bus
-  every producer publishes into: tuple-payload subscriptions for
-  compiled LOC monitors, wildcard ``emit(TraceEvent)`` sinks for the
-  legacy interfaces, and no-op emitters for unobserved event names;
+  every producer publishes into: tuple-payload subscriptions for LOC
+  monitors, wildcard ``emit(TraceEvent)`` sinks for trace writers and
+  buffers, and no-op emitters for unobserved event names;
 * :class:`~repro.trace.events.TraceEvent` — one trace record;
 * :class:`~repro.trace.buffer.TraceBuffer` — in-memory sink with optional
   event-name filtering and bounded retention;
@@ -20,7 +20,7 @@ The subpackage provides:
 """
 
 from repro.trace.annotations import ANNOTATION_DESCRIPTIONS, ANNOTATION_NAMES
-from repro.trace.buffer import MultiSink, NullSink, TraceBuffer
+from repro.trace.buffer import TraceBuffer
 from repro.trace.bus import NOOP_EMITTER, TraceBus
 from repro.trace.events import (
     EVENT_DESCRIPTIONS,
@@ -38,9 +38,7 @@ __all__ = [
     "CsvTraceWriter",
     "EVENT_DESCRIPTIONS",
     "EVENT_TYPES",
-    "MultiSink",
     "NOOP_EMITTER",
-    "NullSink",
     "TextTraceWriter",
     "TraceBuffer",
     "TraceBus",

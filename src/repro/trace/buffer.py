@@ -1,47 +1,19 @@
-"""In-memory trace sinks.
+"""In-memory trace retention: the :class:`TraceBuffer` sink.
 
-Sinks implement a single method, ``emit(event)``.  The chip's trace
-recorder fans events out to any number of sinks; typical compositions:
-
-* a :class:`TraceBuffer` filtered to ``forward`` events feeding a LOC
-  distribution analyzer;
-* a :class:`~repro.trace.writer.TextTraceWriter` dumping the full stream
-  to disk for offline analysis;
-* a :class:`NullSink` when tracing is disabled.
-
-LOC analyzers in this package are *streaming* (they subscribe as sinks),
-so full in-memory retention is only needed when a test or example wants to
-inspect the raw events.
+Sinks implement a single method, ``emit(event)``, and attach to a run's
+:class:`~repro.trace.bus.TraceBus`, which fans each event out to every
+attached sink.  A :class:`TraceBuffer` keeps the events in memory, for a
+test or example that wants to inspect the raw stream or check a formula
+over it offline (:func:`~repro.loc.checker.check_trace`).  LOC monitors
+do not need it: they subscribe to the bus themselves and stream.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional, Sequence
+from typing import Callable, Deque, Iterable, List, Optional
 
 from repro.trace.events import TraceEvent
-
-
-class NullSink:
-    """Discards every event (tracing disabled)."""
-
-    def emit(self, event: TraceEvent) -> None:
-        """Ignore the event."""
-
-
-class MultiSink:
-    """Fans each event out to several sinks, in order."""
-
-    def __init__(self, sinks: Sequence = ()):
-        self.sinks: List = list(sinks)
-
-    def add(self, sink) -> None:
-        """Append another sink."""
-        self.sinks.append(sink)
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
 
 
 class TraceBuffer:

@@ -8,13 +8,14 @@ instead of an ad-hoc sink list.  Two subscription flavours exist:
 * :meth:`TraceBus.subscribe` — a **tuple handler** for one event name.
   The handler receives the bare annotation row ``(cycle, time, energy,
   total_pkt, total_bit)``; no :class:`~repro.trace.events.TraceEvent`
-  is ever allocated for it.  This is the path compiled LOC monitors
-  ride (:mod:`repro.loc.monitor`).
-* :meth:`TraceBus.attach_sink` — a **structured sink** with the legacy
-  ``emit(TraceEvent)`` interface (writers, buffers, interpretive
-  checkers).  Sinks are wildcard subscribers: they see every published
-  event, and a :class:`~repro.trace.events.TraceEvent` is materialized
-  once per event only while at least one sink is attached.
+  is ever allocated for it.  This is the path LOC monitors ride
+  (:mod:`repro.loc.monitor`).
+* :meth:`TraceBus.attach_sink` — a **structured sink** with the
+  ``emit(TraceEvent)`` interface (trace writers, buffers).  Sinks are
+  wildcard subscribers: they see every event published on a primary
+  channel, and a :class:`~repro.trace.events.TraceEvent` is
+  materialized once per event only while at least one sink is
+  attached.
 
 Producers do not publish through the bus object; they hold an
 **emitter** — a zero-argument callable bound per event name via
@@ -124,20 +125,6 @@ class TraceBus:
                 "starts)"
             )
 
-    # -- introspection ---------------------------------------------------
-    def subscribed_names(self) -> Tuple[str, ...]:
-        """Event names with at least one tuple handler (sorted)."""
-        return tuple(sorted(n for n, h in self._handlers.items() if h))
-
-    @property
-    def sinks(self) -> List:
-        """The attached structured sinks (live list view, do not mutate)."""
-        return self._sinks
-
-    def has_subscribers(self, name: str) -> bool:
-        """True when ``name`` would dispatch to at least one subscriber."""
-        return bool(self._handlers.get(name)) or bool(self._sinks)
-
     def has_any_subscriber(self) -> bool:
         """True when *anything* subscribed — the run counts as observed."""
         return bool(self._sinks) or any(self._handlers.values())
@@ -151,10 +138,11 @@ class TraceBus:
         Returns :data:`NOOP_EMITTER` when nothing subscribes to the
         name — publishing then materializes nothing at all.  On an
         observed bus, a primary name nobody subscribes gets an emitter
-        that only counts ``published``: an interpreted LOC monitor is a
-        wildcard sink and sees the name, a compiled one does not, and
-        the channel counters must not tell the two monitor modes apart.
-        No emitter reads the annotations unless it dispatches a row.
+        that only counts ``published``, so an observed run counts every
+        primary channel whichever names its monitors read: a check
+        added on one event does not make another channel's count
+        appear or vanish.  No emitter reads the annotations unless it
+        dispatches a row.
 
         ``to_sinks=False`` binds a **named-only** channel: the event
         dispatches to the name's tuple handlers but never to wildcard
@@ -227,7 +215,7 @@ class TraceBus:
         cell = self._register_channel(key, name, len(handlers) + len(sinks))
 
         if len(handlers) == 1 and not sinks:
-            # The hottest shape: one compiled monitor on one name.
+            # The hottest shape: one monitor feed on one name.
             handler = handlers[0]
 
             def emit() -> None:

@@ -1,4 +1,13 @@
-"""Streaming evaluation of LOC formula instances over a trace.
+"""The differential oracle for the LOC engine: an interpretive evaluator.
+
+``repro.loc`` checks every formula with generated code
+(:mod:`repro.loc.codegen`).  This module keeps an independent
+implementation of the same semantics, written the slow and obvious way
+— one sliding window per event, an AST walk per instance — so the
+tests can compare the two field by field.  It is the interpreter that
+``repro.loc.evaluator.StreamingEvaluator`` used to ship, with reference
+copies of the accumulation its ``Checker`` and ``DistributionAnalyzer``
+sinks did; nothing in ``src/`` imports it.
 
 LOC semantics: a formula holds for every value of the index variable
 ``i`` = 0, 1, 2, ...; instance ``i`` of the formula mentions annotation
@@ -11,27 +20,44 @@ series in memory.
 Instances that reference negative event indices (possible when a formula
 uses ``i-k``) are skipped, matching the convention that such instances are
 vacuous.  Instances whose evaluation divides by zero are reported as
-*undefined* and counted separately.
+*undefined* and counted separately.  The oracle assumes what the engine
+enforces: at least one reference is indexed by ``i``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Tuple, Union
 
-from repro.errors import LocEvaluationError
+from repro.loc.analyzer import DistributionResult, build_edges
 from repro.loc.ast_nodes import (
     AnnotationRef,
     BinaryOp,
+    CheckerFormula,
+    DistributionFormula,
     Expr,
     Formula,
     Negate,
     Number,
 )
+from repro.loc.checker import CheckResult, Violation
+from repro.loc.parser import parse_formula
 from repro.trace.events import TraceEvent
 
 #: Sentinel yielded for instances whose expression divides by zero.
 UNDEFINED = float("nan")
+
+_OPS = {
+    "<=": operator.le,
+    "<": operator.lt,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
 
 
 class _EventSeries:
@@ -59,7 +85,7 @@ class _EventSeries:
             return pinned[slot]
         offset = instance - self.base
         if offset < 0:
-            raise LocEvaluationError(
+            raise AssertionError(
                 f"instance {instance} already evicted (window base {self.base})"
             )
         return self.values[offset][slot]
@@ -71,28 +97,16 @@ class _EventSeries:
             self.base += 1
 
 
-class StreamingEvaluator:
+class OracleEvaluator:
     """Evaluates all instances of a formula as trace events stream in.
 
-    Parameters
-    ----------
-    formula:
-        A parsed LOC formula (checker or distribution).  Every top-level
-        expression is evaluated per instance; checker formulas yield a
-        tuple ``(lhs_value, rhs_value)``, distribution formulas a 1-tuple.
-
-    Usage
-    -----
     Call :meth:`feed` with each event (in trace order); it returns an
-    iterator of newly completed ``(i, values)`` pairs.  This object is
-    also a trace *sink* (``emit``) that hands completed instances to an
-    optional callback, so it can be plugged directly into the chip's
-    trace fan-out.
+    iterator of newly completed ``(i, values)`` pairs: ``(lhs, rhs)`` for
+    checker formulas, a 1-tuple for distribution formulas.
     """
 
-    def __init__(self, formula: Formula, on_instance=None):
+    def __init__(self, formula: Formula):
         self.formula = formula
-        self.on_instance = on_instance
         self.exprs: List[Expr] = formula.exprs()
         self.next_instance = 0
         self.instances_evaluated = 0
@@ -125,9 +139,6 @@ class StreamingEvaluator:
             for annotation in series.annotations
         }
 
-    # ------------------------------------------------------------------
-    # Feeding
-    # ------------------------------------------------------------------
     def feed(self, event: TraceEvent) -> Iterator[Tuple[int, Tuple[float, ...]]]:
         """Consume one event; yield instances that became evaluable."""
         series = self._series.get(event.name)
@@ -135,12 +146,6 @@ class StreamingEvaluator:
             return iter(())
         series.append(event, self._pins[event.name])
         return self._drain()
-
-    def emit(self, event: TraceEvent) -> None:
-        """Trace-sink interface: feed and forward to ``on_instance``."""
-        for instance, values in self.feed(event):
-            if self.on_instance is not None:
-                self.on_instance(instance, values)
 
     def _drain(self) -> Iterator[Tuple[int, Tuple[float, ...]]]:
         while self._ready(self.next_instance):
@@ -155,14 +160,11 @@ class StreamingEvaluator:
 
     def _ready(self, i: int) -> bool:
         for name, offsets in self._rel_offsets.items():
-            series = self._series[name]
-            needed_max = i + max(offsets)
-            if needed_max >= series.count:
+            if i + max(offsets) >= self._series[name].count:
                 return False
         for name, pins in self._pins.items():
-            series = self._series[name]
             for pin in pins:
-                if pin >= series.count:
+                if pin >= self._series[name].count:
                     return False
         return True
 
@@ -176,9 +178,6 @@ class StreamingEvaluator:
         for name, offsets in self._rel_offsets.items():
             self._series[name].evict_below(next_i + min(offsets))
 
-    # ------------------------------------------------------------------
-    # Expression interpretation
-    # ------------------------------------------------------------------
     def _evaluate(self, i: int) -> Tuple[float, ...]:
         values = []
         for expr in self.exprs:
@@ -208,17 +207,82 @@ class StreamingEvaluator:
             return left / right  # ZeroDivisionError handled by caller
         if isinstance(expr, Negate):
             return -self._eval_expr(expr.operand, i)
-        raise LocEvaluationError(f"unknown expression node {type(expr).__name__}")
+        raise AssertionError(f"unknown expression node {type(expr).__name__}")
 
 
-def evaluate_over(formula: Formula, events) -> List[Tuple[int, Tuple[float, ...]]]:
-    """Evaluate all instances of ``formula`` over an event iterable.
+def _parsed(formula: Union[str, Formula]) -> Formula:
+    return parse_formula(formula) if isinstance(formula, str) else formula
 
-    Convenience wrapper for tests and offline analysis; holds only the
-    evaluator's sliding window in memory, but materializes the results.
-    """
-    evaluator = StreamingEvaluator(formula)
+
+def evaluate_over(
+    formula: Union[str, Formula], events: Iterable[TraceEvent]
+) -> List[Tuple[int, Tuple[float, ...]]]:
+    """Every evaluated instance of ``formula`` over ``events``, in order."""
+    evaluator = OracleEvaluator(_parsed(formula))
     out: List[Tuple[int, Tuple[float, ...]]] = []
     for event in events:
         out.extend(evaluator.feed(event))
     return out
+
+
+def oracle_check_trace(
+    formula: Union[str, CheckerFormula],
+    events: Iterable[TraceEvent],
+    max_recorded_violations: int = 100,
+) -> CheckResult:
+    """What :func:`repro.loc.checker.check_trace` must return."""
+    parsed = _parsed(formula)
+    assert isinstance(parsed, CheckerFormula), parsed
+    compare = _OPS[parsed.op]
+    result = CheckResult(formula_text=parsed.unparse(), op=parsed.op)
+    for instance, (lhs, rhs) in evaluate_over(parsed, events):
+        if math.isnan(lhs) or math.isnan(rhs):
+            result.undefined_instances += 1
+            continue
+        result.instances_checked += 1
+        result.lhs_sum += lhs
+        if lhs < result.lhs_min:
+            result.lhs_min = lhs
+        if lhs > result.lhs_max:
+            result.lhs_max = lhs
+        if not compare(lhs, rhs):
+            result.violations_total += 1
+            if len(result.violations) < max_recorded_violations:
+                result.violations.append(Violation(instance, lhs, rhs))
+    return result
+
+
+def oracle_analyze_trace(
+    formula: Union[str, DistributionFormula], events: Iterable[TraceEvent]
+) -> DistributionResult:
+    """What :func:`repro.loc.analyzer.analyze_trace` must return."""
+    parsed = _parsed(formula)
+    assert isinstance(parsed, DistributionFormula), parsed
+    edges = build_edges(parsed.low, parsed.high, parsed.step)
+    bisect = bisect_right if parsed.mode == "above" else bisect_left
+    counts = [0] * (len(edges) + 1)
+    total = 0
+    low, high, value_sum = math.inf, -math.inf, 0.0
+    evaluator = OracleEvaluator(parsed)
+    for event in events:
+        for _instance, (value,) in evaluator.feed(event):
+            if math.isnan(value):
+                continue  # counted via the evaluator's undefined counter
+            counts[bisect(edges, value)] += 1
+            total += 1
+            value_sum += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+    return DistributionResult(
+        formula_text=parsed.unparse(),
+        mode=parsed.mode,
+        edges=edges,
+        counts=counts,
+        total=total,
+        undefined=evaluator.undefined_instances,
+        value_min=low if total else math.nan,
+        value_max=high if total else math.nan,
+        value_sum=value_sum,
+    )

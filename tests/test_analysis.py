@@ -158,8 +158,8 @@ from repro.analysis.lint import (
     ModuleCache,
     build_channel_registry,
     check_determinism,
+    catalog_formulas,
     check_wire,
-    classify_formula,
     render,
     run_lint,
 )
@@ -420,16 +420,6 @@ def loose_registry():
 
 
 class TestLocRules:
-    def test_loc201_classification_bad_and_clean(self):
-        multi = classify_formula("time(deq[i]) - time(enq[i]) <= 5")
-        assert not multi.compiled
-        assert "multi-event" in multi.fallback_reason
-        pinned = classify_formula("time(forward[i]) - time(forward[0]) <= 5")
-        assert not pinned.compiled
-        assert "absolute" in pinned.fallback_reason
-        clean = classify_formula("time(forward[i+1]) - time(forward[i]) <= 5")
-        assert clean.compiled and clean.event == "forward"
-
     def test_loc202_unsatisfiable_and_vacuous_bounds(self):
         unsat = analyze_bounds("time(forward[i+10]) - time(forward[i]) <= -1")
         assert any(f.code == "LOC202" and "unsatisfiable" in f.message
@@ -472,7 +462,6 @@ class TestLocRules:
         registry = loose_registry()
         bad = check_events("cycle(forward[i+1]) - - <= ", registry)
         assert any(f.code == "LOC204" for f in bad)
-        assert classify_formula("what is this").kind == "invalid"
 
     def test_registry_extraction_from_fixture_emitters(self, tmp_path):
         write_tree(tmp_path, {
@@ -510,32 +499,41 @@ class TestLocRules:
             assert registry.knows(name), name
 
 
-class TestClassificationMatchesRouting:
-    def test_builtins_agree_with_build_monitor(self):
-        for formula in (
-            forwarding_latency_formula(),
-            power_distribution_formula(),
-            throughput_distribution_formula(),
-        ):
-            verdict = classify_formula(formula)
-            monitor = build_monitor(formula, mode="compiled")
-            assert verdict.compiled == monitor.compiled
-            assert verdict.compiled  # paper formulas all compile
+class TestCatalogCoverage:
+    """The catalog pass reads every builtin and every study gate."""
 
-    def test_all_study_gates_agree_with_build_monitor(self):
+    def test_catalog_covers_builtins_and_every_study_gate(self):
+        expected = {
+            "builtin:forwarding_latency": forwarding_latency_formula().unparse(),
+            "builtin:power_distribution": power_distribution_formula().unparse(),
+            "builtin:throughput_distribution": (
+                throughput_distribution_formula().unparse()
+            ),
+        }
         for mem_gates in (False, True):
             spec = StudySpec(mem_gates=mem_gates)
             for name in list_scenarios():
                 for assertion in spec.assertions_for(get_scenario(name)):
-                    verdict = classify_formula(assertion.formula)
-                    monitor = build_monitor(assertion.formula, mode="compiled")
-                    assert verdict.compiled == monitor.compiled, assertion.name
+                    expected[f"study:{name}:{assertion.name}"] = assertion.formula
+        covered = {
+            source: formula if isinstance(formula, str) else formula.unparse()
+            for source, formula in catalog_formulas()
+        }
+        assert covered == expected
+        assert any("(mem_" in text for text in covered.values())
 
-    def test_fallback_formula_routes_interpreted(self):
-        formula = "time(forward[i]) - time(forward[0]) <= 1e9"
-        verdict = classify_formula(formula)
-        monitor = build_monitor(formula, mode="compiled")
-        assert not verdict.compiled and not monitor.compiled
+    def test_catalog_pass_reads_catalog_formulas(self, monkeypatch):
+        import repro.analysis.lint.formulas as formulas
+
+        monkeypatch.setattr(
+            formulas, "catalog_formulas", lambda: [("study:planted", "time(( <=")]
+        )
+        findings = formulas.analyze_catalog(loose_registry())
+        assert [(f.code, f.path) for f in findings] == [("LOC204", "study:planted")]
+
+    def test_every_catalog_formula_builds_a_monitor(self):
+        for source, formula in catalog_formulas():
+            assert build_monitor(formula).finish() is not None, source
 
 
 GOOD_SCHEMA_MD = (
@@ -694,23 +692,6 @@ class TestLintCliAndOutput:
         check_determinism(cache)
         check_wire(cache)
         assert cache.parsed_count() == first
-
-    def test_loc_coverage_report_written(self, tmp_path, capsys):
-        out_path = tmp_path / "loc-coverage.json"
-        code = cli_main([
-            "lint", "--root", str(REPO_ROOT),
-            "--loc-coverage", str(out_path),
-        ])
-        capsys.readouterr()
-        assert code == 0
-        payload = _json.loads(out_path.read_text(encoding="utf-8"))
-        assert payload["total_formulas"] == (
-            payload["compiled"] + payload["fallback"]
-        )
-        assert payload["compiled_fraction"] == 1.0  # ROADMAP visibility
-        sources = {entry["source"] for entry in payload["formulas"]}
-        assert "builtin:forwarding_latency" in sources
-        assert any(s.startswith("study:") for s in sources)
 
 
 class TestShippedTreeIsClean:

@@ -4,12 +4,11 @@ import pytest
 
 from repro.config import DvsConfig, NpuConfig, RunConfig, TrafficConfig
 from repro.errors import ConfigError
-from repro.loc.analyzer import DistributionAnalyzer
 from repro.loc.builtin import (
     power_distribution_formula,
     throughput_distribution_formula,
 )
-from repro.loc.checker import build_checker
+from repro.loc.monitor import build_monitor
 from repro.npu.chip import build_chip
 from repro.runner import SimulationRun, resolve_offered_load_bps, run_simulation
 from repro.trace.buffer import TraceBuffer
@@ -134,15 +133,19 @@ class TestTraceEmission:
         assert pipeline_names  # m<k>_pipeline events present
         assert all(name.startswith("m") for name in pipeline_names)
 
-    def test_loc_checker_as_live_sink(self):
-        checker = build_checker("total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1")
-        run_simulation(quick_config(), sinks=[checker])
+    def test_loc_checker_as_live_monitor(self):
+        checker = build_monitor(
+            "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1",
+            expect="checker",
+        )
+        run_simulation(quick_config(), monitors=[checker])
         assert checker.finish().passed
+        assert checker.finish().instances_checked > 0
 
-    def test_loc_analyzers_as_live_sinks(self):
-        power = DistributionAnalyzer(power_distribution_formula(span=10))
-        throughput = DistributionAnalyzer(throughput_distribution_formula(span=10))
-        result = run_simulation(quick_config(), sinks=[power, throughput])
+    def test_loc_analyzers_as_live_monitors(self):
+        power = build_monitor(power_distribution_formula(span=10))
+        throughput = build_monitor(throughput_distribution_formula(span=10))
+        result = run_simulation(quick_config(), monitors=[power, throughput])
         power_result = power.finish()
         throughput_result = throughput.finish()
         assert power_result.total > 0

@@ -5,12 +5,8 @@ import math
 import pytest
 
 from repro.errors import AnalysisError, LocError
-from repro.loc.analyzer import (
-    DistributionAnalyzer,
-    analyze_trace,
-    build_edges,
-)
-from repro.loc.checker import build_checker
+from repro.loc.analyzer import analyze_trace, build_edges
+from repro.loc.checker import check_trace
 
 from conftest import forward_series, make_event
 
@@ -141,19 +137,18 @@ class TestMisc:
         assert result.value_max == 8
 
     def test_nan_values_excluded(self):
-        analyzer = DistributionAnalyzer("cycle(e[i]) in <0, 10, 5>")
-        analyzer.observe(float("nan"))
-        analyzer.observe(3.0)
-        result = analyzer.finish()
+        events = [make_event("e", time=math.nan), make_event("e", time=3.0)]
+        result = analyze_trace("time(e[i]) in <0, 10, 5>", events)
         assert result.total == 1
+        assert result.undefined == 0  # NaN data is skipped, not undefined
 
     def test_checker_formula_rejected(self):
         with pytest.raises(LocError):
-            DistributionAnalyzer("cycle(e[i]) <= 5")
+            analyze_trace("cycle(e[i]) <= 5", [])
 
     def test_distribution_formula_rejected_by_checker(self):
         with pytest.raises(LocError):
-            build_checker("cycle(e[i]) below <0, 1, 1>")
+            check_trace("cycle(e[i]) below <0, 1, 1>", [])
 
     def test_empty_result_guards(self):
         result = analyze_trace("cycle(e[i]) in <0, 10, 5>", [])

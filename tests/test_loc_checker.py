@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LocError
-from repro.loc.checker import build_checker, check_trace
+from repro.loc.checker import check_trace
 
 from conftest import make_event
 
@@ -37,12 +37,11 @@ def test_violations_reported_with_instance_numbers():
 
 def test_violation_recording_capped_but_counted():
     latencies = [100] * 250
-    checker = build_checker(
-        "cycle(deq[i]) - cycle(enq[i]) <= 50", max_recorded_violations=10
+    result = check_trace(
+        "cycle(deq[i]) - cycle(enq[i]) <= 50",
+        latency_trace(latencies),
+        max_recorded_violations=10,
     )
-    for event in latency_trace(latencies):
-        checker.emit(event)
-    result = checker.finish()
     assert result.violations_total == 250
     assert len(result.violations) == 10
 
@@ -66,7 +65,7 @@ def test_all_operators(op, lhs, rhs, expected):
 
 def test_distribution_formula_rejected():
     with pytest.raises(LocError):
-        build_checker("cycle(e[i]) in <0, 10, 1>")
+        check_trace("cycle(e[i]) in <0, 10, 1>", [])
 
 
 def test_report_format():

@@ -2,18 +2,25 @@
 
 The generated source is executed (as generated code would be run in the
 field) and its results are cross-checked against the in-process
-evaluator on the same traces.
+:func:`check_trace` / :func:`analyze_trace` on the same traces: both run
+the same generated monitor code.
 """
 
 import io
+import math
 import subprocess
 import sys
 
 import pytest
 
+from repro.errors import LocError
 from repro.loc.analyzer import analyze_trace
 from repro.loc.checker import check_trace
-from repro.loc.codegen import generate_analyzer_source, write_analyzer
+from repro.loc.codegen import (
+    generate_analyzer_source,
+    generate_monitor_source,
+    write_analyzer,
+)
 from repro.trace.writer import TextTraceWriter
 
 from conftest import forward_series, make_event
@@ -137,3 +144,39 @@ def test_generated_div_by_zero_counted_undefined():
     generated = module["analyze_lines"](trace_lines(events))
     assert generated["undefined"] == 1
     assert generated["total"] == 1
+
+
+def test_generated_nan_instance_counted_undefined_like_check_trace():
+    formula = "time(forward[i]) >= 0"
+    events = forward_series(4)
+    events[2] = make_event("forward", cycle=1200, time=math.nan, total_pkt=2)
+    lines = trace_lines(events)
+    assert "nan" in lines[3]
+    generated = exec_generated(generate_analyzer_source(formula))["analyze_lines"](
+        lines
+    )
+    reference = check_trace(formula, events)
+    counts = (
+        generated["checked"], generated["violations_total"], generated["undefined"]
+    )
+    assert counts == (
+        reference.instances_checked,
+        reference.violations_total,
+        reference.undefined_instances,
+    ) == (3, 0, 1)
+
+
+def test_generated_script_embeds_the_monitor_source():
+    formula = "time(deq[i]) - time(enq[0]) <= 100"
+    assert generate_monitor_source(formula) in generate_analyzer_source(formula)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["time(forward[3]) - time(forward[0]) >= 0", "3 <= 2", "cycle(e[0]) in <0, 9, 1>"],
+)
+def test_formula_no_instance_index_reaches_is_refused(formula):
+    with pytest.raises(LocError, match="relative to i"):
+        generate_monitor_source(formula)
+    with pytest.raises(LocError, match="relative to i"):
+        generate_analyzer_source(formula)

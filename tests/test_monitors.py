@@ -1,46 +1,45 @@
-"""Differential wall: compiled LOC monitors == the interpretive evaluator.
+"""The one LOC engine against the differential oracle.
 
-The compiled checking path (:mod:`repro.loc.monitor` over
-:func:`repro.loc.codegen.compile_monitor_feed`) must be *provably*
-interchangeable with the interpretive
-:class:`~repro.loc.evaluator.StreamingEvaluator` path it replaced as
-default.  Three layers of proof:
+Every formula is checked by generated code (:mod:`repro.loc.codegen`,
+wrapped by :func:`repro.loc.monitor.build_monitor`); ``loc_oracle``
+keeps an independent interpretive evaluator.  This module proves the
+two equal, field by field:
 
-* **hypothesis** — random single-event formulas (offsets incl.
-  negative, every relational operator, division) over random event
-  streams: verdicts, violation lists and lhs statistics identical;
+* **hypothesis** — random formulas over one or two events (relative
+  offsets from -5 to 8, absolute pins, all six relational operators,
+  division, both formula kinds) over random interleaved streams;
 * **golden traces** — every catalog scenario simulated once, its trace
-  checked by both paths with the real study-gate and builtin formulas:
-  results identical object-for-object;
-* **run_job identity** — a sweep job executed under
-  ``REPRO_LOC_MONITOR=compiled`` and ``=interpreted`` produces
-  byte-identical outcome dicts (the sweep/study bit-identity
-  guarantee).
+  checked with the real study-gate and builtin formulas;
+* **real runs** — formulas over the bus's named-only ``mem_*`` channels
+  check instances on a live run, equal to the oracle over the same rows.
+
+It also pins what the engine refuses — a formula no instance index
+reaches, before any event is fed — and that the retired monitor-mode
+knob and ``repro lint --loc-coverage`` stay gone.
 """
 
+import dataclasses
 import json
+import math
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.config import DvsConfig, RunConfig, TrafficConfig
-from repro.loc.analyzer import DistributionAnalyzer
-from repro.loc.checker import build_checker, check_trace
-from repro.loc.codegen import generate_monitor_source, monitor_event
-from repro.loc.monitor import (
-    MONITOR_MODE_ENV_VAR,
-    CompiledMonitor,
-    InterpretedMonitor,
-    build_monitor,
-    resolve_monitor_mode,
-    run_monitor,
-)
-from repro.loc.parser import parse_formula
-from repro.runner import run_simulation
+from repro.errors import LocError
+from repro.loc.analyzer import analyze_trace
+from repro.loc.checker import check_trace
+from repro.loc.codegen import generate_monitor_source
+from repro.loc.monitor import build_monitor, run_monitor
+from repro.runner import SimulationRun, run_simulation
 from repro.scenarios import list_scenarios
-from repro.sweep.spec import Job, SweepSpec
 from repro.sweep.engine import run_job
+from repro.sweep.spec import Job, SweepSpec
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import TraceEvent
+
+from conftest import quick_config
+from loc_oracle import oracle_analyze_trace, oracle_check_trace
 
 
 def synthetic_events(count=400, seed=11, names=("forward", "fifo")):
@@ -61,6 +60,25 @@ def synthetic_events(count=400, seed=11, names=("forward", "fifo")):
     return events
 
 
+def assert_same(result, reference):
+    """Every field equal; NaN equals NaN (an empty distribution's min)."""
+    got, want = dataclasses.asdict(result), dataclasses.asdict(reference)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float) and math.isnan(value):
+            assert math.isnan(got[key]), key
+        else:
+            assert got[key] == value, key
+
+
+def check_both(formula, events):
+    """The engine's and the oracle's result for ``formula``, compared."""
+    if any(word in formula for word in (" in <", " below <", " above <")):
+        assert_same(analyze_trace(formula, events), oracle_analyze_trace(formula, events))
+    else:
+        assert_same(check_trace(formula, events), oracle_check_trace(formula, events))
+
+
 CHECKER_FORMULAS = [
     "time(forward[i+100]) - time(forward[i]) <= 50",
     "time(forward[i+7]) - time(forward[i-3]) <= 20",
@@ -71,6 +89,12 @@ CHECKER_FORMULAS = [
     "total_bit(forward[i+5]) - total_bit(forward[i]) > 300",
     # Division by a delta that can be zero: undefined accounting.
     "energy(forward[i+2]) / (total_pkt(forward[i+2]) - total_pkt(forward[i+2])) < 1",
+    # Several events, absolute pins, both at once.
+    "cycle(forward[i]) - cycle(fifo[i]) <= 100000",
+    "time(fifo[i+2]) - time(forward[i-4]) < 40",
+    "time(forward[i]) - time(forward[0]) >= 0",
+    "time(forward[i+1]) - time(fifo[3]) > time(forward[2])",
+    "time(forward[i+1]) - time(fifo[3]) > time(fifo[0])",
 ]
 
 DISTRIBUTION_FORMULAS = [
@@ -79,93 +103,148 @@ DISTRIBUTION_FORMULAS = [
     "time(forward[i+20]) - time(forward[i]) in <10, 80, 5>",
     "(total_bit(forward[i+20]) - total_bit(forward[i])) / "
     "(time(forward[i+20]) - time(forward[i])) above <100, 3300, 10>",
+    "time(fifo[i]) - time(forward[i+1]) in <-200, 200, 25>",
+    "(energy(forward[i]) - energy(forward[1])) / (time(fifo[i]) - time(fifo[0])) "
+    "above <0, 3, 0.25>",
 ]
 
 
-class TestCompiledVsInterpreted:
-    @pytest.mark.parametrize("formula", CHECKER_FORMULAS)
-    def test_checker_identity_on_synthetic_trace(self, formula):
+class TestSyntheticTraces:
+    @pytest.mark.parametrize("formula", CHECKER_FORMULAS + DISTRIBUTION_FORMULAS)
+    def test_engine_equals_oracle(self, formula):
         events = synthetic_events()
-        compiled = build_monitor(formula, mode="compiled")
-        interpreted = build_monitor(formula, mode="interpreted")
-        assert isinstance(interpreted, InterpretedMonitor)
-        a = run_monitor(compiled, events)
-        b = run_monitor(interpreted, events)
-        assert a.to_dict() == b.to_dict()
+        check_both(formula, events)
 
-    @pytest.mark.parametrize("formula", DISTRIBUTION_FORMULAS)
-    def test_distribution_identity_on_synthetic_trace(self, formula):
-        events = synthetic_events()
-        compiled = build_monitor(formula, mode="compiled")
-        assert isinstance(compiled, CompiledMonitor)
-        interpreted = build_monitor(formula, mode="interpreted")
-        assert run_monitor(compiled, events) == run_monitor(interpreted, events)
+    def test_fifo_only_formula_ignores_forward_rows(self):
+        formula = "cycle(fifo[i+1]) - cycle(fifo[i]) >= 1"
+        result = check_trace(formula, synthetic_events())
+        fifo = [e for e in synthetic_events() if e.name == "fifo"]
+        assert result.instances_checked == len(fifo) - 1
+        check_both(formula, synthetic_events())
 
-    def test_multi_event_formula_falls_back(self):
-        formula = "cycle(forward[i]) - cycle(fifo[i]) <= 100000"
-        monitor = build_monitor(formula, mode="compiled")
-        assert not monitor.compiled  # fell back to the interpreter
-        events = synthetic_events()
-        baseline = build_checker(formula)
-        for event in events:
-            baseline.emit(event)
-        assert run_monitor(monitor, events).to_dict() == (
-            baseline.finish().to_dict()
-        )
 
-    def test_absolute_pin_falls_back(self):
-        formula = "time(forward[i]) - time(forward[0]) >= 0"
-        assert monitor_event(parse_formula(formula)) is None
-        monitor = build_monitor(formula, mode="compiled")
-        assert not monitor.compiled
+class TestBuildMonitor:
+    def test_expect_kind_guard(self):
+        with pytest.raises(LocError):
+            build_monitor(DISTRIBUTION_FORMULAS[0], expect="checker")
+        with pytest.raises(LocError):
+            build_monitor(CHECKER_FORMULAS[0], expect="distribution")
 
-    def test_generated_source_is_pure_python(self):
+    def test_one_feed_per_event_name(self):
+        monitor = build_monitor("time(forward[i]) - time(fifo[0]) <= 5")
+        subscribed = []
+
+        class Recorder:
+            def subscribe(self, name, handler):
+                subscribed.append(name)
+
+        monitor.attach(Recorder())
+        assert subscribed == ["fifo", "forward"]
+        assert not hasattr(monitor, "emit")  # never a wildcard sink
+
+    def test_ring_source_is_pure_python(self):
         source = generate_monitor_source(
             "time(forward[i+10]) - time(forward[i]) <= 50"
         )
         compile(source, "<test>", "exec")  # must be valid source
         assert "_make_monitor" in source
         assert "buf = [None] * 11" in source
+        assert "return {'forward': feed}, collect" in source
+
+    def test_series_source_is_pure_python(self):
+        source = generate_monitor_source("time(forward[i]) - time(fifo[0]) <= 5")
+        compile(source, "<test>", "exec")
+        assert "rows1 = deque()" in source
+        assert "return {'fifo': feed0, 'forward': feed1}, collect" in source
 
 
-class TestMonitorModeResolution:
-    def test_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv(MONITOR_MODE_ENV_VAR, raising=False)
-        assert resolve_monitor_mode() == "compiled"
+class TestNoInstanceIndex:
+    """A formula that reads no event at ``i`` is refused up front.
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
-        assert resolve_monitor_mode() == "interpreted"
-        assert not build_monitor(CHECKER_FORMULAS[0]).compiled
+    Nothing is fed: a pin-only formula would otherwise evaluate the same
+    instance for ever once its rows arrived.
+    """
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
-        assert resolve_monitor_mode("compiled") == "compiled"
+    PINNED = "time(forward[3]) - time(forward[0]) >= 0"
+    CONSTANT = "3 <= 2"
 
-    def test_bad_mode_rejected(self, monkeypatch):
-        from repro.errors import ExperimentError
+    @pytest.mark.parametrize("formula", [PINNED, CONSTANT])
+    def test_build_monitor_refuses(self, formula):
+        with pytest.raises(LocError, match="relative to i"):
+            build_monitor(formula)
 
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "jit")
-        with pytest.raises(ExperimentError):
-            resolve_monitor_mode()
+    @pytest.mark.parametrize("formula", [PINNED, CONSTANT])
+    def test_check_trace_refuses(self, formula):
+        with pytest.raises(LocError, match="relative to i"):
+            check_trace(formula, [])
 
-    def test_expect_kind_guard(self):
-        from repro.errors import LocError
+    def test_analyze_trace_refuses(self):
+        with pytest.raises(LocError, match="relative to i"):
+            analyze_trace("time(forward[3]) - time(forward[0]) in <0, 9, 1>", [])
 
-        with pytest.raises(LocError):
-            build_monitor(DISTRIBUTION_FORMULAS[0], expect="checker")
-        with pytest.raises(LocError):
-            build_monitor(CHECKER_FORMULAS[0], expect="distribution")
+    @pytest.mark.parametrize("formula", [PINNED, CONSTANT])
+    def test_job_build_refuses_in_the_submitting_process(self, formula):
+        with pytest.raises(LocError, match="relative to i"):
+            Job.build(quick_config(), checks=(formula,))
+        with pytest.raises(LocError, match="relative to i"):
+            SweepSpec(policies=("tdvs",), checks=(formula,)).jobs()
 
-    def test_check_trace_modes_agree(self):
-        events = synthetic_events()
-        compiled = check_trace(CHECKER_FORMULAS[0], events, mode="compiled")
-        interpreted = check_trace(CHECKER_FORMULAS[0], events, mode="interpreted")
-        assert compiled.to_dict() == interpreted.to_dict()
+    def test_negative_pin_is_refused(self):
+        from repro.loc.ast_nodes import (
+            AnnotationRef,
+            BinaryOp,
+            CheckerFormula,
+            IndexExpr,
+            Number,
+        )
+
+        delta = BinaryOp(
+            "-",
+            AnnotationRef("time", "forward", IndexExpr(0)),
+            AnnotationRef("time", "forward", IndexExpr(-1, absolute=True)),
+        )
+        with pytest.raises(LocError, match="negative instance"):
+            build_monitor(CheckerFormula(delta, ">=", Number(0)))
+
+    def test_loc_gen_refuses(self, capsys):
+        with pytest.raises(LocError, match="relative to i"):
+            cli_main(["loc-gen", self.PINNED])
+        assert capsys.readouterr().out == ""
+
+
+class TestRetiredKnobs:
+    """The monitor-mode knob and the coverage report stay gone."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: build_monitor(CHECKER_FORMULAS[0], mode="interpreted"),
+            lambda: check_trace(CHECKER_FORMULAS[0], [], mode="interpreted"),
+            lambda: analyze_trace(DISTRIBUTION_FORMULAS[0], [], mode="compiled"),
+        ],
+    )
+    def test_mode_argument_is_gone(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_loc_coverage_option_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "coverage.json"
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["lint", "--loc-coverage", str(out)])
+        capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert not out.exists()
+
+    def test_monitor_env_var_changes_no_result(self, monkeypatch):
+        job = TestRunJob.job()
+        plain = json.dumps(run_job(job).to_dict(), sort_keys=True)
+        monkeypatch.setenv("REPRO_LOC_MONITOR", "interpreted")
+        flipped = json.dumps(run_job(job).to_dict(), sort_keys=True)
+        assert plain == flipped
 
 
 class TestGoldenScenarioTraces:
-    """Both checking paths over every catalog scenario's real trace."""
+    """The engine and the oracle over every catalog scenario's real trace."""
 
     @pytest.fixture(scope="class")
     def scenario_traces(self):
@@ -191,37 +270,47 @@ class TestGoldenScenarioTraces:
 
         spec = StudySpec(span=10)
         for name, events in scenario_traces.items():
-            formulas = [
-                a.formula for a in spec.assertions_for(get_scenario(name))
-            ]
-            for formula in formulas:
-                compiled = build_monitor(formula, mode="compiled")
-                assert compiled.compiled, formula
-                result = run_monitor(compiled, events)
-                baseline = build_checker(formula)
-                for event in events:
-                    baseline.emit(event)
-                assert result.to_dict() == baseline.finish().to_dict(), (
-                    name,
-                    formula,
-                )
+            for assertion in spec.assertions_for(get_scenario(name)):
+                result = check_trace(assertion.formula, events)
+                assert result.instances_checked > 0, (name, assertion.formula)
+                assert_same(result, oracle_check_trace(assertion.formula, events))
 
     def test_distributions_agree_on_scenario_traces(self, scenario_traces):
         for name, events in scenario_traces.items():
-            for formula in DISTRIBUTION_FORMULAS:
-                compiled = run_monitor(
-                    build_monitor(formula, mode="compiled"), events
+            for formula in DISTRIBUTION_FORMULAS[:3]:
+                assert_same(
+                    analyze_trace(formula, events),
+                    oracle_analyze_trace(formula, events),
                 )
-                baseline = DistributionAnalyzer(formula)
-                for event in events:
-                    baseline.emit(event)
-                assert compiled == baseline.finish(), (name, formula)
 
 
-class TestRunJobIdentity:
-    """The sweep-layer guarantee: monitor mode never changes outcomes."""
+class TestRealRuns:
+    """Named-only ``mem_*`` channels reach every formula shape."""
 
-    def _job(self) -> Job:
+    FORMULAS = (
+        "time(mem_sram[i]) - time(mem_sram[0]) >= 0",
+        "time(mem_sram[i]) - time(forward[i]) <= 1e9",
+    )
+
+    def test_mem_formulas_check_instances_and_equal_the_oracle(self):
+        monitors = [build_monitor(formula) for formula in self.FORMULAS]
+        run = SimulationRun(quick_config(), monitors=monitors)
+        rows = {"mem_sram": [], "forward": []}
+        for name, kept in rows.items():
+            run.bus.subscribe(name, kept.append)
+        run.run()
+        events = [
+            TraceEvent(name, *row) for name, kept in rows.items() for row in kept
+        ]
+        for formula, monitor in zip(self.FORMULAS, monitors):
+            result = monitor.finish()
+            assert result.instances_checked > 0, formula
+            assert_same(result, oracle_check_trace(formula, events))
+
+
+class TestRunJob:
+    @staticmethod
+    def job() -> Job:
         spec = SweepSpec(
             policies=("tdvs",),
             thresholds_mbps=(1000.0,),
@@ -232,49 +321,16 @@ class TestRunJobIdentity:
             checks=(
                 "time(forward[i+10]) - time(forward[i]) <= 1000",
                 "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1",
+                "time(mem_sram[i+10]) - time(mem_sram[i]) <= 1000",
+                "time(mem_sram[i]) - time(forward[i]) <= 1e9",
             ),
         )
         return spec.jobs()[0]
 
-    def test_outcome_bytes_identical_across_modes(self, monkeypatch):
-        job = self._job()
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "compiled")
-        compiled = run_job(job)
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
-        interpreted = run_job(job)
-        a = json.dumps(compiled.to_dict(), sort_keys=True)
-        b = json.dumps(interpreted.to_dict(), sort_keys=True)
-        assert a == b
-
     def test_check_results_populated(self):
-        outcome = run_job(self._job())
-        assert len(outcome.check_results) == 2
+        outcome = run_job(self.job())
+        assert len(outcome.check_results) == 4
         assert all(c.instances_checked > 0 for c in outcome.check_results)
-
-
-@pytest.mark.slow
-class TestStudyIdentityAcrossModes:
-    """A whole study report is byte-identical under either monitor mode."""
-
-    def test_study_json_identical(self, monkeypatch):
-        from repro.api import Session
-        from repro.studies.report import render_json
-        from repro.studies.spec import StudySpec
-
-        spec = StudySpec(
-            scenarios=("flash_crowd",),
-            policies=("tdvs",),
-            thresholds_mbps=(1000.0, 1400.0),
-            windows_cycles=(40_000,),
-            duration_cycles=200_000,
-            span=10,
-        )
-        reports = {}
-        for mode in ("compiled", "interpreted"):
-            monkeypatch.setenv(MONITOR_MODE_ENV_VAR, mode)
-            result = Session().study(spec)
-            reports[mode] = render_json(result.policy_map)
-        assert reports["compiled"] == reports["interpreted"]
 
 
 # ---------------------------------------------------------------------------
@@ -287,38 +343,53 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-settings.register_profile("repro-monitors", deadline=None, max_examples=50)
-settings.load_profile("repro-monitors")
-
 _ANNOTATIONS = ("cycle", "time", "energy", "total_pkt", "total_bit")
 _OPS = ("<=", "<", ">=", ">", "==", "!=")
+_EVENTS = ("forward", "fifo")
 
 
 @st.composite
-def checker_formula(draw):
-    """A random single-event checker formula with relative offsets."""
+def formula_text(draw, kind):
+    """A random formula over one or two events.
 
-    def ref():
+    One side always reads an event at an ``i``-relative index (the
+    engine refuses formulas without one); other references may be
+    relative (offsets -5..8) or absolute pins.
+    """
+
+    def ref(relative):
         annotation = draw(st.sampled_from(_ANNOTATIONS))
+        event = draw(st.sampled_from(_EVENTS))
+        if not relative and draw(st.booleans()):
+            return f"{annotation}({event}[{draw(st.integers(0, 4))}])"
         offset = draw(st.integers(min_value=-5, max_value=8))
         index = "i" if offset == 0 else f"i{'+' if offset > 0 else '-'}{abs(offset)}"
-        return f"{annotation}(forward[{index}])"
+        return f"{annotation}({event}[{index}])"
 
-    def term():
-        kind = draw(st.integers(min_value=0, max_value=2))
-        if kind == 0:
-            return ref()
-        if kind == 1:
+    def term(relative=False):
+        shape = draw(st.integers(min_value=0, max_value=2))
+        if shape == 0:
+            return ref(relative)
+        if shape == 1 and not relative:
             return str(draw(st.integers(min_value=-50, max_value=50)))
         op = draw(st.sampled_from(("+", "-", "*", "/")))
-        return f"({ref()} {op} {ref()})"
+        return f"({ref(relative)} {op} {ref(False)})"
 
-    op = draw(st.sampled_from(_OPS))
-    return f"{term()} {op} {term()}"
+    if kind == "distribution":
+        mode = draw(st.sampled_from(("in", "below", "above")))
+        low = draw(st.integers(min_value=-50, max_value=50))
+        step = draw(st.sampled_from((0.5, 1, 2.5, 10)))
+        high = low + step * draw(st.integers(min_value=1, max_value=20))
+        return f"{term(True)} {mode} <{low}, {high}, {step}>"
+    sides = [term(True), term()]
+    if draw(st.booleans()):
+        sides.reverse()
+    return f"{sides[0]} {draw(st.sampled_from(_OPS))} {sides[1]}"
 
 
 @st.composite
 def event_stream(draw):
+    """Interleaved ``forward``/``fifo`` rows, an occasional NaN time."""
     count = draw(st.integers(min_value=0, max_value=120))
     events = []
     cycle, time_us, energy, pkt, bits = 0, 0.0, 0.0, 0, 0
@@ -332,26 +403,34 @@ def event_stream(draw):
         )
         pkt += draw(st.integers(min_value=0, max_value=2))
         bits += draw(st.integers(min_value=0, max_value=12_000))
-        name = draw(st.sampled_from(("forward", "fifo")))
-        events.append(TraceEvent(name, cycle, time_us, energy, pkt, bits))
+        stamp = math.nan if draw(st.integers(0, 30)) == 0 else time_us
+        name = draw(st.sampled_from(_EVENTS))
+        events.append(TraceEvent(name, cycle, stamp, energy, pkt, bits))
     return events
 
 
-class TestMonitorProperties:
-    @given(formula=checker_formula(), events=event_stream())
-    def test_compiled_equals_interpreted(self, formula, events):
-        compiled = build_monitor(formula, mode="compiled")
-        interpreted = build_monitor(formula, mode="interpreted")
-        a = run_monitor(compiled, events)
-        b = run_monitor(interpreted, events)
-        assert a.to_dict() == b.to_dict()
+class TestEngineProperties:
+    @given(formula=formula_text("checker"), events=event_stream())
+    @settings(max_examples=150, deadline=None)
+    def test_checker_equals_oracle(self, formula, events):
+        check_both(formula, events)
+
+    @given(formula=formula_text("distribution"), events=event_stream())
+    @settings(max_examples=100, deadline=None)
+    def test_distribution_equals_oracle(self, formula, events):
+        check_both(formula, events)
 
     @given(events=event_stream())
+    @settings(max_examples=50, deadline=None)
     def test_incremental_equals_batch(self, events):
-        """Feeding one event at a time == feeding the full stream."""
-        formula = "time(forward[i+3]) - time(forward[i]) <= 4"
-        incremental = build_monitor(formula, mode="compiled")
-        for event in events:
+        """Snapshots taken mid-stream equal the oracle's on that prefix."""
+        formula = "time(forward[i+3]) - time(fifo[i]) <= 4"
+        incremental = build_monitor(formula)
+        for k, event in enumerate(events):
             incremental.feed_event(event)
-        batch = run_monitor(build_monitor(formula, mode="compiled"), events)
-        assert incremental.finish().to_dict() == batch.to_dict()
+            if k % 10 == 0:
+                assert_same(
+                    incremental.finish(), oracle_check_trace(formula, events[: k + 1])
+                )
+        batch = run_monitor(build_monitor(formula), events)
+        assert_same(incremental.finish(), batch)

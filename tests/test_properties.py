@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from repro.apps.md4_core import md4_blocks_for, md4_digest
 from repro.apps.routing import RoutingTrie, brute_force_lpm
-from repro.loc.analyzer import DistributionAnalyzer, build_edges
+from repro.loc.analyzer import analyze_trace, build_edges
 from repro.loc.parser import parse_formula
 from repro.sim.clock import ClockDomain
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams, derive_seed
 from repro.traffic.sizes import PacketSizeMix
 from repro.units import cycles_to_ps, ps_to_cycles
+
+from conftest import make_event
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +160,10 @@ def test_distribution_formula_unparse_round_trip(expr, mode, low, span, step):
 )
 @settings(max_examples=80, deadline=None)
 def test_distribution_mass_conserved(values, mode):
-    analyzer = DistributionAnalyzer(f"cycle(e[i]) {mode} <0, 100, 10>")
-    for value in values:
-        analyzer.observe(value)
-    result = analyzer.finish()
+    result = analyze_trace(
+        f"cycle(e[i]) {mode} <0, 100, 10>",
+        [make_event("e", cycle=value) for value in values],
+    )
     assert sum(result.counts) == result.total == len(values)
     curve = result.curve()
     fractions = [f for _, f in curve]

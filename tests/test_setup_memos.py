@@ -26,8 +26,7 @@ from repro.apps.routing import (
 from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.loc.builtin import power_distribution_formula, throughput_distribution_formula
 from repro.loc.codegen import MONITOR_CODE_MAX, _monitor_code, compile_monitor_feed
-from repro.loc.monitor import CompiledMonitor, build_monitor
-from repro.loc.parser import parse_formula
+from repro.loc.monitor import build_monitor
 from repro.runner import SimulationRun
 from repro.scenarios import get_scenario
 from repro.sim.rng import RngStreams
@@ -40,9 +39,8 @@ FORWARD_GAP = "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1"
 
 
 @pytest.fixture
-def cold_memos(monkeypatch):
+def cold_memos():
     """Empty memos and compiled monitors for the test; empty memos after it."""
-    monkeypatch.delenv("REPRO_LOC_MONITOR", raising=False)
     for memo in MEMOS:
         memo.cache_clear()
     yield
@@ -165,11 +163,11 @@ def test_memos_stay_within_their_bounds(cold_memos):
 
 
 def test_monitors_of_one_formula_share_code_not_counts(cold_memos):
-    first = CompiledMonitor(parse_formula(FORWARD_GAP))
-    second = CompiledMonitor(parse_formula(FORWARD_GAP))
-    assert first._feed.__code__ is second._feed.__code__
+    first = build_monitor(FORWARD_GAP)
+    second = build_monitor(FORWARD_GAP)
+    assert first._feeds["forward"].__code__ is second._feeds["forward"].__code__
     assert _monitor_code.cache_info().hits == 1
     for k in range(5):
-        first._feed((k * 600, float(k), 0.0, k, k * 8000))
+        first._feeds["forward"]((k * 600, float(k), 0.0, k, k * 8000))
     assert first.finish().instances_checked == 4
     assert second.finish().instances_checked == 0

@@ -2,7 +2,7 @@
 
 Covers the recorder contract (malformed-record tolerance, JSONL round
 trip), the determinism acceptance property (sim spans byte-identical
-across backends and monitor modes), the distributed-protocol
+across backends), the distributed-protocol
 compatibility story (a peer without the ``spans`` key still drains
 sweeps), and the two exporters (Perfetto trace-event JSON, HTML study
 report).
@@ -23,7 +23,6 @@ from repro.backends.protocol import PROTOCOL_VERSION, recv_message, send_message
 from repro.backends.worker import run_worker
 from repro.cli import main
 from repro.errors import ExperimentError
-from repro.loc.monitor import MONITOR_MODE_ENV_VAR
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.perfetto import render_perfetto, to_perfetto, track_types
 from repro.obs.spans import (
@@ -193,7 +192,7 @@ class TestSpanRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Determinism: sim spans across backends and monitor modes
+# Determinism: sim spans across backends
 # ---------------------------------------------------------------------------
 class TestSimSpanDeterminism:
     def test_outcomes_carry_sim_spans(self, spans_on):
@@ -213,13 +212,6 @@ class TestSimSpanDeterminism:
         serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         pooled = Session(execution=ExecutionPolicy(workers=2)).sweep(jobs)
         assert sim_spans_of(serial) == sim_spans_of(pooled)
-
-    def test_monitor_mode_does_not_move_spans(self, spans_on, monkeypatch):
-        jobs = small_spec().jobs()
-        compiled = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
-        interpreted = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
-        assert sim_spans_of(compiled) == sim_spans_of(interpreted)
 
     def test_scenario_traffic_records_segments(self, spans_on):
         spec = small_spec(traffic=("scenario:flash_crowd",))

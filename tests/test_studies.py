@@ -20,6 +20,8 @@ from repro.studies import (
 from repro.studies.policymap import CandidateSummary, PolicyMap, _verdict
 from repro.studies.report import render_json, render_markdown, render_text
 
+from conftest import make_event
+
 #: Short, deterministic study shape shared by the execution tests.
 TINY = dict(
     thresholds_mbps=(1000.0, 1400.0),
@@ -35,6 +37,17 @@ def tiny_spec(**overrides) -> StudySpec:
     )
     settings.update(overrides)
     return StudySpec(**settings)
+
+
+def one_power_sample(watts: float):
+    """A span-1 power distribution holding the one value ``watts``."""
+    from repro.loc.analyzer import analyze_trace
+    from repro.loc.builtin import power_distribution_formula
+
+    events = [make_event("forward"), make_event("forward", time=1.0, energy=watts)]
+    return analyze_trace(
+        power_distribution_formula(span=1, low=0.5, high=2.25, step=0.25), events
+    )
 
 
 class TestSpecExpansion:
@@ -221,18 +234,12 @@ class TestSelectDesignPoint:
         """fig08/fig09 read-offs go through select_design_point."""
         from repro.analysis.surface import PercentileSurface
         from repro.experiments.fig08_power_surface import surface_optimum
-        from repro.loc.analyzer import DistributionAnalyzer
-        from repro.loc.builtin import power_distribution_formula
 
         surface = PercentileSurface((1.0, 2.0), (10.0, 20.0))
         for k, (row, col) in enumerate(
             [(r, c) for r in (1.0, 2.0) for c in (10.0, 20.0)]
         ):
-            analyzer = DistributionAnalyzer(
-                power_distribution_formula(span=1, low=0.5, high=2.25, step=0.25)
-            )
-            analyzer.observe(0.6 + 0.25 * k)
-            surface.add(row, col, analyzer.finish())
+            surface.add(row, col, one_power_sample(0.6 + 0.25 * k))
         assert surface_optimum(surface, "min") == surface.argmin()
         assert surface_optimum(surface, "max") == surface.argmax()
 
@@ -240,15 +247,9 @@ class TestSelectDesignPoint:
         """Like argmin/argmax, only populated cells are considered."""
         from repro.analysis.surface import PercentileSurface
         from repro.experiments.fig08_power_surface import surface_optimum
-        from repro.loc.analyzer import DistributionAnalyzer
-        from repro.loc.builtin import power_distribution_formula
 
         surface = PercentileSurface((1.0, 2.0), (10.0, 20.0))
-        analyzer = DistributionAnalyzer(
-            power_distribution_formula(span=1, low=0.5, high=2.25, step=0.25)
-        )
-        analyzer.observe(1.0)
-        surface.add(2.0, 20.0, analyzer.finish())
+        surface.add(2.0, 20.0, one_power_sample(1.0))
         assert surface_optimum(surface, "min") == surface.argmin()
 
 

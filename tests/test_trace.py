@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.buffer import MultiSink, NullSink, TraceBuffer
+from repro.trace.buffer import TraceBuffer
 from repro.trace.events import (
     EVENT_TYPES,
     TraceEvent,
@@ -97,16 +97,6 @@ class TestTraceBuffer:
         assert buffer.total_emitted == 5
         # Oldest evicted: remaining events are the last three.
         assert [e.total_pkt for e in buffer.events] == [2, 3, 4]
-
-    def test_multisink_fans_out(self):
-        a, b = TraceBuffer(), TraceBuffer()
-        sink = MultiSink([a])
-        sink.add(b)
-        sink.emit(make_event())
-        assert len(a) == 1 and len(b) == 1
-
-    def test_null_sink(self):
-        NullSink().emit(make_event())  # no exception, nothing stored
 
 
 class TestWritersAndReaders:
