@@ -15,9 +15,10 @@ DET103  iteration over a set (or over dict views feeding serialization)
         without an explicit ``sorted()``
 DET104  float accumulation over an unordered collection
 DET105  ``id()``-dependent ordering or keying
-DET106  environment-variable read inside the model core (``sim/``,
-        ``npu/``) — an env toggle there can silently fork simulation
-        behaviour between hosts
+DET106  environment-variable read in any module the pass walks —
+        execution is configured through arguments only, so an env read
+        is a setting no job or session carries and can fork behaviour
+        between hosts
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from repro.analysis.lint.core import (
     import_aliases,
 )
 
-#: Subdirectories of ``src/repro`` the determinism pass walks.  The
-#: ISSUE scope is sim/npu/sweep/obs/loc/trace; backends and studies
-#: ride along because their outcome payloads feed the same
-#: byte-identity contract (wall clocks there are allowlisted — backend
-#: orchestration times real work by design).
+#: Subdirectories of ``src/repro`` the determinism pass walks: the
+#: model core and the layers whose outcome payloads feed the
+#: byte-identity contract (wall clocks in backends are allowlisted —
+#: backend orchestration times real work by design), plus ``api``,
+#: which builds every session's backend.
 DETERMINISM_SCOPE: Tuple[str, ...] = (
     "sim", "npu", "sweep", "obs", "loc", "trace", "backends", "studies",
+    "api",
 )
 
 #: Module-level ``random`` functions that draw from the global,
@@ -423,36 +425,31 @@ def _check_module(module: Module) -> List[Finding]:
                         )
                     )
 
-    # --- DET106: env toggles in the model core ---------------------------
-    # Observability/orchestration layers (obs, trace, loc, sweep,
-    # backends) read mode env vars by design and are out of scope; their
-    # outcome-neutrality is enforced by the study-diff and
-    # monitor-equivalence walls.
-    normalized = rel.replace("\\", "/")
-    in_model_core = normalized.startswith(
-        ("src/repro/sim/", "src/repro/npu/")
-    )
-    if in_model_core:
-        constants = _module_str_constants(tree)
-        for node in ast.walk(tree):
-            var = _env_read_variable(node, aliases, constants)
-            if var is _NO_ENV_READ:
-                continue
-            shown = f"{var!r}" if var is not None else "a dynamic name"
-            findings.append(
-                Finding(
-                    code="DET106",
-                    message=(
-                        f"environment read of {shown} in the model core — "
-                        "env toggles can fork simulation behaviour "
-                        "between hosts"
-                    ),
-                    path=rel,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    hint="plumb the setting through RunConfig",
-                )
+    # --- DET106: environment reads --------------------------------------
+    # Execution is configured through arguments only (a job's config, a
+    # session's policies), so every module in scope is covered: an env
+    # read is a setting no job or session carries.
+    constants = _module_str_constants(tree)
+    for node in ast.walk(tree):
+        var = _env_read_variable(node, aliases, constants)
+        if var is _NO_ENV_READ:
+            continue
+        shown = f"{var!r}" if var is not None else "a dynamic name"
+        findings.append(
+            Finding(
+                code="DET106",
+                message=(
+                    f"environment read of {shown} — a setting no job or "
+                    "session carries, which can fork behaviour between "
+                    "hosts"
+                ),
+                path=rel,
+                line=node.lineno,
+                col=node.col_offset,
+                hint="pass the setting as an argument (RunConfig, "
+                "ExecutionPolicy)",
             )
+        )
 
     # --- DET105: id()-dependent ordering --------------------------------
     shadowed = _locally_bound_names(tree)

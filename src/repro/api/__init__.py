@@ -1,13 +1,11 @@
 """The unified session API.
 
 ``repro.api`` is the one front door to the reproduction's execution
-machinery.  Where the historical entry layers each configured execution
-their own way — ``run_simulation`` kwargs, ``REPRO_SWEEP_*``
-environment variables, CLI flags — a :class:`Session` owns that policy
-once, as typed objects:
+machinery.  A :class:`Session` owns execution policy once, as typed
+objects passed as arguments — nothing is read from the environment:
 
 * :class:`~repro.api.policy.ExecutionPolicy` — backend, workers,
-  distributed connect target, retry budget;
+  distributed connect target;
 * :class:`~repro.api.policy.StorePolicy` — result-store path and
   cache reuse/overwrite;
 * :class:`~repro.api.events.EventHooks` — streamed execution events
@@ -33,6 +31,9 @@ Quickstart::
     for outcome in session.stream(spec):
         print(outcome.label, outcome.mean_power_w)
 
+    # A paper figure: its grids sweep through the same session.
+    result = session.experiment("fig08", profile="bench")
+
 Exported names resolve on first access (:mod:`repro._exports`).
 """
 
@@ -44,7 +45,6 @@ __all__ = [
     "Session",
     "StorePolicy",
     "chain_hooks",
-    "default_session",
 ]
 
 _EXPORTS = {
@@ -53,7 +53,6 @@ _EXPORTS = {
     "Session": "repro.api.session",
     "StorePolicy": "repro.api.policy",
     "chain_hooks": "repro.api.events",
-    "default_session": "repro.api.session",
 }
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,11 +12,10 @@ entry point of the reproduction through them:
 * :meth:`Session.study` — a scenario-conditioned policy study, with
   per-scenario verdicts available the moment each scenario's grid
   drains;
-* :meth:`Session.experiment` — a registered paper figure, executed
-  under the session's policy.
+* :meth:`Session.experiment` — a registered paper figure, whose
+  grids sweep through the session.
 
-A policy field left ``None`` defers to the ``REPRO_SWEEP_*``
-environment variables at the moment a sweep starts.
+What a session does depends only on the arguments it was built with.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.api.events import EventHooks, chain_hooks
 from repro.api.policy import ExecutionPolicy, StorePolicy
 from repro.config import RunConfig
-from repro.errors import BackendError
+from repro.errors import BackendError, ExperimentError
 from repro.sweep.spec import Job, SweepSpec
 from repro.sweep.store import ResultStore, SweepOutcome
 
@@ -39,8 +38,8 @@ class Session:
     Parameters
     ----------
     execution:
-        Backend / worker / connect / retry policy (default: every field
-        deferred to the ``REPRO_SWEEP_*`` environment).
+        Backend / worker / connect policy (default: serial for one
+        worker).
     store:
         Result persistence and cache-reuse policy (default: no store).
     hooks:
@@ -118,9 +117,6 @@ class Session:
         included), preserving the legacy progress contract.
         """
         jobs = self._expand(jobs)
-        # Validate the worker policy before the generator starts, so a
-        # bad count raises at the call site even if never iterated.
-        self.execution.resolved_workers()
         merged = chain_hooks(self.hooks, hooks)
         return self._stream(jobs, merged)
 
@@ -353,23 +349,24 @@ class Session:
 
     # -- experiments -----------------------------------------------------
     def experiment(self, experiment_id: str, profile: str = "quick"):
-        """Run a registered paper experiment under the session's
-        *execution* policy.
+        """Run a registered paper experiment through this session.
 
-        Experiment grids consult the legacy environment variables, so
-        the session exports its explicit backend/workers/connect fields
-        for the duration of the run (see
-        :meth:`~repro.api.policy.ExecutionPolicy.scoped_env`).  Only
-        those fields apply: experiment runners own their internal
-        sweeps, so the session's :class:`StorePolicy`, event hooks and
-        the distributed ``retries``/``lease_s`` knobs do not reach
-        them — use :meth:`sweep`/:meth:`study` directly when those
-        matter.
+        The figure's grids sweep through :meth:`sweep`, so the
+        session's execution policy, store and event hooks apply to
+        them.  A figure may run several sweeps and each builds its own
+        backend, so the policy must name the backend: a pre-built
+        instance is single-use and is refused.
         """
         from repro.experiments.registry import get_experiment
 
-        with self.execution.scoped_env():
-            return get_experiment(experiment_id).run(profile)
+        backend = self.execution.backend
+        if backend is not None and not isinstance(backend, str):
+            raise ExperimentError(
+                "experiment runs need a named backend policy "
+                "('serial' / 'process' / 'distributed'), not a "
+                "single-use backend instance"
+            )
+        return get_experiment(experiment_id).runner(profile, self)
 
 
 class _ScenarioCompletionTracker:
@@ -403,19 +400,3 @@ class _ScenarioCompletionTracker:
             ordered = [self.collected[j.job_id] for j in self.jobs_of[name]]
             verdict = PolicyMap.build(self.spec, [(name, ordered)]).entries[name]
             self.on_scenario_complete(verdict)
-
-
-#: The lazily created all-defaults session (see :func:`default_session`).
-_DEFAULT: Optional[Session] = None
-
-
-def default_session() -> Session:
-    """The shared default session (all policies at their defaults).
-
-    The experiment runners sweep through it; it defers every unset
-    policy field to the environment.
-    """
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Session()
-    return _DEFAULT

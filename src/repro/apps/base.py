@@ -163,14 +163,6 @@ class AppModel:
             if isinstance(step, Compute)
         )
 
-    def expected_tx_instructions(self, packet: Packet) -> int:
-        """Engine-busy instructions :meth:`tx_steps` will charge."""
-        return sum(
-            step.instructions
-            for step in self.tx_steps(packet)
-            if isinstance(step, Compute)
-        )
-
 
 #: Registered application constructors, filled by :func:`register_app`.
 _REGISTRY: Dict[str, Callable[[AppResources], AppModel]] = {}

@@ -13,12 +13,10 @@
   format shared by coordinator and workers.
 
 :class:`~repro.api.Session` selects a backend from its
-:class:`~repro.api.policy.ExecutionPolicy` ``backend`` field, the
-``REPRO_SWEEP_BACKEND`` environment
-variable (``serial`` / ``process`` / ``distributed``; the distributed
-endpoint comes from ``REPRO_SWEEP_CONNECT``), or — by default — serial
-for one worker and the process pool otherwise, exactly as before the
-backends existed.
+:class:`~repro.api.policy.ExecutionPolicy`: the ``backend`` field
+(``serial`` / ``process`` / ``distributed``, the distributed endpoint
+from ``connect``), or — by default — serial for one worker and the
+process pool otherwise.
 
 Quickstart (two machines)::
 
@@ -32,7 +30,6 @@ Quickstart (two machines)::
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 from repro.errors import BackendError
@@ -41,15 +38,6 @@ from repro.backends.distributed import DistributedBackend, LeaseClock
 from repro.backends.local import ProcessBackend, SerialBackend
 from repro.backends.protocol import PROTOCOL_VERSION, parse_endpoint
 from repro.backends.worker import run_worker
-
-#: Environment override for the default backend (``serial`` /
-#: ``process`` / ``distributed``); experiments consult it through
-#: their :class:`~repro.api.Session` sweeps, so every figure grid can fan
-#: out to a worker fleet with zero call-site changes.
-BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
-
-#: Environment fallback for the distributed coordinator endpoint.
-CONNECT_ENV_VAR = "REPRO_SWEEP_CONNECT"
 
 #: Name → backend selector tokens accepted by :func:`get_backend`.
 BACKEND_NAMES = ("serial", "process", "distributed")
@@ -60,27 +48,17 @@ def get_backend(
     workers: Optional[int] = None,
     connect: Optional[str] = None,
     log=None,
-    lease_s: Optional[float] = None,
-    max_retries: Optional[int] = None,
 ) -> ExecutionBackend:
     """Build a backend from a selector token (or pass one through).
 
-    ``name=None`` consults ``REPRO_SWEEP_BACKEND`` and falls back to
-    the classic behaviour: serial for ``workers`` <= 1, the local
-    process pool otherwise.  ``connect`` (or ``REPRO_SWEEP_CONNECT``)
-    gives the distributed coordinator its ``HOST:PORT`` to listen on;
-    ``lease_s`` / ``max_retries`` tune its fault tolerance (both are
-    ignored by the local backends, and by pre-built instances, which
-    pass through untouched).
+    ``name=None`` picks serial for ``workers`` <= 1 (``None`` counts
+    as 1) and the local process pool otherwise.  ``connect`` gives the
+    distributed coordinator its ``HOST:PORT`` to listen on; pre-built
+    instances pass through untouched.
     """
     if isinstance(name, ExecutionBackend):
         return name
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR, "").strip() or None
-    if workers is None:
-        from repro.sweep.engine import default_workers
-
-        workers = default_workers()
+    workers = 1 if workers is None else workers
     if name is None:
         name = "process" if workers > 1 else "serial"
     if name == "serial":
@@ -88,19 +66,13 @@ def get_backend(
     if name == "process":
         return ProcessBackend(max(1, workers))
     if name == "distributed":
-        connect = connect or os.environ.get(CONNECT_ENV_VAR, "").strip() or None
         if connect is None:
             raise BackendError(
                 "distributed backend needs an endpoint to listen on: pass "
-                "--connect HOST:PORT (or set REPRO_SWEEP_CONNECT)"
+                "connect='HOST:PORT' (--connect HOST:PORT on the CLI)"
             )
         host, port = parse_endpoint(connect)
-        extra = {}
-        if lease_s is not None:
-            extra["lease_s"] = lease_s
-        if max_retries is not None:
-            extra["max_retries"] = max_retries
-        return DistributedBackend(host=host, port=port, log=log, **extra)
+        return DistributedBackend(host=host, port=port, log=log)
     raise BackendError(
         f"unknown sweep backend {name!r}; expected one of "
         + ", ".join(BACKEND_NAMES)
@@ -108,9 +80,7 @@ def get_backend(
 
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
-    "CONNECT_ENV_VAR",
     "DistributedBackend",
     "ExecutionBackend",
     "LeaseClock",

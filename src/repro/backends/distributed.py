@@ -402,6 +402,13 @@ class DistributedBackend(ExecutionBackend):
 
     def close(self) -> None:
         if self._listener is not None:
+            # Closing alone leaves the port listening while the accept
+            # thread is blocked in accept(); shutting the socket down
+            # first wakes it, so the next sweep can bind the same port.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -8,11 +8,6 @@ While a job runs, a side thread heartbeats the coordinator at a third
 of the lease term so slow jobs are not mistaken for dead workers;
 heartbeats are fire-and-forget, so the reply stream stays a clean
 request/response sequence for the main thread.
-
-Fault injection for the test wall: setting the environment variable
-``REPRO_WORKER_CRASH_AFTER_PULL`` makes the worker die abruptly
-(``os._exit``) right after accepting a job grant — the deterministic
-stand-in for ``kill -9`` mid-run.
 """
 
 from __future__ import annotations
@@ -33,9 +28,6 @@ from repro.backends.protocol import (
 )
 from repro.obs.spans import SpanRecorder
 from repro.sweep.spec import Job
-
-#: Fault-injection hook (tests/CI only): crash hard after the next grant.
-CRASH_ENV_VAR = "REPRO_WORKER_CRASH_AFTER_PULL"
 
 LogFn = Callable[[str], None]
 
@@ -198,8 +190,6 @@ def _serve_session(
                 {"job": job.job_id},
             )
             pull_start = None
-            if os.environ.get(CRASH_ENV_VAR):
-                os._exit(17)  # fault injection: die holding the lease
 
             # The lease term is per-grant (the coordinator adapts it to
             # observed job length); heartbeat at a third of *this*

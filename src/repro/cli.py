@@ -68,8 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for simulation grids (default: serial, or "
-        "the REPRO_SWEEP_WORKERS environment variable)",
+        help="worker processes for simulation grids (default: serial)",
     )
 
     sim_parser = sub.add_parser("simulate", help="run one simulation")
@@ -409,8 +408,8 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         choices=("serial", "process", "distributed"),
-        help="execution backend (default: the REPRO_SWEEP_BACKEND environment "
-        "variable, else serial/process chosen from --workers)",
+        help="execution backend (default: serial/process chosen from "
+        "--workers)",
     )
     parser.add_argument(
         "--connect",
@@ -443,10 +442,9 @@ def _make_backend(args):
     """Build the backend the sweep/study commands were asked for.
 
     Returns ``None`` when no explicit ``--backend`` was given, letting
-    the session's :class:`~repro.api.policy.ExecutionPolicy` consult
-    the environment and its serial/process default.  A distributed
-    coordinator announces its bound address up front so workers can be
-    pointed at it.
+    the session's :class:`~repro.api.policy.ExecutionPolicy` apply its
+    serial/process default.  A distributed coordinator announces its
+    bound address up front so workers can be pointed at it.
     """
     if args.backend is None:
         return None
@@ -481,8 +479,7 @@ def _run_session(args, backend=None) -> "Session":
     """The :class:`~repro.api.session.Session` one command runs under.
 
     Policy fields come straight from the parsed flags; anything the
-    user did not pass stays ``None`` and defers to the ``REPRO_SWEEP_*``
-    environment variables, exactly as the pre-session CLI behaved.
+    user did not pass stays ``None`` and takes the policy's default.
     """
     from repro.api import ExecutionPolicy, Session, StorePolicy
 
@@ -525,16 +522,10 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.api import ExecutionPolicy, Session
     from repro.experiments import list_experiments
 
     ids = list_experiments() if args.experiment == "all" else [args.experiment]
-    # max(1, ...) keeps the historical tolerance for ``--workers 0``.
-    session = Session(
-        execution=ExecutionPolicy(
-            workers=None if args.workers is None else max(1, args.workers)
-        )
-    )
+    session = _run_session(args)
     chunks = []
     for experiment_id in ids:
         result = session.experiment(experiment_id, profile=args.profile)

@@ -68,10 +68,6 @@ class EdvsGovernor(GovernorBase):
         me.reset_window()
         self.sim.schedule(self._window_ps_for(me), self._on_window, me)
 
-    def level_of(self, me_index: int) -> int:
-        """Current ladder level of one ME."""
-        return self.levels[me_index]
-
 
 def mes_sorted(mes: List[Microengine]) -> List[Microengine]:
     """Deterministic ME ordering for scheduling (by index)."""

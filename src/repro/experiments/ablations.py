@@ -30,7 +30,7 @@ from repro.runner import run_simulation
 
 
 @register("abl-penalty", "VF-transition penalty sweep", "DESIGN.md ablation 5")
-def run_penalty(profile: str) -> ExperimentResult:
+def run_penalty(profile: str, session) -> ExperimentResult:
     """TDVS 1400/20k with penalties 0-20 us."""
     rows = []
     data = {}
@@ -67,7 +67,7 @@ def run_penalty(profile: str) -> ExperimentResult:
 
 
 @register("abl-polling", "Polling-as-idle accounting", "DESIGN.md ablation 3")
-def run_polling(profile: str) -> ExperimentResult:
+def run_polling(profile: str, session) -> ExperimentResult:
     """EDVS at low traffic with both polling accountings."""
     rows = []
     data = {}
@@ -107,7 +107,7 @@ def run_polling(profile: str) -> ExperimentResult:
 
 
 @register("abl-hysteresis", "TDVS down-step hysteresis", "DESIGN.md ablation 2")
-def run_hysteresis(profile: str) -> ExperimentResult:
+def run_hysteresis(profile: str, session) -> ExperimentResult:
     """TDVS 1400/20k with and without a hysteresis band."""
     rows = []
     data = {}

@@ -1,12 +1,12 @@
 """Shared experiment machinery: profiles, instrumented runs, caching.
 
-Every simulation-backed experiment goes through the session API
+Every simulation grid of a figure goes through the session API
 (:mod:`repro.api`): figures build :class:`~repro.sweep.spec.Job`
-lists and hand them to :meth:`~repro.api.session.Session.sweep`, which
-fans them out over worker processes when parallelism is available
-(``--workers`` on the CLI, or the ``REPRO_SWEEP_WORKERS`` environment
-variable) and falls back to the in-process serial path otherwise.
-Results are identical either way — each job carries its own seed.
+lists and hand them to the :meth:`~repro.api.session.Session.sweep`
+of the session they run in, which fans them out over worker processes
+when its policy asks for them (``--workers`` on the CLI) and runs them
+in-process otherwise.  Results are identical either way — each job
+carries its own seed.
 
 The TDVS design-space experiments (Figures 6-9) share one 17-run grid;
 :func:`tdvs_design_space` computes it once per profile and caches it so
@@ -23,6 +23,7 @@ from repro.errors import ExperimentError
 from repro.sweep.spec import Job
 
 if TYPE_CHECKING:
+    from repro.api.session import Session
     from repro.loc.analyzer import DistributionResult
     from repro.runner import RunResult
     from repro.sweep.store import SweepOutcome
@@ -175,16 +176,16 @@ _TDVS_CACHE: Dict[str, Dict[Tuple[Optional[float], Optional[int]], InstrumentedR
 
 def tdvs_design_space(
     profile: str,
-    workers: Optional[int] = None,
+    session: Optional[Session] = None,
 ) -> Dict[Tuple[Optional[float], Optional[int]], InstrumentedRun]:
     """The shared Figures 6-9 grid: 4 thresholds x 4 windows + noDVS.
 
     Benchmark `ipfwdr` at the high traffic sample, as in Section 4.1.
-    The 17 runs go through the session API, so ``workers > 1``
-    regenerates the grid in parallel with identical results.
+    The 17 runs sweep through ``session`` (default: a serial session),
+    so a session with more workers regenerates the grid in parallel
+    with identical results.  The grid is computed once per profile and
+    process; later calls return the cached grid without sweeping.
     """
-    from repro.api import ExecutionPolicy, Session
-
     cached = _TDVS_CACHE.get(profile)
     if cached is not None:
         return cached
@@ -199,7 +200,10 @@ def tdvs_design_space(
             )
             keys.append((threshold, window))
             jobs.append(instrumented_job(profile, level="high", dvs=dvs))
-    session = Session(execution=ExecutionPolicy(workers=workers))
+    if session is None:
+        from repro.api.session import Session
+
+        session = Session()
     outcomes = session.sweep(jobs)
     grid = {
         key: as_instrumented(outcome) for key, outcome in zip(keys, outcomes)

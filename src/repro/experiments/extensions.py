@@ -34,7 +34,7 @@ from repro.runner import run_simulation
 
 
 @register("abl-combined", "Combined TDVS+EDVS governor", "Section 4 (declined)")
-def run_combined(profile: str) -> ExperimentResult:
+def run_combined(profile: str, session) -> ExperimentResult:
     """All four policies at the high traffic sample, with monitor cost."""
     rows = []
     data = {}
@@ -81,7 +81,7 @@ def run_combined(profile: str) -> ExperimentResult:
 
 
 @register("formula1", "Forwarding-latency distribution", "Formula (1)")
-def run_formula1(profile: str) -> ExperimentResult:
+def run_formula1(profile: str, session) -> ExperimentResult:
     """Evaluate formula (1) over a no-DVS run.
 
     The paper's illustrative triple <40, 80, 5> (us per 100 packets)

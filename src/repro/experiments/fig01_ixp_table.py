@@ -14,7 +14,7 @@ from repro.power.tables import IXP_FAMILY
 
 
 @register("fig01", "IXP family power/performance table", "Figure 1")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Render Figure 1 (static reference data; profile is ignored)."""
     headers = (
         "Description",

@@ -13,7 +13,7 @@ from repro.traffic.diurnal import DiurnalModel
 
 
 @register("fig02", "Diurnal IP traffic distribution", "Figure 2")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Sample a synthetic day and render the max/med/min series."""
     model = DiurnalModel()
     start_s = 9 * 3600 + 47 * 60

@@ -9,7 +9,7 @@ from repro.trace.events import EVENT_DESCRIPTIONS, EVENT_TYPES
 
 
 @register("fig03", "Trace event and annotation types", "Figure 3")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Render the event/annotation tables (static; profile ignored)."""
     events = format_table(
         ("Event type", "Details"),

@@ -14,7 +14,7 @@ from repro.trace.writer import format_trace_snapshot
 
 
 @register("fig04", "Simulation trace snapshot", "Figure 4")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Generate a short trace and render the snapshot."""
     buffer = TraceBuffer(max_events=4000)
     config = RunConfig(

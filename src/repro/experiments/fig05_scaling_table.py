@@ -14,7 +14,7 @@ from repro.experiments.registry import ExperimentResult, register
 
 
 @register("fig05", "VF ladder and traffic thresholds", "Figure 5")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Render the scaling table (static; profile ignored)."""
     table = VfTable.from_config(NpuConfig())
     rows = table.scaling_table(top_threshold_mbps=1000.0)

@@ -22,9 +22,9 @@ from repro.experiments.registry import ExperimentResult, register
 
 
 @register("fig06", "TDVS power distributions", "Figure 6")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Render one power CDF family per threshold."""
-    grid = tdvs_design_space(profile)
+    grid = tdvs_design_space(profile, session)
     baseline = grid[(None, None)]
     sections = []
     data = {"mean_power_w": {}}

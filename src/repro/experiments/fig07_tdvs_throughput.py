@@ -21,9 +21,9 @@ from repro.experiments.registry import ExperimentResult, register
 
 
 @register("fig07", "TDVS throughput distributions", "Figure 7")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Render one throughput CCDF family per threshold."""
-    grid = tdvs_design_space(profile)
+    grid = tdvs_design_space(profile, session)
     baseline = grid[(None, None)]
     sections = []
     data = {"throughput_mbps": {}, "loss_fraction": {}}

@@ -42,9 +42,10 @@ def surface_optimum(surface: PercentileSurface, direction: str):
     return row, col, value
 
 
-def build_power_surface(profile: str) -> PercentileSurface:
-    """The Figure 8 surface from the shared design-space grid."""
-    grid = tdvs_design_space(profile)
+def build_power_surface(profile: str, session=None) -> PercentileSurface:
+    """The Figure 8 surface from the shared design-space grid (swept
+    through ``session``, see :func:`tdvs_design_space`)."""
+    grid = tdvs_design_space(profile, session)
     surface = PercentileSurface(
         TDVS_THRESHOLDS_MBPS,
         TDVS_WINDOWS_CYCLES,
@@ -60,9 +61,9 @@ def build_power_surface(profile: str) -> PercentileSurface:
 
 
 @register("fig08", "80th-percentile power surface", "Figure 8")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Render the power surface and its optima."""
-    surface = build_power_surface(profile)
+    surface = build_power_surface(profile, session)
     text = format_surface(
         surface.row_values,
         surface.col_values,

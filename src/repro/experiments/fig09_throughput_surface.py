@@ -20,9 +20,10 @@ from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.fig08_power_surface import SURFACE_LEVEL, surface_optimum
 
 
-def build_throughput_surface(profile: str) -> PercentileSurface:
-    """The Figure 9 surface from the shared design-space grid."""
-    grid = tdvs_design_space(profile)
+def build_throughput_surface(profile: str, session=None) -> PercentileSurface:
+    """The Figure 9 surface from the shared design-space grid (swept
+    through ``session``, see :func:`tdvs_design_space`)."""
+    grid = tdvs_design_space(profile, session)
     surface = PercentileSurface(
         TDVS_THRESHOLDS_MBPS,
         TDVS_WINDOWS_CYCLES,
@@ -38,9 +39,9 @@ def build_throughput_surface(profile: str) -> PercentileSurface:
 
 
 @register("fig09", "80th-percentile throughput surface", "Figure 9")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Render the throughput surface and its optima."""
-    surface = build_throughput_surface(profile)
+    surface = build_throughput_surface(profile, session)
     text = format_surface(
         surface.row_values,
         surface.col_values,

@@ -17,12 +17,11 @@ from repro.experiments.common import (
     instrumented_job,
 )
 from repro.experiments.registry import ExperimentResult, register
-from repro.api import default_session
 
 
 @register("fig10", "EDVS power and throughput distributions", "Figure 10")
-def run(profile: str) -> ExperimentResult:
-    """Run the EDVS window sweep (via the sweep engine) and render both
+def run(profile: str, session) -> ExperimentResult:
+    """Run the EDVS window sweep through ``session`` and render both
     distribution families."""
     jobs = [instrumented_job(profile, level="high")]
     for window in EDVS_WINDOWS_CYCLES:
@@ -32,7 +31,7 @@ def run(profile: str) -> ExperimentResult:
             idle_threshold=EDVS_IDLE_THRESHOLD,
         )
         jobs.append(instrumented_job(profile, level="high", dvs=dvs))
-    outcomes = default_session().sweep(jobs)
+    outcomes = session.sweep(jobs)
     baseline = as_instrumented(outcomes[0])
     runs = {
         window: as_instrumented(outcome)

@@ -18,7 +18,6 @@ from repro.analysis.compare import PolicyComparison, PolicyOutcome
 from repro.config import DvsConfig
 from repro.experiments.common import as_instrumented, instrumented_job
 from repro.experiments.registry import ExperimentResult, register
-from repro.api import default_session
 
 BENCHMARKS = ("ipfwdr", "url", "nat", "md4")
 LEVELS = ("low", "med", "high")
@@ -35,8 +34,8 @@ POLICY_POINTS = (
 )
 
 
-def build_comparison(profile: str) -> PolicyComparison:
-    """Run the full 4 x 3 x 3 grid through the sweep engine."""
+def build_comparison(profile: str, session) -> PolicyComparison:
+    """Run the full 4 x 3 x 3 grid through ``session``."""
     cells = [
         (benchmark, level, policy, dvs)
         for benchmark in BENCHMARKS
@@ -47,7 +46,7 @@ def build_comparison(profile: str) -> PolicyComparison:
         instrumented_job(profile, benchmark=benchmark, level=level, dvs=dvs)
         for benchmark, level, _policy, dvs in cells
     ]
-    outcomes = default_session().sweep(jobs)
+    outcomes = session.sweep(jobs)
     comparison = PolicyComparison(BENCHMARKS, LEVELS)
     for (benchmark, level, policy, _dvs), outcome in zip(cells, outcomes):
         run_data = as_instrumented(outcome)
@@ -66,9 +65,9 @@ def build_comparison(profile: str) -> PolicyComparison:
 
 
 @register("fig11", "Policy comparison across benchmarks/traffic", "Figure 11")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Run the comparison grid and render the panel."""
-    comparison = build_comparison(profile)
+    comparison = build_comparison(profile, session)
     text = comparison.render(
         title="Figure 11: power comparison, optimal configs (vs. noDVS)"
     )

@@ -54,7 +54,7 @@ def collect_idle_windows(profile: str) -> Dict[str, List[float]]:
 
 
 @register("idle", "Per-window ME idle-time distribution", "Section 4.2")
-def run(profile: str) -> ExperimentResult:
+def run(profile: str, session) -> ExperimentResult:
     """Measure and band the per-window idle fractions."""
     samples = collect_idle_windows(profile)
     rows = []

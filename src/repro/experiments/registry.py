@@ -1,7 +1,11 @@
 """Experiment registry: ids, titles, runners.
 
 Experiments register themselves at import; :func:`get_experiment`
-triggers the imports lazily so ``import repro`` stays cheap.
+triggers the imports lazily so ``import repro`` stays cheap.  A runner
+is ``runner(profile, session)``: the figure's grids sweep through the
+given :class:`~repro.api.session.Session`, which is how a figure gets
+its execution policy, store and hooks.  Every entry point runs a figure
+through :meth:`Session.experiment <repro.api.session.Session.experiment>`.
 """
 
 from __future__ import annotations
@@ -84,18 +88,19 @@ class Experiment:
     experiment_id: str
     title: str
     paper_ref: str
-    runner: Callable[[str], ExperimentResult]
+    runner: Callable[[str, Any], ExperimentResult]
 
     def run(self, profile: str = "quick", session=None) -> ExperimentResult:
         """Execute with the named profile (``quick`` or ``paper``).
 
-        ``session`` (a :class:`repro.api.Session`) scopes the run to
-        that session's execution policy — the grids inside the runner
-        then fan out per the policy's backend/worker settings.
+        ``session`` (a :class:`repro.api.Session`; default: a serial
+        session with no store) runs the figure's grids.
         """
-        if session is not None:
-            return session.experiment(self.experiment_id, profile=profile)
-        return self.runner(profile)
+        if session is None:
+            from repro.api.session import Session
+
+            session = Session()
+        return session.experiment(self.experiment_id, profile=profile)
 
 
 _REGISTRY: Dict[str, Experiment] = {}
@@ -103,9 +108,9 @@ _LOADED = False
 
 
 def register(experiment_id: str, title: str, paper_ref: str):
-    """Decorator: register ``runner(profile) -> ExperimentResult``."""
+    """Decorator: register ``runner(profile, session) -> ExperimentResult``."""
 
-    def wrap(runner: Callable[[str], ExperimentResult]) -> Callable:
+    def wrap(runner: Callable[[str, Any], ExperimentResult]) -> Callable:
         _REGISTRY[experiment_id] = Experiment(experiment_id, title, paper_ref, runner)
         return runner
 
@@ -141,5 +146,5 @@ def get_experiment(experiment_id: str) -> Experiment:
 def run_experiment(
     experiment_id: str, profile: str = "quick", session=None
 ) -> ExperimentResult:
-    """Run one experiment by id (optionally under a session's policy)."""
+    """Run one experiment by id (optionally through a given session)."""
     return get_experiment(experiment_id).run(profile, session=session)

@@ -61,11 +61,6 @@ class PacketQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no packets are queued."""
-        return not self._items
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<PacketQueue {self.name} depth={len(self._items)}/"

@@ -647,15 +647,12 @@ class Microengine:
     def _settle_at_run_end(self) -> None:
         """``on_run_end`` hook: bring a parked engine's counters up to date.
 
-        A run that reached its deadline ran every poll up to it; one
-        ended by ``sim.stop()`` ran only the polls ordered before the
-        stopping event.  The engine stays parked across the pause.
+        A run ends at its deadline or when the queue drains, having run
+        every poll up to ``now``.  The engine stays parked across the
+        pause.
         """
         if self._parked:
-            if self.sim.stopped:
-                self._settle_before_now()
-            else:
-                self._settle(self.sim.now_ps)
+            self._settle(self.sim.now_ps)
 
     # ------------------------------------------------------------------
     # Accounting helpers

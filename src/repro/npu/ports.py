@@ -187,11 +187,6 @@ class PortArray:
 
     # -- statistics --------------------------------------------------------
     @property
-    def total_rx_dropped(self) -> int:
-        """Packets dropped at receive queues (including admission drops)."""
-        return self.rx_dropped
-
-    @property
     def total_tx_packets(self) -> int:
         """Packets fully serialized out of the chip."""
         return sum(port.tx_packets for port in self.ports)

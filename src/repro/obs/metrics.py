@@ -178,11 +178,6 @@ class MetricsRegistry:
         return name in self._instruments
 
     # -- bulk ingestion --------------------------------------------------
-    def merge_counts(self, counts: Dict[str, int], prefix: str = "") -> None:
-        """Add a flat ``{name: count}`` mapping as counters."""
-        for name in sorted(counts):
-            self.counter(f"{prefix}{name}").inc(int(counts[name]))
-
     def merge_telemetry(self, telemetry: Dict[str, Any], prefix: str = "") -> None:
         """Ingest a backend telemetry dict.
 

@@ -62,11 +62,6 @@ class PiecewiseArrivalProcess(ArrivalProcess):
             start = end
         return rate
 
-    @property
-    def segment_index(self) -> int:
-        """Index of the span the next arrival will be drawn in."""
-        return self._index
-
     def next_gap_ps(self, rng) -> int:
         gap = 0.0
         while True:

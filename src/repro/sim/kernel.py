@@ -77,7 +77,6 @@ class Simulator:
         self._queue: List[_Entry] = []
         self._seq = 0
         self._running = False
-        self._stopped = False
         self._events_executed = 0
         #: Picosecond and rank of the poll completion delivered last
         #: (see :meth:`poll_passed`).
@@ -175,7 +174,7 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def run(self, until_ps: Optional[int] = None) -> None:
-        """Run until the queue drains, ``stop()`` is called, or ``until_ps``.
+        """Run until the queue drains or ``until_ps``.
 
         When ``until_ps`` is given, events strictly after it stay queued
         and ``now_ps`` is advanced to exactly ``until_ps`` on return, so a
@@ -184,7 +183,6 @@ class Simulator:
         if self._running:
             raise SimulationError(f"simulator {self.name!r} is already running")
         self._running = True
-        self._stopped = False
         queue = self._queue
         pop = heappop
         deadline = _NO_DEADLINE if until_ps is None else until_ps
@@ -196,7 +194,7 @@ class Simulator:
         # back, and since keys are unique the pop order is unchanged.
         executed = 0
         try:
-            while queue and not self._stopped:
+            while queue:
                 time_ps, seq, callback, args = pop(queue)
                 if time_ps > deadline:
                     heappush(queue, (time_ps, seq, callback, args))
@@ -204,7 +202,7 @@ class Simulator:
                 self.now_ps = time_ps
                 executed += 1
                 callback(*args)
-            if until_ps is not None and not self._stopped and until_ps > self.now_ps:
+            if until_ps is not None and until_ps > self.now_ps:
                 self.now_ps = until_ps
         finally:
             # Land the count before the run-end hooks: a hook may read
@@ -223,15 +221,6 @@ class Simulator:
         self._events_executed += 1
         callback(*args)
         return True
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
-
-    @property
-    def stopped(self) -> bool:
-        """True when :meth:`stop` ended (or will end) the current run."""
-        return self._stopped
 
     # ------------------------------------------------------------------
     # Introspection

@@ -56,10 +56,6 @@ class CandidateSummary:
         """Packet-loss fraction."""
         return self.metrics["loss_fraction"]
 
-    def design_point(self) -> Tuple[str, Optional[float], Optional[int]]:
-        """The map key: ``(policy, threshold, window)``."""
-        return (self.policy, self.threshold_mbps, self.window_cycles)
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict form."""
         return {

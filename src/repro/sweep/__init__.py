@@ -37,9 +37,7 @@ __all__ = [
     "ResultStore",
     "SweepOutcome",
     "SweepSpec",
-    "WORKERS_ENV_VAR",
     "config_hash",
-    "default_workers",
     "parse_traffic_token",
     "progress_printer",
     "run_job",
@@ -51,9 +49,7 @@ _EXPORTS = {
     "ResultStore": "repro.sweep.store",
     "SweepOutcome": "repro.sweep.store",
     "SweepSpec": "repro.sweep.spec",
-    "WORKERS_ENV_VAR": "repro.sweep.engine",
     "config_hash": "repro.sweep.spec",
-    "default_workers": "repro.sweep.engine",
     "parse_traffic_token": "repro.sweep.spec",
     "progress_printer": "repro.sweep.engine",
     "run_job": "repro.sweep.engine",

@@ -33,7 +33,6 @@ the missing cells on the next run.
 from __future__ import annotations
 
 import copy
-import os
 import sys
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -41,7 +40,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.config import RunConfig
 from repro.dvs.governor import TRAFFIC_RULE_FIELDS
 from repro.dvs.tdvs import TdvsDecisions, TdvsGovernor
-from repro.errors import ExperimentError
 from repro.loc.builtin import (
     power_distribution_formula,
     throughput_distribution_formula,
@@ -51,27 +49,8 @@ from repro.runner import SimulationRun
 from repro.sweep.spec import Job, config_hash
 from repro.sweep.store import SweepOutcome
 
-#: Environment override for the default worker count (see
-#: :func:`default_workers`); experiments consult it so ``repro run``
-#: figures parallelize without new plumbing through every profile.
-WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
-
 #: Progress callback: (completed_count, total_count, outcome).
 ProgressFn = Callable[[int, int, SweepOutcome], None]
-
-
-def default_workers() -> int:
-    """Worker count from ``REPRO_SWEEP_WORKERS`` (default: serial)."""
-    value = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not value:
-        return 1
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ExperimentError(
-            f"{WORKERS_ENV_VAR} must be an integer, got {value!r}"
-        ) from None
-    return max(1, workers)
 
 
 def family_key(job: Job) -> Optional[str]:

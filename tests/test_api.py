@@ -1,28 +1,26 @@
 """Tests for the unified session API (repro.api).
 
-Covers the policy objects (env/kwarg precedence, resolution order),
-the Session facade (sweep order, streaming completion order on all
-three backends, event hooks, store reuse/overwrite), and the study
-streaming surface (per-scenario verdicts, byte-identical reports).
+Covers the policy objects (backend choice from arguments alone), the
+Session facade (sweep order, streaming completion order on all three
+backends, event hooks, store reuse/overwrite, figures run through a
+session), and the study streaming surface (per-scenario verdicts,
+byte-identical reports).
 """
 
 import json
-import os
 import threading
 
 import pytest
 
+import repro.api
 from repro.api import (
     EventHooks,
     ExecutionPolicy,
     Session,
     StorePolicy,
     chain_hooks,
-    default_session,
 )
 from repro.backends import (
-    BACKEND_ENV_VAR,
-    CONNECT_ENV_VAR,
     DistributedBackend,
     ProcessBackend,
     SerialBackend,
@@ -30,9 +28,9 @@ from repro.backends import (
 from repro.backends.worker import run_worker
 from repro.config import RunConfig, TrafficConfig
 from repro.errors import ExperimentError
+from repro.experiments.common import EDVS_WINDOWS_CYCLES
 from repro.runner import run_simulation
 from repro.sweep import ResultStore, SweepSpec
-from repro.sweep.engine import WORKERS_ENV_VAR
 
 #: Short, deterministic grid shared by the execution tests.
 FAST = dict(duration_cycles=120_000, process="cbr", seeds=(11,))
@@ -61,107 +59,61 @@ def assert_identical(left, right):
 
 
 class TestExecutionPolicy:
-    def test_defaults_defer_to_env_at_resolve_time(self, monkeypatch):
-        policy = ExecutionPolicy()
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        monkeypatch.setenv(WORKERS_ENV_VAR, "6")
-        assert policy.resolved_workers() == 6
-        assert isinstance(policy.make_backend(4), SerialBackend)
+    def test_environment_variables_choose_nothing(self, monkeypatch):
+        # The retired environment channel: setting its variables changes
+        # no backend choice.
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "process")
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4")
+        monkeypatch.setenv("REPRO_SWEEP_CONNECT", "127.0.0.1:0")
+        assert isinstance(ExecutionPolicy().make_backend(4), SerialBackend)
 
-    def test_from_env_captures_variables_once(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(CONNECT_ENV_VAR, "127.0.0.1:7641")
-        policy = ExecutionPolicy.from_env()
-        assert policy.backend == "process"
-        assert policy.workers == 3
-        assert policy.connect == "127.0.0.1:7641"
-        # Captured: later environment changes no longer matter.
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-        backend = policy.make_backend(4)
-        assert isinstance(backend, ProcessBackend)
-        assert backend.workers == 3
-
-    def test_explicit_kwargs_beat_env_in_from_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        monkeypatch.setenv(WORKERS_ENV_VAR, "8")
-        policy = ExecutionPolicy.from_env(workers=2, backend="serial")
-        assert policy.workers == 2
-        assert policy.backend == "serial"
-        assert isinstance(policy.make_backend(4), SerialBackend)
-
-    def test_explicit_field_beats_env_at_resolve_time(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        monkeypatch.setenv(WORKERS_ENV_VAR, "8")
-        policy = ExecutionPolicy(backend="serial", workers=2)
-        assert policy.resolved_workers() == 2
-        assert isinstance(policy.make_backend(4), SerialBackend)
-
-    def test_classic_default_serial_for_single_pending_job(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_classic_default_serial_for_single_pending_job(self):
         policy = ExecutionPolicy(workers=4)
         assert isinstance(policy.make_backend(1), SerialBackend)
         assert isinstance(policy.make_backend(2), ProcessBackend)
+
+    def test_explicit_backend_keeps_its_worker_count(self):
+        backend = ExecutionPolicy(backend="process", workers=3).make_backend(1)
+        assert isinstance(backend, ProcessBackend)
+        assert backend.workers == 3
+
+    def test_distributed_policy_binds_a_coordinator(self):
+        policy = ExecutionPolicy(backend="distributed", connect="127.0.0.1:0")
+        backend = policy.make_backend(4)
+        try:
+            assert isinstance(backend, DistributedBackend)
+            assert backend.port != 0  # ephemeral port resolved at bind
+        finally:
+            backend.close()
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ExperimentError, match="workers must be >= 1"):
             ExecutionPolicy(workers=0)
 
-    def test_invalid_retries_rejected(self):
-        with pytest.raises(ExperimentError, match="retries"):
-            ExecutionPolicy(retries=-1)
-
-    def test_early_abort_field_is_retired(self):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("early_abort", {"check_interval": 8}), ("retries", 5), ("lease_s", 9.0)],
+    )
+    def test_retired_fields_are_refused(self, field, value):
         with pytest.raises(TypeError):
-            ExecutionPolicy(early_abort={"check_interval": 8})
+            ExecutionPolicy(**{field: value})
 
-    def test_bad_env_workers_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
-        with pytest.raises(ExperimentError):
-            ExecutionPolicy.from_env()
+    @pytest.mark.parametrize(
+        "policy, name",
+        [
+            (ExecutionPolicy, "from_env"),
+            (ExecutionPolicy, "scoped_env"),
+            (ExecutionPolicy, "resolved_workers"),
+            (ExecutionPolicy, "with_"),
+            (StorePolicy, "with_"),
+        ],
+    )
+    def test_environment_and_copy_methods_are_retired(self, policy, name):
+        assert not hasattr(policy, name)
 
-    def test_session_rejects_bad_env_workers_at_run_time(self, monkeypatch):
-        # An unset policy resolves REPRO_SWEEP_WORKERS when the sweep
-        # starts, not when the session is built.
-        session = Session()
-        monkeypatch.setenv(WORKERS_ENV_VAR, "not a number")
-        with pytest.raises(ExperimentError):
-            session.sweep(small_spec(policies=("none",)).jobs())
-
-    def test_retries_and_lease_reach_distributed_backend(self):
-        policy = ExecutionPolicy(
-            backend="distributed", connect="127.0.0.1:0",
-            retries=5, lease_s=9.0,
-        )
-        backend = policy.make_backend(4)
-        try:
-            assert isinstance(backend, DistributedBackend)
-            assert backend.max_retries == 5
-            assert backend.lease_s == 9.0
-        finally:
-            backend.close()
-
-    def test_scoped_env_exports_and_restores(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        policy = ExecutionPolicy(backend="serial", workers=2)
-        with policy.scoped_env():
-            assert os.environ[WORKERS_ENV_VAR] == "2"
-            assert os.environ[BACKEND_ENV_VAR] == "serial"
-        assert WORKERS_ENV_VAR not in os.environ
-        assert os.environ[BACKEND_ENV_VAR] == "process"
-
-    def test_scoped_env_rejects_backend_instances(self):
-        policy = ExecutionPolicy(backend=SerialBackend())
-        with pytest.raises(ExperimentError, match="named backend"):
-            with policy.scoped_env():
-                pass  # pragma: no cover
-
-    def test_with_override(self):
-        policy = ExecutionPolicy(workers=2)
-        assert policy.with_(workers=5).workers == 5
-        assert policy.workers == 2
+    def test_default_session_is_retired(self):
+        assert "default_session" not in repro.api.__all__
+        assert not hasattr(repro.api, "default_session")
 
 
 class TestSessionSweep:
@@ -198,8 +150,26 @@ class TestSessionSweep:
         result = session.experiment("fig01")
         assert result.experiment_id == "fig01"
 
-    def test_default_session_is_shared(self):
-        assert default_session() is default_session()
+    def test_session_experiment_rejects_backend_instances(self):
+        # A figure may run several sweeps; an instance is single-use.
+        session = Session(execution=ExecutionPolicy(backend=SerialBackend()))
+        with pytest.raises(ExperimentError, match="named backend"):
+            session.experiment("fig01")
+
+    def test_figure_grid_sweeps_through_the_session(self):
+        # fig10's five-job grid runs through the session's policy,
+        # store and hooks; two workers give the serial session's data.
+        seen = []
+        store = ResultStore()
+        serial = Session(
+            store=StorePolicy(store=store),
+            hooks=EventHooks(on_outcome=seen.append),
+        ).experiment("fig10", profile="bench")
+        parallel = Session(execution=ExecutionPolicy(workers=2)).experiment(
+            "fig10", profile="bench"
+        )
+        assert len(seen) == len(store) == 1 + len(EDVS_WINDOWS_CYCLES)
+        assert parallel.to_json() == serial.to_json()
 
 
 class TestSessionStream:

@@ -1,13 +1,14 @@
 """Tests for the pluggable execution backends (repro.backends).
 
 Covers the contract (any backend, bit-identical outcomes in job
-order), the factory/env plumbing, the wire protocol, and the
+order), the factory, the wire protocol, and the
 distributed backend's fault tolerance: worker death mid-sweep,
 lease expiry, duplicate-outcome suppression, retry exhaustion.
 """
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -16,11 +17,9 @@ import time
 
 import pytest
 
-from repro.api import ExecutionPolicy, Session, StorePolicy
+from repro.api import EventHooks, ExecutionPolicy, Session, StorePolicy
 from repro.errors import BackendError, ExperimentError
 from repro.backends import (
-    BACKEND_ENV_VAR,
-    CONNECT_ENV_VAR,
     DistributedBackend,
     LeaseClock,
     ProcessBackend,
@@ -29,7 +28,7 @@ from repro.backends import (
     parse_endpoint,
 )
 from repro.backends.protocol import PROTOCOL_VERSION, recv_message, send_message
-from repro.backends.worker import CRASH_ENV_VAR, run_worker
+from repro.backends.worker import run_worker
 from repro.sweep import ResultStore, SweepSpec, run_job
 
 #: Short, deterministic grid shared by the execution tests.
@@ -69,7 +68,7 @@ def start_worker(address, **kwargs):
     return thread
 
 
-def spawn_worker_process(address, crash_after_pull=False, extra_env=None):
+def spawn_worker_process(address):
     """A real ``repro worker`` subprocess (kill-able, unlike a thread)."""
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(repo_root, "src")
@@ -78,15 +77,28 @@ def spawn_worker_process(address, crash_after_pull=False, extra_env=None):
         **os.environ,
         "PYTHONPATH": f"{src}{os.pathsep}{existing}" if existing else src,
     }
-    if crash_after_pull:
-        env[CRASH_ENV_VAR] = "1"
-    env.update(extra_env or {})
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker",
          "--connect", address, "--quiet", "--timeout", "60"],
         env=env,
         cwd=repo_root,
     )
+
+
+def take_grant(backend):
+    """Join ``backend`` as a hand-rolled worker and take one job grant.
+
+    Returns the open socket and the grant.  Closing the socket without
+    answering is what the kernel does for a worker that dies holding
+    the lease; keeping it open without heartbeats is a hung worker.
+    """
+    client = socket.create_connection((backend.host, backend.port), timeout=10)
+    send_message(client, {"type": "hello", "protocol": PROTOCOL_VERSION})
+    assert recv_message(client)["type"] == "welcome"
+    send_message(client, {"type": "pull"})
+    grant = recv_message(client)
+    assert grant["type"] == "job"
+    return client, grant
 
 
 class TestFactory:
@@ -110,22 +122,9 @@ class TestFactory:
         with pytest.raises(BackendError):
             get_backend("quantum")
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        assert isinstance(get_backend(None, workers=8), SerialBackend)
-
-    def test_distributed_requires_endpoint(self, monkeypatch):
-        monkeypatch.delenv(CONNECT_ENV_VAR, raising=False)
+    def test_distributed_requires_endpoint(self):
         with pytest.raises(BackendError):
             get_backend("distributed")
-
-    def test_distributed_endpoint_from_env(self, monkeypatch):
-        monkeypatch.setenv(CONNECT_ENV_VAR, "127.0.0.1:0")
-        backend = get_backend("distributed")
-        try:
-            assert backend.port != 0  # ephemeral port resolved at bind
-        finally:
-            backend.close()
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -344,7 +343,6 @@ class TestDistributedBackend:
         jobs = small_spec().jobs()
         serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0, lease_s=10.0)
-        crasher = spawn_worker_process(backend.address, crash_after_pull=True)
         result = {}
         sweep = threading.Thread(
             target=lambda: result.update(
@@ -353,62 +351,78 @@ class TestDistributedBackend:
             daemon=True,
         )
         sweep.start()
-        # The crasher is the only worker: it must be granted a job, on
-        # which it dies holding the lease (the deterministic kill -9).
-        assert crasher.wait(timeout=60) == 17
+        # The dying client is the only worker: it is granted a job and
+        # its socket closes while it holds the lease.
+        client, _ = take_grant(backend)
+        client.close()
         survivor = start_worker(backend.address)
         sweep.join(timeout=180)
         assert not sweep.is_alive()
         survivor.join(timeout=30)
         assert_identical(serial, result["outcomes"])
+        assert backend.telemetry()["jobs_requeued"] == 1
 
     def test_sigkilled_worker_requeues(self):
-        """A real SIGKILL mid-run: EOF on the socket requeues the lease."""
+        """A real SIGKILL while the worker holds the lease: EOF on the
+        socket requeues the job."""
         jobs = small_spec(policies=("none",), duration_cycles=400_000).jobs()
         backend = DistributedBackend(port=0, lease_s=30.0)
         victim = spawn_worker_process(backend.address)
+        granted = threading.Event()
+
+        def kill_on_first_grant(job):
+            # The coordinator records the lease before this hook runs,
+            # so the victim dies holding it.
+            if not granted.is_set():
+                victim.kill()
+                granted.set()
+
+        session = Session(
+            execution=ExecutionPolicy(backend=backend),
+            hooks=EventHooks(on_job_start=kill_on_first_grant),
+        )
         result = {}
         sweep = threading.Thread(
-            target=lambda: result.update(
-                outcomes=Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
-            ),
+            target=lambda: result.update(outcomes=session.sweep(jobs)),
             daemon=True,
         )
         sweep.start()
-        # Wait until the victim is connected, give it a beat to pull the
-        # (only) job, then kill -9 while it holds the lease.
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            with backend._conn_lock:
-                connected = bool(backend._connections)
-            if connected and victim.poll() is None:
-                break
-            time.sleep(0.1)
-        time.sleep(1.0)
-        victim.kill()
-        victim.wait(timeout=30)
+        assert granted.wait(timeout=60)
+        assert victim.wait(timeout=30) == -signal.SIGKILL
         survivor = start_worker(backend.address)
         sweep.join(timeout=300)
         assert not sweep.is_alive()
         survivor.join(timeout=30)
+        assert not survivor.is_alive()
         serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         assert_identical(serial, result["outcomes"])
+        assert backend.telemetry()["jobs_requeued"] == 1
 
     def test_retry_exhaustion_surfaces_as_experiment_error(self):
         jobs = small_spec(policies=("none",)).jobs()
         backend = DistributedBackend(port=0, lease_s=10.0, max_retries=0)
-        crasher = spawn_worker_process(backend.address, crash_after_pull=True)
-        with pytest.raises(ExperimentError, match="failed after"):
-            Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
-        crasher.wait(timeout=30)
+        errors = []
+
+        def sweep():
+            try:
+                Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
+            except ExperimentError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=sweep, daemon=True)
+        thread.start()
+        client, _ = take_grant(backend)
+        client.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        (error,) = errors
+        assert "failed after" in str(error)
 
     def test_lease_expiry_requeues_hung_worker(self):
         """A worker that stops heartbeating loses its lease."""
         jobs = small_spec(policies=("none",)).jobs()
         serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0, lease_s=1.0)
-        # A hand-rolled client that takes a job and then hangs forever.
-        hung = socket.create_connection((backend.host, backend.port), timeout=10)
         result = {}
         sweep = threading.Thread(
             target=lambda: result.update(
@@ -417,11 +431,8 @@ class TestDistributedBackend:
             daemon=True,
         )
         sweep.start()
-        send_message(hung, {"type": "hello", "protocol": PROTOCOL_VERSION})
-        assert recv_message(hung)["type"] == "welcome"
-        send_message(hung, {"type": "pull"})
-        grant = recv_message(hung)
-        assert grant["type"] == "job"
+        # A hand-rolled client that takes a job and then hangs forever.
+        hung, _ = take_grant(backend)
         # No heartbeat: after lease_s the coordinator requeues the job.
         survivor = start_worker(backend.address)
         sweep.join(timeout=180)
@@ -436,7 +447,6 @@ class TestDistributedBackend:
         jobs = small_spec().jobs()  # 2 jobs: the sweep outlives client
         serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0, lease_s=60.0)
-        client = socket.create_connection((backend.host, backend.port), timeout=10)
         result = {}
         sweep = threading.Thread(
             target=lambda: result.update(
@@ -445,11 +455,7 @@ class TestDistributedBackend:
             daemon=True,
         )
         sweep.start()
-        send_message(client, {"type": "hello", "protocol": PROTOCOL_VERSION})
-        assert recv_message(client)["type"] == "welcome"
-        send_message(client, {"type": "pull"})
-        grant = recv_message(client)
-        assert grant["type"] == "job"
+        client, grant = take_grant(backend)
         assert grant["job"]["job_id"] == jobs[0].job_id  # FIFO grant order
         outcome = serial[0].to_dict()
         for _ in range(2):  # deliver the same outcome twice
@@ -495,6 +501,23 @@ class TestDistributedBackend:
         backend.close()
         with pytest.raises(BackendError):
             list(backend.run(small_spec(policies=("none",)).jobs()))
+
+    def test_each_sweep_of_a_session_binds_the_same_port(self):
+        """A figure's sweeps each build a coordinator on the session's
+        ``connect`` endpoint: the finished one must release the port."""
+        first = DistributedBackend(port=0)  # reserve a free port
+        address = first.address
+        first.close()
+        session = Session(
+            execution=ExecutionPolicy(backend="distributed", connect=address)
+        )
+        jobs = small_spec(policies=("none",)).jobs()
+        serial = Session().sweep(jobs)
+        for _ in range(2):
+            worker = start_worker(address)
+            assert_identical(serial, session.sweep(jobs))
+            worker.join(timeout=30)
+            assert not worker.is_alive()
 
     def test_worker_connect_timeout(self):
         # Nothing listens on this port once the backend is closed.

@@ -117,6 +117,18 @@ def test_sweep_distributed_backend_needs_endpoint():
         main(argv)
 
 
+@pytest.mark.parametrize(
+    "argv", [["run", "fig05"], ["sweep", "--profile", "bench", "--quiet"]]
+)
+def test_zero_workers_refused(argv, capsys):
+    # ``run`` builds its session as ``sweep`` does, so neither clamps
+    # ``--workers 0`` to one worker.
+    from repro.errors import ExperimentError
+
+    with pytest.raises(ExperimentError, match="workers must be >= 1"):
+        main([*argv, "--workers", "0"])
+
+
 @pytest.mark.slow
 def test_worker_command_drains_a_distributed_sweep(capsys):
     """`repro worker --connect` against an in-process coordinator."""

@@ -11,8 +11,8 @@ Two execution shortcuts must never change a result:
 The per-ME tests pin parking on per-ME observables — completion times,
 instruction and poll counts, state totals, the kernel sequence layout
 — including under stalls, frequency changes, arrivals on poll-lattice
-instants, ``sim.stop()`` and runs that end and resume, and with each of
-those landing while a packet holder waits behind pollers for its turn.
+instants and runs that end and resume, and with each of those landing
+while a packet holder waits behind pollers for its turn.
 They run on a kernel that fails loudly on a second poll-band entry for
 one (picosecond, rank) key.  The chip-level oracles run catalog configs
 twice: parked, and eager (a no-op ``on_instructions`` observer on every
@@ -301,14 +301,6 @@ class TestParkedEquivalence:
         assert put_ps % POLL_PS == 0
         assert bind_ps == put_ps + POLL_PS
 
-    def test_stop_on_a_lattice_instant_then_resume(self):
-        def perturb(sim, me):
-            sim.schedule_at(40 * POLL_PS, sim.stop)
-
-        assert_parked_matches_eager(
-            perturb=perturb, resume_until=60_000_000, npackets=0
-        )
-
 
 def first_turn(**kwargs):
     """``(posted_ps, turn_ps)`` of the first holder turn a parked run
@@ -407,18 +399,6 @@ class TestHolderTurns:
         parked, _ = assert_parked_matches_eager(perturb=perturb, **self.BASE)
         assert parked["stale_polls"] == int(not revived)
 
-    @pytest.mark.parametrize("offset", (-3 * POLL_PS // 2, -POLL_PS, 0))
-    def test_stop_then_resume(self, offset):
-        turn_ps = self.turn()
-
-        def perturb(sim, me):
-            sim.schedule_at(turn_ps + offset, sim.stop)
-
-        parked, _ = assert_parked_matches_eager(
-            perturb=perturb, resume_until=60_000_000, **self.BASE
-        )
-        assert parked["parked"] and parked["live_ps"] == turn_ps
-
     @pytest.mark.parametrize("offset", (-POLL_PS, -POLL_PS // 2, -1))
     def test_run_end_then_resume(self, offset):
         turn_ps = self.turn()
@@ -438,7 +418,7 @@ def _arrivals():
 
 class TestSeqLayoutProperty:
     """Hypothesis wall: under *any* schedule of stalls, V-F changes,
-    arrivals and stops, a parked engine matches an eager one."""
+    arrivals and run ends, a parked engine matches an eager one."""
 
     schedules = st.lists(
         st.tuples(
@@ -451,15 +431,13 @@ class TestSeqLayoutProperty:
     )
 
     @staticmethod
-    def _perturb(schedule, stop_ps=None):
+    def _perturb(schedule):
         def perturb(sim, me):
             for when_ps, kind, stall_ps, freq in schedule:
                 if kind in ("vf", "both"):
                     sim.schedule_at(when_ps, me.set_vf, mhz(freq), 1.0)
                 if kind in ("stall", "both"):
                     sim.schedule_at(when_ps, me.stall_for, stall_ps)
-            if stop_ps is not None:
-                sim.schedule_at(stop_ps, sim.stop)
 
         return perturb
 
@@ -467,19 +445,15 @@ class TestSeqLayoutProperty:
         schedule=schedules,
         arrivals=_arrivals(),
         npackets=st.integers(min_value=0, max_value=4),
-        stop_ps=st.one_of(
-            st.none(),
-            st.integers(min_value=1, max_value=1_000).map(lambda k: k * POLL_PS),
-            st.integers(min_value=10_000, max_value=40_000_000),
-        ),
+        # 25 polls ends a run on a lattice instant; the resume follows.
         until=st.sampled_from((60_000_000, 25 * POLL_PS, 12_345_679)),
     )
     @settings(deadline=None, max_examples=40)
     def test_randomized_arrivals_stalls_and_stops_parked_matches_eager(
-        self, schedule, arrivals, npackets, stop_ps, until
+        self, schedule, arrivals, npackets, until
     ):
         assert_parked_matches_eager(
-            perturb=self._perturb(schedule, stop_ps),
+            perturb=self._perturb(schedule),
             arrivals=arrivals,
             npackets=npackets,
             until=until,

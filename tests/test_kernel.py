@@ -90,17 +90,12 @@ def test_events_scheduled_during_run_execute():
     assert sim.now_ps == 30
 
 
-def test_stop_halts_run():
-    sim = Simulator()
-    fired = []
-    sim.schedule(10, fired.append, "a")
-    sim.schedule(20, sim.stop)
-    sim.schedule(30, fired.append, "b")
-    sim.run()
-    assert fired == ["a"]
-    # A later run picks up where we left off.
-    sim.run()
-    assert fired == ["a", "b"]
+def test_stop_is_retired():
+    # A run ends at its deadline or when the queue drains; nothing else
+    # ends it early.
+    assert not hasattr(Simulator, "stop")
+    assert not hasattr(Simulator, "stopped")
+    assert not hasattr(Simulator(), "_stopped")
 
 
 def test_step_executes_one_event():

@@ -506,13 +506,18 @@ class TestCustomScenarioJobs:
 
 class TestExperimentIntegration:
     def test_design_space_parallel_matches_serial(self):
-        """tdvs_design_space goes through the engine; workers don't matter."""
+        """tdvs_design_space sweeps through the given session; its
+        worker count doesn't matter."""
         from repro.experiments.common import clear_caches, tdvs_design_space
 
         clear_caches()
-        serial = tdvs_design_space("bench", workers=1)
+        serial = tdvs_design_space(
+            "bench", Session(execution=ExecutionPolicy(workers=1))
+        )
         clear_caches()
-        parallel = tdvs_design_space("bench", workers=2)
+        parallel = tdvs_design_space(
+            "bench", Session(execution=ExecutionPolicy(workers=2))
+        )
         assert serial.keys() == parallel.keys()
         for key in serial:
             assert serial[key].result.totals == parallel[key].result.totals
