@@ -29,6 +29,7 @@ from repro.backends.worker import run_worker
 from repro.config import RunConfig, TrafficConfig
 from repro.errors import ExperimentError
 from repro.experiments.common import EDVS_WINDOWS_CYCLES
+from repro.experiments.registry import get_experiment, run_experiment
 from repro.runner import run_simulation
 from repro.sweep import ResultStore, SweepSpec
 
@@ -170,6 +171,18 @@ class TestSessionSweep:
         )
         assert len(seen) == len(store) == 1 + len(EDVS_WINDOWS_CYCLES)
         assert parallel.to_json() == serial.to_json()
+
+    def test_registry_entry_points_run_through_the_session(self):
+        # run_experiment and Experiment.run hand their session on, and
+        # an instance backend is refused on that path too.
+        seen = []
+        session = Session(hooks=EventHooks(on_outcome=seen.append))
+        result = run_experiment("fig10", profile="bench", session=session)
+        assert len(seen) == 1 + len(EDVS_WINDOWS_CYCLES)
+        assert result.to_json() == get_experiment("fig10").run("bench").to_json()
+        instance = Session(execution=ExecutionPolicy(backend=SerialBackend()))
+        with pytest.raises(ExperimentError, match="named backend"):
+            run_experiment("fig01", session=instance)
 
 
 class TestSessionStream:

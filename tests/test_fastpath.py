@@ -255,6 +255,15 @@ class TestParkedEquivalence:
             arrivals=[(7 * POLL_PS, True), (9 * POLL_PS, False)],
         )
 
+    def test_run_end_on_a_lattice_instant_then_resume(self):
+        # The poll completing exactly at the deadline belongs to the
+        # first run; the arrival after it must wake the resumed engine.
+        parked, _ = assert_parked_matches_eager(
+            npackets=0, until=40 * POLL_PS, resume_until=60_000_000,
+            arrivals=[(41 * POLL_PS + POLL_PS // 2, False)],
+        )
+        assert parked["parked"]
+
     def test_put_from_a_higher_ranked_poll_completion(self):
         """ME1's poll completion puts a packet into the queue of ME0,
         parked on the same lattice: ME0's poll at that instant has
@@ -399,7 +408,9 @@ class TestHolderTurns:
         parked, _ = assert_parked_matches_eager(perturb=perturb, **self.BASE)
         assert parked["stale_polls"] == int(not revived)
 
-    @pytest.mark.parametrize("offset", (-POLL_PS, -POLL_PS // 2, -1))
+    @pytest.mark.parametrize(
+        "offset", (-3 * POLL_PS // 2, -POLL_PS, -POLL_PS // 2, -1)
+    )
     def test_run_end_then_resume(self, offset):
         turn_ps = self.turn()
         parked, _ = assert_parked_matches_eager(
