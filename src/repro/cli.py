@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.config import DvsConfig, RunConfig, TrafficConfig
+from repro.errors import ReproError
 from repro.version import PAPER, __version__
 
 
@@ -928,8 +929,21 @@ def _cmd_lint(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A refused request (any :class:`~repro.errors.ReproError`: an unknown
+    name, a bad value) ends in one ``repro: <message>`` line on stderr
+    and exit status 2, the status argparse gives a usage error.
+    """
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        print("repro: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -1,7 +1,8 @@
 """AST node classes for parsed LOC formulas.
 
-The AST is deliberately tiny and immutable-ish; evaluation strategies
-(streaming interpreter, code generator) walk it without modifying it.
+The AST is deliberately tiny and immutable: a node's slots are set
+once, in ``__init__``, because :func:`~repro.loc.parser.parse_formula`
+hands one parsed tree to every caller of the same text.
 
 Node taxonomy::
 
@@ -29,7 +30,23 @@ CHECKER_OPS = ("<=", "<", ">=", ">", "==", "!=")
 DIST_MODES = ("in", "below", "above")
 
 
-class IndexExpr:
+class _Node:
+    """A node whose slots are set once, in ``__init__`` (via :meth:`_set`)."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+
+class IndexExpr(_Node):
     """Index expression inside ``event[...]``: ``i``, ``i±k`` or constant.
 
     Attributes
@@ -44,8 +61,7 @@ class IndexExpr:
     __slots__ = ("offset", "absolute")
 
     def __init__(self, offset: int, absolute: bool = False):
-        self.offset = int(offset)
-        self.absolute = bool(absolute)
+        self._set(offset=int(offset), absolute=bool(absolute))
 
     def resolve(self, i: int) -> int:
         """Instance number referenced for formula instance ``i``."""
@@ -72,7 +88,7 @@ class IndexExpr:
         return f"IndexExpr({self.unparse()!r})"
 
 
-class Expr:
+class Expr(_Node):
     """Base class for expression nodes."""
 
     __slots__ = ()
@@ -92,7 +108,7 @@ class Number(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        self.value = float(value)
+        self._set(value=float(value))
 
     def refs(self) -> Iterator["AnnotationRef"]:
         return iter(())
@@ -112,9 +128,7 @@ class AnnotationRef(Expr):
     __slots__ = ("annotation", "event", "index")
 
     def __init__(self, annotation: str, event: str, index: IndexExpr):
-        self.annotation = annotation
-        self.event = event
-        self.index = index
+        self._set(annotation=annotation, event=event, index=index)
 
     def refs(self) -> Iterator["AnnotationRef"]:
         yield self
@@ -134,9 +148,7 @@ class BinaryOp(Expr):
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in ("+", "-", "*", "/"):
             raise ValueError(f"bad arithmetic operator {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
+        self._set(op=op, left=left, right=right)
 
     def refs(self) -> Iterator[AnnotationRef]:
         yield from self.left.refs()
@@ -155,7 +167,7 @@ class Negate(Expr):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Expr):
-        self.operand = operand
+        self._set(operand=operand)
 
     def refs(self) -> Iterator[AnnotationRef]:
         yield from self.operand.refs()
@@ -167,7 +179,7 @@ class Negate(Expr):
         return f"Negate({self.operand!r})"
 
 
-class Formula:
+class Formula(_Node):
     """Base class for complete formulas."""
 
     __slots__ = ()
@@ -210,9 +222,7 @@ class CheckerFormula(Formula):
     def __init__(self, lhs: Expr, op: str, rhs: Expr):
         if op not in CHECKER_OPS:
             raise ValueError(f"bad checker operator {op!r}")
-        self.lhs = lhs
-        self.op = op
-        self.rhs = rhs
+        self._set(lhs=lhs, op=op, rhs=rhs)
 
     def exprs(self) -> List[Expr]:
         return [self.lhs, self.rhs]
@@ -232,11 +242,9 @@ class DistributionFormula(Formula):
     def __init__(self, expr: Expr, mode: str, low: float, high: float, step: float):
         if mode not in DIST_MODES:
             raise ValueError(f"bad distribution mode {mode!r}")
-        self.expr = expr
-        self.mode = mode
-        self.low = float(low)
-        self.high = float(high)
-        self.step = float(step)
+        self._set(
+            expr=expr, mode=mode, low=float(low), high=float(high), step=float(step)
+        )
 
     def exprs(self) -> List[Expr]:
         return [self.expr]

@@ -23,6 +23,7 @@ has never seen).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Union
 
 from repro.errors import LocSyntaxError
@@ -43,6 +44,11 @@ _REL_TOKENS = {"LE": "<=", "GE": ">=", "EQ": "==", "NE": "!=", "LT": "<", "GT": 
 
 #: Distribution keyword token kinds and their modes.
 _DIST_TOKENS = {"KW_IN": "in", "KW_BELOW": "below", "KW_ABOVE": "above"}
+
+#: Distinct formula texts whose parse a process keeps.  A catalog study
+#: reads a dozen or so (a pacing bound per scenario, the shared gates
+#: and the span distributions); a text past the bound is parsed again.
+PARSED_FORMULAS_MAX = 64
 
 
 class _Parser:
@@ -199,8 +205,14 @@ class _Parser:
         return int(value)
 
 
+@lru_cache(maxsize=PARSED_FORMULAS_MAX)
 def parse_formula(text: str) -> Union[CheckerFormula, DistributionFormula]:
-    """Parse LOC formula text into an AST.
+    """Parse LOC formula text into an AST, once per process.
+
+    The tree is a pure function of ``text`` and immutable, so every
+    caller of one text shares it: a sweep's jobs and each worker's
+    monitors read the same few formulas over and over.  A malformed
+    text raises every time (a raise is never memoized).
 
     >>> formula = parse_formula("cycle(deq[i]) - cycle(enq[i]) <= 50")
     >>> formula.op

@@ -253,7 +253,9 @@ class NpuChip:
 
         Binding happens here — after every subscriber registered — so
         that event names nobody observes resolve to the bus's shared
-        no-op emitter and cost nothing during the run.
+        no-op emitter and cost nothing during the run.  A subscription
+        to a name the chip does not publish (a misspelt or retired
+        event) raises :class:`~repro.errors.TraceError` here.
         """
         if self._started:
             raise NpuError("chip already started")
@@ -267,6 +269,7 @@ class NpuChip:
             for me in self.mes:
                 emit = self.bus.emitter(prefixed_event_name("pipeline", me.index))
                 me.pipeline_emitter = None if emit is NOOP_EMITTER else emit
+        self.bus.require_published()
         for me in self.mes:
             me.start()
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import DvsConfig, RunConfig, TrafficConfig
+from repro.config import DvsConfig, RunConfig, TrafficConfig, plain
 from repro.errors import ConfigError
 
 
@@ -94,15 +94,9 @@ class Job:
             config = config.to_dict()
         else:
             RunConfig.from_dict(config)  # validates (and normalizes errors)
+            config = plain(config)  # the job's own, whatever the caller does
         checks = tuple(checks)
-        if checks:
-            # Generate each check's monitor now, so a malformed formula
-            # fails at build time, in the submitting process, rather
-            # than inside a worker.
-            from repro.loc.monitor import build_monitor
-
-            for check in checks:
-                build_monitor(check, expect="checker")
+        _validate_checks(checks)
         scenario = None
         scenario_name = (config.get("traffic") or {}).get("scenario")
         if scenario_name is not None:
@@ -271,36 +265,68 @@ class SweepSpec:
                     f"SweepSpec.{axis} is empty — the sweep would expand to "
                     "zero jobs; give the axis at least one entry"
                 )
+        from repro.scenarios.catalog import get_scenario
+
+        # What the jobs share (check validation, traffic, DVS points,
+        # scenario dicts) is derived once here.  Each job still gets
+        # its own config and scenario dicts, equal to Job.build's.
+        checks = tuple(self.checks)
+        _validate_checks(checks)
+        points = [dvs for policy in self.policies for dvs in self.dvs_points(policy)]
+        scenarios: Dict[str, Dict[str, Any]] = {}
         jobs: List[Job] = []
         seen = set()
         for benchmark in self.benchmarks:
             for token in self.traffic:
-                for policy in self.policies:
-                    for dvs in self.dvs_points(policy):
-                        for seed in self.seeds:
-                            traffic = parse_traffic_token(token)
-                            if traffic.scenario is None:
-                                traffic = traffic.replaced(process=self.process)
-                            config = RunConfig(
-                                benchmark=benchmark,
-                                duration_cycles=self.duration_cycles,
-                                seed=seed,
-                                traffic=traffic,
-                                dvs=dvs,
-                            )
+                traffic = parse_traffic_token(token)
+                if traffic.scenario is None:
+                    traffic = traffic.replaced(process=self.process)
+                for dvs in points:
+                    for seed in self.seeds:
+                        config = RunConfig(
+                            benchmark=benchmark,
+                            duration_cycles=self.duration_cycles,
+                            seed=seed,
+                            traffic=traffic,
+                            dvs=dvs,
+                        )
+                        if self.base:
                             config_dict = config.to_dict()
-                            config_dict.update(self.base)
-                            job = Job.build(
-                                config_dict,
-                                span=self.span,
-                                label=_job_label(benchmark, token, dvs, seed),
-                                checks=self.checks,
-                            )
-                            if job.job_id in seen:
-                                continue
-                            seen.add(job.job_id)
-                            jobs.append(job)
+                            config_dict.update(plain(self.base))
+                            RunConfig.from_dict(config_dict)  # validates the merge
+                        else:
+                            config.validate()
+                            config_dict = config.to_dict()
+                        name = (config_dict.get("traffic") or {}).get("scenario")
+                        if name is not None and name not in scenarios:
+                            scenarios[name] = get_scenario(name).to_dict()
+                        scenario = plain(scenarios.get(name))
+                        job = Job(
+                            job_id=config_hash(config_dict, self.span, scenario, checks),
+                            config=config_dict,
+                            span=self.span,
+                            label=_job_label(benchmark, token, dvs, seed),
+                            scenario=scenario,
+                            checks=checks,
+                        )
+                        if job.job_id in seen:
+                            continue
+                        seen.add(job.job_id)
+                        jobs.append(job)
         return jobs
+
+
+def _validate_checks(checks: Sequence[str]) -> None:
+    """Raise :class:`~repro.errors.LocError` for a malformed check.
+
+    Each check's monitor is generated at build time, so a bad formula
+    fails in the submitting process rather than inside a worker.
+    """
+    if checks:
+        from repro.loc.monitor import build_monitor
+
+        for check in checks:
+            build_monitor(check, expect="checker")
 
 
 def _job_label(benchmark: str, traffic_token: str, dvs: DvsConfig, seed: int) -> str:

@@ -29,7 +29,8 @@ Binding seals the bus: subscriptions must be in place before the chip
 starts (which is when producers bind), otherwise events emitted
 through an already-bound no-op emitter would be silently lost.  A late
 ``subscribe``/``attach_sink`` raises :class:`~repro.errors.TraceError`
-instead.
+instead, and so does :meth:`TraceBus.require_published` for a
+subscription to a name no producer bound.
 
 Dispatch order is deterministic: tuple handlers first (in subscription
 order), then structured sinks (in attachment order) — and annotations
@@ -167,6 +168,22 @@ class TraceBus:
             emit = self._make_emitter(key, name, handlers, sinks)
         self._bound[key] = emit
         return emit
+
+    def require_published(self) -> None:
+        """Raise :class:`TraceError` for a subscribed name no producer bound.
+
+        Call it once every producer has bound its emitters.  A handler
+        on such a name would never be called: a check over it would
+        check nothing and read as passed.
+        """
+        published = {key.partition("\x00")[0] for key in self._bound}
+        unpublished = sorted(set(self._handlers) - published)
+        if unpublished:
+            raise TraceError(
+                f"no producer publishes the subscribed event(s) "
+                f"{', '.join(unpublished)}; the producers publish "
+                f"{', '.join(sorted(published))}"
+            )
 
     # -- per-channel counters --------------------------------------------
     def _register_channel(self, key: str, name: str, fanout: int) -> List[int]:

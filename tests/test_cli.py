@@ -1,8 +1,25 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def refused(argv, capsys) -> str:
+    """Run a command the CLI must refuse; return its one stderr line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("repro: ")
+    return lines[0]
 
 
 def test_list_command(capsys):
@@ -71,9 +88,23 @@ def test_scenarios_run(capsys):
     assert "forwarded" in out
 
 
-def test_scenarios_unknown_raises():
-    with pytest.raises(Exception):
-        main(["scenarios", "no_such_workload"])
+def test_scenarios_unknown_exits_2(capsys):
+    line = refused(["scenarios", "no_such_workload"], capsys)
+    assert "unknown scenario 'no_such_workload'" in line
+    assert "flash_crowd" in line
+
+
+def test_refusal_ends_in_one_line_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "scenarios", "no_such"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("repro: unknown scenario 'no_such'")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_sweep_small_grid(capsys, tmp_path):
@@ -105,16 +136,13 @@ def test_sweep_explicit_serial_backend(capsys):
     assert "power(W)" in out
 
 
-def test_sweep_distributed_backend_needs_endpoint():
-    from repro.errors import BackendError
-
+def test_sweep_distributed_backend_needs_endpoint(capsys):
     argv = [
         "sweep", "--policy", "tdvs", "--threshold", "1200",
         "--window", "40000", "--profile", "bench",
         "--backend", "distributed", "--quiet",
     ]
-    with pytest.raises(BackendError):
-        main(argv)
+    assert "connect" in refused(argv, capsys)
 
 
 @pytest.mark.parametrize(
@@ -123,10 +151,8 @@ def test_sweep_distributed_backend_needs_endpoint():
 def test_zero_workers_refused(argv, capsys):
     # ``run`` builds its session as ``sweep`` does, so neither clamps
     # ``--workers 0`` to one worker.
-    from repro.errors import ExperimentError
-
-    with pytest.raises(ExperimentError, match="workers must be >= 1"):
-        main([*argv, "--workers", "0"])
+    line = refused([*argv, "--workers", "0"], capsys)
+    assert line == "repro: workers must be >= 1, got 0"
 
 
 @pytest.mark.slow
@@ -177,14 +203,12 @@ def test_loc_gen_to_file(tmp_path, capsys):
     assert "def analyze_lines" in path.read_text()
 
 
-def test_bad_formula_raises():
-    with pytest.raises(Exception):
-        main(["loc-gen", "not a formula @@"])
+def test_bad_formula_exits_2(capsys):
+    assert "unexpected character '@'" in refused(["loc-gen", "not a formula @@"], capsys)
 
 
-def test_unknown_experiment_raises():
-    with pytest.raises(Exception):
-        main(["run", "fig99"])
+def test_unknown_experiment_exits_2(capsys):
+    assert "unknown experiment 'fig99'" in refused(["run", "fig99"], capsys)
 
 
 def test_bench_subcommand_is_retired(capsys):

@@ -1,8 +1,9 @@
 """Per-process memos of a run's fixed model parts.
 
 A run's routing trie (:func:`repro.apps.routing.routing_trie_for`), flow
-tables (:class:`repro.traffic.packet.FlowPool`) and compiled monitor
-code (:func:`repro.loc.codegen.compile_monitor_feed`) are built once per
+tables (:class:`repro.traffic.packet.FlowPool`), parsed formulas
+(:func:`repro.loc.parser.parse_formula`) and compiled monitor code
+(:func:`repro.loc.codegen.compile_monitor_feed`) are built once per
 process.  Each memoized value is a pure function of its key, and a hit
 leaves the random stream where a build would, so a run's result must
 not depend on what ran before it in the same process.
@@ -27,13 +28,15 @@ from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.loc.builtin import power_distribution_formula, throughput_distribution_formula
 from repro.loc.codegen import MONITOR_CODE_MAX, _monitor_code, compile_monitor_feed
 from repro.loc.monitor import build_monitor
+from repro.loc.parser import PARSED_FORMULAS_MAX, parse_formula
 from repro.runner import SimulationRun
 from repro.scenarios import get_scenario
 from repro.sim.rng import RngStreams
 from repro.studies.spec import StudySpec
 from repro.traffic.packet import SHARED_FLOW_TABLES_MAX, FlowPool, _flow_table
 
-MEMOS = (_built_trie, _flow_table, _monitor_code)
+MEMOS = (_built_trie, _flow_table, _monitor_code, parse_formula)
+BOUNDS = (SHARED_TRIES_MAX, SHARED_FLOW_TABLES_MAX, MONITOR_CODE_MAX, PARSED_FORMULAS_MAX)
 
 FORWARD_GAP = "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1"
 
@@ -91,7 +94,9 @@ def test_warm_run_matches_cold_run(cold_memos, app):
     assert _built_trie.cache_info().hits == 1
     assert _flow_table.cache_info().misses == 2
     assert _flow_table.cache_info().hits == 1
-    # Every monitor of the second and third runs reused compiled code.
+    # Every monitor of the second and third runs reused its parse and
+    # its compiled code.
+    assert parse_formula.cache_info().hits >= 2 * parse_formula.cache_info().misses
     assert _monitor_code.cache_info().hits >= 2 * _monitor_code.cache_info().misses
 
 
@@ -155,11 +160,35 @@ def test_memos_stay_within_their_bounds(cold_memos):
         compile_monitor_feed(
             f"total_pkt(forward[i+1]) - total_pkt(forward[i]) <= {bound + 1}"
         )
-    for memo, bound in zip(MEMOS, (SHARED_TRIES_MAX, SHARED_FLOW_TABLES_MAX, MONITOR_CODE_MAX)):
+    # Compiling parsed those texts too; count the parse memo afresh.
+    parse_formula.cache_clear()
+    for bound in range(PARSED_FORMULAS_MAX + 1):
+        parse_formula(f"time(forward[i+1]) - time(forward[i]) >= {bound}")
+    for memo, bound in zip(MEMOS, BOUNDS):
         info = memo.cache_info()
         assert info.maxsize == bound
         assert info.currsize == bound
         assert info.misses == bound + 1
+
+
+def test_parsed_formula_is_shared_and_immutable(cold_memos):
+    parsed = parse_formula(FORWARD_GAP)
+    assert parse_formula(FORWARD_GAP) is parsed
+    assert parse_formula.cache_info().hits == 1
+    ref = parsed.lhs.left
+    for node, name, value in (
+        (parsed, "op", "<"),
+        (parsed.rhs, "value", 2.0),
+        (ref, "event", "fifo"),
+        (ref.index, "offset", 5),
+    ):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(node, name, value)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(node, name)
+    assert parsed.unparse() == (
+        "(total_pkt(forward[i+1]) - total_pkt(forward[i])) == 1"
+    )
 
 
 def test_monitors_of_one_formula_share_code_not_counts(cold_memos):

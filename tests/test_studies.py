@@ -403,9 +403,9 @@ class TestCli:
         data = json.loads(out_path.read_text())
         assert [s["scenario"] for s in data["scenarios"]] == ["overnight_trough"]
 
-    def test_study_unknown_objective_raises(self):
-        with pytest.raises(ConfigError):
-            main([
-                "study", "--scenario", "overnight_trough",
-                "--objective", "fastest", "--quiet",
-            ])
+    def test_study_unknown_objective_exits_2(self, capsys):
+        assert main([
+            "study", "--scenario", "overnight_trough",
+            "--objective", "fastest", "--quiet",
+        ]) == 2
+        assert "fastest" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import EventHooks, ExecutionPolicy, Session, StorePolicy
 from repro.config import DvsConfig, RunConfig, TrafficConfig
-from repro.errors import ConfigError, ExperimentError
+from repro.errors import ConfigError, ExperimentError, TraceError
 from repro.sweep import (
     Job,
     ResultStore,
@@ -98,17 +98,23 @@ class TestSpecExpansion:
         assert checked.checks == (check,)
         assert checked.job_id != plain.job_id
 
-    def test_malformed_check_rejected_at_build_time(self):
+    @pytest.mark.parametrize(
+        "check, refusal",
+        [
+            ("not a formula @@", "unexpected character"),
+            ("time(forward[i]) below <0, 5, 1>", "expected a checker formula"),
+            ("time(forward[3]) <= 5", "relative to i"),
+        ],
+    )
+    def test_malformed_check_rejected_at_build_time(self, check, refusal):
         from repro.errors import LocError
 
-        with pytest.raises(LocError):
-            Job.build(RunConfig(), checks=("not a formula @@",))
-
-    def test_distribution_formula_rejected_as_check(self):
-        from repro.errors import LocError
-
-        with pytest.raises(LocError):
-            Job.build(RunConfig(), checks=("time(forward[i]) below <0, 5, 1>",))
+        checks = ("total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1", check)
+        for _ in range(2):  # a memo never remembers a refusal
+            with pytest.raises(LocError, match=refusal):
+                Job.build(RunConfig(), checks=checks)
+            with pytest.raises(LocError, match=refusal):
+                SweepSpec(checks=checks).jobs()
 
 
 class TestTrafficTokens:
@@ -190,6 +196,18 @@ class TestExecution:
         assert ok.passed and ok.instances_checked > 0
         assert not bad.passed and bad.violations_total > 0
         assert not outcome.assertions_passed
+
+    def test_check_on_an_unpublished_event_is_refused(self):
+        # A misspelt event name would check 0 instances and pass.
+        typo = "time(forwrad[i+1]) - time(forwrad[i]) >= 0"
+        (job,) = SweepSpec(
+            policies=("none",), span=None, checks=(typo,), **FAST
+        ).jobs()
+        refusal = "event[(]s[)] forwrad; the producers publish fifo, forward, "
+        with pytest.raises(TraceError, match=refusal):
+            run_job(job)
+        with pytest.raises(TraceError, match=refusal):
+            Session().run(job)
 
     def test_check_results_survive_the_store(self, tmp_path):
         check = "total_pkt(forward[i+1]) - total_pkt(forward[i]) == 1"

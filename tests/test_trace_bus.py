@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import RunConfig, TrafficConfig
 from repro.errors import TraceError
+from repro.loc.monitor import build_monitor
 from repro.runner import SimulationRun, run_simulation
 from repro.trace.annotations import AnnotationProvider
 from repro.trace.buffer import TraceBuffer
@@ -256,15 +257,17 @@ class TestChipWiring:
         assert [row[3] for row in rows] == list(range(1, len(rows) + 1))
 
     def test_arrival_channel_is_retired(self):
-        # The chip publishes no per-arrival event: a handler subscribed
-        # to the name is never called and the channel is never counted.
-        rows = []
-        run = SimulationRun(quick_config())
-        run.bus.subscribe("arrival", rows.append)
-        result = run.run()
-        assert result.totals.offered_packets > 0
-        assert rows == []
-        assert "arrival" not in run.bus.channel_stats()
+        # The chip publishes no per-arrival event, so a monitor on the
+        # name would check nothing: the chip refuses it when it starts,
+        # naming the events it does publish.
+        monitor = build_monitor("time(arrival[i+1]) - time(arrival[i]) >= 0")
+        run = SimulationRun(quick_config(), monitors=[monitor])
+        with pytest.raises(TraceError) as refused:
+            run.run()
+        message = str(refused.value)
+        assert "event(s) arrival;" in message
+        assert "publish fifo, forward, mem_ixbus" in message
+        assert run.sim.now_ps == 0
 
     def test_wildcard_sink_equivalent_to_legacy_sinks(self):
         buffer = TraceBuffer()
