@@ -16,10 +16,18 @@ PROFILE = "bench"
 
 @pytest.fixture(scope="session")
 def design_grid():
-    """Prime the shared Figures 6-9 grid outside any timed region."""
-    from repro.experiments.common import tdvs_design_space
+    """A session whose in-memory store holds the Figures 6-9 grid.
 
-    return tdvs_design_space(PROFILE)
+    The grid is simulated here, outside any timed region; a figure run
+    through the returned session reads it back from the store.
+    """
+    from repro.api import Session, StorePolicy
+    from repro.experiments.common import tdvs_design_space
+    from repro.sweep import ResultStore
+
+    session = Session(store=StorePolicy(store=ResultStore()))
+    tdvs_design_space(PROFILE, session)
+    return session
 
 
 def run_once(benchmark, fn, *args, **kwargs):

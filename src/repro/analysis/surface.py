@@ -5,12 +5,13 @@ A vertex of the paper's Figure 8 surface is "the power value below which
 size"; Figure 9 is the throughput value above which 80 % of formula (3)
 instances fall.  :class:`PercentileSurface` collects the per-design-point
 :class:`~repro.loc.analyzer.DistributionResult` objects and extracts the
-level cutoffs into a printable grid.
+level cutoffs into a printable grid.  The figures read a surface's
+optima through :func:`repro.experiments.fig08_power_surface.surface_optimum`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.loc.analyzer import DistributionResult
@@ -78,32 +79,3 @@ class PercentileSurface:
             [self.value_at(row, col) for col in self.col_values]
             for row in self.row_values
         ]
-
-    # ------------------------------------------------------------------
-    # Optima (the design-space answers of Section 4.1)
-    # ------------------------------------------------------------------
-    def argmin(self) -> Tuple[float, float, float]:
-        """Design point with the smallest value: ``(row, col, value)``."""
-        return self._arg(min)
-
-    def argmax(self) -> Tuple[float, float, float]:
-        """Design point with the largest value: ``(row, col, value)``."""
-        return self._arg(max)
-
-    def _arg(self, chooser) -> Tuple[float, float, float]:
-        if not self._cells:
-            raise AnalysisError("surface has no results")
-        best: Optional[Tuple[float, float, float]] = None
-        candidates = [
-            (row, col, self.value_at(row, col))
-            for row in self.row_values
-            for col in self.col_values
-            if (row, col) in self._cells
-        ]
-        value = chooser(c[2] for c in candidates)
-        for row, col, v in candidates:
-            if v == value:
-                best = (row, col, v)
-                break
-        assert best is not None
-        return best

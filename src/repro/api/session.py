@@ -353,9 +353,12 @@ class Session:
 
         The figure's grids sweep through :meth:`sweep`, so the
         session's execution policy, store and event hooks apply to
-        them.  A figure may run several sweeps and each builds its own
-        backend, so the policy must name the backend: a pre-built
-        instance is single-use and is refused.
+        them; every simulating experiment except ``fig04``,
+        ``formula1`` and ``idle`` runs that way.  Figures share
+        outcomes only through the session's store.  A figure may run
+        several sweeps and each builds its own backend, so the policy
+        must name the backend: a pre-built instance is single-use and
+        is refused.
         """
         from repro.experiments.registry import get_experiment
 

@@ -32,12 +32,10 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro._exports import lazy_exports
 from repro.errors import BackendError
 from repro.backends.base import ExecutionBackend, StartFn
-from repro.backends.distributed import DistributedBackend, LeaseClock
 from repro.backends.local import ProcessBackend, SerialBackend
-from repro.backends.protocol import PROTOCOL_VERSION, parse_endpoint
-from repro.backends.worker import run_worker
 
 #: Name → backend selector tokens accepted by :func:`get_backend`.
 BACKEND_NAMES = ("serial", "process", "distributed")
@@ -66,6 +64,9 @@ def get_backend(
     if name == "process":
         return ProcessBackend(max(1, workers))
     if name == "distributed":
+        from repro.backends.distributed import DistributedBackend
+        from repro.backends.protocol import parse_endpoint
+
         if connect is None:
             raise BackendError(
                 "distributed backend needs an endpoint to listen on: pass "
@@ -92,3 +93,16 @@ __all__ = [
     "parse_endpoint",
     "run_worker",
 ]
+
+# The distributed coordinator, its wire protocol and the worker loop
+# (with ``socket`` and ``threading``) load on first use, so a serial or
+# process-pool sweep never imports them.
+_EXPORTS = {
+    "DistributedBackend": "repro.backends.distributed",
+    "LeaseClock": "repro.backends.distributed",
+    "PROTOCOL_VERSION": "repro.backends.protocol",
+    "parse_endpoint": "repro.backends.protocol",
+    "run_worker": "repro.backends.worker",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

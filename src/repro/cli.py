@@ -476,11 +476,12 @@ def _make_backend(args):
     return backend
 
 
-def _run_session(args, backend=None) -> "Session":
+def _run_session(args, backend=None, store=None) -> "Session":
     """The :class:`~repro.api.session.Session` one command runs under.
 
     Policy fields come straight from the parsed flags; anything the
     user did not pass stays ``None`` and takes the policy's default.
+    A ``store`` instance takes the place of a ``--store`` path.
     """
     from repro.api import ExecutionPolicy, Session, StorePolicy
 
@@ -488,7 +489,7 @@ def _run_session(args, backend=None) -> "Session":
         execution=ExecutionPolicy(
             backend=backend, workers=getattr(args, "workers", None)
         ),
-        store=StorePolicy(path=getattr(args, "store", None)),
+        store=StorePolicy(path=getattr(args, "store", None), store=store),
     )
 
 
@@ -524,9 +525,12 @@ def _cmd_list() -> int:
 
 def _cmd_run(args) -> int:
     from repro.experiments import list_experiments
+    from repro.sweep.store import ResultStore
 
     ids = list_experiments() if args.experiment == "all" else [args.experiment]
-    session = _run_session(args)
+    # One in-memory store per command: experiments that share jobs (the
+    # Figures 6-9 grid, the no-DVS baselines) simulate each one once.
+    session = _run_session(args, store=ResultStore())
     chunks = []
     for experiment_id in ids:
         result = session.experiment(experiment_id, profile=args.profile)

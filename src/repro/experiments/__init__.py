@@ -10,9 +10,8 @@ regenerates it (text form).  Use the registry::
     result = get_experiment("fig06").run(profile="quick")
     print(result.text)
 
-Profiles scale run length: ``quick`` for CI/benches, ``paper`` for the
-full 8x10^6-cycle runs the paper used.  EXPERIMENTS.md records measured
-outcomes for both where feasible.
+Profiles scale run length: ``bench`` for tests and benches, ``quick``
+for CI, ``paper`` for the full 8x10^6-cycle runs the paper used.
 """
 
 from repro.experiments.registry import (

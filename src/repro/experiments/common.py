@@ -1,4 +1,4 @@
-"""Shared experiment machinery: profiles, instrumented runs, caching.
+"""Shared experiment machinery: profiles, sweep axes and job builders.
 
 Every simulation grid of a figure goes through the session API
 (:mod:`repro.api`): figures build :class:`~repro.sweep.spec.Job`
@@ -8,14 +8,16 @@ when its policy asks for them (``--workers`` on the CLI) and runs them
 in-process otherwise.  Results are identical either way — each job
 carries its own seed.
 
-The TDVS design-space experiments (Figures 6-9) share one 17-run grid;
-:func:`tdvs_design_space` computes it once per profile and caches it so
-``fig06``/``fig07``/``fig08``/``fig09`` stay cheap to run back to back.
+The TDVS design-space experiments (Figures 6-9) share one 17-run grid.
+:func:`tdvs_design_space` sweeps it on every call; figures share its
+outcomes only through the session's
+:class:`~repro.sweep.store.ResultStore`, which serves a job it already
+holds without simulating.  ``repro run`` keeps one in-memory store per
+command, so ``repro run all`` simulates the grid once for ``fig06``-``fig09``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.config import DvsConfig, RunConfig, TrafficConfig
@@ -24,8 +26,6 @@ from repro.sweep.spec import Job
 
 if TYPE_CHECKING:
     from repro.api.session import Session
-    from repro.loc.analyzer import DistributionResult
-    from repro.runner import RunResult
     from repro.sweep.store import SweepOutcome
 
 #: Run lengths (reference-clock cycles) per profile.  ``paper`` is the
@@ -75,29 +75,6 @@ def span_for(profile: str) -> int:
     return SPAN_BY_PROFILE.get(profile, 100)
 
 
-@dataclass
-class InstrumentedRun:
-    """One simulation plus its power/throughput distributions."""
-
-    result: RunResult
-    power: DistributionResult
-    throughput: DistributionResult
-
-
-def as_instrumented(outcome: SweepOutcome) -> InstrumentedRun:
-    """View a sweep outcome as an :class:`InstrumentedRun`."""
-    if outcome.power_dist is None or outcome.throughput_dist is None:
-        raise ExperimentError(
-            f"job {outcome.label or outcome.job_id!r} ran without analyzers "
-            "(span=None); instrumented experiments need span set"
-        )
-    return InstrumentedRun(
-        result=outcome.result,
-        power=outcome.power_dist,
-        throughput=outcome.throughput_dist,
-    )
-
-
 def instrumented_job(
     profile: str,
     benchmark: str = "ipfwdr",
@@ -143,52 +120,17 @@ def instrumented_job(
     return Job.build(config, span=span_for(profile), label=label)
 
 
-def instrumented_run(
-    profile: str,
-    benchmark: str = "ipfwdr",
-    load_mbps: Optional[float] = None,
-    level: Optional[str] = None,
-    scenario: Optional[str] = None,
-    dvs: Optional[DvsConfig] = None,
-    seed: int = EXPERIMENT_SEED,
-    process: str = "mmpp",
-) -> InstrumentedRun:
-    """Run one configuration with formula (2)/(3) analyzers attached."""
-    from repro.sweep.engine import run_job
-
-    job = instrumented_job(
-        profile,
-        benchmark=benchmark,
-        load_mbps=load_mbps,
-        level=level,
-        scenario=scenario,
-        dvs=dvs,
-        seed=seed,
-        process=process,
-    )
-    return as_instrumented(run_job(job))
-
-
-#: Cache: profile -> {(threshold|None, window|None): InstrumentedRun}.
-#: The (None, None) key is the no-DVS baseline.
-_TDVS_CACHE: Dict[str, Dict[Tuple[Optional[float], Optional[int]], InstrumentedRun]] = {}
-
-
 def tdvs_design_space(
-    profile: str,
-    session: Optional[Session] = None,
-) -> Dict[Tuple[Optional[float], Optional[int]], InstrumentedRun]:
+    profile: str, session: Session
+) -> Dict[Tuple[Optional[float], Optional[int]], SweepOutcome]:
     """The shared Figures 6-9 grid: 4 thresholds x 4 windows + noDVS.
 
     Benchmark `ipfwdr` at the high traffic sample, as in Section 4.1.
-    The 17 runs sweep through ``session`` (default: a serial session),
-    so a session with more workers regenerates the grid in parallel
-    with identical results.  The grid is computed once per profile and
-    process; later calls return the cached grid without sweeping.
+    The 17 jobs sweep through ``session`` on every call, keyed by
+    ``(threshold, window)``; ``(None, None)`` is the no-DVS baseline.
+    A session with a result store serves the jobs it already holds, so
+    figures that share the grid simulate it once.
     """
-    cached = _TDVS_CACHE.get(profile)
-    if cached is not None:
-        return cached
     keys: List[Tuple[Optional[float], Optional[int]]] = [(None, None)]
     jobs = [instrumented_job(profile, level="high")]
     for threshold in TDVS_THRESHOLDS_MBPS:
@@ -200,18 +142,4 @@ def tdvs_design_space(
             )
             keys.append((threshold, window))
             jobs.append(instrumented_job(profile, level="high", dvs=dvs))
-    if session is None:
-        from repro.api.session import Session
-
-        session = Session()
-    outcomes = session.sweep(jobs)
-    grid = {
-        key: as_instrumented(outcome) for key, outcome in zip(keys, outcomes)
-    }
-    _TDVS_CACHE[profile] = grid
-    return grid
-
-
-def clear_caches() -> None:
-    """Drop cached design-space grids (tests use this)."""
-    _TDVS_CACHE.clear()
+    return dict(zip(keys, session.sweep(jobs)))

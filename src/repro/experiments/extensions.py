@@ -18,39 +18,45 @@
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.config import DvsConfig
-from repro.experiments.common import instrumented_run
-from repro.experiments.registry import ExperimentResult, register
-from repro.loc.builtin import forwarding_latency_formula
-from repro.loc.monitor import build_monitor
-from repro.config import RunConfig, TrafficConfig
+from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.experiments.common import (
     EXPERIMENT_SEED,
     LEVEL_LOADS_MBPS,
     cycles_for,
+    instrumented_job,
     span_for,
 )
+from repro.experiments.registry import ExperimentResult, register
+from repro.loc.builtin import forwarding_latency_formula
+from repro.loc.monitor import build_monitor
 from repro.runner import run_simulation
+
+#: The policies ``abl-combined`` compares, in render order.
+COMBINED_POLICIES = ("none", "tdvs", "edvs", "combined")
 
 
 @register("abl-combined", "Combined TDVS+EDVS governor", "Section 4 (declined)")
 def run_combined(profile: str, session) -> ExperimentResult:
     """All four policies at the high traffic sample, with monitor cost."""
-    rows = []
-    data = {}
-    for policy in ("none", "tdvs", "edvs", "combined"):
-        dvs = (
-            DvsConfig(
+    jobs = [
+        instrumented_job(
+            profile,
+            level="high",
+            dvs=DvsConfig(
                 policy=policy,
                 window_cycles=40_000,
                 top_threshold_mbps=1400.0,
                 idle_threshold=0.10,
             )
             if policy != "none"
-            else None
+            else None,
         )
-        run_data = instrumented_run(profile, level="high", dvs=dvs)
-        result = run_data.result
+        for policy in COMBINED_POLICIES
+    ]
+    rows = []
+    data = {}
+    for policy, outcome in zip(COMBINED_POLICIES, session.sweep(jobs)):
+        result = outcome.result
         overhead_mw = result.dvs_overhead_w * 1e3
         rows.append(
             (
@@ -88,6 +94,11 @@ def run_formula1(profile: str, session) -> ExperimentResult:
     belongs to its testbed's latency scale; the harness keeps the
     formula shape and span but widens the analysis range to bracket the
     model's measured scale, then reports both.
+
+    This run stays a direct :func:`~repro.runner.run_simulation` call
+    outside the session: it needs a formula (1) distribution monitor,
+    and a :class:`~repro.sweep.spec.Job` carries only its span's
+    formulas (2)/(3) and checker formulas.
     """
     span = span_for(profile)
     monitor = build_monitor(

@@ -2,6 +2,10 @@
 
 Runs a short `ipfwdr` simulation with per-chunk pipeline events enabled
 and prints the first trace lines in the paper's column format.
+
+The run stays a direct :func:`~repro.runner.run_simulation` call
+outside the session: it needs a trace sink to collect the events, and a
+sweep outcome carries no trace.
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ def run(profile: str, session) -> ExperimentResult:
     for threshold in TDVS_THRESHOLDS_MBPS:
         curves = []
         for window in TDVS_WINDOWS_CYCLES:
-            run_data = grid[(threshold, window)]
-            curves.append((f"{window // 1000}K", run_data.power.curve()))
-            data["mean_power_w"][(threshold, window)] = run_data.result.mean_power_w
-        curves.append(("noDVS", baseline.power.curve()))
+            outcome = grid[(threshold, window)]
+            curves.append((f"{window // 1000}K", outcome.power_dist.curve()))
+            data["mean_power_w"][(threshold, window)] = outcome.result.mean_power_w
+        curves.append(("noDVS", baseline.power_dist.curve()))
         sections.append(
             format_curve_family(
                 curves,

@@ -30,15 +30,15 @@ def run(profile: str, session) -> ExperimentResult:
     for threshold in TDVS_THRESHOLDS_MBPS:
         curves = []
         for window in TDVS_WINDOWS_CYCLES:
-            run_data = grid[(threshold, window)]
-            curves.append((f"{window // 1000}K", run_data.throughput.curve()))
+            outcome = grid[(threshold, window)]
+            curves.append((f"{window // 1000}K", outcome.throughput_dist.curve()))
             data["throughput_mbps"][(threshold, window)] = (
-                run_data.result.throughput_mbps
+                outcome.result.throughput_mbps
             )
             data["loss_fraction"][(threshold, window)] = (
-                run_data.result.totals.loss_fraction
+                outcome.result.totals.loss_fraction
             )
-        curves.append(("noDVS", baseline.throughput.curve()))
+        curves.append(("noDVS", baseline.throughput_dist.curve()))
         sections.append(
             format_curve_family(
                 curves,

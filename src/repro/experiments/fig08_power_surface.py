@@ -28,9 +28,10 @@ def surface_optimum(surface: PercentileSurface, direction: str):
     Row-major cell order with first-wins ties — the same deterministic
     :func:`~repro.studies.objective.select_design_point` rule the study
     engine applies to per-scenario winners, so figure read-offs and
-    policy-map winners can never disagree on tie-breaking.  Like
-    ``PercentileSurface.argmin``/``argmax``, it tolerates a partially
-    filled surface by reading only the populated cells.
+    policy-map winners can never disagree on tie-breaking.  It reads
+    only the populated cells, so a partially filled surface has an
+    optimum too.  Returns ``(row, col, value)``; ``direction`` is
+    ``"min"`` or ``"max"``.
     """
     cells = [
         ((row, col), surface.value_at(row, col))
@@ -42,7 +43,7 @@ def surface_optimum(surface: PercentileSurface, direction: str):
     return row, col, value
 
 
-def build_power_surface(profile: str, session=None) -> PercentileSurface:
+def build_power_surface(profile: str, session) -> PercentileSurface:
     """The Figure 8 surface from the shared design-space grid (swept
     through ``session``, see :func:`tdvs_design_space`)."""
     grid = tdvs_design_space(profile, session)
@@ -56,7 +57,7 @@ def build_power_surface(profile: str, session=None) -> PercentileSurface:
     )
     for threshold in TDVS_THRESHOLDS_MBPS:
         for window in TDVS_WINDOWS_CYCLES:
-            surface.add(threshold, window, grid[(threshold, window)].power)
+            surface.add(threshold, window, grid[(threshold, window)].power_dist)
     return surface
 
 

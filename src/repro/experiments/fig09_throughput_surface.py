@@ -20,7 +20,7 @@ from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.fig08_power_surface import SURFACE_LEVEL, surface_optimum
 
 
-def build_throughput_surface(profile: str, session=None) -> PercentileSurface:
+def build_throughput_surface(profile: str, session) -> PercentileSurface:
     """The Figure 9 surface from the shared design-space grid (swept
     through ``session``, see :func:`tdvs_design_space`)."""
     grid = tdvs_design_space(profile, session)
@@ -34,7 +34,7 @@ def build_throughput_surface(profile: str, session=None) -> PercentileSurface:
     )
     for threshold in TDVS_THRESHOLDS_MBPS:
         for window in TDVS_WINDOWS_CYCLES:
-            surface.add(threshold, window, grid[(threshold, window)].throughput)
+            surface.add(threshold, window, grid[(threshold, window)].throughput_dist)
     return surface
 
 

@@ -13,7 +13,6 @@ from repro.config import DvsConfig
 from repro.experiments.common import (
     EDVS_IDLE_THRESHOLD,
     EDVS_WINDOWS_CYCLES,
-    as_instrumented,
     instrumented_job,
 )
 from repro.experiments.registry import ExperimentResult, register
@@ -31,21 +30,18 @@ def run(profile: str, session) -> ExperimentResult:
             idle_threshold=EDVS_IDLE_THRESHOLD,
         )
         jobs.append(instrumented_job(profile, level="high", dvs=dvs))
-    outcomes = session.sweep(jobs)
-    baseline = as_instrumented(outcomes[0])
-    runs = {
-        window: as_instrumented(outcome)
-        for window, outcome in zip(EDVS_WINDOWS_CYCLES, outcomes[1:])
-    }
+    baseline, *outcomes = session.sweep(jobs)
+    runs = dict(zip(EDVS_WINDOWS_CYCLES, outcomes))
 
     power_curves = [
-        (f"{w // 1000}K", runs[w].power.curve()) for w in EDVS_WINDOWS_CYCLES
+        (f"{w // 1000}K", runs[w].power_dist.curve()) for w in EDVS_WINDOWS_CYCLES
     ]
-    power_curves.append(("noDVS", baseline.power.curve()))
+    power_curves.append(("noDVS", baseline.power_dist.curve()))
     throughput_curves = [
-        (f"{w // 1000}K", runs[w].throughput.curve()) for w in EDVS_WINDOWS_CYCLES
+        (f"{w // 1000}K", runs[w].throughput_dist.curve())
+        for w in EDVS_WINDOWS_CYCLES
     ]
-    throughput_curves.append(("noDVS", baseline.throughput.curve()))
+    throughput_curves.append(("noDVS", baseline.throughput_dist.curve()))
 
     text = (
         format_curve_family(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.analysis.compare import PolicyComparison, PolicyOutcome
 from repro.config import DvsConfig
-from repro.experiments.common import as_instrumented, instrumented_job
+from repro.experiments.common import instrumented_job
 from repro.experiments.registry import ExperimentResult, register
 
 BENCHMARKS = ("ipfwdr", "url", "nat", "md4")
@@ -49,16 +49,15 @@ def build_comparison(profile: str, session) -> PolicyComparison:
     outcomes = session.sweep(jobs)
     comparison = PolicyComparison(BENCHMARKS, LEVELS)
     for (benchmark, level, policy, _dvs), outcome in zip(cells, outcomes):
-        run_data = as_instrumented(outcome)
         comparison.add(
             benchmark,
             level,
             PolicyOutcome(
                 policy=policy,
-                mean_power_w=run_data.result.mean_power_w,
-                throughput_mbps=run_data.result.throughput_mbps,
-                loss_fraction=run_data.result.totals.loss_fraction,
-                power_distribution=run_data.power,
+                mean_power_w=outcome.result.mean_power_w,
+                throughput_mbps=outcome.result.throughput_mbps,
+                loss_fraction=outcome.result.totals.loss_fraction,
+                power_distribution=outcome.power_dist,
             ),
         )
     return comparison

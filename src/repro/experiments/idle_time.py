@@ -9,6 +9,11 @@ always under 5%."
 This experiment samples per-window idle fractions of every ME during a
 no-DVS `ipfwdr` run at the high traffic sample and reports the fraction
 of windows in the paper's three bands (<5 %, 5-30 %, >=30 %) per ME role.
+
+The run stays a direct :class:`~repro.runner.SimulationRun` outside the
+session: it schedules its own per-window sampling events into the
+kernel, and a sweep outcome has no per-window output to carry the
+samples (that belongs to the DVS decision timeline).
 """
 
 from __future__ import annotations

@@ -91,10 +91,13 @@ class Experiment:
     runner: Callable[[str, Any], ExperimentResult]
 
     def run(self, profile: str = "quick", session=None) -> ExperimentResult:
-        """Execute with the named profile (``quick`` or ``paper``).
+        """Execute with a named run-length profile.
 
-        ``session`` (a :class:`repro.api.Session`; default: a serial
-        session with no store) runs the figure's grids.
+        Any profile of :data:`~repro.experiments.common.PROFILE_CYCLES`
+        is accepted (``bench``, ``quick`` or ``paper``); an unknown one
+        raises :class:`~repro.errors.ExperimentError`.  ``session`` (a
+        :class:`repro.api.Session`; default: a serial session with no
+        store) runs the figure's grids.
         """
         if session is None:
             from repro.api.session import Session

@@ -137,8 +137,8 @@ def _derived(source: SweepOutcome, job: Job, config: RunConfig) -> SweepOutcome:
 def run_job(job: Job) -> SweepOutcome:
     """Execute one job in this process: a family of one.
 
-    This is the execution path of the distributed workers, custom
-    backends and :func:`repro.experiments.common.instrumented_run`.
+    This is the execution path of the distributed workers and custom
+    backends.
     Determinism comes from the job itself: the config carries the seed,
     and every RNG stream derives from it.
 

@@ -9,12 +9,13 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import get_experiment, list_experiments, run_experiment
+from repro.api import EventHooks, Session, StorePolicy
 from repro.experiments.common import (
     TDVS_THRESHOLDS_MBPS,
     TDVS_WINDOWS_CYCLES,
-    clear_caches,
     tdvs_design_space,
 )
+from repro.sweep import ResultStore
 
 
 def test_registry_lists_all_paper_artifacts():
@@ -73,50 +74,53 @@ class TestStaticExperiments:
 
 
 class TestDesignSpaceExperiments:
-    @pytest.fixture(scope="class")
-    def grid(self):
-        clear_caches()
-        return tdvs_design_space("bench")
+    """Figures 6-9 run through one session, whose in-memory store holds
+    the shared grid after the first sweep."""
 
-    def test_grid_complete(self, grid):
+    @pytest.fixture(scope="class")
+    def session(self):
+        return Session(store=StorePolicy(store=ResultStore()))
+
+    def test_grid_complete(self, session):
+        grid = tdvs_design_space("bench", session)
         assert (None, None) in grid
         assert len(grid) == 1 + len(TDVS_THRESHOLDS_MBPS) * len(TDVS_WINDOWS_CYCLES)
 
-    def test_fig06_every_tdvs_point_saves_power(self, grid):
-        result = run_experiment("fig06", profile="bench")
+    def test_fig06_every_tdvs_point_saves_power(self, session):
+        result = session.experiment("fig06", profile="bench")
         baseline = result.data["mean_power_w"][(None, None)]
         for key, power in result.data["mean_power_w"].items():
             if key == (None, None):
                 continue
             assert power < baseline
 
-    def test_fig06_smaller_windows_lower_power(self, grid):
-        result = run_experiment("fig06", profile="bench")
+    def test_fig06_smaller_windows_lower_power(self, session):
+        result = session.experiment("fig06", profile="bench")
         powers = result.data["mean_power_w"]
         for threshold in TDVS_THRESHOLDS_MBPS:
             assert powers[(threshold, 20_000)] < powers[(threshold, 80_000)]
 
-    def test_fig07_small_windows_cost_throughput(self, grid):
-        result = run_experiment("fig07", profile="bench")
+    def test_fig07_small_windows_cost_throughput(self, session):
+        result = session.experiment("fig07", profile="bench")
         throughput = result.data["throughput_mbps"]
         baseline = throughput[(None, None)]
         # 20k windows lose measurably more than 80k at the high threshold.
         assert throughput[(1400.0, 20_000)] < throughput[(1400.0, 80_000)]
         assert throughput[(1400.0, 80_000)] <= baseline * 1.02
 
-    def test_fig08_surface_renders(self, grid):
-        result = run_experiment("fig08", profile="bench")
+    def test_fig08_surface_renders(self, session):
+        result = session.experiment("fig08", profile="bench")
         assert len(result.data["grid"]) == len(TDVS_THRESHOLDS_MBPS)
         assert "lowest-power design point" in result.text
 
-    def test_fig09_surface_renders(self, grid):
-        result = run_experiment("fig09", profile="bench")
+    def test_fig09_surface_renders(self, session):
+        result = session.experiment("fig09", profile="bench")
         assert len(result.data["grid"][0]) == len(TDVS_WINDOWS_CYCLES)
         assert "best-throughput design point" in result.text
 
-    def test_fig08_fig09_tradeoff_direction(self, grid):
-        power = run_experiment("fig08", profile="bench").data
-        throughput = run_experiment("fig09", profile="bench").data
+    def test_fig08_fig09_tradeoff_direction(self, session):
+        power = session.experiment("fig08", profile="bench").data
+        throughput = session.experiment("fig09", profile="bench").data
         # The lowest-power point must not also be the best-throughput point.
         assert power["argmin"][:2] != throughput["argmax"][:2]
 
@@ -176,3 +180,45 @@ class TestAblations:
         assert (
             result.data[0.2]["transitions"] < result.data[0.0]["transitions"]
         )
+
+
+class TestOnePath:
+    """Every simulating experiment except fig04, formula1 and idle
+    sweeps through its session; figures share outcomes only through the
+    session's store."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, jobs",
+        [
+            ("abl-penalty", 4),
+            ("abl-polling", 2),
+            ("abl-hysteresis", 3),
+            ("abl-combined", 4),
+        ],
+    )
+    def test_ablation_outcomes_reach_the_session(self, experiment_id, jobs):
+        seen = []
+        session = Session(hooks=EventHooks(on_outcome=seen.append))
+        session.experiment(experiment_id, profile="bench")
+        assert len(seen) == jobs
+
+    def test_a_later_session_stores_the_grid(self):
+        Session().experiment("fig06", profile="bench")
+        store = ResultStore()
+        Session(store=StorePolicy(store=store)).experiment("fig08", profile="bench")
+        assert len(store) == 17
+
+    def test_a_figure_reads_the_shared_grid_from_the_store(self):
+        started, seen = [], []
+        session = Session(
+            store=StorePolicy(store=ResultStore()),
+            hooks=EventHooks(on_job_start=started.append, on_outcome=seen.append),
+        )
+        session.experiment("fig06", profile="bench")
+        assert len(started) == 17
+        started.clear()
+        seen.clear()
+        session.experiment("fig07", profile="bench")
+        assert started == []
+        assert len(seen) == 17
+        assert all(outcome.cached for outcome in seen)

@@ -2,8 +2,9 @@
 
 The orchestration packages (``repro``, ``repro.api``, ``repro.sweep``,
 ``repro.studies``, ``repro.obs``) resolve their exported names on first
-access (:mod:`repro._exports`), so a single run, a study's monitors and
-the CLI parser each import only what they use.  Every check runs in a
+access (:mod:`repro._exports`), and ``repro.backends`` its distributed
+ones, so a single run, a study's monitors, a process-pool sweep and the
+CLI parser each import only what they use.  Every check runs in a
 fresh interpreter: the test process itself has imported everything.
 """
 
@@ -21,7 +22,23 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LAZY_PACKAGES = ("repro", "repro.api", "repro.sweep", "repro.studies", "repro.obs")
+#: Packages whose exports resolve on first access, each with the
+#: exports it binds at import instead.
+LAZY_PACKAGES = {
+    "repro": (),
+    "repro.api": (),
+    "repro.sweep": (),
+    "repro.studies": (),
+    "repro.obs": (),
+    "repro.backends": (
+        "BACKEND_NAMES",
+        "ExecutionBackend",
+        "ProcessBackend",
+        "SerialBackend",
+        "StartFn",
+        "get_backend",
+    ),
+}
 
 ALL_PACKAGES = sorted(
     ".".join(init.parent.relative_to(SRC).parts)
@@ -124,6 +141,25 @@ class TestImportGraph:
         assert "repro.cli" in loaded
         assert _hits(loaded, ("repro.runner", "repro.loc")) == []
 
+    def test_process_pool_sweep_loads_no_distributed_backend(self):
+        loaded = _loaded_after(
+            """
+            from repro.api import ExecutionPolicy, Session
+            from repro.config import RunConfig
+            from repro.sweep.spec import Job
+
+            jobs = [Job.build(RunConfig(duration_cycles=20_000, seed=seed))
+                    for seed in (1, 2)]
+            session = Session(execution=ExecutionPolicy(workers=2))
+            assert len(session.sweep(jobs)) == 2
+            """
+        )
+        assert "repro.backends.local" in loaded
+        assert _hits(loaded, (
+            "repro.backends.distributed",
+            "repro.backends.worker",
+        )) == []
+
     def test_run_length_loads_no_session_sweep_or_loc(self):
         # ``repro scenarios NAME --run`` reads its run length here.
         loaded = _loaded_after(
@@ -157,19 +193,21 @@ import importlib, inspect, json, sys
 name = sys.argv[1]
 package = importlib.import_module(name)
 exports = package._EXPORTS
+eager = sorted(n for n in package.__all__ if n in vars(package))
 listed = dir(package)
 bound = {}
 exec(f"from {name} import *", bound)
 report = {
     "all": sorted(package.__all__),
     "table": sorted(exports),
+    "eager": eager,
     "not_in_dir": [n for n in package.__all__ if n not in listed],
     "not_bound": [n for n in package.__all__ if n not in bound],
     "not_own_object": [],
     "not_cached": [n for n in package.__all__ if n not in vars(package)],
     "unknown": "no AttributeError",
 }
-for export in package.__all__:
+for export in exports:
     value = getattr(package, export)
     home = importlib.import_module(exports[export])
     defined_elsewhere = (
@@ -186,10 +224,12 @@ print(json.dumps(report))
 """
 
 
-@pytest.mark.parametrize("package", LAZY_PACKAGES)
+@pytest.mark.parametrize("package", sorted(LAZY_PACKAGES))
 def test_exports_resolve_to_their_defining_module(package):
     report = _fresh(_RESOLVE, package)
-    assert report["table"] == report["all"]
+    eager = sorted(LAZY_PACKAGES[package])
+    assert report["eager"] == eager
+    assert report["table"] == sorted(set(report["all"]) - set(eager))
     assert report["not_in_dir"] == []
     assert report["not_bound"] == []
     assert report["not_own_object"] == []

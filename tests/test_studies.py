@@ -240,17 +240,18 @@ class TestSelectDesignPoint:
             [(r, c) for r in (1.0, 2.0) for c in (10.0, 20.0)]
         ):
             surface.add(row, col, one_power_sample(0.6 + 0.25 * k))
-        assert surface_optimum(surface, "min") == surface.argmin()
-        assert surface_optimum(surface, "max") == surface.argmax()
+        # Level cutoffs fall on the 0.25 W bucket edges: [[0.75, 1.0], [1.25, 1.5]].
+        assert surface_optimum(surface, "min") == (1.0, 10.0, 0.75)
+        assert surface_optimum(surface, "max") == (2.0, 20.0, 1.5)
 
     def test_surface_optimum_tolerates_missing_cells(self):
-        """Like argmin/argmax, only populated cells are considered."""
+        """Only populated cells are considered."""
         from repro.analysis.surface import PercentileSurface
         from repro.experiments.fig08_power_surface import surface_optimum
 
         surface = PercentileSurface((1.0, 2.0), (10.0, 20.0))
         surface.add(2.0, 20.0, one_power_sample(1.0))
-        assert surface_optimum(surface, "min") == surface.argmin()
+        assert surface_optimum(surface, "min") == (2.0, 20.0, 1.0)
 
 
 class TestPareto:
