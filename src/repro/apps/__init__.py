@@ -19,14 +19,13 @@ profile the paper describes:
 
 Real data structures back the models: an LPM trie
 (:mod:`~repro.apps.routing`), a NAT translation table
-(:mod:`~repro.apps.nat_table`) and a full MD4 implementation
+(:mod:`~repro.apps.nat_table`) and MD4's block-count padding rule
 (:mod:`~repro.apps.md4_core`).
 """
 
 from repro.apps.base import AppModel, AppProfile, AppResources, build_app
 from repro.apps.ipfwdr import IpfwdrApp
 from repro.apps.md4 import Md4App
-from repro.apps.md4_core import md4_digest, md4_hexdigest
 from repro.apps.nat import NatApp
 from repro.apps.nat_table import NatTable
 from repro.apps.routing import RoutingTrie, random_routing_trie
@@ -43,7 +42,5 @@ __all__ = [
     "RoutingTrie",
     "UrlApp",
     "build_app",
-    "md4_digest",
-    "md4_hexdigest",
     "random_routing_trie",
 ]

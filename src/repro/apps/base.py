@@ -98,9 +98,9 @@ class AppModel:
     a memoized list shared by every packet of that shape, and applies
     its per-packet effects (counters, ``packet.output_port``) when
     called.  Steps are immutable and the microengine only iterates the
-    list, so sharing it is safe.  A stream whose effects depend on when
-    each step runs (NAT's translation table, real MD4 digests, the
-    microcode interpreter) is a generator instead.
+    list, so sharing it is safe.  NAT's receive stream is the one whose
+    effects depend on when each step runs (its translation table), so
+    it is a generator instead.
     """
 
     #: Benchmark name (matches ``RunConfig.benchmark``).
@@ -151,18 +151,6 @@ class AppModel:
             self._tx_steps_memo[key] = steps
         return steps
 
-    # -- introspection ----------------------------------------------------
-    def expected_rx_instructions(self, packet: Packet) -> int:
-        """Engine-busy instructions :meth:`rx_steps` will charge.
-
-        Used by tests and the detailed/fast equivalence checks.
-        """
-        return sum(
-            step.instructions
-            for step in self.rx_steps(packet)
-            if isinstance(step, Compute)
-        )
-
 
 #: Registered application constructors, filled by :func:`register_app`.
 _REGISTRY: Dict[str, Callable[[AppResources], AppModel]] = {}
@@ -183,7 +171,7 @@ def build_app(name: str, resources: AppResources) -> AppModel:
     # Import the app modules lazily so registration happens on demand
     # without import cycles.
     if name not in _REGISTRY:
-        from repro.apps import detailed, ipfwdr, md4, nat, url  # noqa: F401
+        from repro.apps import ipfwdr, md4, nat, url  # noqa: F401
 
     try:
         factory = _REGISTRY[name]

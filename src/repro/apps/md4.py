@@ -13,14 +13,12 @@ receive
 transmit
     standard descriptor + SDRAM fetch + MAC handoff.
 
-In detailed runs the digest is actually computed with
-:func:`repro.apps.md4_core.md4_digest` over the packet's materialized
-payload (tests verify against the RFC test vectors).
+The model charges the digest's cost; it never computes the digest.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import List
 
 from repro.apps.base import (
     CHUNK_BYTES,
@@ -30,7 +28,7 @@ from repro.apps.base import (
     chunks_of,
     register_app,
 )
-from repro.apps.md4_core import OPS_PER_BLOCK, md4_blocks_for, md4_digest
+from repro.apps.md4_core import OPS_PER_BLOCK, md4_blocks_for
 from repro.npu.steps import Compute, MemRead, MemWrite, PutTx, Step
 from repro.traffic.packet import Packet
 
@@ -49,33 +47,19 @@ MD4_PROFILE = AppProfile(
 #: Digest bytes written back to SRAM.
 DIGEST_BYTES = 16
 
-#: Steps after the hash rounds: digest write-back, finish, descriptor
-#: write, enqueue and PutTx.
-_RX_TAIL_STEPS = 5
-
 
 class Md4App(AppModel):
     """Per-packet MD4 signatures: memory- and compute-intensive."""
 
     name = "md4"
 
-    def __init__(
-        self,
-        resources: AppResources,
-        profile=None,
-        compute_real_digests: bool = False,
-    ):
+    def __init__(self, resources: AppResources, profile=None):
         super().__init__(resources, profile or MD4_PROFILE)
-        #: When true, actually hash each packet's payload (slow; used by
-        #: detailed runs and tests rather than the big sweeps).
-        self.compute_real_digests = compute_real_digests
         self.blocks_hashed = 0
-        self.last_digest: Optional[bytes] = None
 
-    def rx_steps(self, packet: Packet) -> Iterable[Step]:
+    def rx_steps(self, packet: Packet) -> List[Step]:
         # The stream's shape is the chunk count and the RFC 1320 block
-        # count; ``blocks_hashed`` commutes, so the stream is pure unless
-        # real digests are on.
+        # count; ``blocks_hashed`` commutes, so the stream is pure.
         blocks = md4_blocks_for(packet.payload_bytes_len)
         self.blocks_hashed += blocks
         packet.output_port = packet.input_port
@@ -83,8 +67,6 @@ class Md4App(AppModel):
         steps = self._rx_steps_memo.get(key)
         if steps is None:
             steps = self._rx_steps_memo[key] = self._rx_shape(*key)
-        if self.compute_real_digests:
-            return self._hashing_steps(packet, steps)
         return steps
 
     def _rx_shape(self, nchunks: int, blocks: int) -> List[Step]:
@@ -102,7 +84,7 @@ class Md4App(AppModel):
                 MemRead("sram", CHUNK_BYTES),
                 Compute(OPS_PER_BLOCK),
             )
-        # Digest write-back and descriptor enqueue (``_RX_TAIL_STEPS``).
+        # Digest write-back and descriptor enqueue.
         steps += (
             MemWrite("sram", DIGEST_BYTES),
             Compute(profile.rx_finish_instr),
@@ -111,17 +93,6 @@ class Md4App(AppModel):
             PutTx(),
         )
         return steps
-
-    def _hashing_steps(self, packet: Packet, steps: List[Step]) -> Iterator[Step]:
-        """``steps``, hashing the payload for real once the rounds ran.
-
-        A generator: ``last_digest`` follows the order in which packets
-        finish their rounds.
-        """
-        rounds_end = len(steps) - _RX_TAIL_STEPS
-        yield from steps[:rounds_end]
-        self.last_digest = md4_digest(packet.payload())
-        yield from steps[rounds_end:]
 
     def tx_steps(self, packet: Packet) -> List[Step]:
         return self._standard_tx_steps(packet, fetch_sdram=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import NpuError
 
@@ -63,11 +63,6 @@ class RoutingTrie:
         if node.next_hop is None:
             self.prefixes += 1
         node.next_hop = port
-
-    @property
-    def root(self) -> _TrieNode:
-        """The root node (used by the stride-table serializer)."""
-        return self._root
 
     def lookup(self, address: int) -> Tuple[int, int]:
         """Longest-prefix-match: returns ``(port, depth_visited)``.
@@ -126,8 +121,8 @@ def routing_trie_for(resources: AppResources) -> RoutingTrie:
     once per process: it is a pure function of the stream's state and
     the two sizes, so every run whose stream starts alike (every job of
     one seed) shares it, and the stream is left where the build would
-    have left it.  The shared trie is read-only: apps only look it up or
-    serialize it.  A caller that inserts routes builds its own with
+    have left it.  The shared trie is read-only: apps only look it up.
+    A caller that inserts routes builds its own with
     :func:`random_routing_trie`.
     """
     if resources.routing_trie is None:
@@ -155,20 +150,3 @@ def strides_for_depth(depth_bits: int, stride_bits: int = 8, max_strides: int = 
     if depth_bits <= 1:
         return 1
     return min(max_strides, 1 + (depth_bits - 2) // stride_bits + 1)
-
-
-def brute_force_lpm(
-    routes: List[Tuple[int, int, int]], address: int, default_port: int = 0
-) -> int:
-    """Reference LPM over ``(prefix, length, port)`` tuples (tests only)."""
-    best_port = default_port
-    best_length = -1
-    for prefix, length, port in routes:
-        # >= so that a re-inserted identical prefix overrides (last wins),
-        # matching the trie's overwrite semantics.
-        if length >= best_length:
-            mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
-            if (address & mask) == (prefix & mask):
-                best_port = port
-                best_length = length
-    return best_port

@@ -429,25 +429,21 @@ class RunConfig(_Base):
     power: PowerConfig = field(default_factory=PowerConfig)
     dvs: DvsConfig = field(default_factory=DvsConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    #: Publish ``m<k>_pipeline`` events (None: none).  Any non-None
-    #: value publishes one event per ``Compute`` step and per missed
-    #: poll, so "chunk" and "instruction" behave the same; the event
-    #: granularity follows the app (the microcoded apps issue one
-    #: ``Compute`` per instruction).
+    #: Publish ``m<k>_pipeline`` events: ``"chunk"`` publishes one per
+    #: ``Compute`` step and per missed poll, ``None`` none.  A string,
+    #: not a flag, because job ids hash the value.
     pipeline_events: Optional[str] = None
 
-    #: Fast per-packet models, plus the detailed (interpreted-microcode)
-    #: variants usable anywhere a benchmark name is accepted.
-    BENCHMARKS = ("ipfwdr", "url", "nat", "md4", "ipfwdr_uc", "nat_uc")
+    #: The per-packet application models.
+    BENCHMARKS = ("ipfwdr", "url", "nat", "md4")
 
     def validate(self) -> None:
         if self.benchmark not in self.BENCHMARKS:
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
         _positive(self.duration_cycles, "RunConfig.duration_cycles")
-        if self.pipeline_events not in (None, "chunk", "instruction"):
+        if self.pipeline_events not in (None, "chunk"):
             raise ConfigError(
-                f"pipeline_events must be None/'chunk'/'instruction', "
-                f"got {self.pipeline_events!r}"
+                f"pipeline_events must be None or 'chunk', got {self.pipeline_events!r}"
             )
         self.npu.validate()
         self.power.validate()

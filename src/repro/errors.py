@@ -37,26 +37,6 @@ class MemoryModelError(NpuError):
     """An SRAM/SDRAM/scratchpad access was out of range or malformed."""
 
 
-class IsaError(NpuError):
-    """A microcode instruction is malformed or illegal to execute."""
-
-
-class AssemblerError(IsaError):
-    """Microcode source text failed to assemble.
-
-    Attributes
-    ----------
-    line:
-        1-based source line of the error, or ``None`` if not applicable.
-    """
-
-    def __init__(self, message: str, line: "int | None" = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 class TrafficError(ReproError):
     """A traffic model or packet source was misconfigured."""
 

@@ -12,13 +12,11 @@ The chip (:mod:`~repro.npu.chip`) assembles:
 * sixteen **device ports** (:mod:`~repro.npu.ports`) with bounded receive
   queues (the packet-loss mechanism) and wire-rate transmit serialization
   (the source of ``forward`` trace events);
-* an SDRAM **packet-buffer allocator** (:mod:`~repro.npu.packetbuf`);
-* a miniature **microengine ISA** with assembler and interpreter
-  (:mod:`~repro.npu.isa` and friends) used by the detailed execution mode.
+* an SDRAM **packet-buffer allocator** (:mod:`~repro.npu.packetbuf`).
 
-Applications plug in as step-stream generators (see
-:mod:`repro.apps.base`); the DVS governors plug in through per-ME clock
-domains and the stall interface.
+Applications plug in as step streams (see :mod:`repro.apps.base`); the
+DVS governors plug in through per-ME clock domains and the stall
+interface.
 """
 
 from repro._exports import lazy_exports

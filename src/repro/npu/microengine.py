@@ -32,11 +32,10 @@ leaves a superseded turn queued; it fires as a no-op (counted in
 again.  Parking never changes a result; an engine with a per-poll
 observer attached never parks.
 
-The runtime executes application *step streams* (:mod:`repro.npu.steps`);
-both the fast per-packet models and the detailed microcode interpreter
-produce the same vocabulary, so they share this engine.  One step
-interpreter, :meth:`Microengine._continue`, runs a thread's zero-time
-steps inline and stops at the first step that takes time.  A compute
+The runtime executes the per-packet application models' *step streams*
+(:mod:`repro.npu.steps`).  One step interpreter,
+:meth:`Microengine._continue`, runs a thread's zero-time steps inline
+and stops at the first step that takes time.  A compute
 posts ``_continue`` itself as its completion, so the thread resumes
 there.  A blocking reference posts its response (``_mem_done``) and
 then the context switch (``_dispatch``), in that order: the order fixes

@@ -10,10 +10,6 @@ runtime executes them with real timing:
   controller responds (other threads run meanwhile);
 * :class:`PutTx` — hand the packet descriptor to the transmit side;
 * :class:`Drop` — abandon the packet (counted by reason).
-
-The detailed execution mode produces exactly the same step vocabulary
-from interpreted microcode, one :class:`Compute` per instruction, so both
-modes share the microengine runtime.
 """
 
 from __future__ import annotations

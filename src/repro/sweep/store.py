@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.config import RunConfig
 from repro.errors import ExperimentError
@@ -177,8 +177,11 @@ class ResultStore:
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
-        self._records: Dict[str, Dict[str, Any]] = {}
-        self._outcomes: Dict[str, SweepOutcome] = {}
+        #: Every stored job id: its outcome, or the record loaded from
+        #: the file until :meth:`get` first rebuilds it.  An outcome
+        #: added to the store is never rendered as a record unless the
+        #: store writes it.
+        self._stored: Dict[str, Union[SweepOutcome, Dict[str, Any]]] = {}
         #: Set when a torn tail was dropped but could not be truncated
         #: away; the next append then starts on a fresh line.
         self._needs_newline = False
@@ -224,7 +227,7 @@ class ResultStore:
                     f"{path}:{i + 1}: bad JSON in result store: "
                     f"{error or 'record is not an object with a job_id'}"
                 )
-            self._records[record["job_id"]] = record
+            self._stored[record["job_id"]] = record
 
     def _drop_tail(self, path: str, offset: int) -> None:
         """Remove a torn final line from the backing file."""
@@ -237,35 +240,32 @@ class ResultStore:
             self._needs_newline = True
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._stored)
 
     def __contains__(self, job_id: str) -> bool:
-        return job_id in self._records
+        return job_id in self._stored
 
     def completed_ids(self) -> List[str]:
         """Job ids with a stored outcome, sorted."""
-        return sorted(self._records)
+        return sorted(self._stored)
 
     def get(self, job_id: str) -> Optional[SweepOutcome]:
         """The stored outcome for a job id, or ``None``."""
-        if job_id not in self._records:
-            return None
-        if job_id not in self._outcomes:
-            self._outcomes[job_id] = SweepOutcome.from_dict(self._records[job_id])
-        return self._outcomes[job_id]
+        stored = self._stored.get(job_id)
+        if isinstance(stored, dict):
+            stored = self._stored[job_id] = SweepOutcome.from_dict(stored)
+        return stored
 
     def add(self, outcome: SweepOutcome) -> None:
         """Record a fresh outcome (appends one JSONL line when backed)."""
-        record = outcome.to_dict()
-        self._records[outcome.job_id] = record
         # Anything served back out of the store is, by definition, cached.
-        self._outcomes[outcome.job_id] = replace(outcome, cached=True)
+        self._stored[outcome.job_id] = replace(outcome, cached=True)
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as handle:
                 if self._needs_newline:
                     handle.write("\n")
                     self._needs_newline = False
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(json.dumps(outcome.to_dict(), sort_keys=True) + "\n")
 
     def iter_outcomes(self) -> Iterator[SweepOutcome]:
         """All stored outcomes, in job-id order."""

@@ -7,8 +7,8 @@ and, when needed, payload bytes), and the transmit path forwards it.
 
 Payload bytes are *virtual*: storing megabytes of random payload would be
 wasted memory, so each packet carries a ``payload_seed`` and materializes
-deterministic pseudo-random bytes only when an application actually reads
-them (``url`` scanning, ``md4`` hashing in detailed mode).
+deterministic pseudo-random bytes only when asked.  No application model
+reads them: ``url`` and ``md4`` charge their payload work by length.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ class Packet:
     def payload(self) -> bytes:
         """Materialize deterministic pseudo-random payload bytes.
 
-        The same packet always yields the same payload, so detailed-mode
-        application runs are reproducible.
+        The same packet always yields the same payload.
         """
         length = self.payload_bytes_len
         if length == 0:

@@ -1,5 +1,7 @@
 """Integration tests: the assembled chip and the run loop."""
 
+from collections import Counter
+
 import pytest
 
 from repro.config import DvsConfig, NpuConfig, RunConfig, TrafficConfig
@@ -10,6 +12,7 @@ from repro.loc.builtin import (
 )
 from repro.loc.monitor import build_monitor
 from repro.npu.chip import build_chip
+from repro.npu.steps import Compute
 from repro.runner import SimulationRun, resolve_offered_load_bps, run_simulation
 from repro.trace.buffer import TraceBuffer
 
@@ -132,6 +135,49 @@ class TestTraceEmission:
         }
         assert pipeline_names  # m<k>_pipeline events present
         assert all(name.startswith("m") for name in pipeline_names)
+
+    @pytest.mark.parametrize("app", ["ipfwdr", "nat", "url", "md4"])
+    def test_pipeline_events_count_computes_and_missed_polls(self, app):
+        """Each ME publishes one pipeline event per executed ``Compute``
+        step and one per missed poll.
+
+        Both are counted outside the engine: each ME's step source and
+        work-source poll are wrapped, so a step is counted as the engine
+        pulls it (and a pulled ``Compute`` executes at once) and a poll
+        as it comes back empty.  The attached emitter keeps every engine
+        from parking, so its poll counter matches the misses seen.
+        """
+        buffer = TraceBuffer()
+        run = SimulationRun(
+            quick_config(benchmark=app, duration_cycles=40_000, pipeline_events="chunk"),
+            sinks=[buffer],
+        )
+        computes, misses = Counter(), Counter()
+
+        def counted(steps, index):
+            for step in steps:
+                if isinstance(step, Compute):
+                    computes[index] += 1
+                yield step
+
+        def polled(poll, index):
+            packet = poll()
+            if packet is None:
+                misses[index] += 1
+            return packet
+
+        for me in run.chip.mes:
+            me.make_steps = lambda p, make=me.make_steps, k=me.index: counted(make(p), k)
+            me._ws_poll = lambda poll=me._ws_poll, k=me.index: polled(poll, k)
+        run.run()
+
+        published = Counter(e.name for e in buffer.events if e.base_type == "pipeline")
+        for me in run.chip.mes:
+            assert computes[me.index] > 0 and misses[me.index] > 0
+            assert published[f"m{me.index}_pipeline"] == (
+                computes[me.index] + misses[me.index]
+            )
+            assert me.polls == misses[me.index]
 
     def test_loc_checker_as_live_monitor(self):
         checker = build_monitor(

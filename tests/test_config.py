@@ -85,13 +85,16 @@ class TestRunConfig:
         RunConfig().validate()
 
     def test_unknown_benchmark_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(benchmark="dns").validate()
+        # The retired microcode benchmarks are unknown names too.
+        for name in ("dns", "ipfwdr_uc", "nat_uc"):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(benchmark=name).validate()
 
     def test_pipeline_events_values(self):
         RunConfig(pipeline_events="chunk").validate()
-        with pytest.raises(ConfigError):
-            RunConfig(pipeline_events="everything").validate()
+        for value in ("everything", "instruction"):
+            with pytest.raises(ConfigError, match=value):
+                RunConfig(pipeline_events=value).validate()
 
     def test_dict_round_trip(self):
         config = RunConfig(

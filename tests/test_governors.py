@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import DvsConfig, TrafficConfig
+from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.runner import SimulationRun, run_simulation
 from repro.units import mhz
 
@@ -152,3 +152,55 @@ class TestEdvs:
         assert run.governor is None
         result = run.run()
         assert result.governor_transitions == 0
+
+
+#: Near-zero load: at 1 Mbps CBR no packet arrives in 1.6M cycles.
+NEAR_ZERO = dict(
+    benchmark="ipfwdr",
+    duration_cycles=1_600_000,
+    seed=7,
+    traffic=TrafficConfig(offered_load_mbps=1.0, process="cbr"),
+)
+
+#: Windows a 600 MHz clock evaluates in the near-zero run, per window
+#: length: the boundaries at or before the run's end.  Both lengths round
+#: to whole picoseconds.  A 40k window is 66,666,666.67 ps, rounded to
+#: 66,666,667, and the run is 2,666,666,667 ps, so the 40th boundary lands
+#: 13 ps after the run ends: 39 windows, not 40.
+NEAR_ZERO_WINDOWS = {20_000: 80, 40_000: 39, 60_000: 26, 80_000: 20}
+
+
+def near_zero_run(policy: str, window_cycles: int) -> SimulationRun:
+    dvs = DvsConfig(policy=policy, window_cycles=window_cycles)
+    return SimulationRun(RunConfig(**NEAR_ZERO, dvs=dvs))
+
+
+class TestNearZeroLoad:
+    """Closed forms for a chip that sees no traffic."""
+
+    @pytest.mark.parametrize("window_cycles", sorted(NEAR_ZERO_WINDOWS))
+    def test_tdvs_steps_down_once_per_window_to_the_bottom(self, window_cycles):
+        run = near_zero_run("tdvs", window_cycles)
+        window_ps = run.chip.reference_clock.delay_for_cycles(window_cycles)
+        windows = NEAR_ZERO_WINDOWS[window_cycles]
+        assert windows * window_ps <= run.duration_ps < (windows + 1) * window_ps
+        result = run.run()
+        assert result.totals.offered_packets == 0
+        assert result.governor_windows == windows
+        # Every window reads 0 Mbps, below every threshold: one step down
+        # per window from the top of the 5-level ladder, then the bottom
+        # for the rest of the run.
+        assert run.governor.level_history == [0, 1, 2, 3, 4] + [4] * (windows - 4)
+        assert result.governor_transitions == 4
+
+    @pytest.mark.parametrize("window_cycles", sorted(NEAR_ZERO_WINDOWS))
+    def test_edvs_never_scales_because_polling_is_busy(self, window_cycles):
+        run = near_zero_run("edvs", window_cycles)
+        result = run.run()
+        assert result.totals.offered_packets == 0
+        # An idle ME busy-polls, and polling counts as busy, so no window
+        # is idle enough to step down: every ME keeps the top clock, the
+        # reference clock's rate, and evaluates the same windows.
+        assert result.governor_transitions == 0
+        assert set(run.governor.levels.values()) == {0}
+        assert result.governor_windows == 6 * NEAR_ZERO_WINDOWS[window_cycles]

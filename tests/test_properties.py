@@ -6,8 +6,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.md4_core import md4_blocks_for, md4_digest
-from repro.apps.routing import RoutingTrie, brute_force_lpm
+from repro.apps.md4_core import md4_blocks_for
+from repro.apps.routing import RoutingTrie
 from repro.loc.analyzer import analyze_trace, build_edges
 from repro.loc.parser import parse_formula
 from repro.sim.clock import ClockDomain
@@ -16,6 +16,7 @@ from repro.sim.rng import RngStreams, derive_seed
 from repro.traffic.sizes import PacketSizeMix
 from repro.units import cycles_to_ps, ps_to_cycles
 
+from app_oracles import brute_force_lpm
 from conftest import make_event
 
 
@@ -222,21 +223,6 @@ def test_trie_matches_brute_force(routes, addresses):
 # ---------------------------------------------------------------------------
 # MD4
 # ---------------------------------------------------------------------------
-@given(st.binary(max_size=500))
-@settings(max_examples=60, deadline=None)
-def test_md4_digest_shape_and_determinism(message):
-    digest = md4_digest(message)
-    assert len(digest) == 16
-    assert digest == md4_digest(message)
-
-
-@given(st.binary(min_size=1, max_size=300))
-@settings(max_examples=60, deadline=None)
-def test_md4_sensitive_to_single_bit(message):
-    flipped = bytes([message[0] ^ 1]) + message[1:]
-    assert md4_digest(message) != md4_digest(flipped)
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=80, deadline=None)
 def test_md4_blocks_matches_padding_rule(length):

@@ -82,7 +82,7 @@ def _record(config: RunConfig) -> str:
     )
 
 
-@pytest.mark.parametrize("app", ["ipfwdr", "ipfwdr_uc"])
+@pytest.mark.parametrize("app", ["ipfwdr"])
 def test_warm_run_matches_cold_run(cold_memos, app):
     cold = _record(_config(app, seed=7))
     other = _record(_config(app, seed=11))

@@ -10,6 +10,7 @@ from repro.errors import ConfigError, ExperimentError, TraceError
 from repro.sweep import (
     Job,
     ResultStore,
+    SweepOutcome,
     SweepSpec,
     config_hash,
     parse_traffic_token,
@@ -462,6 +463,64 @@ class TestResultStore:
             [me.freq_changes for me in rebuilt.result.totals.me_summaries]
             == [me.freq_changes for me in outcome.result.totals.me_summaries]
         )
+
+
+@pytest.fixture(scope="module")
+def two_outcomes():
+    """A baseline and a TDVS outcome, added in reverse job-id order."""
+    outcomes = [run_job(job) for job in small_spec().jobs()]
+    return sorted(outcomes, key=lambda outcome: outcome.job_id, reverse=True)
+
+
+def as_record(outcome):
+    return json.loads(json.dumps(outcome.to_dict()))
+
+
+class TestStoreKinds:
+    """An in-memory store and a file-backed one keep the same outcomes."""
+
+    def test_memory_store_renders_no_record(self, two_outcomes, monkeypatch):
+        rendered = []
+        to_dict = SweepOutcome.to_dict
+
+        def counting_to_dict(outcome):
+            rendered.append(outcome.job_id)
+            return to_dict(outcome)
+
+        monkeypatch.setattr(SweepOutcome, "to_dict", counting_to_dict)
+        store = ResultStore(None)
+        for outcome in two_outcomes:
+            store.add(outcome)
+        assert rendered == []
+
+    def test_file_store_appends_one_sorted_line_per_add(self, two_outcomes, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(str(path))
+        for outcome in two_outcomes:
+            store.add(outcome)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(outcome.to_dict(), sort_keys=True) + "\n"
+            for outcome in two_outcomes
+        )
+
+    def test_both_kinds_answer_alike(self, two_outcomes, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        memory, backed = ResultStore(None), ResultStore(path)
+        for outcome in two_outcomes:
+            memory.add(outcome)
+            backed.add(outcome)
+        ids = sorted(outcome.job_id for outcome in two_outcomes)
+        for store in (memory, backed, ResultStore(path)):
+            assert len(store) == 2
+            assert store.completed_ids() == ids
+            assert all(job_id in store for job_id in ids)
+            assert "0" * 16 not in store and store.get("0" * 16) is None
+            for job_id in ids:
+                served = store.get(job_id)
+                assert served.cached
+                assert as_record(served) == as_record(memory.get(job_id))
+            assert [o.job_id for o in store.iter_outcomes()] == ids
+            assert all(o.cached for o in store.iter_outcomes())
 
 
 class TestCustomScenarioJobs:
