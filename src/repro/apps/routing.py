@@ -145,7 +145,8 @@ def strides_for_depth(depth_bits: int, stride_bits: int = 8, max_strides: int = 
     """SRAM reads for a multibit (stride) trie walk of ``depth_bits``.
 
     The timing model walks an 8-bit-stride table (as IXP reference code
-    does) rather than one read per bit: a /24 match costs 3 reads.
+    does) rather than one read per bit: the root's read plus one per
+    stride the walk starts, so a /24 match (25 nodes) costs 4 reads.
     """
     if depth_bits <= 1:
         return 1

@@ -1,6 +1,7 @@
 """Tests for the benchmark application models and their data structures."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,15 @@ from repro.errors import ConfigError, NpuError
 from repro.npu.steps import Compute, Drop, MemPost, MemRead, MemWrite, PutTx
 from repro.sim.rng import RngStreams
 
-from app_oracles import brute_force_lpm, expected_rx_instructions
+from app_oracles import (
+    brute_force_lpm,
+    brute_force_walk_depth,
+    nat_rx_cost,
+    rx_cost,
+    stream_cost,
+    tx_cost,
+    walk_reads,
+)
 from test_traffic import make_packet
 
 
@@ -200,8 +209,8 @@ class TestIpfwdr:
 
     def test_bigger_packets_cost_more(self):
         app = build_app("ipfwdr", fresh_resources())
-        small = expected_rx_instructions(app, make_packet(size=64, dst_ip=5))
-        large = expected_rx_instructions(app, make_packet(size=1500, dst_ip=5))
+        small, _, _ = stream_cost(app.rx_steps(make_packet(size=64, dst_ip=5)))
+        large, _, _ = stream_cost(app.rx_steps(make_packet(size=1500, dst_ip=5)))
         assert large > small
 
 
@@ -275,8 +284,8 @@ class TestMd4:
 
     def test_compute_scales_with_payload(self):
         app = build_app("md4", fresh_resources())
-        small = expected_rx_instructions(app, make_packet(size=64))
-        large = expected_rx_instructions(app, make_packet(size=1500))
+        small, _, _ = stream_cost(app.rx_steps(make_packet(size=64)))
+        large, _, _ = stream_cost(app.rx_steps(make_packet(size=1500)))
         assert large > 2 * small
 
 
@@ -333,3 +342,151 @@ class TestMemoKeyCompleteness:
             assert warm_packet.output_port == fresh_packet.output_port
         memo = warm._rx_steps_memo if side == "rx" else warm._tx_steps_memo
         assert 2 <= len(memo) < 300  # many hits, across many shapes
+
+
+APP_CLASSES = {"ipfwdr": IpfwdrApp, "url": UrlApp, "nat": NatApp, "md4": Md4App}
+
+#: Sizes where some receive stream changes shape: the minimum packet,
+#: the store-chunk boundary (64/65 B), md4's padding spill (payload
+#: 55/56 B), url's scan-chunk boundary (payload 64/65 B) and a
+#: full-size frame.
+BOUNDARY_SIZES = [40, 64, 65, 75, 76, 84, 85, 1500]
+
+#: Distinct values, none a default, so a stream that charges the wrong
+#: field, or a field the wrong number of times, misses its total.
+ODD_PROFILE = AppProfile(
+    rx_header_instr=401,
+    rx_chunk_instr=149,
+    rx_finish_instr=151,
+    lookup_step_instr=23,
+    enqueue_instr=31,
+    tx_header_instr=53,
+    tx_chunk_instr=61,
+    tx_finish_instr=41,
+)
+
+#: Nested routes around 10.11.12.13; the walk depth follows the longest
+#: run of leading bits a destination shares with any of them.
+NESTED_ROUTES = [
+    (0x0A000000, 8, 1),
+    (0x0A0B0000, 16, 2),
+    (0x0A0B0C00, 24, 3),
+    (0x0A0B0C0D, 32, 4),
+]
+
+
+def nested_route_resources():
+    trie = RoutingTrie(default_port=0)
+    for prefix, length, port in NESTED_ROUTES:
+        trie.insert(prefix, length, port)
+    resources = fresh_resources()
+    resources.routing_trie = trie
+    return resources
+
+
+#: Instructions per packet at 64 B and at 1,500 B under the default
+#: profiles, receive then transmit.  ipfwdr's packets take a 2-read
+#: walk: 570 and 2,640 are the figures recorded for one such packet when
+#: the model was last set beside microcode.  Each nat packet is a new
+#: flow, and nat's receive cost does not depend on size.
+DEFAULT_COSTS = {
+    "ipfwdr": ((570, 2_640), (150, 1_530)),
+    "url": ((790, 7_690), (150, 1_530)),
+    "md4": ((768, 9_692), (150, 1_530)),
+    "nat": ((2_098, 2_098), (150, 840)),
+}
+
+
+class TestCostClosedForms:
+    """Each model's per-packet cost equals a closed form of its description.
+
+    The closed forms (``app_oracles``) count instructions and memory
+    references from the paper's account of each benchmark.  They pin
+    what every result charges per packet: no second execution mode
+    cross-checks the models.
+    """
+
+    @pytest.mark.parametrize("size", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("name", ["ipfwdr", "url", "md4"])
+    def test_rx_cost(self, name, size):
+        app = APP_CLASSES[name](nested_route_resources(), ODD_PROFILE)
+        dst = 0x0A0B0C99  # shares 24 bits with 10.11.12.13: 25 nodes
+        reads = walk_reads(brute_force_walk_depth(NESTED_ROUTES, dst))
+        packet = make_packet(size=size, dst_ip=dst)
+        assert stream_cost(app.rx_steps(packet)) == rx_cost(
+            name, ODD_PROFILE, size, reads=reads
+        )
+
+    @pytest.mark.parametrize(
+        "dst, port, reads",
+        [
+            (0xC0000000, 0, 1),  # first bit differs: the root alone
+            (0x0B000000, 0, 2),  # 11/8 shares 7 bits with 10/8, no match
+            (0x0A990000, 1, 2),  # 10/8
+            (0x0A0B9900, 2, 3),  # 10.11/16
+            (0x0A0B0C99, 3, 4),  # 10.11.12/24
+            (0x0A0B0C0D, 4, 5),  # the /32: 33 nodes
+        ],
+    )
+    def test_ipfwdr_walk_reads(self, dst, port, reads):
+        resources = nested_route_resources()
+        app = IpfwdrApp(resources)
+        depth = brute_force_walk_depth(NESTED_ROUTES, dst)
+        assert resources.routing_trie.lookup(dst) == (port, depth)
+        assert walk_reads(depth) == reads
+        packet = make_packet(size=64, dst_ip=dst)
+        _, references, _ = stream_cost(app.rx_steps(packet))
+        assert references[("read", "sram", 4)] == reads
+        assert packet.output_port == port == brute_force_lpm(NESTED_ROUTES, dst)
+        assert app.total_lookup_depth == depth
+
+    @pytest.mark.parametrize("flow", ["new", "known", "exhausted"])
+    def test_nat_rx_cost(self, flow):
+        resources = fresh_resources()
+        resources.nat_table = NatTable(port_count=1)
+        app = NatApp(resources, ODD_PROFILE)
+        if flow != "new":
+            list(app.rx_steps(make_packet(seq=0, flow_id=0)))
+        other = {"flow_id": 1, "src_ip": 9} if flow == "exhausted" else {}
+        packet = make_packet(seq=1, size=1500, **other)
+        assert stream_cost(app.rx_steps(packet)) == nat_rx_cost(ODD_PROFILE, flow)
+
+    @pytest.mark.parametrize("size", [64, 65, 1500])
+    @pytest.mark.parametrize("name", ["ipfwdr", "url", "nat", "md4"])
+    def test_tx_cost(self, name, size):
+        app = APP_CLASSES[name](fresh_resources(), ODD_PROFILE)
+        steps = app.tx_steps(make_packet(size=size))
+        # nat cuts through: its packets never reach SDRAM.
+        assert stream_cost(steps) == tx_cost(ODD_PROFILE, size, fetch_sdram=name != "nat")
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_COSTS))
+    def test_default_profile_costs(self, name):
+        """Instructions per packet at 64 B and at 1,500 B, as the models
+        are calibrated."""
+        app = build_app(name, nested_route_resources())
+        for side, expected in zip(("rx", "tx"), DEFAULT_COSTS[name]):
+            packets = [
+                make_packet(seq=k, size=size, dst_ip=0x0A990000, src_ip=k, flow_id=k)
+                for k, size in enumerate((64, 1500))
+            ]
+            steps = getattr(app, f"{side}_steps")
+            assert tuple(stream_cost(steps(packet))[0] for packet in packets) == expected
+
+    def test_nat_installs_one_entry_per_flow(self):
+        rng = random.Random(8)
+        app = build_app("nat", fresh_resources())
+        flows = [rng.randrange(7) for _ in range(200)]
+        totals = Counter()
+        for seq, flow in enumerate(flows):
+            size = rng.randint(40, 1500)
+            packet = make_packet(seq=seq, size=size, flow_id=flow, src_ip=flow)
+            totals += stream_cost(app.rx_steps(packet))[1]
+        assert totals == Counter(
+            {
+                ("read", "sram", 16): len(flows),
+                ("write", "sram", 16): len(set(flows)),
+                ("write", "scratch", 8): len(flows),
+            }
+        )
+        assert app.translated == len(flows)
+        assert len(app.table) == len(set(flows))

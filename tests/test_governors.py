@@ -75,13 +75,18 @@ class TestTdvs:
         assert scaled.mean_power_w < baseline.mean_power_w * 0.9
 
     def test_windows_counted(self):
-        result = run_quick(
-            duration_cycles=400_000,
-            dvs=DvsConfig(policy="tdvs", window_cycles=40_000),
+        run = SimulationRun(
+            quick_config(
+                duration_cycles=400_000,
+                dvs=DvsConfig(policy="tdvs", window_cycles=40_000),
+            )
         )
-        # The final boundary may land a few picoseconds past the run end
-        # due to period rounding, so 9 or 10 windows are both correct.
-        assert result.governor_windows in (9, 10)
+        # A 40k-cycle window rounds to 66,666,667 ps and the run to
+        # 666,666,667 ps, so the 10th boundary lands 3 ps after the run
+        # ends: exactly 9 windows are evaluated.
+        window_ps = run.chip.reference_clock.delay_for_cycles(40_000)
+        assert (window_ps, run.duration_ps) == (66_666_667, 666_666_667)
+        assert run.run().governor_windows == 9
 
     def test_monitor_overhead_small_but_positive(self):
         result = run_quick(

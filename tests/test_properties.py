@@ -16,7 +16,7 @@ from repro.sim.rng import RngStreams, derive_seed
 from repro.traffic.sizes import PacketSizeMix
 from repro.units import cycles_to_ps, ps_to_cycles
 
-from app_oracles import brute_force_lpm
+from app_oracles import brute_force_lpm, brute_force_walk_depth
 from conftest import make_event
 
 
@@ -218,6 +218,28 @@ def test_trie_matches_brute_force(routes, addresses):
     for address in addresses:
         expected = brute_force_lpm(reference_routes, address)
         assert trie.lookup(address)[0] == expected
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=0, max_value=32),
+        ),
+        max_size=40,
+    ),
+    st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_trie_walk_depth_matches_brute_force(routes, addresses):
+    # The depth is what ipfwdr pays in SRAM reads, so it counts every
+    # node on the address's path, past the longest match too.
+    trie = RoutingTrie(default_port=0)
+    for prefix, length in routes:
+        trie.insert(prefix, length, 1)
+    reference_routes = [(prefix, length, 1) for prefix, length in routes]
+    for address in addresses:
+        assert trie.lookup(address)[1] == brute_force_walk_depth(reference_routes, address)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _record(config: RunConfig) -> str:
     )
 
 
-@pytest.mark.parametrize("app", ["ipfwdr"])
+@pytest.mark.parametrize("app", ["ipfwdr", "nat", "url", "md4"])
 def test_warm_run_matches_cold_run(cold_memos, app):
     cold = _record(_config(app, seed=7))
     other = _record(_config(app, seed=11))
@@ -90,8 +90,10 @@ def test_warm_run_matches_cold_run(cold_memos, app):
     assert warm == cold
     assert other != cold
     # Seeds 7 and 11 each built one table; the warm run hit both memos.
-    assert _built_trie.cache_info().misses == 2
-    assert _built_trie.cache_info().hits == 1
+    # Only ipfwdr routes on the trie.
+    tries = 2 if app == "ipfwdr" else 0
+    assert _built_trie.cache_info().misses == tries
+    assert _built_trie.cache_info().hits == tries // 2
     assert _flow_table.cache_info().misses == 2
     assert _flow_table.cache_info().hits == 1
     # Every monitor of the second and third runs reused its parse and
