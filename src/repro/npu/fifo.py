@@ -15,7 +15,7 @@ after every enqueue (returning at once while the engine is not parked).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import NpuError
 from repro.traffic.packet import Packet
@@ -30,6 +30,10 @@ class PacketQueue:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Packet] = deque()
+        #: The backing deque, as a one-tuple: a consumer tests the queue
+        #: empty with ``not any(queue.deques)``, without a call.  The
+        #: deque keeps its identity for the queue's life.
+        self.deques: Tuple[Deque[Packet], ...] = (self._items,)
         self.enqueued = 0
         self.dropped = 0
         self.max_depth = 0

@@ -32,6 +32,21 @@ leaves a superseded turn queued; it fires as a no-op (counted in
 again.  Parking never changes a result; an engine with a per-poll
 observer attached never parks.
 
+A parkable engine also *folds* a blocking reference whose issuer
+leaves only pollers behind, facing an empty work source, when the
+response lands after the context switch.  Posted, the reference costs
+three kernel events, none of which changes the engine's power state:
+the switch to a poller that misses and parks the engine, the response,
+and the holder's turn.  Folded, the engine reserves the sequence numbers of
+the response and the switch (:meth:`Simulator.reserve_seq`) and posts
+only the turn, where one closed-form step charges the pollers' misses,
+rotates the ready queue and continues the holder.  A touch before the
+turn — an enqueue, a stall, a clock change, the end of the run —
+unfolds first: it applies the switch and the response if their keys
+sort before the touch's (:attr:`Simulator.now_seq` decides a tie at
+one picosecond) and re-posts the rest under their reserved keys, so
+the engine stands exactly where the eager engine would.
+
 The runtime executes the per-packet application models' *step streams*
 (:mod:`repro.npu.steps`).  One step interpreter,
 :meth:`Microengine._continue`, runs a thread's zero-time steps inline
@@ -39,9 +54,10 @@ and stops at the first step that takes time.  A compute
 posts ``_continue`` itself as its completion, so the thread resumes
 there.  A blocking reference posts its response (``_mem_done``) and
 then the context switch (``_dispatch``), in that order: the order fixes
-their sequence numbers.  A compute's delay comes from the clock's
-per-frequency memo (:attr:`ClockDomain.delay_memo`), and the completion
-callbacks are bound once, so a post allocates no bound method.
+their sequence numbers (a folded one reserves them in the same order).
+A compute's delay comes from the clock's per-frequency memo
+(:attr:`ClockDomain.delay_memo`), and the completion callbacks are
+bound once, so a post allocates no bound method.
 """
 
 from __future__ import annotations
@@ -102,16 +118,18 @@ class RxPortMux:
             )
             for start in range(count)
         ]
-        # The queues' backing deques, for the empty-poll fast path: a
-        # truthiness test per deque is several times cheaper than a
-        # bound ``poll()`` call per port, and a missed poll (every port
-        # empty) is the engine's steady state under light load.  Safe to
-        # alias: a PacketQueue's deque identity is fixed for its life.
-        self._queue_items = tuple(port.rx_queue._items for port in ports)
+        #: The port queues' backing deques (each queue's ``deques``),
+        #: for the empty-poll fast path: a truthiness test per deque is
+        #: several times cheaper than a bound ``poll()`` call per port,
+        #: and a missed poll (every port empty) is the engine's steady
+        #: state under light load.
+        self.deques = tuple(
+            items for port in ports for items in port.rx_queue.deques
+        )
 
     def poll(self) -> Optional[Packet]:
         """Return a packet from the next non-empty port queue, if any."""
-        for items in self._queue_items:
+        for items in self.deques:
             if items:
                 break
         else:
@@ -264,6 +282,15 @@ class Microengine:
         #: queued, which an entry that fires checks against.
         self._live_ps = -1
         self._stale_ps: Set[int] = set()
+        #: Folded blocking reference (see :meth:`_fold`): ``(switch_ps,
+        #: switch_seq, done_ps, done_seq, holder)``, else ``None``.
+        self._folded: Optional[tuple] = None
+        #: Threads besides the issuer: a reference folds only while all
+        #: of them are ready.
+        self._others = num_threads - 1
+        #: The work source's backing deques, when it offers them: the
+        #: engine folds a reference only while they are all empty.
+        self._ws_deques = getattr(work_source, "deques", None)
         set_waiter = getattr(work_source, "set_waiter", None)
         self._wakeable = set_waiter is not None
         if self._wakeable:
@@ -405,10 +432,18 @@ class Microengine:
                 except KeyError:
                     raise self._no_controller(step.target) from None
                 self.mem_accesses += 1
-                # The response is posted before the context switch: the
-                # two posts' order fixes their sequence numbers.
-                resource.request(step.nbytes, self._mem_done_cb, thread)
                 self._current = None
+                # The response is posted before the context switch: the
+                # two posts' order fixes their sequence numbers (a fold
+                # reserves both, in that order).
+                if len(self._ready) == self._others and self._may_fold():
+                    done_ps = resource.request(step.nbytes)
+                    if done_ps > self.sim.now_ps + self._ctx_delay_ps:
+                        self._fold(thread, done_ps)
+                        return
+                    self.sim.post_at(done_ps, self._mem_done_cb, thread)
+                else:
+                    resource.request(step.nbytes, self._mem_done_cb, thread)
                 # A context switch burns engine cycles only when there is
                 # a ready thread to switch to; with every other thread
                 # blocked the engine goes idle (or stalled) as of the
@@ -553,12 +588,7 @@ class Microengine:
         that holds a packet: each poller ahead of it misses, and an
         enqueue before the turn wakes the engine.
         """
-        if (
-            self._wakeable
-            and self.pipeline_emitter is None
-            and self.on_instructions is None
-            and not self.poll_counts_as_idle
-        ):
+        if self._may_park():
             self._parked = True
             self._park_next_ps = done_ps
             for position, ready in enumerate(self._ready):
@@ -567,6 +597,87 @@ class Microengine:
                     return
             return
         self._post_poll(done_ps, self.index, self._poll_done, thread)
+
+    def _may_park(self) -> bool:
+        """The work source can wake the engine and no per-poll observer
+        is attached."""
+        return (
+            self._wakeable
+            and self.pipeline_emitter is None
+            and self.on_instructions is None
+            and not self.poll_counts_as_idle
+        )
+
+    def _may_fold(self) -> bool:
+        """Whether a blocking reference issued now may fold (the caller
+        has checked that every other thread is ready): the engine may
+        park, is not stalled and has no live entry, and every other
+        thread is a poller facing an empty work source."""
+        deques = self._ws_deques
+        if (
+            self._others <= 0
+            or self.ctx_switch_cycles <= 0
+            or self._stalled
+            or self._live_ps >= 0
+            or deques is None
+            or any(deques)
+            or not self._may_park()
+        ):
+            return False
+        for thread in self._ready:
+            if thread.step_iter is not None:
+                return False
+        return True
+
+    def _fold(self, holder: _HwThread, done_ps: int) -> None:
+        """Fold ``holder``'s blocking reference, answered at ``done_ps``
+        after the context switch, into its turn.
+
+        Reserves the sequence numbers the eager path draws — the
+        response's, then the switch's — and posts only the turn: the
+        switch's poller completes its poll one period after the switch
+        and the pollers take turns on that lattice, so the holder queues
+        at the first lattice instant at or after ``done_ps``, behind
+        ``len(ready) - 1`` pollers.
+        """
+        sim = self.sim
+        done_seq = sim.reserve_seq()
+        switch_seq = sim.reserve_seq()
+        switch_ps = sim.now_ps + self._ctx_delay_ps
+        period = self._poll_delay_ps
+        # The first lattice instant at or after the response.
+        lattice_ps = switch_ps + -((switch_ps - done_ps) // period) * period
+        self._want_poll(lattice_ps + (len(self._ready) - 1) * period)
+        self._folded = (switch_ps, switch_seq, done_ps, done_seq, holder)
+        self._parked = True
+
+    def _unfold(self) -> None:
+        """A touch reaches a folded engine: apply the switch and the
+        response whose keys sort before the touch's, in order, and
+        re-post the others under their reserved keys.  A turn the
+        response has not yet queued is superseded."""
+        switch_ps, switch_seq, done_ps, done_seq, holder = self._folded
+        self._folded = None
+        sim = self.sim
+        now = (sim.now_ps, sim.now_seq)
+        responded = (done_ps, done_seq) < now
+        if not responded:
+            sim.post_reserved(done_ps, done_seq, self._mem_done_cb, holder)
+            self._stale_ps.add(self._live_ps)
+            self._live_ps = -1
+        if now < (switch_ps, switch_seq):
+            sim.post_reserved(switch_ps, switch_seq, self._dispatch_cb)
+            self._parked = False
+            return
+        # The switch: the first poller misses and parks the engine.
+        self._current = self._ready.popleft()
+        self.polls += 1
+        self.instructions_executed += self.poll_instructions
+        self._park_next_ps = switch_ps + self._poll_delay_ps
+        if responded:
+            # The response: the holder queues behind the pollers.
+            self._settle(done_ps - 1)
+            self._ready.append(holder)
 
     def _want_poll(self, at_ps: int) -> None:
         """Make the engine's one live poll-band entry the one at ``at_ps``.
@@ -586,7 +697,10 @@ class Microengine:
 
         A superseded entry does nothing.  The live one settles the polls
         ordered before it (at a holder's turn, the pollers' misses),
-        unparks the engine and completes the poll in flight.
+        unparks the engine and completes the poll in flight.  At a
+        folded reference's turn that is one step: every poll since the
+        switch missed, and the ready queue turned once per poll that
+        completed before the response.
         """
         now = self.sim.now_ps
         if now != self._live_ps:
@@ -594,6 +708,19 @@ class Microengine:
             self._stale_ps.remove(now)
             return
         self._live_ps = -1
+        folded = self._folded
+        if folded is not None:
+            switch_ps, _, done_ps, _, holder = folded
+            self._folded = None
+            self._parked = False
+            period = self._poll_delay_ps
+            misses = (now - switch_ps) // period
+            self.polls += misses
+            self.instructions_executed += misses * self.poll_instructions
+            self._ready.rotate(-((done_ps - 1 - switch_ps) // period))
+            self._current = holder
+            self._continue(holder)
+            return
         if self._parked:
             self._settle(now - 1)
             self._parked = False
@@ -603,10 +730,15 @@ class Microengine:
         """Work-source hook: wake a parked engine, else do nothing.
 
         Settles the polls ordered before now, then posts the next one;
-        a turn queued for another instant is superseded.
+        a turn queued for another instant is superseded.  A folded
+        reference unfolds first.
         """
         if not self._parked:
             return
+        if self._folded is not None:
+            self._unfold()
+            if not self._parked:
+                return
         self._settle_before_now()
         self._parked = False
         next_ps = self._park_next_ps
@@ -648,8 +780,10 @@ class Microengine:
 
         A run ends at its deadline or when the queue drains, having run
         every poll up to ``now``.  The engine stays parked across the
-        pause.
+        pause; a folded reference unfolds.
         """
+        if self._folded is not None:
+            self._unfold()
         if self._parked:
             self._settle(self.sim.now_ps)
 

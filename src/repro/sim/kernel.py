@@ -13,6 +13,15 @@ engine that skips posting its polls (a parked microengine) asks
 :meth:`Simulator.poll_passed` whether its slot at the current
 picosecond has already gone by.
 
+The kernel records the key of the event it is delivering:
+``(now_ps, now_seq)``, where ``now_seq`` is the entry's sequence number
+(``_POLL_BAND + rank`` in the poll band).  An entry keyed below it has
+been delivered.  A model that leaves an event unposted can still place
+a call among the events of its picosecond: it draws the event's
+sequence number with :meth:`Simulator.reserve_seq`, compares keys, and
+posts the event under that number (:meth:`Simulator.post_reserved`)
+only if it has to happen after all.
+
 Heap entries are plain ``(time_ps, seq, callback, args)`` tuples, so the
 hot path pays C-speed tuple comparisons instead of a Python ``__lt__``
 per sift.  A scheduled event always fires: there is no cancellation.
@@ -44,6 +53,11 @@ _Entry = Tuple[int, int, EventCallback, tuple]
 #: (key ``_POLL_BAND + rank``) sorts after every ordinary event.
 _POLL_BAND = 2**62
 
+#: ``now_seq`` while the run-end hooks run: it sorts after every entry's
+#: sequence number, since a run that returns has delivered every event
+#: due by ``now_ps``.
+_AFTER_EVERY_EVENT = 2**63
+
 #: Sentinel deadline for an unbounded :meth:`Simulator.run`: comparing
 #: every entry against one integer is cheaper than a per-event ``None``
 #: check, and no schedulable picosecond reaches 2**63.
@@ -74,6 +88,10 @@ class Simulator:
     def __init__(self, name: str = "sim"):
         self.name = name
         self.now_ps: int = 0
+        #: Sequence number of the event being delivered (see the module
+        #: docstring); run-end hooks, and calls between runs, see
+        #: ``_AFTER_EVERY_EVENT``.
+        self.now_seq: int = 0
         self._queue: List[_Entry] = []
         self._seq = 0
         self._running = False
@@ -134,6 +152,25 @@ class Simulator:
         """Absolute-time :meth:`post`; ``time_ps`` must not be in the past."""
         self._seq += 1
         heappush(self._queue, (time_ps, self._seq, callback, args))
+
+    def reserve_seq(self) -> int:
+        """Draw the next sequence number without posting anything.
+
+        :meth:`post_reserved` can post under it later: the entry then
+        sorts among its picosecond's events where a post made now would
+        have.  A number never posted leaves a gap, which reorders
+        nothing.
+        """
+        self._seq += 1
+        return self._seq
+
+    def post_reserved(
+        self, time_ps: int, seq: int, callback: EventCallback, *args: Any
+    ) -> None:
+        """Post ``callback(*args)`` under a sequence number drawn with
+        :meth:`reserve_seq`.  The key ``(time_ps, seq)`` must sort after
+        the event being delivered, ``(now_ps, now_seq)``."""
+        heappush(self._queue, (time_ps, seq, callback, args))
 
     def post_poll(
         self, time_ps: int, rank: int, callback: EventCallback, *args: Any
@@ -200,6 +237,7 @@ class Simulator:
                     heappush(queue, (time_ps, seq, callback, args))
                     break
                 self.now_ps = time_ps
+                self.now_seq = seq
                 executed += 1
                 callback(*args)
             if until_ps is not None and until_ps > self.now_ps:
@@ -209,6 +247,7 @@ class Simulator:
             # ``events_executed`` for its snapshot.
             self._events_executed += executed
             self._running = False
+            self.now_seq = _AFTER_EVERY_EVENT
             for hook in self.on_run_end:
                 hook()
 
@@ -216,8 +255,9 @@ class Simulator:
         """Execute exactly one pending event; return ``False`` if none."""
         if not self._queue:
             return False
-        time_ps, _, callback, args = heappop(self._queue)
+        time_ps, seq, callback, args = heappop(self._queue)
         self.now_ps = time_ps
+        self.now_seq = seq
         self._events_executed += 1
         callback(*args)
         return True

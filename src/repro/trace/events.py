@@ -3,7 +3,11 @@
 The paper (Figure 3) uses three event types:
 
 ``pipeline``
-    an instruction enters an ME execution pipeline;
+    in the paper, an instruction enters an ME execution pipeline.  This
+    model publishes one per instruction *block*: one per ``Compute``
+    step (a block of 20–600 instructions) and one per missed poll (see
+    :mod:`repro.npu.microengine`), so a LOC formula over ``pipeline``
+    events counts blocks and polls, not instructions;
 ``forward``
     an IP packet is forwarded (transmitted out of the NPU);
 ``fifo``
@@ -23,7 +27,10 @@ from repro.errors import TraceError
 #: The base event types of the paper's Figure 3.
 EVENT_TYPES = ("pipeline", "forward", "fifo")
 
-#: Human-readable one-liners, used by the Figure 3 reproduction.
+#: Human-readable one-liners, used by the Figure 3 reproduction.  They
+#: keep Figure 3's wording (``pipeline`` included, though the model
+#: publishes one per instruction block): fig03 prints them, and the
+#: ``repro run all`` output md5 pins that text.
 EVENT_DESCRIPTIONS: Dict[str, str] = {
     "pipeline": "an instruction enters the execution pipeline",
     "forward": "an IP packet is forwarded",

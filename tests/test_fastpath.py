@@ -12,7 +12,10 @@ The per-ME tests pin parking on per-ME observables — completion times,
 instruction and poll counts, state totals, the kernel sequence layout
 — including under stalls, frequency changes, arrivals on poll-lattice
 instants and runs that end and resume, and with each of those landing
-while a packet holder waits behind pollers for its turn.
+while a packet holder waits behind pollers for its turn, or while a
+blocking reference is folded into that turn, on either side of the
+context switch and the response it stands for.  A closed form pins one
+folded packet's completion instant and polls at two frequencies.
 They run on a kernel that fails loudly on a second poll-band entry for
 one (picosecond, rank) key.  The chip-level oracles run catalog configs
 twice: parked, and eager (a no-op ``on_instructions`` observer on every
@@ -44,7 +47,7 @@ from repro.scenarios import get_scenario, list_scenarios
 from repro.sim.clock import ClockDomain
 from repro.sim.kernel import Simulator
 from repro.studies import StudySpec
-from repro.units import mhz
+from repro.units import PS_PER_S, mhz, ns_to_ps
 
 from test_microengine import ListSource
 from test_traffic import make_packet
@@ -52,6 +55,12 @@ from test_traffic import make_packet
 #: A 24-instruction poll at 600 MHz: the poll lattice period of an
 #: engine that has not changed frequency.
 POLL_PS = 40_000
+
+#: Response instant of :func:`read_then_compute`'s 2 KB SDRAM read,
+#: issued at 0 on idle memory: the access latency plus the per-byte
+#: transfer, from the memory config alone (60 ns + 2,048 × 2 ns).
+_MEM = MemoryConfig()
+READ_2K_PS = ns_to_ps(_MEM.sdram_access_ns + 2048 * _MEM.sdram_byte_ns)
 
 
 def _no_op_observer(index, count):
@@ -74,6 +83,33 @@ def read_then_compute(packet):
     turn."""
     yield MemRead("sdram", 2048)
     yield Compute(60)
+
+
+def folded_read(freq_mhz):
+    """``(switch, response, turn, completion, polls)`` of
+    :func:`read_then_compute`'s one packet on an idle four-thread engine
+    at ``freq_mhz``, issued at 0, from config constants alone.
+
+    The context switch comes one switch delay after the issue, and the
+    response does not scale with the engine clock.  The switch's poller
+    completes its poll one period after the switch and the pollers take
+    turns on that lattice, so the holder's turn is the first lattice
+    instant at or after the response, plus one period for each of the
+    two pollers queued ahead of it.  Every lattice poll before the turn
+    misses, and the holder misses one more as its packet completes,
+    60 cycles after the turn.
+    """
+    npu = NpuConfig()
+
+    def cycles_ps(cycles):
+        return round(cycles * PS_PER_S / mhz(freq_mhz))
+
+    switch = cycles_ps(npu.ctx_switch_cycles)
+    period = cycles_ps(npu.poll_instructions)
+    lattice = switch + -((switch - READ_2K_PS) // period) * period
+    turn = lattice + (npu.threads_per_me - 2) * period
+    polls = (turn - switch) // period + 1
+    return switch, READ_2K_PS, turn, turn + cycles_ps(60), polls
 
 
 def three_read_steps(packet):
@@ -128,13 +164,18 @@ def run_me(
     resume_until=None,
     arrivals=(),
     eager=False,
+    freq_mhz=600,
+    before_start=None,
 ):
     """Run one engine on a packet queue; ``arrivals`` are ``(time_ps,
     late)`` enqueues, ``late`` ones posted after the poll completing at
-    the same instant was.  ``effort`` holds what parking may change:
-    kernel events, poll-band posts and the engine's park state."""
+    the same instant was.  ``before_start`` and ``perturb`` are called
+    with ``(sim, me)`` before and after the engine starts, so what they
+    post draws sequence numbers before or after the engine's first
+    ones.  ``effort`` holds what parking may change: kernel events,
+    poll-band posts and the engine's park state."""
     sim = StrictPollSimulator()
-    clock = ClockDomain(sim, mhz(600), "me0")
+    clock = ClockDomain(sim, mhz(freq_mhz), "me0")
     sram, sdram, scratch, _ = build_memories(sim, MemoryConfig())
     memories = {"sram": sram, "sdram": sdram, "scratch": scratch}
     done = []
@@ -161,6 +202,8 @@ def run_me(
     )
     if eager:
         me.on_instructions = _no_op_observer
+    if before_start is not None:
+        before_start(sim, me)
     me.start()
     if perturb is not None:
         perturb(sim, me)
@@ -240,14 +283,14 @@ class TestParkedEquivalence:
 
     def test_memory_response_wakes_a_parked_engine(self):
         # One thread blocks on a 2 KB SDRAM read while the other three
-        # poll: they park, and the response queues the thread behind
-        # them.  Four events: the context switch, the response, the
-        # holder's turn (the pollers' misses ahead of it post nothing)
+        # poll an empty queue: the engine folds the reference into the
+        # holder's turn.  Two events: the turn (the context switch, the
+        # response and the pollers' misses ahead of it post nothing)
         # and the compute completion.
         parked, _ = assert_parked_matches_eager(
             npackets=1, steps_fn=read_then_compute
         )
-        assert parked["events"] == 4
+        assert parked["events"] == 2
 
     def test_run_end_then_resume(self):
         assert_parked_matches_eager(
@@ -327,15 +370,16 @@ class TestHolderTurns:
     With :func:`read_then_compute` on four threads, the response at
     ``R`` queues the holder behind two pollers: the next lattice polls
     complete at ``T - 2P`` and ``T - P``, the holder's turn is ``T`` and
-    the parked engine posts one entry, at ``T``.  A wake at or before
-    ``T - P`` supersedes that entry; a later one keeps it.
+    the parked engine posts one entry, at ``T`` (at the issue, since the
+    reference folds).  A wake at or before ``T - P`` supersedes that
+    entry; a later one keeps it.
     """
 
     BASE = dict(npackets=1, steps_fn=read_then_compute)
 
     def turn(self):
-        response_ps, turn_ps = first_turn(**self.BASE)
-        assert turn_ps - 3 * POLL_PS < response_ps < turn_ps - 2 * POLL_PS
+        _, turn_ps = first_turn(**self.BASE)
+        assert turn_ps - 3 * POLL_PS < READ_2K_PS < turn_ps - 2 * POLL_PS
         return turn_ps
 
     @pytest.mark.parametrize("late", (False, True))
@@ -417,6 +461,105 @@ class TestHolderTurns:
             until=turn_ps + offset, resume_until=60_000_000, **self.BASE
         )
         assert parked["parked"] and parked["live_ps"] == turn_ps
+
+
+SWITCH_PS, RESPONSE_PS, TURN_PS, _, _ = folded_read(600)
+
+
+def _post(sim, when_ps, late, callback, *args):
+    """Post ``callback(*args)`` at ``when_ps``; a ``late`` one is posted
+    one picosecond before, so its sequence number is drawn after those
+    of every event posted by then."""
+    if late:
+        sim.schedule_at(when_ps - 1, sim.schedule_at, when_ps, callback, *args)
+    else:
+        sim.schedule_at(when_ps, callback, *args)
+
+
+class TestFoldTouches:
+    """A touch reaches a folded reference before its turn.
+
+    :func:`read_then_compute` on four threads folds its read at the
+    issue, 0: the switch is due at ``S``, the response at ``R`` and the
+    turn at ``T``.  A touch posted before the engine starts sorts before
+    a switch or response at its own picosecond, since the fold draws
+    their sequence numbers later; a ``late`` one sorts after.  Each case
+    must match the eager engine, which posts both events.
+    """
+
+    BASE = dict(npackets=1, steps_fn=read_then_compute)
+    PLACES = pytest.mark.parametrize(
+        "when_ps, late",
+        [
+            (SWITCH_PS // 2, False),
+            (SWITCH_PS, False),
+            (SWITCH_PS, True),
+            ((SWITCH_PS + RESPONSE_PS) // 2, False),
+            (RESPONSE_PS, False),
+            (RESPONSE_PS, True),
+            ((RESPONSE_PS + TURN_PS) // 2, False),
+        ],
+        ids=["issue-switch", "switch", "switch-late", "switch-response",
+             "response", "response-late", "response-turn"],
+    )
+
+    def test_the_read_folds(self):
+        # One poll-band post, at the issue, for the turn.
+        assert run_me(**self.BASE)["effort"]["poll_posts"] == [(0, TURN_PS)]
+
+    @PLACES
+    def test_enqueue(self, when_ps, late):
+        assert_parked_matches_eager(arrivals=[(when_ps, late)], **self.BASE)
+
+    @PLACES
+    @pytest.mark.parametrize("duration_ps", (POLL_PS // 4, 3 * POLL_PS))
+    def test_stall(self, when_ps, late, duration_ps):
+        def touch(sim, me):
+            _post(sim, when_ps, late, me.stall_for, duration_ps)
+
+        assert_parked_matches_eager(before_start=touch, **self.BASE)
+
+    @PLACES
+    def test_set_vf(self, when_ps, late):
+        def touch(sim, me):
+            _post(sim, when_ps, late, me.set_vf, mhz(450), 1.1)
+
+        assert_parked_matches_eager(before_start=touch, **self.BASE)
+
+    @pytest.mark.parametrize(
+        "until_ps",
+        [
+            SWITCH_PS // 2,
+            SWITCH_PS,
+            (SWITCH_PS + RESPONSE_PS) // 2,
+            RESPONSE_PS,
+            (RESPONSE_PS + TURN_PS) // 2,
+        ],
+    )
+    def test_run_end_then_resume(self, until_ps):
+        assert_parked_matches_eager(
+            until=until_ps, resume_until=60_000_000, **self.BASE
+        )
+
+
+class TestFoldedClosedForm:
+    """One packet through an idle engine at a fixed level (ROADMAP item
+    12, per engine): :func:`folded_read` predicts its completion instant
+    and the polls charged by then from config constants alone."""
+
+    def test_the_turn_at_600_mhz(self):
+        assert TURN_PS == 4_241_667
+
+    @pytest.mark.parametrize("freq_mhz", (600, 400))
+    @pytest.mark.parametrize("eager", (False, True))
+    def test_completion_and_polls(self, freq_mhz, eager):
+        _, _, _, completion, polls = folded_read(freq_mhz)
+        run = run_me(
+            npackets=1, steps_fn=read_then_compute, freq_mhz=freq_mhz,
+            until=completion, eager=eager,
+        )
+        assert run["done"] == [completion]
+        assert run["polls"] == polls
 
 
 def _arrivals():
@@ -580,6 +723,9 @@ class TestEventGraphFrozen:
 
     A change that only makes events cheaper leaves every count equal; a
     deliberate change to the event graph updates them in its own commit.
+    Folding blocking references into holder turns removed events and,
+    since a folded turn is posted at the issue rather than at the
+    response, let an arrival in between supersede a few more turns.
     The configs cover an engine that parks (``overnight_trough``), a
     generator stream on the busy path under the study's monitors (nat
     receive on ``saturation_stress``) and stalls and V/F changes that
@@ -592,7 +738,7 @@ class TestEventGraphFrozen:
             (
                 "overnight_trough", "ipfwdr", "tdvs", False,
                 {
-                    "events": 1_666, "polls": 64_438,
+                    "events": 1_043, "polls": 64_438,
                     "instructions": 1_586_262, "stale_polls": 0,
                     "requests": {"sram": 70, "sdram": 336, "scratch": 56, "ixbus": 29},
                 },
@@ -600,16 +746,16 @@ class TestEventGraphFrozen:
             (
                 "saturation_stress", "nat", "edvs", True,
                 {
-                    "events": 12_220, "polls": 55_228,
-                    "instructions": 2_399_864, "stale_polls": 23,
+                    "events": 10_582, "polls": 55_228,
+                    "instructions": 2_399_864, "stale_polls": 26,
                     "requests": {"sram": 645, "sdram": 0, "scratch": 897, "ixbus": 465},
                 },
             ),
             (
                 "bursty_onoff", "ipfwdr", "tdvs", False,
                 {
-                    "events": 14_071, "polls": 24_737,
-                    "instructions": 1_083_633, "stale_polls": 12,
+                    "events": 13_389, "polls": 24_737,
+                    "instructions": 1_083_633, "stale_polls": 20,
                     "requests": {"sram": 839, "sdram": 4_187, "scratch": 682, "ixbus": 437},
                 },
             ),

@@ -195,3 +195,50 @@ def test_poll_band_runs_after_ordinary_events_in_rank_order():
     sim.post_at(99, order.append, "early")
     sim.run()
     assert order == ["early", "a", "b", "poll0", "poll2"]
+
+
+def test_delivered_key():
+    """``now_seq`` is the delivered entry's sequence number, its rank
+    past the poll band's offset in the poll band, and a key after every
+    event's in the run-end hooks."""
+    sim = Simulator()
+    seen = []
+
+    def record(tag):
+        seen.append((tag, sim.now_ps, sim.now_seq))
+
+    sim.schedule(100, record, "a")
+    sim.post_poll(100, 3, record, "poll3")
+    sim.post_at(100, record, "b")
+    sim.on_run_end.append(lambda: record("end"))
+    sim.run(until_ps=150)
+    assert seen == [
+        ("a", 100, 1),
+        ("b", 100, 2),
+        ("poll3", 100, 2**62 + 3),
+        ("end", 150, 2**63),
+    ]
+    # A call after the run still sorts after every delivered event.
+    assert sim.now_seq == 2**63
+
+
+def test_step_records_the_delivered_key():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    sim.post_poll(10, 1, lambda: None)
+    sim.step()
+    assert (sim.now_ps, sim.now_seq) == (10, 1)
+    sim.step()
+    assert (sim.now_ps, sim.now_seq) == (10, 2**62 + 1)
+
+
+def test_reserved_entry_runs_where_a_post_at_reservation_would():
+    sim = Simulator()
+    order = []
+    sim.post_at(100, order.append, "before")
+    seq = sim.reserve_seq()
+    sim.post_at(100, order.append, "after")
+    sim.schedule(50, sim.post_reserved, 100, seq, order.append, "reserved")
+    sim.run()
+    assert seq == 2
+    assert order == ["before", "reserved", "after"]
