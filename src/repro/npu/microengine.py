@@ -37,15 +37,15 @@ leaves only pollers behind, facing an empty work source, when the
 response lands after the context switch.  Posted, the reference costs
 three kernel events, none of which changes the engine's power state:
 the switch to a poller that misses and parks the engine, the response,
-and the holder's turn.  Folded, the engine reserves the sequence numbers of
-the response and the switch (:meth:`Simulator.reserve_seq`) and posts
-only the turn, where one closed-form step charges the pollers' misses,
-rotates the ready queue and continues the holder.  A touch before the
-turn — an enqueue, a stall, a clock change, the end of the run —
-unfolds first: it applies the switch and the response if their keys
-sort before the touch's (:attr:`Simulator.now_seq` decides a tie at
-one picosecond) and re-posts the rest under their reserved keys, so
-the engine stands exactly where the eager engine would.
+and the holder's turn.  Folded, the engine reserves the sequence
+numbers of the response and the switch (:meth:`Simulator.reserve_seq`)
+and posts only the turn, where one closed-form step charges the
+pollers' misses, rotates the ready queue and continues the holder.  A
+touch before the turn — an enqueue, a stall, a clock change, the end of
+the run — unfolds first: it applies the switch and the response if
+their keys sort before the touch's (:attr:`Simulator.now_seq` decides a
+tie at one picosecond) and re-posts the rest under their reserved keys,
+so the engine stands exactly where the eager engine would.
 
 The runtime executes the per-packet application models' *step streams*
 (:mod:`repro.npu.steps`).  One step interpreter,
@@ -163,7 +163,9 @@ class Microengine:
         engine parks only on a source that can wake it: one with
         ``set_waiter(hook)``.  The engine installs its hook once, at
         construction; the source calls it after every enqueue, and it
-        returns at once unless the engine is parked.
+        returns at once unless the engine is parked.  It folds a
+        blocking reference only on a source that also offers
+        ``deques``, a tuple of its backing deques, to test it empty.
     make_steps:
         ``callable(packet) -> Iterable[Step]`` — the application's step
         stream for one packet in this ME's role: a generator, or a list

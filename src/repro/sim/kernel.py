@@ -89,7 +89,7 @@ class Simulator:
         self.name = name
         self.now_ps: int = 0
         #: Sequence number of the event being delivered (see the module
-        #: docstring); run-end hooks, and calls between runs, see
+        #: docstring); run-end hooks, and calls after a run returns, see
         #: ``_AFTER_EVERY_EVENT``.
         self.now_seq: int = 0
         self._queue: List[_Entry] = []
