@@ -543,9 +543,11 @@ class TestFoldTouches:
 
 
 class TestFoldedClosedForm:
-    """One packet through an idle engine at a fixed level (ROADMAP item
-    12, per engine): :func:`folded_read` predicts its completion instant
-    and the polls charged by then from config constants alone."""
+    """One packet through an idle engine at a fixed level, a closed-form
+    check per engine: :func:`folded_read` predicts its completion
+    instant and the polls charged by then from config constants alone,
+    so memory latency that scaled with the engine clock, or a turn
+    counted from the issue, would fail it."""
 
     def test_the_turn_at_600_mhz(self):
         assert TURN_PS == 4_241_667
