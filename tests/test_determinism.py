@@ -8,8 +8,8 @@ Pins down four contracts future scaling PRs must not break:
   the same commit that changes the hashing scheme).
 * **Simulated output is stable across releases** — golden digests of
   a small full-catalog study's report JSON, of one job record with
-  same-picosecond poll ties, and (slow) of the quick-profile
-  full-catalog study.
+  same-picosecond poll ties, of a small grid of single-rate runs, and
+  (slow) of the quick-profile full-catalog study.
 * **Worker count never changes results** — serial and parallel
   ``Session.sweep`` outputs are bit-identical, down to the serialized
   dict.
@@ -50,6 +50,12 @@ GOLDEN_TIE_JOB_SHA256 = (
     "3fa0c3b43254da8f82ddfc6f2c130616e19b64cdfe675c2a8d55d13083182529"
 )
 
+#: sha256 of the outcome records of :func:`single_rate_jobs`, six runs
+#: that play no catalog scenario, with formula (2)/(3) distributions.
+GOLDEN_SINGLE_RATE_SHA256 = (
+    "4fe60add891dd6065e63a82155201c1bc577ba3b7a0d42725721d4a68befab1c"
+)
+
 #: md5 of the report ``repro study --scenario all --policy tdvs,edvs
 #: --json --quiet --out FILE`` writes: the full-catalog study at the
 #: quick profile, the number each md5-move commit message quotes.
@@ -80,6 +86,30 @@ def small_spec(**overrides) -> SweepSpec:
     )
     settings.update(overrides)
     return SweepSpec(**settings)
+
+
+def single_rate_jobs():
+    """Runs of the single-rate traffic fields: each named level over
+    MMPP, an explicit load over Poisson and over CBR, and min64 packets."""
+    tdvs = DvsConfig(policy="tdvs", window_cycles=40_000, top_threshold_mbps=1200.0)
+    edvs = DvsConfig(policy="edvs", window_cycles=40_000)
+    runs = (
+        ("ipfwdr", TrafficConfig(level="low", offered_load_mbps=None), tdvs),
+        ("nat", TrafficConfig(level="med", offered_load_mbps=None), edvs),
+        ("ipfwdr", TrafficConfig(level="high", offered_load_mbps=None), tdvs),
+        ("ipfwdr", TrafficConfig(offered_load_mbps=700.0, process="poisson"),
+         DvsConfig()),
+        ("nat", TrafficConfig(offered_load_mbps=700.0, process="cbr"), tdvs),
+        ("ipfwdr", TrafficConfig(offered_load_mbps=700.0, size_mix="min64"), edvs),
+    )
+    return [
+        Job.build(
+            RunConfig(benchmark=benchmark, duration_cycles=400_000, seed=11,
+                      traffic=traffic, dvs=dvs),
+            span=20,
+        )
+        for benchmark, traffic, dvs in runs
+    ]
 
 
 def outcome_dicts(outcomes):
@@ -150,6 +180,13 @@ class TestGoldenHashes:
         assert hashlib.sha256(record.encode("utf-8")).hexdigest() == (
             GOLDEN_TIE_JOB_SHA256
         )
+
+    def test_single_rate_job_records(self):
+        outcomes = Session(execution=ExecutionPolicy(workers=1)).sweep(
+            single_rate_jobs()
+        )
+        records = "\n".join(outcome_dicts(outcomes)).encode("utf-8")
+        assert hashlib.sha256(records).hexdigest() == GOLDEN_SINGLE_RATE_SHA256
 
     @pytest.mark.slow
     def test_full_catalog_study_md5(self):
