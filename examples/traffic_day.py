@@ -3,22 +3,25 @@
 
 1. Builds the diurnal day model and prints a Figure 2-style max/med/min
    table (with an ASCII sparkline of the median).
-2. Derives the high/medium/low segments the experiments simulate.
-3. Generates a few milliseconds of the high segment, writes the packets
-   to a portable CSV trace, reads them back, and verifies the replay is
-   byte-identical — the workflow for pinning experiment inputs.
+2. Derives the high/medium/low loads a ``level:`` run simulates.
+3. Plays a few milliseconds of the high level through the traffic
+   source every run uses, writes the packets to a portable CSV trace,
+   reads them back, and verifies the replay is byte-identical — the
+   workflow for pinning experiment inputs.
 
 Run:  python examples/traffic_day.py
 """
 
 import io
 
+from repro.config import TrafficConfig
+from repro.runner import traffic_scenario
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic import (
     DiurnalModel,
-    TrafficSampler,
     TrafficSource,
+    level_load_bps,
     read_packet_trace,
     write_packet_trace,
 )
@@ -45,22 +48,24 @@ def main() -> None:
               f"med={bucket.med_bps / 1e6:7.1f}  "
               f"min={bucket.min_bps / 1e6:7.1f}  Mbit/s")
 
-    sampler = TrafficSampler(model)
-    print("\nSampled segments (scaled to the NPU's regime):")
-    segments = sampler.all_segments()
+    print("\nSampled levels (scaled to the NPU's regime):")
     for level in ("low", "med", "high"):
-        spec = segments[level]
-        print(f"  {level:4s}: {spec.offered_load_bps / 1e6:7.0f} Mbps "
-              f"({spec.process}, burst ratio {spec.burst_ratio})")
+        print(f"  {level:4s}: {level_load_bps(level) / 1e6:7.0f} Mbps")
 
-    # Generate and replay the high segment.
+    # A level:high run plays a one-segment scenario; generate and replay it.
+    high = traffic_scenario(TrafficConfig(level="high", offered_load_mbps=None))
+    (segment,) = high.segments
+    print(f"  high plays {segment.process}, burst ratio {segment.burst_ratio}, "
+          f"{segment.size_mix} sizes, {high.num_flows} flows")
     sim = Simulator()
     packets = []
-    source = TrafficSource.from_spec(
+    stop_ps = 3_000_000_000  # 3 ms
+    source = TrafficSource(
         sim, lambda port, packet: packets.append(packet),
-        segments["high"], rng_streams=RngStreams(2005),
+        high.phases(stop_ps), rng_streams=RngStreams(2005),
+        num_flows=high.num_flows, zipf_s=high.zipf_s,
     )
-    source.start(stop_ps=3_000_000_000)  # 3 ms
+    source.start(stop_ps=stop_ps)
     sim.run()
     print(f"\ngenerated {len(packets)} packets in 3 ms "
           f"({source.offered_load_bps / 1e6:.0f} Mbps measured)")

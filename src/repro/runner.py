@@ -1,7 +1,8 @@
 """One-call simulation runs: config in, totals and distributions out.
 
 :class:`SimulationRun` wires a :class:`~repro.npu.chip.NpuChip`, a
-traffic source and (optionally) a DVS governor together from a single
+traffic source playing the run's scenario (:func:`traffic_scenario`)
+and (optionally) a DVS governor together from a single
 :class:`~repro.config.RunConfig`, attaches observers to the chip's
 :class:`~repro.trace.bus.TraceBus` — LOC monitors (``monitors=``,
 see :mod:`repro.loc.monitor`) and structured sinks (``sinks=``: trace
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import RunConfig
+from repro.config import RunConfig, TrafficConfig
 from repro.dvs.combined import CombinedGovernor
 from repro.dvs.edvs import EdvsGovernor
 from repro.dvs.tdvs import TdvsGovernor
@@ -29,42 +30,48 @@ from repro.npu.chip import NpuChip, RunTotals
 from repro.npu.microengine import BUSY, IDLE, STALLED
 from repro.power.overhead import DvsOverheadMeter
 from repro.scenarios.catalog import get_scenario
-from repro.scenarios.source import ScenarioTrafficSource
+from repro.scenarios.spec import Scenario, ScenarioSegment
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.traffic.diurnal import DiurnalModel
+from repro.traffic.diurnal import level_load_bps
 from repro.traffic.generator import TrafficSource
-from repro.traffic.sampler import SegmentSpec, TrafficSampler
-from repro.traffic.sizes import SIZE_MIXES
 
 
-#: Shared diurnal sampler for named-level load resolution.  The sampler
-#: is pure (percentile lookups over the fixed day profile), so one
-#: instance serves every run — building it per call burned a day-curve
-#: construction on each of a sweep's thousands of job setups.
-_DIURNAL_SAMPLER: Optional[TrafficSampler] = None
+def traffic_scenario(traffic: TrafficConfig) -> Scenario:
+    """The scenario a run with this traffic config plays.
 
-
-def _diurnal_sampler() -> TrafficSampler:
-    global _DIURNAL_SAMPLER
-    if _DIURNAL_SAMPLER is None:
-        _DIURNAL_SAMPLER = TrafficSampler(DiurnalModel())
-    return _DIURNAL_SAMPLER
+    A catalog ``scenario`` plays as registered.  Otherwise the
+    single-rate fields make a one-segment scenario, flow shape
+    included: an explicit load goes in as given, a named level at its
+    :func:`~repro.traffic.diurnal.level_load_bps`.
+    """
+    if traffic.scenario is not None:
+        return get_scenario(traffic.scenario)
+    load_mbps = traffic.offered_load_mbps
+    if load_mbps is None:
+        load_mbps = level_load_bps(traffic.level) / 1e6
+    segment = ScenarioSegment(
+        weight=1.0,
+        offered_load_mbps=load_mbps,
+        process=traffic.process,
+        burst_ratio=traffic.burst_ratio,
+        burst_fraction=traffic.burst_fraction,
+        size_mix=traffic.size_mix,
+    )
+    return Scenario(
+        name="single_rate",
+        title="Single rate",
+        description="One phase at the run's single-rate traffic fields.",
+        segments=(segment,),
+        num_flows=traffic.num_flows,
+        zipf_s=traffic.zipf_s,
+    )
 
 
 def resolve_offered_load_bps(config: RunConfig) -> float:
-    """Offered load in bits/second from a run's traffic config.
-
-    Named levels resolve through the diurnal sampler (the NLANR-like day
-    profile); explicit loads pass through; scenarios report their
-    duration-weighted mean load.
-    """
-    traffic = config.traffic
-    if traffic.offered_load_mbps is not None:
-        return traffic.offered_load_mbps * 1e6
-    if traffic.scenario is not None:
-        return get_scenario(traffic.scenario).mean_load_mbps * 1e6
-    return _diurnal_sampler().level_load_bps(traffic.level)
+    """Offered load in bits/second from a run's traffic config: the
+    duration-weighted mean load of the scenario it plays."""
+    return traffic_scenario(config.traffic).mean_load_mbps * 1e6
 
 
 @dataclass
@@ -117,33 +124,16 @@ class SimulationRun:
             monitor.attach(self.bus)
 
         # -- traffic -----------------------------------------------------
-        if config.traffic.scenario is not None:
-            self.traffic = ScenarioTrafficSource.from_scenario(
-                self.sim,
-                self.chip.deliver,
-                get_scenario(config.traffic.scenario),
-                duration_ps=self.duration_ps,
-                num_ports=config.npu.num_ports,
-                rng_streams=self.rng_streams,
-            )
-        else:
-            size_mix = SIZE_MIXES[config.traffic.size_mix]
-            spec = SegmentSpec(
-                level=config.traffic.level or "explicit",
-                offered_load_bps=resolve_offered_load_bps(config),
-                duration_s=1.0,  # actual stop time comes from duration_cycles
-                process=config.traffic.process,
-                burst_ratio=config.traffic.burst_ratio,
-                burst_fraction=config.traffic.burst_fraction,
-            )
-            self.traffic = TrafficSource.from_spec(
-                self.sim,
-                self.chip.deliver,
-                spec,
-                size_mix=size_mix,
-                num_ports=config.npu.num_ports,
-                rng_streams=self.rng_streams,
-            )
+        scenario = traffic_scenario(config.traffic)
+        self.traffic = TrafficSource(
+            self.sim,
+            self.chip.deliver,
+            scenario.phases(self.duration_ps),
+            num_ports=config.npu.num_ports,
+            rng_streams=self.rng_streams,
+            num_flows=scenario.num_flows,
+            zipf_s=scenario.zipf_s,
+        )
 
         # -- DVS governor ---------------------------------------------------
         self.governor = None

@@ -5,8 +5,10 @@
   timed traffic phases;
 * :mod:`~repro.scenarios.catalog` — the built-in catalog (flash crowd,
   DDoS storm, diurnal replays, failover, on/off bursting, saturation,
-  size-mix drift) plus the registry for custom entries;
-* :mod:`~repro.scenarios.source` — the simulator-bound playback source.
+  size-mix drift) plus the registry for custom entries.
+
+:meth:`Scenario.phases` feeds the one traffic source,
+:class:`~repro.traffic.generator.TrafficSource`.
 
 A :class:`~repro.config.RunConfig` selects a scenario by name::
 
@@ -23,14 +25,11 @@ from repro.scenarios.catalog import (
     list_scenarios,
     register_scenario,
 )
-from repro.scenarios.source import PiecewiseArrivalProcess, ScenarioTrafficSource
 from repro.scenarios.spec import Scenario, ScenarioSegment
 
 __all__ = [
-    "PiecewiseArrivalProcess",
     "Scenario",
     "ScenarioSegment",
-    "ScenarioTrafficSource",
     "all_scenarios",
     "get_scenario",
     "list_scenarios",

@@ -7,8 +7,9 @@ doubling, on/off bursting, saturation stress and size-mix drift.  Loads
 sit in the same NPU regime as the experiments' named levels
 (:data:`repro.experiments.common.LEVEL_LOADS_MBPS`: 400/1000/1550 Mbps),
 and the diurnal replays derive their phase loads from the
-:class:`~repro.traffic.diurnal.DiurnalModel` day curve scaled exactly as
-:class:`~repro.traffic.sampler.TrafficSampler` scales its samples.
+:class:`~repro.traffic.diurnal.DiurnalModel` day curve scaled to
+:data:`~repro.traffic.diurnal.NPU_PEAK_MBPS`, as the named traffic
+levels are.
 
 Use :func:`get_scenario` / :func:`list_scenarios` to look entries up and
 :func:`register_scenario` to add custom ones (sweeps reference scenarios
@@ -21,11 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TrafficError
 from repro.scenarios.spec import Scenario, ScenarioSegment
-from repro.traffic.diurnal import DiurnalModel
-
-#: The NPU-regime load the busiest diurnal hour maps to, matching
-#: :class:`~repro.traffic.sampler.TrafficSampler`'s default scale.
-DIURNAL_NPU_PEAK_MBPS = 1600.0
+from repro.traffic.diurnal import NPU_PEAK_MBPS, DiurnalModel
 
 _CATALOG: Dict[str, Scenario] = {}
 
@@ -68,13 +65,13 @@ def all_scenarios() -> List[Scenario]:
 def diurnal_replay_segments(
     hours: Sequence[float],
     model: DiurnalModel,
-    npu_peak_mbps: float = DIURNAL_NPU_PEAK_MBPS,
+    npu_peak_mbps: float = NPU_PEAK_MBPS,
 ) -> Tuple[ScenarioSegment, ...]:
     """Equal-length phases replaying the day curve at the given hours.
 
     Loads are the model's smooth base rates scaled so the day's peak
-    hour lands on ``npu_peak_mbps`` — the same high/med/low ratio
-    preservation :class:`~repro.traffic.sampler.TrafficSampler` applies.
+    hour lands on ``npu_peak_mbps``, keeping the day's ratios as
+    :func:`~repro.traffic.diurnal.level_load_bps` does.
     """
     if not hours:
         raise TrafficError("diurnal replay needs at least one hour")
@@ -164,7 +161,7 @@ register_scenario(
         segments=diurnal_replay_segments(
             (4.0, 11.0, 16.0, 22.0),
             DiurnalModel(peak_bps=1.2e8, peak_hour=16.0),
-            npu_peak_mbps=0.6 * DIURNAL_NPU_PEAK_MBPS,
+            npu_peak_mbps=0.6 * NPU_PEAK_MBPS,
         ),
     )
 )

@@ -3,25 +3,26 @@
 A :class:`Scenario` is a named, documented workload: an ordered sequence
 of :class:`ScenarioSegment` phases that together span one simulation run.
 Each segment holds a share of the run's duration (``weight``), an offered
-load, an arrival process and a packet-size mix — the same vocabulary as
-:class:`~repro.traffic.sampler.SegmentSpec`, which each segment converts
-to via :meth:`ScenarioSegment.to_segment_spec`.
+load, an arrival process and a packet-size mix.
 
-Scenarios are the workload axis of the sweep engine
-(:mod:`repro.sweep`): a :class:`~repro.config.RunConfig` references one
-by name (``TrafficConfig(scenario="flash_crowd", ...)``) and the runner
-plays its segments back through a
-:class:`~repro.scenarios.source.ScenarioTrafficSource`.  The built-in
-catalog lives in :mod:`repro.scenarios.catalog`.
+Every run plays a scenario: a :class:`~repro.config.RunConfig` either
+references a catalog entry by name (``TrafficConfig(scenario=
+"flash_crowd", ...)``), which makes scenarios the workload axis of the
+sweep engine (:mod:`repro.sweep`), or sets the single-rate fields, which
+the runner turns into a one-segment scenario
+(:func:`repro.runner.traffic_scenario`).  :meth:`Scenario.phases` is
+what a :class:`~repro.traffic.generator.TrafficSource` plays.  The
+built-in catalog lives in :mod:`repro.scenarios.catalog`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import TrafficError
-from repro.traffic.sampler import SegmentSpec
+from repro.traffic.arrivals import ArrivalProcess, arrival_process
+from repro.traffic.generator import Phase
 from repro.traffic.sizes import SIZE_MIXES, PacketSizeMix
 
 _PROCESSES = ("poisson", "cbr", "mmpp")
@@ -81,15 +82,16 @@ class ScenarioSegment:
         """The segment's :class:`~repro.traffic.sizes.PacketSizeMix`."""
         return SIZE_MIXES[self.size_mix]
 
-    def to_segment_spec(self, duration_s: float, level: str = "scenario") -> SegmentSpec:
-        """This phase as a standalone :class:`SegmentSpec`."""
-        return SegmentSpec(
-            level=level,
-            offered_load_bps=self.offered_load_mbps * 1e6,
-            duration_s=duration_s,
-            process=self.process,
-            burst_ratio=self.burst_ratio,
-            burst_fraction=self.burst_fraction,
+    def arrival_process(self) -> ArrivalProcess:
+        """A fresh arrival process at the segment's load and shape."""
+        kwargs = {}
+        if self.process == "mmpp":
+            kwargs = {
+                "burst_ratio": self.burst_ratio,
+                "burst_fraction": self.burst_fraction,
+            }
+        return arrival_process(
+            self.process, self.offered_load_mbps * 1e6, self.mix.mean_bits, **kwargs
         )
 
 
@@ -185,14 +187,12 @@ class Scenario:
         spans.append((duration_ps, self.segments[-1]))
         return spans
 
-    def to_segment_specs(self, duration_s: float) -> List[SegmentSpec]:
-        """The scenario as standalone per-phase :class:`SegmentSpec` list."""
-        total = self.total_weight
+    def phases(self, duration_ps: int) -> List[Phase]:
+        """The ``(end_ps, process, size_mix)`` phases a run of
+        ``duration_ps`` plays, with fresh arrival processes."""
         return [
-            segment.to_segment_spec(
-                duration_s * segment.weight / total, level=f"{self.name}[{k}]"
-            )
-            for k, segment in enumerate(self.segments)
+            (end_ps, segment.arrival_process(), segment.mix)
+            for end_ps, segment in self.segment_spans_ps(duration_ps)
         ]
 
     # -- dict round-trip ------------------------------------------------

@@ -10,9 +10,14 @@ times.  Three processes are provided:
 * :class:`MmppProcess` — 2-state Markov-modulated Poisson process: a
   bursty/quiet alternation that approximates the short-timescale
   variability of real edge traffic (what makes DVS interesting).
+
+:class:`PiecewiseArrivalProcess` plays a timed sequence of them; every
+run's traffic source draws its gaps from one.
 """
 
 from __future__ import annotations
+
+from typing import Sequence, Tuple
 
 from repro.errors import TrafficError
 from repro.units import PS_PER_S
@@ -149,6 +154,58 @@ class MmppProcess(ArrivalProcess):
             # of the dwell and retry in the next state.
             gap += self._state_left_ps
             self._state_left_ps = 0.0
+
+
+class PiecewiseArrivalProcess(ArrivalProcess):
+    """Sequences per-phase arrival processes along simulated time.
+
+    It tracks the absolute arrival clock from time zero itself, so when
+    a drawn gap would cross a phase boundary it fast-forwards to the
+    boundary and redraws under the next phase's process (the same
+    consume-the-dwell trick :class:`MmppProcess` uses for its states).
+
+    Parameters
+    ----------
+    spans:
+        ``(end_ps, process)`` pairs, ordered by ``end_ps``.  The last
+        process is open-ended: it keeps generating past its nominal end
+        so a run can over-shoot its stop time without starving.
+    """
+
+    def __init__(self, spans: Sequence[Tuple[int, ArrivalProcess]]):
+        if not spans:
+            raise TrafficError("piecewise process needs at least one span")
+        ends = [end for end, _ in spans]
+        if any(b <= a for a, b in zip(ends, ends[1:])):
+            raise TrafficError(f"span boundaries must increase, got {ends}")
+        self._spans = list(spans)
+        self._index = 0
+        self._now_ps = 0.0
+
+    @property
+    def mean_rate_pps(self) -> float:
+        """Duration-weighted mean arrival rate across all spans."""
+        total_ps = self._spans[-1][0]
+        rate = 0.0
+        start = 0
+        for end, process in self._spans:
+            rate += process.mean_rate_pps * (end - start) / total_ps
+            start = end
+        return rate
+
+    def next_gap_ps(self, rng) -> int:
+        gap = 0.0
+        while True:
+            end_ps, process = self._spans[self._index]
+            candidate = process.next_gap_ps(rng)
+            arrival = self._now_ps + gap + candidate
+            if arrival <= end_ps or self._index == len(self._spans) - 1:
+                self._now_ps = arrival
+                return max(1, round(gap + candidate))
+            # The drawn gap crosses into the next phase: consume time
+            # up to the boundary and redraw at the new phase's rate.
+            gap = end_ps - self._now_ps
+            self._index += 1
 
 
 #: Registry of arrival-process names used in configuration files.

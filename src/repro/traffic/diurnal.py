@@ -10,21 +10,36 @@ roughly 10 Mbit/s overnight to bursts above 200 Mbit/s in the afternoon.
 * lognormal short-timescale variation around the base, giving the
   max/med/min envelope when many sub-samples fall in one bucket.
 
-The model is the sampling ground for
-:class:`~repro.traffic.sampler.TrafficSampler`, which extracts the
-high/medium/low segments the DVS experiments feed to the simulator.
+The paper: "It is obviously too expensive to simulate the entire day ...
+We sample a few seconds of real traffic in high, medium and low arriving
+rates as individual inputs to the simulator."  :func:`level_load_bps`
+does that against the default day: a named level is the base rate at
+its percentile, scaled to the NPU's regime.  The paper's NPU is driven
+well above the sampled router's absolute rates (its throughput axes
+reach 1400 Mbps), so the day's busiest traffic maps to
+:data:`NPU_PEAK_MBPS` and lower rates keep the day's ratios; the
+catalog's diurnal replays scale their phases the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from functools import lru_cache
+from typing import Dict, List
 
 from repro.errors import TrafficError
 from repro.sim.rng import RngStreams
 
 SECONDS_PER_DAY = 86_400.0
+
+#: The NPU-regime load the day's busiest traffic maps to: 1.6 Gbit/s
+#: drives the IXP1200-class model past saturation, as the paper's high
+#: samples do.
+NPU_PEAK_MBPS = 1600.0
+
+#: Percentile of the day's base-rate curve used for each named level.
+LEVEL_PERCENTILES: Dict[str, float] = {"low": 10.0, "med": 55.0, "high": 97.0}
 
 
 @dataclass
@@ -152,6 +167,28 @@ class DiurnalModel:
         )
         index = min(len(rates) - 1, int(percentile / 100.0 * len(rates)))
         return rates[index]
+
+
+@lru_cache(maxsize=None)
+def level_load_bps(level: str) -> float:
+    """NPU-scaled offered load of a named level, in bits per second.
+
+    The default day's base rate at the level's percentile, scaled so
+    ``high`` offers :data:`NPU_PEAK_MBPS` (memoized: the day is fixed).
+
+    >>> round(level_load_bps("high") / 1e6)
+    1600
+    """
+    try:
+        percentile = LEVEL_PERCENTILES[level]
+    except KeyError:
+        raise TrafficError(
+            f"unknown traffic level {level!r}; known: {sorted(LEVEL_PERCENTILES)}"
+        ) from None
+    model = DiurnalModel()
+    day_rate = model.percentile_rate(percentile)
+    high_rate = model.percentile_rate(LEVEL_PERCENTILES["high"])
+    return NPU_PEAK_MBPS * 1e6 * day_rate / high_rate
 
 
 def _raised_cosine(hours: float, center: float, width: float) -> float:

@@ -1,9 +1,13 @@
 """Simulator-bound traffic source.
 
-:class:`TrafficSource` schedules packet arrivals on the simulation kernel
-and delivers each packet to one of the NPU's device ports.  Port choice
-hashes the flow id so a flow always lands on the same port (as a real
-switch fabric would), which in turn keeps per-port ordering sensible.
+:class:`TrafficSource` plays timed traffic phases from simulated time
+zero — each an arrival process and a packet-size mix — and delivers
+each packet to one of the NPU's device ports.  Every run plays its
+traffic this way: a catalog scenario is a sequence of phases, and a
+single-rate run is one phase (:func:`repro.runner.traffic_scenario`).
+Port choice hashes the flow id so a flow always lands on the same port
+(as a real switch fabric would), which in turn keeps per-port ordering
+sensible.
 
 The source also keeps the *offered* counters (packets/bits presented to
 the NPU), which the experiments compare against the *forwarded* counters
@@ -12,17 +16,21 @@ to measure loss.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import TrafficError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.traffic.arrivals import ArrivalProcess, arrival_process
+from repro.traffic.arrivals import ArrivalProcess, PiecewiseArrivalProcess
 from repro.traffic.packet import FlowPool, Packet
-from repro.traffic.sizes import IMIX_CLASSIC, PacketSizeMix
+from repro.traffic.sizes import PacketSizeMix
 
 #: Delivery callback: receives (port_index, packet).
 DeliverFn = Callable[[int, Packet], None]
+
+#: One phase of traffic: it lasts until ``end_ps`` (absolute, from time
+#: zero), draws its gaps from the process and its sizes from the mix.
+Phase = Tuple[int, ArrivalProcess, PacketSizeMix]
 
 
 class TrafficSource:
@@ -35,10 +43,12 @@ class TrafficSource:
     deliver:
         Callback invoked at each arrival instant with
         ``(port_index, packet)``; the NPU's port array plugs in here.
-    process:
-        The arrival process (or use :meth:`from_spec`).
-    size_mix:
-        Packet-size distribution.
+    phases:
+        ``(end_ps, process, size_mix)`` phases ordered by ``end_ps``
+        (see :meth:`repro.scenarios.spec.Scenario.phases`).  The gaps
+        come from a :class:`~repro.traffic.arrivals.PiecewiseArrivalProcess`
+        over the processes, and each packet's size from the mix of the
+        phase its arrival falls in.  The last phase runs on past its end.
     num_ports:
         Number of device ports to spread flows over (16 for IXP1200).
     rng_streams:
@@ -52,8 +62,7 @@ class TrafficSource:
         self,
         sim: Simulator,
         deliver: DeliverFn,
-        process: ArrivalProcess,
-        size_mix: PacketSizeMix = IMIX_CLASSIC,
+        phases: Sequence[Phase],
         num_ports: int = 16,
         rng_streams: Optional[RngStreams] = None,
         num_flows: int = 512,
@@ -63,52 +72,27 @@ class TrafficSource:
             raise TrafficError(f"num_ports must be positive, got {num_ports}")
         self.sim = sim
         self.deliver = deliver
-        self.process = process
-        self.size_mix = size_mix
+        self.process = PiecewiseArrivalProcess(
+            [(end_ps, process) for end_ps, process, _ in phases]
+        )
         self.num_ports = num_ports
         streams = rng_streams or RngStreams(0)
         self._arrival_rng = streams.get("traffic.arrivals")
         self._size_rng = streams.get("traffic.sizes")
         self._payload_rng = streams.get("traffic.payload")
         self.flows = FlowPool(num_flows, zipf_s, streams.get("traffic.flows"))
+        # Arrivals never go back in time, so the phase of the latest
+        # arrival only moves forward.
+        self._mix_ends = [end_ps for end_ps, _, _ in phases]
+        self._mixes = [mix for _, _, mix in phases]
+        self._phase = 0
+        self._last_phase = len(phases) - 1
 
         self.offered_packets = 0
         self.offered_bits = 0
         self._next_seq = 0
         self._stop_ps: Optional[int] = None
         self._started = False
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_spec(
-        cls,
-        sim: Simulator,
-        deliver: DeliverFn,
-        spec,
-        size_mix: PacketSizeMix = IMIX_CLASSIC,
-        num_ports: int = 16,
-        rng_streams: Optional[RngStreams] = None,
-    ) -> "TrafficSource":
-        """Build a source from a :class:`~repro.traffic.sampler.SegmentSpec`."""
-        kwargs = {}
-        if spec.process == "mmpp":
-            kwargs = {
-                "burst_ratio": spec.burst_ratio,
-                "burst_fraction": spec.burst_fraction,
-            }
-        process = arrival_process(
-            spec.process, spec.offered_load_bps, size_mix.mean_bits, **kwargs
-        )
-        return cls(
-            sim,
-            deliver,
-            process,
-            size_mix=size_mix,
-            num_ports=num_ports,
-            rng_streams=rng_streams,
-        )
 
     # ------------------------------------------------------------------
     # Generation
@@ -136,6 +120,11 @@ class TrafficSource:
         self._schedule_next()
 
     def _make_packet(self, arrival_ps: int) -> Packet:
+        while (
+            self._phase < self._last_phase
+            and arrival_ps > self._mix_ends[self._phase]
+        ):
+            self._phase += 1
         flow_id = self.flows.draw()
         src_ip, dst_ip, src_port, dst_port, protocol = self.flows.endpoints(flow_id)
         seq = self._next_seq
@@ -143,7 +132,7 @@ class TrafficSource:
         return Packet(
             seq=seq,
             arrival_ps=arrival_ps,
-            size_bytes=self.size_mix.sample(self._size_rng),
+            size_bytes=self._mixes[self._phase].sample(self._size_rng),
             src_ip=src_ip,
             dst_ip=dst_ip,
             src_port=src_port,

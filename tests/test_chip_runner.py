@@ -14,7 +14,10 @@ from repro.loc.monitor import build_monitor
 from repro.npu.chip import build_chip
 from repro.npu.steps import Compute, MemPost, MemRead, MemWrite
 from repro.runner import SimulationRun, resolve_offered_load_bps, run_simulation
+from repro.scenarios import Scenario, ScenarioSegment, register_scenario
+from repro.scenarios.catalog import _CATALOG
 from repro.trace.buffer import TraceBuffer
+from repro.traffic.diurnal import level_load_bps
 
 from conftest import quick_config
 
@@ -315,3 +318,84 @@ class TestRunner:
         a = run_simulation(quick_config(seed=5))
         b = run_simulation(quick_config(seed=6))
         assert a.totals.offered_bits != b.totals.offered_bits
+
+
+class TestSingleRateTraffic:
+    """A single-rate run plays a one-segment scenario of its fields."""
+
+    def test_flow_shape_reaches_the_source(self):
+        run = SimulationRun(
+            quick_config(
+                duration_cycles=400_000,
+                traffic=TrafficConfig(
+                    offered_load_mbps=500.0, process="poisson", num_flows=1, zipf_s=0.0
+                ),
+            )
+        )
+        flows = set()
+        deliver = run.traffic.deliver
+
+        def spy(port, packet):
+            flows.add(packet.flow_id)
+            deliver(port, packet)
+
+        run.traffic.deliver = spy
+        result = run.run()
+        assert result.totals.offered_packets > 50
+        assert flows == {0}
+
+    @pytest.mark.parametrize(
+        "traffic, load_mbps",
+        [
+            (
+                TrafficConfig(
+                    offered_load_mbps=700.0,
+                    process="poisson",
+                    size_mix="imix_downstream",
+                    num_flows=64,
+                    zipf_s=0.5,
+                ),
+                700.0,
+            ),
+            (
+                TrafficConfig(
+                    level="med", offered_load_mbps=None, num_flows=2048, zipf_s=0.2
+                ),
+                level_load_bps("med") / 1e6,
+            ),
+        ],
+        ids=["load", "level"],
+    )
+    def test_equals_a_registered_one_segment_scenario(self, traffic, load_mbps):
+        twin = Scenario(
+            name="single_rate_twin",
+            title="Single-rate twin",
+            description="The single-rate fields as a catalog entry.",
+            segments=(
+                ScenarioSegment(
+                    weight=1.0,
+                    offered_load_mbps=load_mbps,
+                    process=traffic.process,
+                    burst_ratio=traffic.burst_ratio,
+                    burst_fraction=traffic.burst_fraction,
+                    size_mix=traffic.size_mix,
+                ),
+            ),
+            num_flows=traffic.num_flows,
+            zipf_s=traffic.zipf_s,
+        )
+        settings = dict(
+            duration_cycles=400_000, dvs=DvsConfig(policy="tdvs", window_cycles=40_000)
+        )
+        register_scenario(twin, replace=True)
+        try:
+            played = run_simulation(
+                quick_config(
+                    traffic=TrafficConfig.for_scenario("single_rate_twin"), **settings
+                )
+            )
+        finally:
+            _CATALOG.pop("single_rate_twin", None)
+        single = run_simulation(quick_config(traffic=traffic, **settings))
+        assert single.totals.offered_packets > 50
+        assert repr(single.totals) == repr(played.totals)

@@ -14,6 +14,7 @@ MODULES = (
     "repro.sim.rng",
     "repro.trace.events",
     "repro.traffic.arrivals",
+    "repro.traffic.diurnal",
 )
 
 

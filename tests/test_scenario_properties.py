@@ -6,7 +6,8 @@ sweep and study engines rely on:
 
 * segment spans partition the run exactly — the last boundary is the
   run length and boundaries are strictly increasing;
-* per-phase :class:`SegmentSpec` durations conserve total duration;
+* the phases a traffic source plays follow the spans, loads and size
+  mixes of the segments;
 * derived load figures (mean/peak/min) stay inside the per-segment
   bounds;
 * :class:`PacketSizeMix` expectations stay inside the size range for
@@ -71,17 +72,16 @@ def test_segment_spans_partition_the_run(scenario, duration_ps):
     assert [segment for _, segment in spans] == list(scenario.segments)
 
 
-@given(scenarios(), st.floats(min_value=1e-6, max_value=1e4))
-def test_segment_specs_conserve_total_duration(scenario, duration_s):
-    specs = scenario.to_segment_specs(duration_s)
-    assert len(specs) == len(scenario.segments)
-    total = sum(spec.duration_s for spec in specs)
-    assert total == pytest.approx(duration_s, rel=1e-9)
-    for spec, segment in zip(specs, scenario.segments):
-        assert spec.offered_load_bps == pytest.approx(
-            segment.offered_load_mbps * 1e6
+@given(scenarios(), st.integers(min_value=1, max_value=10**13))
+def test_phases_follow_the_segments(scenario, duration_ps):
+    phases = scenario.phases(duration_ps)
+    spans = scenario.segment_spans_ps(duration_ps)
+    assert [end for end, _, _ in phases] == [end for end, _ in spans]
+    for (_, process, mix), segment in zip(phases, scenario.segments):
+        assert mix is segment.mix
+        assert process.mean_rate_pps == pytest.approx(
+            segment.offered_load_mbps * 1e6 / segment.mix.mean_bits
         )
-        assert spec.duration_s > 0
 
 
 @given(scenarios())

@@ -8,17 +8,14 @@ from repro.config import RunConfig, TrafficConfig
 from repro.errors import ConfigError, TrafficError
 from repro.runner import resolve_offered_load_bps, run_simulation
 from repro.scenarios import (
-    PiecewiseArrivalProcess,
     Scenario,
     ScenarioSegment,
-    ScenarioTrafficSource,
     all_scenarios,
     get_scenario,
     list_scenarios,
     register_scenario,
 )
-from repro.sim.kernel import Simulator
-from repro.traffic.arrivals import ConstantBitRate
+from repro.traffic.arrivals import ConstantBitRate, PiecewiseArrivalProcess
 from repro.traffic.sizes import ALL_MINIMUM, IMIX_CLASSIC
 
 PS_PER_MS = 10**9
@@ -84,11 +81,17 @@ class TestScenarioSpec:
         assert ends == sorted(ends)
         assert len(spans) == len(scenario.segments)
 
-    def test_segment_specs_export(self):
+    def test_phases_follow_segments(self):
         scenario = two_phase_scenario()
-        specs = scenario.to_segment_specs(duration_s=2.0)
-        assert [spec.offered_load_bps for spec in specs] == [2e8, 8e8]
-        assert sum(spec.duration_s for spec in specs) == pytest.approx(2.0)
+        phases = scenario.phases(2 * PS_PER_MS)
+        assert [end for end, _, _ in phases] == [PS_PER_MS, 2 * PS_PER_MS]
+        assert [process.mean_rate_pps for _, process, _ in phases] == [
+            2e8 / IMIX_CLASSIC.mean_bits,
+            8e8 / IMIX_CLASSIC.mean_bits,
+        ]
+        assert all(mix is IMIX_CLASSIC for _, _, mix in phases)
+        # Each call builds fresh processes: a process keeps its own state.
+        assert phases[0][1] is not scenario.phases(2 * PS_PER_MS)[0][1]
 
 
 class TestPiecewisePlayback:
@@ -153,14 +156,8 @@ class TestPiecewisePlayback:
                 ),
             ),
         )
-        sim = Simulator()
-        source = ScenarioTrafficSource.from_scenario(
-            sim, lambda port, packet: None, scenario, duration_ps=2 * PS_PER_MS
-        )
-        assert source.mix_for(0) is IMIX_CLASSIC
-        assert source.mix_for(PS_PER_MS + 1) is ALL_MINIMUM
-        late = source._make_packet(2 * PS_PER_MS - 1)
-        assert late.size_bytes == 64
+        mixes = [mix for _, _, mix in scenario.phases(2 * PS_PER_MS)]
+        assert mixes == [IMIX_CLASSIC, ALL_MINIMUM]
 
 
 class TestScenarioRuns:

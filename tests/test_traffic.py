@@ -14,11 +14,10 @@ from repro.traffic.arrivals import (
     PoissonProcess,
     arrival_process,
 )
-from repro.traffic.diurnal import DiurnalModel
+from repro.traffic.diurnal import NPU_PEAK_MBPS, DiurnalModel, level_load_bps
 from repro.traffic.generator import TrafficSource
 from repro.traffic.packet import FlowPool, Packet
-from repro.traffic.sampler import SegmentSpec, TrafficSampler
-from repro.traffic.sizes import IMIX_CLASSIC, PacketSizeMix
+from repro.traffic.sizes import ALL_MINIMUM, IMIX_CLASSIC, PacketSizeMix
 from repro.traffic.trace_file import read_packet_trace, write_packet_trace
 
 
@@ -199,65 +198,81 @@ class TestDiurnal:
             DiurnalModel(peak_hour=25)
 
 
-class TestSampler:
+class TestLevels:
     def test_levels_ordered(self):
-        sampler = TrafficSampler(DiurnalModel())
-        low = sampler.level_load_bps("low")
-        med = sampler.level_load_bps("med")
-        high = sampler.level_load_bps("high")
+        low = level_load_bps("low")
+        med = level_load_bps("med")
+        high = level_load_bps("high")
         assert low < med < high
-        assert high == pytest.approx(sampler.npu_scale_to_bps)
+        assert high == NPU_PEAK_MBPS * 1e6
+
+    def test_level_loads_round_trip_through_mbps(self):
+        # A single-rate run's segment holds the level's load in Mbps.
+        for level in ("low", "med", "high"):
+            load = level_load_bps(level)
+            assert load / 1e6 * 1e6 == load
 
     def test_unknown_level_rejected(self):
-        sampler = TrafficSampler(DiurnalModel())
         with pytest.raises(TrafficError):
-            sampler.level_load_bps("peak")
+            level_load_bps("peak")
 
-    def test_all_segments(self):
-        segments = TrafficSampler(DiurnalModel()).all_segments()
-        assert set(segments) == {"low", "med", "high"}
+
+def one_phase(load_bps, process, mix=IMIX_CLASSIC, end_ps=10**12):
+    return [(end_ps, arrival_process(process, load_bps, mix.mean_bits), mix)]
 
 
 class TestTrafficSource:
-    def _run_source(self, spec, stop_us=2000):
+    def _run_source(self, phases, stop_us=2000, **kwargs):
         sim = Simulator()
         received = []
-        source = TrafficSource.from_spec(
+        source = TrafficSource(
             sim,
             lambda port, packet: received.append((port, packet)),
-            spec,
+            phases,
             rng_streams=RngStreams(9),
+            **kwargs,
         )
         source.start(stop_ps=stop_us * 1_000_000)
         sim.run()
         return source, received
 
     def test_packets_delivered_with_increasing_seq(self):
-        spec = SegmentSpec(level="med", offered_load_bps=1e9, process="cbr")
-        source, received = self._run_source(spec)
+        source, received = self._run_source(one_phase(1e9, "cbr"))
         assert len(received) > 100
         seqs = [packet.seq for _, packet in received]
         assert seqs == sorted(seqs)
         assert source.offered_packets == len(received)
 
     def test_ports_in_range_and_flow_sticky(self):
-        spec = SegmentSpec(level="med", offered_load_bps=1e9, process="poisson")
-        _, received = self._run_source(spec)
+        _, received = self._run_source(one_phase(1e9, "poisson"))
         port_by_flow = {}
         for port, packet in received:
             assert 0 <= port < 16
             previous = port_by_flow.setdefault(packet.flow_id, port)
             assert previous == port
 
+    def test_flow_shape_reaches_the_pool(self):
+        _, received = self._run_source(one_phase(1e9, "poisson"), num_flows=1)
+        assert {packet.flow_id for _, packet in received} == {0}
+
     def test_offered_load_measured(self):
-        spec = SegmentSpec(level="med", offered_load_bps=1e9, process="cbr")
-        source, _ = self._run_source(spec, stop_us=4000)
+        source, _ = self._run_source(one_phase(1e9, "cbr"), stop_us=4000)
         assert source.offered_load_bps == pytest.approx(1e9, rel=0.1)
+
+    def test_size_mix_follows_phases(self):
+        # imix for the first ms, min64 for the second and after it.
+        phases = one_phase(1e9, "cbr", end_ps=10**9) + one_phase(
+            1e9, "cbr", ALL_MINIMUM, end_ps=2 * 10**9
+        )
+        _, received = self._run_source(phases, stop_us=3000)
+        assert received[-1][1].arrival_ps > 2 * 10**9  # the last phase runs on
+        sizes = [(packet.arrival_ps <= 10**9, packet.size_bytes) for _, packet in received]
+        assert all(size != 64 for first, size in sizes if first)
+        assert all(size == 64 for first, size in sizes if not first)
 
     def test_cannot_start_twice(self):
         sim = Simulator()
-        spec = SegmentSpec(level="med", offered_load_bps=1e9, process="cbr")
-        source = TrafficSource.from_spec(sim, lambda p, k: None, spec)
+        source = TrafficSource(sim, lambda p, k: None, one_phase(1e9, "cbr"))
         source.start()
         with pytest.raises(TrafficError):
             source.start()
