@@ -1,7 +1,7 @@
 """Named, independently seeded random streams.
 
-Every stochastic model component (arrival process, packet sizes, payload
-bytes, ...) draws from its own named stream derived deterministically from
+Every stochastic model component (arrival process, packet sizes, flow
+choice, ...) draws from its own named stream derived deterministically from
 a single experiment seed.  This gives two properties the experiment sweeps
 rely on:
 

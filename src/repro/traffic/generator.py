@@ -52,8 +52,8 @@ class TrafficSource:
     num_ports:
         Number of device ports to spread flows over (16 for IXP1200).
     rng_streams:
-        Root RNG; the source draws from ``arrivals``, ``sizes``,
-        ``flows`` and ``payload`` child streams.
+        Root RNG; the source draws from its ``traffic.arrivals``,
+        ``traffic.sizes`` and ``traffic.flows`` child streams.
     num_flows / zipf_s:
         Flow-population shape (see :class:`~repro.traffic.packet.FlowPool`).
     """
@@ -79,7 +79,6 @@ class TrafficSource:
         streams = rng_streams or RngStreams(0)
         self._arrival_rng = streams.get("traffic.arrivals")
         self._size_rng = streams.get("traffic.sizes")
-        self._payload_rng = streams.get("traffic.payload")
         self.flows = FlowPool(num_flows, zipf_s, streams.get("traffic.flows"))
         # Arrivals never go back in time, so the phase of the latest
         # arrival only moves forward.
@@ -140,7 +139,6 @@ class TrafficSource:
             protocol=protocol,
             flow_id=flow_id,
             input_port=flow_id % self.num_ports,
-            payload_seed=self._payload_rng.getrandbits(32),
         )
 
     @property

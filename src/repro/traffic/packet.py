@@ -2,19 +2,16 @@
 
 A :class:`Packet` is the unit every layer of the model passes around:
 the traffic generator stamps arrival metadata, the device ports enqueue
-it, microengine threads process it (the applications read header fields
-and, when needed, payload bytes), and the transmit path forwards it.
+it, microengine threads process it (the applications read header fields),
+and the transmit path forwards it.
 
-Payload bytes are *virtual*: storing megabytes of random payload would be
-wasted memory, so each packet carries a ``payload_seed`` and materializes
-deterministic pseudo-random bytes only when asked.  No application model
-reads them: ``url`` and ``md4`` charge their payload work by length.
+A packet carries no payload bytes: ``url`` and ``md4`` charge their
+payload work by length (:attr:`Packet.payload_bytes_len`).
 """
 
 from __future__ import annotations
 
 import random
-import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,8 +53,6 @@ class Packet:
         Flow index from the :class:`FlowPool`.
     input_port:
         NPU device-port index (0..15) the packet arrived on.
-    payload_seed:
-        Seed for deterministic payload synthesis.
     output_port:
         Filled in by the forwarding application.
     """
@@ -72,7 +67,6 @@ class Packet:
     protocol: int
     flow_id: int
     input_port: int
-    payload_seed: int = 0
     output_port: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -96,21 +90,6 @@ class Packet:
     def five_tuple(self) -> Tuple[int, int, int, int, int]:
         """The classification 5-tuple."""
         return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)
-
-    def payload(self) -> bytes:
-        """Materialize deterministic pseudo-random payload bytes.
-
-        The same packet always yields the same payload.
-        """
-        length = self.payload_bytes_len
-        if length == 0:
-            return b""
-        out = bytearray()
-        state = (self.payload_seed ^ (self.seq * 0x9E3779B9)) & 0xFFFFFFFF
-        while len(out) < length:
-            state = zlib.crc32(state.to_bytes(4, "big"))
-            out.extend(state.to_bytes(4, "big"))
-        return bytes(out[:length])
 
 
 class FlowPool:

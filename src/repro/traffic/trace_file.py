@@ -1,10 +1,12 @@
 """Portable on-disk packet traces.
 
-A packet trace is a CSV file with one row per packet (arrival time,
-size, 5-tuple, flow, input port, payload seed).  Traces let experiments
-pin their exact input — the moral equivalent of the paper's sampled
-NLANR files — and let users replay identical traffic across runs or
-against other tools.
+A packet trace is a CSV file with a header row and one row per packet
+(sequence number, arrival time, size, 5-tuple, flow, input port).
+Traces let experiments pin their exact input — the moral equivalent of
+the paper's sampled NLANR files — and let users replay identical
+traffic across runs or against other tools.  A reader refuses a header
+that is not the current column list: traces with the retired
+``payload_seed`` column (packets carry no payload bytes) are refused.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ _FIELDS = (
     "protocol",
     "flow_id",
     "input_port",
-    "payload_seed",
 )
+
+#: Columns older traces carry that packets no longer have.
+_RETIRED_COLUMNS = ("payload_seed",)
 
 
 def write_packet_trace(packets: Iterable[Packet], destination: Union[str, IO]) -> int:
@@ -55,7 +59,6 @@ def write_packet_trace(packets: Iterable[Packet], destination: Union[str, IO]) -
                     packet.protocol,
                     packet.flow_id,
                     packet.input_port,
-                    packet.payload_seed,
                 )
             )
             count += 1
@@ -79,6 +82,7 @@ def read_packet_trace(source: Union[str, IO]) -> Iterator[Packet]:
             if not row:
                 continue
             if row[0] == "seq":  # header
+                _check_header(row, rowno)
                 continue
             if len(row) != len(_FIELDS):
                 raise TraceError(
@@ -92,3 +96,14 @@ def read_packet_trace(source: Union[str, IO]) -> Iterator[Packet]:
     finally:
         if owned:
             handle.close()
+
+
+def _check_header(row: List[str], rowno: int) -> None:
+    if tuple(row) == _FIELDS:
+        return
+    retired = [name for name in row if name in _RETIRED_COLUMNS]
+    reason = f"; column {retired[0]!r} is retired" if retired else ""
+    raise TraceError(
+        f"packet trace row {rowno}: header {','.join(row)} is not "
+        f"{','.join(_FIELDS)}{reason}"
+    )

@@ -303,7 +303,7 @@ class TestMemoKeyCompleteness:
     Pure streams share one list per memo key; a key that missed a
     dimension the stream varies on would hand a packet another shape's
     steps.  Packets vary in size (across chunk and MD4 padding
-    boundaries), destination, flow, input port and payload.
+    boundaries), destination, flow and input port.
     """
 
     @pytest.mark.parametrize(
@@ -327,7 +327,6 @@ class TestMemoKeyCompleteness:
                 dst_ip=rng.getrandbits(32),
                 flow_id=rng.randrange(1000),
                 input_port=rng.randrange(16),
-                payload_seed=rng.getrandbits(32),
             )
             warm_packet, fresh_packet = make_packet(**fields), make_packet(**fields)
             fresh = build_app(name, fresh_resources())

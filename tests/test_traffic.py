@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.errors import TrafficError
+from repro.errors import TraceError, TrafficError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic.arrivals import (
@@ -33,7 +33,6 @@ def make_packet(seq=0, size=500, **kw):
         protocol=6,
         flow_id=0,
         input_port=3,
-        payload_seed=42,
     )
     defaults.update(kw)
     return Packet(**defaults)
@@ -49,19 +48,18 @@ class TestPacket:
         with pytest.raises(TrafficError):
             make_packet(size=100_000)
 
-    def test_payload_deterministic_and_sized(self):
-        packet = make_packet(size=200)
-        payload = packet.payload()
-        assert len(payload) == 180  # minus 20-byte IP header
-        assert payload == packet.payload()
-
-    def test_payload_differs_across_packets(self):
-        a = make_packet(seq=1).payload()
-        b = make_packet(seq=2).payload()
-        assert a != b
+    def test_payload_length_excludes_the_ip_header(self):
+        assert make_packet(size=200).payload_bytes_len == 180
 
     def test_minimum_packet_has_small_payload(self):
         assert make_packet(size=40).payload_bytes_len == 20
+
+    def test_payload_bytes_are_retired(self):
+        packet = make_packet()
+        assert not hasattr(packet, "payload")
+        assert not hasattr(packet, "payload_seed")
+        with pytest.raises(TypeError):
+            make_packet(payload_seed=42)
 
     def test_five_tuple(self):
         packet = make_packet()
@@ -293,3 +291,25 @@ class TestPacketTraceFile:
         packets = [make_packet(seq=k) for k in range(5)]
         write_packet_trace(packets, path)
         assert list(read_packet_trace(path)) == packets
+
+    def test_header_is_the_column_list(self):
+        buffer = io.StringIO()
+        write_packet_trace([make_packet()], buffer)
+        header = buffer.getvalue().splitlines()[0]
+        assert header == (
+            "seq,arrival_ps,size_bytes,src_ip,dst_ip,src_port,dst_port,"
+            "protocol,flow_id,input_port"
+        )
+
+    def test_retired_payload_column_refused(self):
+        old = io.StringIO(
+            "seq,arrival_ps,size_bytes,src_ip,dst_ip,src_port,dst_port,"
+            "protocol,flow_id,input_port,payload_seed\n"
+            "0,1000,500,1,2,1234,80,6,0,3,42\n"
+        )
+        with pytest.raises(TraceError, match="'payload_seed' is retired"):
+            list(read_packet_trace(old))
+
+    def test_unknown_header_refused(self):
+        with pytest.raises(TraceError, match="header seq,when is not"):
+            list(read_packet_trace(io.StringIO("seq,when\n")))
