@@ -66,7 +66,7 @@ class LocSyntaxError(LocError):
 
 
 class LocSemanticError(LocError):
-    """A parsed LOC formula references unknown events or annotations."""
+    """A parsed LOC formula reads an annotation the trace rows lack."""
 
 
 class AnalysisError(ReproError):

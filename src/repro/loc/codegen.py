@@ -35,7 +35,9 @@ The same source runs in two places:
 A formula must read at least one event at an ``i``-relative index.
 With absolute pins only, every instance reads the same rows, so the
 instances never run out; with constants only, there are none.  The
-generator raises :class:`~repro.errors.LocError` for both.
+generator raises :class:`~repro.errors.LocError` for both, and
+:class:`~repro.errors.LocSemanticError` for an annotation that is not a
+row column.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import lru_cache
 from types import CodeType
 from typing import Callable, Dict, List, Tuple, Union
 
-from repro.errors import LocError
+from repro.errors import LocError, LocSemanticError
 from repro.loc.analyzer import build_edges
 from repro.loc.ast_nodes import (
     AnnotationRef,
@@ -86,6 +88,11 @@ def _render(expr: Expr, var: Callable[[AnnotationRef], str]) -> str:
     if isinstance(expr, Number):
         return repr(expr.value)
     if isinstance(expr, AnnotationRef):
+        if expr.annotation not in _COLUMNS:
+            raise LocSemanticError(
+                f"unknown annotation {expr.annotation!r} in "
+                f"{expr.unparse()!r}; known: {', '.join(_COLUMNS)}"
+            )
         return f"{var(expr)}[{_COLUMNS.index(expr.annotation)}]"
     if isinstance(expr, BinaryOp):
         return f"({_render(expr.left, var)} {expr.op} {_render(expr.right, var)})"
@@ -322,7 +329,8 @@ def generate_monitor_source(
     in its globals, and, for distribution formulas, ``_EDGES`` plus
     ``bisect_left``/``bisect_right``.  Raises
     :class:`~repro.errors.LocError` when no reference is indexed by
-    ``i`` (see the module docstring).
+    ``i``, and :class:`~repro.errors.LocSemanticError` for an unknown
+    annotation (see the module docstring).
     """
     parsed = parse_formula(formula) if isinstance(formula, str) else formula
     tables = _formula_tables(parsed)

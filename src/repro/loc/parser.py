@@ -16,9 +16,8 @@ Grammar (EOF-terminated)::
     event     := IDENT
     index     := 'i' (('+'|'-') integer)? | integer
 
-Annotation and event names are validated in :mod:`repro.loc.semantics`
-(the parser is purely syntactic so it can parse formulas about traces it
-has never seen).
+The parser is purely syntactic, so it can parse formulas about traces it
+has never seen.
 """
 
 from __future__ import annotations

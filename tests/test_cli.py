@@ -207,6 +207,12 @@ def test_bad_formula_exits_2(capsys):
     assert "unexpected character '@'" in refused(["loc-gen", "not a formula @@"], capsys)
 
 
+def test_unknown_annotation_exits_2(capsys):
+    line = refused(["loc-gen", "cyc(forward[i+1]) - cyc(forward[i]) <= 5"], capsys)
+    assert "unknown annotation 'cyc'" in line
+    assert "cycle, time, energy, total_pkt, total_bit" in line
+
+
 def test_unknown_experiment_exits_2(capsys):
     assert "unknown experiment 'fig99'" in refused(["run", "fig99"], capsys)
 

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.errors import LocError
+from repro.errors import LocError, LocSemanticError
 from repro.loc.analyzer import analyze_trace
 from repro.loc.checker import check_trace
 from repro.loc.codegen import (
@@ -179,4 +179,16 @@ def test_formula_no_instance_index_reaches_is_refused(formula):
     with pytest.raises(LocError, match="relative to i"):
         generate_monitor_source(formula)
     with pytest.raises(LocError, match="relative to i"):
+        generate_analyzer_source(formula)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["watts(forward[i]) <= 100", "cyc(forward[i+1]) - cyc(forward[i]) <= 5"],
+)
+def test_unknown_annotation_is_refused(formula):
+    known = "cycle, time, energy, total_pkt, total_bit"
+    with pytest.raises(LocSemanticError, match=known):
+        generate_monitor_source(formula)
+    with pytest.raises(LocSemanticError, match="unknown annotation"):
         generate_analyzer_source(formula)
