@@ -37,12 +37,15 @@ from repro.analysis.lint.core import (
 )
 
 #: Subdirectories of ``src/repro`` the determinism pass walks: the
-#: model core and the layers whose outcome payloads feed the
-#: byte-identity contract (wall clocks in backends are allowlisted —
-#: backend orchestration times real work by design), plus ``api``,
-#: which builds every session's backend.
+#: model packages (the kernel and chip, the applications, the traffic
+#: that draws every arrival, the scenarios, the governors that set
+#: every V/F level, power accounting), the experiments, and the layers
+#: whose outcome payloads feed the byte-identity contract (wall clocks
+#: in backends are allowlisted — backend orchestration times real work
+#: by design), plus ``api``, which builds every session's backend.
 DETERMINISM_SCOPE: Tuple[str, ...] = (
-    "sim", "npu", "sweep", "obs", "loc", "trace", "backends", "studies",
+    "sim", "npu", "apps", "traffic", "scenarios", "dvs", "power",
+    "experiments", "sweep", "obs", "loc", "trace", "backends", "studies",
     "api",
 )
 

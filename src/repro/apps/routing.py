@@ -135,7 +135,10 @@ def routing_trie_for(resources: AppResources) -> RoutingTrie:
 
 @lru_cache(maxsize=SHARED_TRIES_MAX)
 def _built_trie(state: tuple, num_prefixes: int, num_ports: int):
-    rng = random.Random()
+    # Judgment call: the next line replaces this generator's state with
+    # the stream state the trie is built from, so nothing here depends on the
+    # process's own seeding; the unseeded-RNG rule is suppressed.
+    rng = random.Random()  # repro: noqa(DET101)
     rng.setstate(state)
     trie = random_routing_trie(rng, num_prefixes=num_prefixes, num_ports=num_ports)
     return trie, rng.getstate()

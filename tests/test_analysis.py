@@ -211,6 +211,16 @@ class TestDeterminismRules:
         })
         assert sum(1 for code, _ in bad if code == "DET101") == 2
 
+    def test_det101_covers_model_packages(self, tmp_path):
+        # The packages that draw every arrival and set every V/F level
+        # are walked too, and so are the experiments.
+        layers = ("traffic", "scenarios", "dvs", "power", "apps", "experiments")
+        bad = det_codes(tmp_path, {
+            f"{layer}/thing.py": "import random\nx = random.random()\n"
+            for layer in layers
+        })
+        assert sum(1 for code, _ in bad if code == "DET101") == len(layers)
+
     def test_det101_rng_module_exempt(self, tmp_path):
         clean = det_codes(tmp_path, {
             "sim/rng.py": "import random\nseeded = random.Random\n",
