@@ -134,8 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--traffic",
         action="append",
-        help="traffic axis: level:high, load:1000 or scenario:flash_crowd "
-        "(repeatable; default: level:high)",
+        help="traffic axis: level:low|med|high (80, 782 or 1600 Mbps from the "
+        "diurnal day; the figures' low/med/high samples are 400, 1000 and "
+        "1550 Mbps), load:1000 or scenario:flash_crowd (repeatable; default: "
+        "level:high)",
     )
     sweep_parser.add_argument("--benchmark", action="append", help="benchmark axis")
     sweep_parser.add_argument(

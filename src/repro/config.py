@@ -351,10 +351,12 @@ class TrafficConfig(_Base):
     """Offered traffic for one run.
 
     Exactly one of three sources must be set: an explicit
-    ``offered_load_mbps``, a named ``level`` (``low``/``med``/``high``)
-    resolved through the diurnal sampler, or a catalog ``scenario``
-    (see :mod:`repro.scenarios`) whose timed segments override the
-    single-rate knobs below for the whole run.
+    ``offered_load_mbps``, a named ``level`` (``low``/``med``/``high``,
+    see :func:`repro.traffic.diurnal.level_load_bps`), or a catalog
+    ``scenario`` (see :mod:`repro.scenarios`).  A single-rate run plays
+    a one-segment scenario of the fields below, flow shape included
+    (:func:`repro.runner.traffic_scenario`); a catalog scenario's
+    segments and flow shape replace them for the whole run.
     """
 
     level: Optional[str] = None

@@ -68,12 +68,6 @@ def traffic_scenario(traffic: TrafficConfig) -> Scenario:
     )
 
 
-def resolve_offered_load_bps(config: RunConfig) -> float:
-    """Offered load in bits/second from a run's traffic config: the
-    duration-weighted mean load of the scenario it plays."""
-    return traffic_scenario(config.traffic).mean_load_mbps * 1e6
-
-
 @dataclass
 class RunResult:
     """Everything a finished run reports."""

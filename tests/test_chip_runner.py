@@ -13,7 +13,7 @@ from repro.loc.builtin import (
 from repro.loc.monitor import build_monitor
 from repro.npu.chip import build_chip
 from repro.npu.steps import Compute, MemPost, MemRead, MemWrite
-from repro.runner import SimulationRun, resolve_offered_load_bps, run_simulation
+from repro.runner import SimulationRun, run_simulation, traffic_scenario
 from repro.scenarios import Scenario, ScenarioSegment, register_scenario
 from repro.scenarios.catalog import _CATALOG
 from repro.trace.buffer import TraceBuffer
@@ -288,17 +288,14 @@ class TestRunner:
         assert not names & {"aborted_early", "abort_reason"}
 
     def test_resolve_level_loads(self):
-        low = resolve_offered_load_bps(
-            quick_config(traffic=TrafficConfig(level="low", offered_load_mbps=None))
-        )
-        high = resolve_offered_load_bps(
-            quick_config(traffic=TrafficConfig(level="high", offered_load_mbps=None))
-        )
-        assert low < high
-        explicit = resolve_offered_load_bps(
-            quick_config(traffic=TrafficConfig(offered_load_mbps=123.0))
-        )
-        assert explicit == 123e6
+        low = traffic_scenario(TrafficConfig(level="low", offered_load_mbps=None))
+        high = traffic_scenario(TrafficConfig(level="high", offered_load_mbps=None))
+        assert low.mean_load_mbps * 1e6 == level_load_bps("low")
+        assert high.mean_load_mbps * 1e6 == level_load_bps("high")
+        assert low.mean_load_mbps < high.mean_load_mbps
+        # An explicit load goes into the segment as given, in Mbps.
+        explicit = traffic_scenario(TrafficConfig(offered_load_mbps=123.0))
+        assert explicit.mean_load_mbps == 123.0
 
     def test_duration_matches_cycles(self):
         run = SimulationRun(quick_config(duration_cycles=60_000))

@@ -207,6 +207,19 @@ def test_bad_formula_exits_2(capsys):
     assert "unexpected character '@'" in refused(["loc-gen", "not a formula @@"], capsys)
 
 
+def test_sweep_help_gives_each_level_load(capsys):
+    from repro.experiments.common import LEVEL_LOADS_MBPS
+    from repro.traffic.diurnal import level_load_bps
+
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    low, med, high = (round(level_load_bps(level) / 1e6) for level in ("low", "med", "high"))
+    assert f"level:low|med|high ({low}, {med} or {high} Mbps" in text
+    figures = [f"{LEVEL_LOADS_MBPS[level]:g}" for level in ("low", "med", "high")]
+    assert f"{figures[0]}, {figures[1]} and {figures[2]} Mbps" in text
+
+
 def test_unknown_annotation_exits_2(capsys):
     line = refused(["loc-gen", "cyc(forward[i+1]) - cyc(forward[i]) <= 5"], capsys)
     assert "unknown annotation 'cyc'" in line

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import RunConfig, TrafficConfig
 from repro.errors import ConfigError, TrafficError
-from repro.runner import resolve_offered_load_bps, run_simulation
+from repro.runner import run_simulation, traffic_scenario
 from repro.scenarios import (
     Scenario,
     ScenarioSegment,
@@ -169,10 +169,9 @@ class TestScenarioRuns:
             # Scenario and explicit load together are ambiguous.
             TrafficConfig(scenario="flash_crowd", offered_load_mbps=500.0).validate()
 
-    def test_resolve_offered_load_uses_scenario_mean(self):
-        config = RunConfig(traffic=TrafficConfig.for_scenario("flash_crowd"))
-        expected = get_scenario("flash_crowd").mean_load_mbps * 1e6
-        assert resolve_offered_load_bps(config) == pytest.approx(expected)
+    def test_scenario_traffic_plays_the_catalog_entry(self):
+        traffic = TrafficConfig.for_scenario("flash_crowd")
+        assert traffic_scenario(traffic) is get_scenario("flash_crowd")
 
     def test_run_config_scenario_round_trip(self):
         config = RunConfig(traffic=TrafficConfig.for_scenario("ddos_min64"))
