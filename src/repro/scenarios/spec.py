@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Tuple
 
 from repro.errors import TrafficError
 from repro.traffic.arrivals import ArrivalProcess, arrival_process
-from repro.traffic.generator import Phase
 from repro.traffic.sizes import SIZE_MIXES, PacketSizeMix
 
 _PROCESSES = ("poisson", "cbr", "mmpp")
@@ -187,9 +186,13 @@ class Scenario:
         spans.append((duration_ps, self.segments[-1]))
         return spans
 
-    def phases(self, duration_ps: int) -> List[Phase]:
+    def phases(
+        self, duration_ps: int
+    ) -> List[Tuple[int, ArrivalProcess, PacketSizeMix]]:
         """The ``(end_ps, process, size_mix)`` phases a run of
-        ``duration_ps`` plays, with fresh arrival processes."""
+        ``duration_ps`` plays (see
+        :class:`~repro.traffic.generator.TrafficSource`), with fresh
+        arrival processes."""
         return [
             (end_ps, segment.arrival_process(), segment.mix)
             for end_ps, segment in self.segment_spans_ps(duration_ps)
