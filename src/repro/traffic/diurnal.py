@@ -175,9 +175,6 @@ def level_load_bps(level: str) -> float:
 
     The default day's base rate at the level's percentile, scaled so
     ``high`` offers :data:`NPU_PEAK_MBPS` (memoized: the day is fixed).
-
-    >>> round(level_load_bps("high") / 1e6)
-    1600
     """
     try:
         percentile = LEVEL_PERCENTILES[level]

@@ -14,7 +14,6 @@ MODULES = (
     "repro.sim.rng",
     "repro.trace.events",
     "repro.traffic.arrivals",
-    "repro.traffic.diurnal",
 )
 
 

@@ -82,6 +82,8 @@ def test_phases_follow_the_segments(scenario, duration_ps):
         assert process.mean_rate_pps == pytest.approx(
             segment.offered_load_mbps * 1e6 / segment.mix.mean_bits
         )
+    # Each call builds fresh processes: a process keeps its own state.
+    assert phases[0][1] is not scenario.phases(duration_ps)[0][1]
 
 
 @given(scenarios())

@@ -81,18 +81,6 @@ class TestScenarioSpec:
         assert ends == sorted(ends)
         assert len(spans) == len(scenario.segments)
 
-    def test_phases_follow_segments(self):
-        scenario = two_phase_scenario()
-        phases = scenario.phases(2 * PS_PER_MS)
-        assert [end for end, _, _ in phases] == [PS_PER_MS, 2 * PS_PER_MS]
-        assert [process.mean_rate_pps for _, process, _ in phases] == [
-            2e8 / IMIX_CLASSIC.mean_bits,
-            8e8 / IMIX_CLASSIC.mean_bits,
-        ]
-        assert all(mix is IMIX_CLASSIC for _, _, mix in phases)
-        # Each call builds fresh processes: a process keeps its own state.
-        assert phases[0][1] is not scenario.phases(2 * PS_PER_MS)[0][1]
-
 
 class TestPiecewisePlayback:
     def test_piecewise_rates_per_segment(self):
