@@ -30,8 +30,8 @@ _FIELDS = (
     "input_port",
 )
 
-#: Columns older traces carry that packets no longer have.
-_RETIRED_COLUMNS = ("payload_seed",)
+#: The column older traces carry that packets no longer have.
+_RETIRED_COLUMN = "payload_seed"
 
 
 def write_packet_trace(packets: Iterable[Packet], destination: Union[str, IO]) -> int:
@@ -82,7 +82,16 @@ def read_packet_trace(source: Union[str, IO]) -> Iterator[Packet]:
             if not row:
                 continue
             if row[0] == "seq":  # header
-                _check_header(row, rowno)
+                if tuple(row) != _FIELDS:
+                    retired = (
+                        f"; column {_RETIRED_COLUMN!r} is retired"
+                        if _RETIRED_COLUMN in row
+                        else ""
+                    )
+                    raise TraceError(
+                        f"packet trace row {rowno}: header {','.join(row)} is not "
+                        f"{','.join(_FIELDS)}{retired}"
+                    )
                 continue
             if len(row) != len(_FIELDS):
                 raise TraceError(
@@ -97,13 +106,3 @@ def read_packet_trace(source: Union[str, IO]) -> Iterator[Packet]:
         if owned:
             handle.close()
 
-
-def _check_header(row: List[str], rowno: int) -> None:
-    if tuple(row) == _FIELDS:
-        return
-    retired = [name for name in row if name in _RETIRED_COLUMNS]
-    reason = f"; column {retired[0]!r} is retired" if retired else ""
-    raise TraceError(
-        f"packet trace row {rowno}: header {','.join(row)} is not "
-        f"{','.join(_FIELDS)}{reason}"
-    )
