@@ -3,7 +3,8 @@
 
 1. Builds the diurnal day model and prints a Figure 2-style max/med/min
    table (with an ASCII sparkline of the median).
-2. Derives the high/medium/low loads a ``level:`` run simulates.
+2. Prints the high/medium/low loads a named level offers (the loads
+   every figure plots).
 3. Plays a few milliseconds of the high level through the traffic
    source every run uses, writes the packets to a portable CSV trace,
    reads them back, and verifies the replay is byte-identical — the
@@ -19,9 +20,9 @@ from repro.runner import traffic_scenario
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic import (
+    LEVEL_LOADS_MBPS,
     DiurnalModel,
     TrafficSource,
-    level_load_bps,
     read_packet_trace,
     write_packet_trace,
 )
@@ -48,9 +49,9 @@ def main() -> None:
               f"med={bucket.med_bps / 1e6:7.1f}  "
               f"min={bucket.min_bps / 1e6:7.1f}  Mbit/s")
 
-    print("\nSampled levels (scaled to the NPU's regime):")
+    print("\nNamed levels (the paper's samples, in the NPU's regime):")
     for level in ("low", "med", "high"):
-        print(f"  {level:4s}: {level_load_bps(level) / 1e6:7.0f} Mbps")
+        print(f"  {level:4s}: {LEVEL_LOADS_MBPS[level]:7.0f} Mbps")
 
     # A level:high run plays a one-segment scenario; generate and replay it.
     high = traffic_scenario(TrafficConfig(level="high", offered_load_mbps=None))

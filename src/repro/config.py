@@ -351,10 +351,13 @@ class TrafficConfig(_Base):
     """Offered traffic for one run.
 
     Exactly one of three sources must be set: an explicit
-    ``offered_load_mbps``, a named ``level`` (``low``/``med``/``high``,
-    see :func:`repro.traffic.diurnal.level_load_bps`), or a catalog
-    ``scenario`` (see :mod:`repro.scenarios`).  A single-rate run plays
-    a one-segment scenario of the fields below, flow shape included
+    ``offered_load_mbps``, a named ``level`` (``low``/``med``/``high``),
+    or a catalog ``scenario`` (see :mod:`repro.scenarios`).  A level
+    names one load of :data:`repro.traffic.diurnal.LEVEL_LOADS_MBPS`,
+    and construction writes that load into ``offered_load_mbps`` (and
+    clears ``level``), so the config, and any job id that hashes it,
+    carries the load the run plays.  A single-rate run plays a
+    one-segment scenario of the fields below, flow shape included
     (:func:`repro.runner.traffic_scenario`); a catalog scenario's
     segments and flow shape replace them for the whole run.
     """
@@ -368,6 +371,20 @@ class TrafficConfig(_Base):
     size_mix: str = "imix"
     num_flows: int = 512
     zipf_s: float = 0.9
+
+    def __post_init__(self) -> None:
+        if self.level is None or (self.offered_load_mbps, self.scenario) != (None, None):
+            return  # nothing to resolve, or two sources for validate() to refuse
+        # Imported lazily: keeps `repro.config` import-light.
+        from repro.traffic.diurnal import LEVEL_LOADS_MBPS
+
+        try:
+            self.offered_load_mbps = LEVEL_LOADS_MBPS[self.level]
+        except KeyError:
+            raise ConfigError(
+                f"unknown traffic level {self.level!r}; known: {sorted(LEVEL_LOADS_MBPS)}"
+            ) from None
+        self.level = None
 
     @classmethod
     def for_scenario(cls, name: str, **overrides) -> "TrafficConfig":
@@ -386,8 +403,6 @@ class TrafficConfig(_Base):
                 "exactly one of level / offered_load_mbps / scenario must "
                 f"be set (got {chosen or sources})"
             )
-        if self.level is not None and self.level not in ("low", "med", "high"):
-            raise ConfigError(f"level must be low/med/high, got {self.level!r}")
         if self.scenario is not None:
             # Imported lazily: repro.scenarios builds on this module.
             from repro.errors import TrafficError

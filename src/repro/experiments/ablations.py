@@ -23,7 +23,6 @@ from repro.analysis.report import format_table
 from repro.config import DvsConfig, NpuConfig, RunConfig, TrafficConfig
 from repro.experiments.common import (
     EXPERIMENT_SEED,
-    LEVEL_LOADS_MBPS,
     cycles_for,
     instrumented_job,
 )
@@ -91,7 +90,7 @@ def run_polling(profile: str, session) -> ExperimentResult:
                 duration_cycles=cycles_for(profile),
                 seed=EXPERIMENT_SEED,
                 npu=NpuConfig(poll_counts_as_idle=as_idle),
-                traffic=TrafficConfig(offered_load_mbps=LEVEL_LOADS_MBPS["low"]),
+                traffic=TrafficConfig(level="low", offered_load_mbps=None),
                 dvs=DvsConfig(policy="edvs", window_cycles=40_000),
             ),
             label=f"ipfwdr low edvs polling={labels[as_idle]}",

@@ -37,12 +37,6 @@ PROFILE_CYCLES: Dict[str, int] = {
     "paper": 8_000_000,
 }
 
-#: Offered loads (Mbps) for the named traffic levels.  ``high`` is the
-#: near-saturation sample the TDVS/EDVS sweeps use (the paper's
-#: distribution axes reach 1400 Mbps); ``med``/``low`` match the
-#: medium/low samples of Figure 11.
-LEVEL_LOADS_MBPS: Dict[str, float] = {"low": 400.0, "med": 1000.0, "high": 1550.0}
-
 #: The paper's TDVS sweep axes.
 TDVS_THRESHOLDS_MBPS = (800.0, 1000.0, 1200.0, 1400.0)
 TDVS_WINDOWS_CYCLES = (20_000, 40_000, 60_000, 80_000)
@@ -87,18 +81,18 @@ def instrumented_job(
 ) -> Job:
     """Build the sweep job for one instrumented experiment run.
 
-    Named levels resolve through :data:`LEVEL_LOADS_MBPS` (the
-    experiments' NPU-regime samples); scenarios pass through by name.
+    A named level plays its load of
+    :data:`~repro.traffic.diurnal.LEVEL_LOADS_MBPS`, resolved by
+    :class:`~repro.config.TrafficConfig` as every level is; scenarios
+    pass through by name.
     """
     sources = [value for value in (load_mbps, level, scenario) if value is not None]
     if len(sources) != 1:
         raise ExperimentError("give exactly one of load_mbps / level / scenario")
-    if level is not None:
-        load_mbps = LEVEL_LOADS_MBPS[level]
     if scenario is not None:
         traffic = TrafficConfig.for_scenario(scenario)
     else:
-        traffic = TrafficConfig(offered_load_mbps=load_mbps, process=process)
+        traffic = TrafficConfig(level=level, offered_load_mbps=load_mbps, process=process)
     dvs = dvs or DvsConfig(policy="none")
     config = RunConfig(
         benchmark=benchmark,

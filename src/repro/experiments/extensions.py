@@ -21,7 +21,6 @@ from repro.analysis.report import format_table
 from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.experiments.common import (
     EXPERIMENT_SEED,
-    LEVEL_LOADS_MBPS,
     cycles_for,
     instrumented_job,
     span_for,
@@ -109,7 +108,7 @@ def run_formula1(profile: str, session) -> ExperimentResult:
         benchmark="ipfwdr",
         duration_cycles=cycles_for(profile),
         seed=EXPERIMENT_SEED,
-        traffic=TrafficConfig(offered_load_mbps=LEVEL_LOADS_MBPS["med"]),
+        traffic=TrafficConfig(level="med", offered_load_mbps=None),
     )
     run_simulation(config, monitors=[monitor])
     result = monitor.finish()

@@ -22,7 +22,7 @@ from typing import Dict, List
 
 from repro.analysis.report import format_table
 from repro.config import RunConfig, TrafficConfig
-from repro.experiments.common import EXPERIMENT_SEED, LEVEL_LOADS_MBPS, cycles_for
+from repro.experiments.common import EXPERIMENT_SEED, cycles_for
 from repro.experiments.registry import ExperimentResult, register
 from repro.runner import SimulationRun
 
@@ -40,7 +40,7 @@ def collect_idle_windows(profile: str) -> Dict[str, List[float]]:
         benchmark="ipfwdr",
         duration_cycles=cycles_for(profile),
         seed=EXPERIMENT_SEED,
-        traffic=TrafficConfig(offered_load_mbps=LEVEL_LOADS_MBPS["high"]),
+        traffic=TrafficConfig(level="high", offered_load_mbps=None),
     )
     sim_run = SimulationRun(config)
     samples: Dict[str, List[float]] = {"rx": [], "tx": []}

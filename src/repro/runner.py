@@ -33,7 +33,6 @@ from repro.scenarios.catalog import get_scenario
 from repro.scenarios.spec import Scenario, ScenarioSegment
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.traffic.diurnal import level_load_bps
 from repro.traffic.generator import TrafficSource
 
 
@@ -41,18 +40,16 @@ def traffic_scenario(traffic: TrafficConfig) -> Scenario:
     """The scenario a run with this traffic config plays.
 
     A catalog ``scenario`` plays as registered.  Otherwise the
-    single-rate fields make a one-segment scenario, flow shape
-    included: an explicit load goes in as given, a named level at its
-    :func:`~repro.traffic.diurnal.level_load_bps`.
+    single-rate fields make a one-segment scenario at
+    ``offered_load_mbps``, flow shape included (a named level is
+    already that load: :class:`~repro.config.TrafficConfig` resolves it
+    when it is built).
     """
     if traffic.scenario is not None:
         return get_scenario(traffic.scenario)
-    load_mbps = traffic.offered_load_mbps
-    if load_mbps is None:
-        load_mbps = level_load_bps(traffic.level) / 1e6
     segment = ScenarioSegment(
         weight=1.0,
-        offered_load_mbps=load_mbps,
+        offered_load_mbps=traffic.offered_load_mbps,
         process=traffic.process,
         burst_ratio=traffic.burst_ratio,
         burst_fraction=traffic.burst_fraction,

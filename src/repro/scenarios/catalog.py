@@ -4,12 +4,11 @@ Each entry is a :class:`~repro.scenarios.spec.Scenario` modeling a
 workload the single-level experiments cannot express: flash crowds,
 DDoS-like bursts of minimum-size packets, diurnal replays, failover load
 doubling, on/off bursting, saturation stress and size-mix drift.  Loads
-sit in the same NPU regime as the experiments' named levels
-(:data:`repro.experiments.common.LEVEL_LOADS_MBPS`: 400/1000/1550 Mbps),
+sit in the same NPU regime as the named traffic levels
+(:data:`repro.traffic.diurnal.LEVEL_LOADS_MBPS`: 400/1000/1550 Mbps),
 and the diurnal replays derive their phase loads from the
 :class:`~repro.traffic.diurnal.DiurnalModel` day curve scaled to
-:data:`~repro.traffic.diurnal.NPU_PEAK_MBPS`, as the named traffic
-levels are.
+:data:`~repro.traffic.diurnal.NPU_PEAK_MBPS`.
 
 Use :func:`get_scenario` / :func:`list_scenarios` to look entries up and
 :func:`register_scenario` to add custom ones (sweeps reference scenarios
@@ -70,8 +69,7 @@ def diurnal_replay_segments(
     """Equal-length phases replaying the day curve at the given hours.
 
     Loads are the model's smooth base rates scaled so the day's peak
-    hour lands on ``npu_peak_mbps``, keeping the day's ratios as
-    :func:`~repro.traffic.diurnal.level_load_bps` does.
+    hour lands on ``npu_peak_mbps``, keeping the day's ratios.
     """
     if not hours:
         raise TrafficError("diurnal replay needs at least one hour")

@@ -6,7 +6,7 @@ are not redistributable, so this subpackage synthesizes equivalent input:
 
 * :mod:`~repro.traffic.diurnal` — a day-long rate profile shaped like the
   paper's Figure 2 (diurnal swell, short-timescale max/med/min envelope)
-  and the high/medium/low loads sampled from it, mirroring "we sample a
+  and the one table of high/medium/low loads, mirroring "we sample a
   few seconds of real traffic in high, medium and low arriving rates";
 * :mod:`~repro.traffic.arrivals` — Poisson, CBR and 2-state MMPP (bursty)
   arrival processes, and the piecewise process that sequences them;
@@ -23,7 +23,7 @@ from repro.traffic.arrivals import (
     PoissonProcess,
     arrival_process,
 )
-from repro.traffic.diurnal import DiurnalBucket, DiurnalModel, level_load_bps
+from repro.traffic.diurnal import LEVEL_LOADS_MBPS, DiurnalBucket, DiurnalModel
 from repro.traffic.generator import TrafficSource
 from repro.traffic.packet import FlowPool, Packet
 from repro.traffic.sizes import IMIX_CLASSIC, PacketSizeMix
@@ -35,6 +35,7 @@ __all__ = [
     "DiurnalModel",
     "FlowPool",
     "IMIX_CLASSIC",
+    "LEVEL_LOADS_MBPS",
     "MmppProcess",
     "Packet",
     "PacketSizeMix",
@@ -42,7 +43,6 @@ __all__ = [
     "PoissonProcess",
     "TrafficSource",
     "arrival_process",
-    "level_load_bps",
     "read_packet_trace",
     "write_packet_trace",
 ]

@@ -12,20 +12,18 @@ roughly 10 Mbit/s overnight to bursts above 200 Mbit/s in the afternoon.
 
 The paper: "It is obviously too expensive to simulate the entire day ...
 We sample a few seconds of real traffic in high, medium and low arriving
-rates as individual inputs to the simulator."  :func:`level_load_bps`
-does that against the default day: a named level is the base rate at
-its percentile, scaled to the NPU's regime.  The paper's NPU is driven
-well above the sampled router's absolute rates (its throughput axes
-reach 1400 Mbps), so the day's busiest traffic maps to
-:data:`NPU_PEAK_MBPS` and lower rates keep the day's ratios; the
-catalog's diurnal replays scale their phases the same way.
+rates as individual inputs to the simulator."  :data:`LEVEL_LOADS_MBPS`
+holds those three inputs, one load per level, in the NPU's regime: the
+paper's NPU is driven well above the sampled router's absolute rates
+(its throughput axes reach 1400 Mbps).  Every figure and every named
+level (``TrafficConfig(level=...)``, a sweep's ``level:`` token) offers
+these loads.  The catalog's diurnal replays scale the day curve itself
+into the same regime (:mod:`repro.scenarios.catalog`).
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List
 
 from repro.errors import TrafficError
@@ -38,8 +36,10 @@ SECONDS_PER_DAY = 86_400.0
 #: samples do.
 NPU_PEAK_MBPS = 1600.0
 
-#: Percentile of the day's base-rate curve used for each named level.
-LEVEL_PERCENTILES: Dict[str, float] = {"low": 10.0, "med": 55.0, "high": 97.0}
+#: Offered load (Mbps) of each named traffic level.  ``high`` is the
+#: near-saturation sample the TDVS/EDVS sweeps use; ``med``/``low``
+#: match the medium/low samples of Figure 11.
+LEVEL_LOADS_MBPS: Dict[str, float] = {"low": 400.0, "med": 1000.0, "high": 1550.0}
 
 
 @dataclass
@@ -153,40 +153,6 @@ class DiurnalModel:
             t += bucket_s
         return buckets
 
-    def percentile_rate(self, percentile: float, resolution_s: float = 60.0) -> float:
-        """Rate at a given percentile of the base curve over the day.
-
-        Used by the sampler to define what "high", "medium" and "low"
-        traffic mean for this particular day.
-        """
-        if not 0.0 <= percentile <= 100.0:
-            raise TrafficError(f"percentile must be in [0, 100], got {percentile}")
-        rates = sorted(
-            self.base_rate_bps(t)
-            for t in _frange(0.0, SECONDS_PER_DAY, resolution_s)
-        )
-        index = min(len(rates) - 1, int(percentile / 100.0 * len(rates)))
-        return rates[index]
-
-
-@lru_cache(maxsize=None)
-def level_load_bps(level: str) -> float:
-    """NPU-scaled offered load of a named level, in bits per second.
-
-    The default day's base rate at the level's percentile, scaled so
-    ``high`` offers :data:`NPU_PEAK_MBPS` (memoized: the day is fixed).
-    """
-    try:
-        percentile = LEVEL_PERCENTILES[level]
-    except KeyError:
-        raise TrafficError(
-            f"unknown traffic level {level!r}; known: {sorted(LEVEL_PERCENTILES)}"
-        ) from None
-    model = DiurnalModel()
-    day_rate = model.percentile_rate(percentile)
-    high_rate = model.percentile_rate(LEVEL_PERCENTILES["high"])
-    return NPU_PEAK_MBPS * 1e6 * day_rate / high_rate
-
 
 def _raised_cosine(hours: float, center: float, width: float) -> float:
     """A single hump: 1 at ``center``, 0 outside ``center ± width`` hours."""
@@ -196,9 +162,3 @@ def _raised_cosine(hours: float, center: float, width: float) -> float:
         return 0.0
     return 0.5 * (1.0 + math.cos(math.pi * distance / width))
 
-
-def _frange(start: float, stop: float, step: float):
-    value = start
-    while value < stop:
-        yield value
-        value += step

@@ -17,7 +17,7 @@ from repro.runner import SimulationRun, run_simulation, traffic_scenario
 from repro.scenarios import Scenario, ScenarioSegment, register_scenario
 from repro.scenarios.catalog import _CATALOG
 from repro.trace.buffer import TraceBuffer
-from repro.traffic.diurnal import level_load_bps
+from repro.traffic.diurnal import LEVEL_LOADS_MBPS
 
 from conftest import quick_config
 
@@ -290,9 +290,8 @@ class TestRunner:
     def test_resolve_level_loads(self):
         low = traffic_scenario(TrafficConfig(level="low", offered_load_mbps=None))
         high = traffic_scenario(TrafficConfig(level="high", offered_load_mbps=None))
-        assert low.mean_load_mbps * 1e6 == level_load_bps("low")
-        assert high.mean_load_mbps * 1e6 == level_load_bps("high")
-        assert low.mean_load_mbps < high.mean_load_mbps
+        assert low.mean_load_mbps == LEVEL_LOADS_MBPS["low"]
+        assert high.mean_load_mbps == LEVEL_LOADS_MBPS["high"]
         # An explicit load goes into the segment as given, in Mbps.
         explicit = traffic_scenario(TrafficConfig(offered_load_mbps=123.0))
         assert explicit.mean_load_mbps == 123.0
@@ -358,7 +357,7 @@ class TestSingleRateTraffic:
                 TrafficConfig(
                     level="med", offered_load_mbps=None, num_flows=2048, zipf_s=0.2
                 ),
-                level_load_bps("med") / 1e6,
+                LEVEL_LOADS_MBPS["med"],
             ),
         ],
         ids=["load", "level"],

@@ -52,8 +52,10 @@ GOLDEN_TIE_JOB_SHA256 = (
 
 #: sha256 of the outcome records of :func:`single_rate_jobs`, six runs
 #: that play no catalog scenario, with formula (2)/(3) distributions.
+#: Its three named-level runs play the figures' 400, 1,000 and
+#: 1,550 Mbps, and their job ids hash those loads.
 GOLDEN_SINGLE_RATE_SHA256 = (
-    "4fe60add891dd6065e63a82155201c1bc577ba3b7a0d42725721d4a68befab1c"
+    "898f36bc522e1709576b055feccc2511db3f8bf9a4978c835597a5db8e021f7f"
 )
 
 #: md5 of the report ``repro study --scenario all --policy tdvs,edvs

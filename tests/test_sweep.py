@@ -7,6 +7,7 @@ import pytest
 from repro.api import EventHooks, ExecutionPolicy, Session, StorePolicy
 from repro.config import DvsConfig, RunConfig, TrafficConfig
 from repro.errors import ConfigError, ExperimentError, TraceError
+from repro.experiments.common import cycles_for, instrumented_job, span_for
 from repro.sweep import (
     Job,
     ResultStore,
@@ -17,6 +18,7 @@ from repro.sweep import (
     run_job,
     summarize,
 )
+from repro.traffic.diurnal import LEVEL_LOADS_MBPS
 
 #: Short, deterministic run shape shared by the execution tests.
 FAST = dict(duration_cycles=120_000, process="cbr", seeds=(11,))
@@ -121,7 +123,25 @@ class TestSpecExpansion:
 class TestTrafficTokens:
     def test_level_token(self):
         config = parse_traffic_token("level:med")
-        assert config.level == "med" and config.offered_load_mbps is None
+        assert config.level is None and config.offered_load_mbps == LEVEL_LOADS_MBPS["med"]
+
+    def test_level_token_plays_the_figures_load(self):
+        (job,) = SweepSpec(
+            traffic=("level:high",),
+            duration_cycles=cycles_for("bench"),
+            span=span_for("bench"),
+        ).jobs()
+        figure = instrumented_job("bench", level="high")
+        assert job.config["traffic"] == figure.config["traffic"]
+        assert job.job_id == figure.job_id
+
+    def test_repointing_a_level_changes_its_job_id(self, monkeypatch):
+        spec = SweepSpec(traffic=("level:high",))
+        (before,) = spec.jobs()
+        monkeypatch.setitem(LEVEL_LOADS_MBPS, "high", 1500.0)
+        (after,) = spec.jobs()
+        assert after.config["traffic"]["offered_load_mbps"] == 1500.0
+        assert after.job_id != before.job_id
 
     def test_load_token(self):
         assert parse_traffic_token("load:750").offered_load_mbps == 750.0

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro.errors import TraceError, TrafficError
+from repro.config import TrafficConfig
+from repro.errors import ConfigError, TraceError, TrafficError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic.arrivals import (
@@ -14,7 +15,7 @@ from repro.traffic.arrivals import (
     PoissonProcess,
     arrival_process,
 )
-from repro.traffic.diurnal import NPU_PEAK_MBPS, DiurnalModel, level_load_bps
+from repro.traffic.diurnal import LEVEL_LOADS_MBPS, DiurnalModel
 from repro.traffic.generator import TrafficSource
 from repro.traffic.packet import FlowPool, Packet
 from repro.traffic.sizes import ALL_MINIMUM, IMIX_CLASSIC, PacketSizeMix
@@ -179,13 +180,6 @@ class TestDiurnal:
         assert buckets[0].label == "09:00"
         assert buckets[1].label == "09:30"
 
-    def test_percentile_rates_monotone(self):
-        model = DiurnalModel()
-        p10 = model.percentile_rate(10)
-        p50 = model.percentile_rate(50)
-        p97 = model.percentile_rate(97)
-        assert p10 < p50 < p97
-
     def test_validation(self):
         with pytest.raises(TrafficError):
             DiurnalModel(night_bps=0)
@@ -194,22 +188,16 @@ class TestDiurnal:
 
 
 class TestLevels:
-    def test_levels_ordered(self):
-        low = level_load_bps("low")
-        med = level_load_bps("med")
-        high = level_load_bps("high")
-        assert low < med < high
-        assert high == NPU_PEAK_MBPS * 1e6
-
-    def test_level_loads_round_trip_through_mbps(self):
-        # A single-rate run's segment holds the level's load in Mbps.
-        for level in ("low", "med", "high"):
-            load = level_load_bps(level)
-            assert load / 1e6 * 1e6 == load
+    def test_levels_are_the_figures_samples(self):
+        # One table: a named level offers the load every figure plots.
+        assert LEVEL_LOADS_MBPS == {"low": 400.0, "med": 1000.0, "high": 1550.0}
+        for level, load in LEVEL_LOADS_MBPS.items():
+            traffic = TrafficConfig(level=level, offered_load_mbps=None)
+            assert (traffic.level, traffic.offered_load_mbps) == (None, load)
 
     def test_unknown_level_rejected(self):
-        with pytest.raises(TrafficError):
-            level_load_bps("peak")
+        with pytest.raises(ConfigError, match="known: \\['high', 'low', 'med'\\]"):
+            TrafficConfig(level="peak", offered_load_mbps=None)
 
 
 def one_phase(load_bps, process, mix=IMIX_CLASSIC, end_ps=10**12):
