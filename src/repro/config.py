@@ -13,9 +13,12 @@ serialized next to their results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Tuple, Type, TypeVar
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Type, TypeVar
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ScenarioSegment
 
 T = TypeVar("T", bound="_Base")
 
@@ -391,6 +394,19 @@ class TrafficConfig(_Base):
         """Convenience constructor selecting a catalog scenario."""
         return cls(scenario=name, offered_load_mbps=None, **overrides)
 
+    def segment(self) -> "ScenarioSegment":
+        """The one phase a single-rate config plays for the whole run."""
+        from repro.scenarios.spec import ScenarioSegment
+
+        return ScenarioSegment(
+            weight=1.0,
+            offered_load_mbps=self.offered_load_mbps,
+            process=self.process,
+            burst_ratio=self.burst_ratio,
+            burst_fraction=self.burst_fraction,
+            size_mix=self.size_mix,
+        )
+
     def validate(self) -> None:
         sources = dict(
             level=self.level,
@@ -403,26 +419,19 @@ class TrafficConfig(_Base):
                 "exactly one of level / offered_load_mbps / scenario must "
                 f"be set (got {chosen or sources})"
             )
-        if self.scenario is not None:
-            # Imported lazily: repro.scenarios builds on this module.
-            from repro.errors import TrafficError
-            from repro.scenarios.catalog import get_scenario
+        # What the run plays must be valid: a catalog entry, or the one
+        # segment of the single-rate fields (its MMPP shape included).
+        # Imported lazily: repro.scenarios builds on this module.
+        from repro.errors import TrafficError
+        from repro.scenarios.catalog import get_scenario
 
-            try:
+        try:
+            if self.scenario is not None:
                 get_scenario(self.scenario)
-            except TrafficError as exc:
-                raise ConfigError(str(exc)) from None
-        if self.offered_load_mbps is not None:
-            _positive(self.offered_load_mbps, "TrafficConfig.offered_load_mbps")
-        if self.process not in ("poisson", "cbr", "mmpp"):
-            raise ConfigError(f"unknown arrival process {self.process!r}")
-        # Imported lazily: keeps `repro.config` import-light.
-        from repro.traffic.sizes import SIZE_MIXES
-
-        if self.size_mix not in SIZE_MIXES:
-            raise ConfigError(
-                f"unknown size mix {self.size_mix!r}; known: {sorted(SIZE_MIXES)}"
-            )
+            else:
+                self.segment().validate()
+        except TrafficError as exc:
+            raise ConfigError(str(exc)) from None
         _positive(self.num_flows, "TrafficConfig.num_flows")
         _non_negative(self.zipf_s, "TrafficConfig.zipf_s")
 

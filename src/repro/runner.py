@@ -30,7 +30,7 @@ from repro.npu.chip import NpuChip, RunTotals
 from repro.npu.microengine import BUSY, IDLE, STALLED
 from repro.power.overhead import DvsOverheadMeter
 from repro.scenarios.catalog import get_scenario
-from repro.scenarios.spec import Scenario, ScenarioSegment
+from repro.scenarios.spec import Scenario
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic.generator import TrafficSource
@@ -47,19 +47,11 @@ def traffic_scenario(traffic: TrafficConfig) -> Scenario:
     """
     if traffic.scenario is not None:
         return get_scenario(traffic.scenario)
-    segment = ScenarioSegment(
-        weight=1.0,
-        offered_load_mbps=traffic.offered_load_mbps,
-        process=traffic.process,
-        burst_ratio=traffic.burst_ratio,
-        burst_fraction=traffic.burst_fraction,
-        size_mix=traffic.size_mix,
-    )
     return Scenario(
         name="single_rate",
         title="Single rate",
         description="One phase at the run's single-rate traffic fields.",
-        segments=(segment,),
+        segments=(traffic.segment(),),
         num_flows=traffic.num_flows,
         zipf_s=traffic.zipf_s,
     )

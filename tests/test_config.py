@@ -11,6 +11,7 @@ from repro.config import (
     TrafficConfig,
 )
 from repro.errors import ConfigError
+from repro.sweep.spec import Job
 
 
 class TestNpuConfig:
@@ -78,6 +79,20 @@ class TestTrafficConfig:
     def test_unknown_process_rejected(self):
         with pytest.raises(ConfigError):
             TrafficConfig(process="pareto").validate()
+
+    @pytest.mark.parametrize(
+        "shape, refusal",
+        [
+            ({"burst_ratio": 0.5}, "burst_ratio must exceed 1"),
+            ({"burst_fraction": 1.0}, "burst_fraction must be in"),
+        ],
+    )
+    def test_bad_mmpp_shape_refused_when_the_job_is_built(self, shape, refusal):
+        traffic = TrafficConfig(offered_load_mbps=500.0, **shape)
+        with pytest.raises(ConfigError, match=refusal):
+            Job.build(RunConfig(traffic=traffic))
+        # Only MMPP reads the shape.
+        Job.build(RunConfig(traffic=traffic.replaced(process="poisson")))
 
 
 class TestRunConfig:
