@@ -7,7 +7,7 @@ store plus the per-figure analysis/rendering, and assert the paper's
 qualitative shape.
 """
 
-from repro.experiments.common import TDVS_THRESHOLDS_MBPS
+from repro.config import TDVS_THRESHOLDS_MBPS
 
 from conftest import PROFILE, run_once
 

@@ -646,13 +646,8 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.experiments.common import (
-        EXPERIMENT_SEED,
-        TDVS_THRESHOLDS_MBPS,
-        TDVS_WINDOWS_CYCLES,
-        cycles_for,
-        span_for,
-    )
+    from repro.config import EXPERIMENT_SEED, TDVS_THRESHOLDS_MBPS, TDVS_WINDOWS_CYCLES
+    from repro.experiments.common import cycles_for, span_for
     from repro.api import EventHooks
     from repro.sweep import SweepSpec, progress_printer, summarize
 

@@ -300,6 +300,16 @@ class PowerConfig(_Base):
 # ---------------------------------------------------------------------------
 # DVS policies
 # ---------------------------------------------------------------------------
+#: The paper's TDVS sweep axes (Section 4.1): the default grid of the
+#: figures, ``repro sweep`` and every study.
+TDVS_THRESHOLDS_MBPS: Tuple[float, ...] = (800.0, 1000.0, 1200.0, 1400.0)
+TDVS_WINDOWS_CYCLES: Tuple[int, ...] = (20_000, 40_000, 60_000, 80_000)
+
+#: Default seed of the experiments, ``repro sweep`` and studies (the
+#: reproducibility anchor).
+EXPERIMENT_SEED = 7
+
+
 @dataclass
 class DvsConfig(_Base):
     """DVS policy selection and parameters.

@@ -20,12 +20,8 @@ Each ablation hands its jobs to the session's sweep as one list.
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.config import DvsConfig, NpuConfig, RunConfig, TrafficConfig
-from repro.experiments.common import (
-    EXPERIMENT_SEED,
-    cycles_for,
-    instrumented_job,
-)
+from repro.config import EXPERIMENT_SEED, DvsConfig, NpuConfig, RunConfig, TrafficConfig
+from repro.experiments.common import cycles_for, instrumented_job
 from repro.experiments.registry import ExperimentResult, register
 from repro.sweep.spec import Job
 

@@ -20,7 +20,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.config import DvsConfig, RunConfig, TrafficConfig
+from repro.config import (
+    EXPERIMENT_SEED,
+    TDVS_THRESHOLDS_MBPS,
+    TDVS_WINDOWS_CYCLES,
+    DvsConfig,
+    RunConfig,
+    TrafficConfig,
+)
 from repro.errors import ExperimentError
 from repro.sweep.spec import Job
 
@@ -37,16 +44,9 @@ PROFILE_CYCLES: Dict[str, int] = {
     "paper": 8_000_000,
 }
 
-#: The paper's TDVS sweep axes.
-TDVS_THRESHOLDS_MBPS = (800.0, 1000.0, 1200.0, 1400.0)
-TDVS_WINDOWS_CYCLES = (20_000, 40_000, 60_000, 80_000)
-
 #: EDVS sweep axis (Figure 10) and idle threshold.
 EDVS_WINDOWS_CYCLES = (20_000, 40_000, 60_000, 80_000)
 EDVS_IDLE_THRESHOLD = 0.10
-
-#: Default seed for experiment runs (reproducibility anchor).
-EXPERIMENT_SEED = 7
 
 #: Analysis window: formulas (2)/(3) span 100 packets in the paper; the
 #: quick/bench profiles forward fewer packets, so they use a smaller span

@@ -18,13 +18,8 @@
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.config import DvsConfig, RunConfig, TrafficConfig
-from repro.experiments.common import (
-    EXPERIMENT_SEED,
-    cycles_for,
-    instrumented_job,
-    span_for,
-)
+from repro.config import EXPERIMENT_SEED, DvsConfig, RunConfig, TrafficConfig
+from repro.experiments.common import cycles_for, instrumented_job, span_for
 from repro.experiments.registry import ExperimentResult, register
 from repro.loc.builtin import forwarding_latency_formula
 from repro.loc.monitor import build_monitor

@@ -13,11 +13,8 @@ expectations recorded in DESIGN.md:
 from __future__ import annotations
 
 from repro.analysis.report import format_curve_family
-from repro.experiments.common import (
-    TDVS_THRESHOLDS_MBPS,
-    TDVS_WINDOWS_CYCLES,
-    tdvs_design_space,
-)
+from repro.config import TDVS_THRESHOLDS_MBPS, TDVS_WINDOWS_CYCLES
+from repro.experiments.common import tdvs_design_space
 from repro.experiments.registry import ExperimentResult, register
 
 

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from repro.analysis.report import format_surface
 from repro.analysis.surface import PercentileSurface
-from repro.experiments.common import (
-    TDVS_THRESHOLDS_MBPS,
-    TDVS_WINDOWS_CYCLES,
-    tdvs_design_space,
-)
+from repro.config import TDVS_THRESHOLDS_MBPS, TDVS_WINDOWS_CYCLES
+from repro.experiments.common import tdvs_design_space
 from repro.experiments.registry import ExperimentResult, register
 from repro.studies.objective import select_design_point
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.report import format_table
-from repro.config import RunConfig, TrafficConfig
-from repro.experiments.common import EXPERIMENT_SEED, cycles_for
+from repro.config import EXPERIMENT_SEED, RunConfig, TrafficConfig
+from repro.experiments.common import cycles_for
 from repro.experiments.registry import ExperimentResult, register
 from repro.runner import SimulationRun
 

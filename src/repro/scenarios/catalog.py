@@ -8,7 +8,7 @@ sit in the same NPU regime as the named traffic levels
 (:data:`repro.traffic.diurnal.LEVEL_LOADS_MBPS`: 400/1000/1550 Mbps),
 and the diurnal replays derive their phase loads from the
 :class:`~repro.traffic.diurnal.DiurnalModel` day curve scaled to
-:data:`~repro.traffic.diurnal.NPU_PEAK_MBPS`.
+:data:`DIURNAL_REPLAY_PEAK_MBPS`.
 
 Use :func:`get_scenario` / :func:`list_scenarios` to look entries up and
 :func:`register_scenario` to add custom ones (sweeps reference scenarios
@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TrafficError
 from repro.scenarios.spec import Scenario, ScenarioSegment
-from repro.traffic.diurnal import NPU_PEAK_MBPS, DiurnalModel
+from repro.traffic.diurnal import DiurnalModel
 
 _CATALOG: Dict[str, Scenario] = {}
 
@@ -61,10 +61,16 @@ def all_scenarios() -> List[Scenario]:
 # ---------------------------------------------------------------------------
 # Diurnal replay helper
 # ---------------------------------------------------------------------------
+#: The load a diurnal replay's peak hour offers (the weekend replay runs
+#: at 0.6 of it): 1.6 Gbit/s drives the IXP1200-class model to
+#: saturation at the day's busiest hour.
+DIURNAL_REPLAY_PEAK_MBPS = 1600.0
+
+
 def diurnal_replay_segments(
     hours: Sequence[float],
     model: DiurnalModel,
-    npu_peak_mbps: float = NPU_PEAK_MBPS,
+    npu_peak_mbps: float = DIURNAL_REPLAY_PEAK_MBPS,
 ) -> Tuple[ScenarioSegment, ...]:
     """Equal-length phases replaying the day curve at the given hours.
 
@@ -159,7 +165,7 @@ register_scenario(
         segments=diurnal_replay_segments(
             (4.0, 11.0, 16.0, 22.0),
             DiurnalModel(peak_bps=1.2e8, peak_hour=16.0),
-            npu_peak_mbps=0.6 * NPU_PEAK_MBPS,
+            npu_peak_mbps=0.6 * DIURNAL_REPLAY_PEAK_MBPS,
         ),
     )
 )

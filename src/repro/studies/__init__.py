@@ -44,12 +44,9 @@ from repro._exports import lazy_exports
 
 __all__ = [
     "CandidateSummary",
-    "NPU_CAPACITY_MBPS",
     "OBJECTIVES",
     "Objective",
     "PolicyMap",
-    "STUDY_THRESHOLDS_MBPS",
-    "STUDY_WINDOWS_CYCLES",
     "ScenarioVerdict",
     "StudyAssertion",
     "StudyResult",
@@ -67,12 +64,9 @@ __all__ = [
 
 _EXPORTS = {
     "CandidateSummary": "repro.studies.policymap",
-    "NPU_CAPACITY_MBPS": "repro.studies.spec",
     "OBJECTIVES": "repro.studies.objective",
     "Objective": "repro.studies.objective",
     "PolicyMap": "repro.studies.policymap",
-    "STUDY_THRESHOLDS_MBPS": "repro.studies.spec",
-    "STUDY_WINDOWS_CYCLES": "repro.studies.spec",
     "ScenarioVerdict": "repro.studies.policymap",
     "StudyAssertion": "repro.studies.spec",
     "StudyResult": "repro.studies.engine",

@@ -17,7 +17,7 @@ own traffic shape::
 
 i.e. forwarding ``span`` packets may take at most ``latency_slack``
 times as long as the scenario's *quietest* phase offers them (capped at
-chip capacity).  A governor that underclocks so hard the chip falls
+the near-saturation ``high`` level's load).  A governor that underclocks so hard the chip falls
 behind even that pace violates the bound; MMPP burst noise is absorbed
 by tolerating a bounded fraction of violating instances
 (``max_violation_fraction`` — a 95th-percentile-style bound by default).
@@ -30,22 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from repro.config import EXPERIMENT_SEED, TDVS_THRESHOLDS_MBPS, TDVS_WINDOWS_CYCLES
 from repro.errors import ConfigError
 from repro.scenarios.catalog import get_scenario, list_scenarios
 from repro.scenarios.spec import Scenario
 from repro.studies.objective import get_objective
 from repro.sweep.spec import Job, SweepSpec
-
-#: The paper's TDVS sweep axes (Section 4.1), the default study grid.
-STUDY_THRESHOLDS_MBPS: Tuple[float, ...] = (800.0, 1000.0, 1200.0, 1400.0)
-STUDY_WINDOWS_CYCLES: Tuple[int, ...] = (20_000, 40_000, 60_000, 80_000)
-
-#: Default seed (the experiments' reproducibility anchor).
-STUDY_SEED = 7
-
-#: Sustainable forwarding capacity the latency bounds are capped at —
-#: the experiments' near-saturation "high" traffic sample.
-NPU_CAPACITY_MBPS = 1550.0
+from repro.traffic.diurnal import LEVEL_LOADS_MBPS
 
 #: DVS policies a study may explore (``none`` is always run as the
 #: ungoverned baseline, whether or not it competes).
@@ -117,11 +108,11 @@ class StudySpec:
 
     scenarios: Tuple[str, ...] = ()
     policies: Tuple[str, ...] = ("tdvs", "edvs")
-    thresholds_mbps: Tuple[float, ...] = STUDY_THRESHOLDS_MBPS
-    windows_cycles: Tuple[int, ...] = STUDY_WINDOWS_CYCLES
+    thresholds_mbps: Tuple[float, ...] = TDVS_THRESHOLDS_MBPS
+    windows_cycles: Tuple[int, ...] = TDVS_WINDOWS_CYCLES
     idle_threshold: float = 0.10
     benchmark: str = "ipfwdr"
-    seeds: Tuple[int, ...] = (STUDY_SEED,)
+    seeds: Tuple[int, ...] = (EXPERIMENT_SEED,)
     duration_cycles: int = 1_600_000
     span: int = 50
     objective: str = "min_energy"
@@ -181,10 +172,10 @@ class StudySpec:
 
         ``slack * span * mean_packet_bits / quietest_rate``: forwarding
         ``span`` packets may take at most ``latency_slack`` times as
-        long as the scenario's quietest phase (capped at chip capacity)
-        takes to offer them.
+        long as the scenario's quietest phase (capped at the ``high``
+        level's load) takes to offer them.
         """
-        rate_mbps = min(scenario.min_load_mbps, NPU_CAPACITY_MBPS)
+        rate_mbps = min(scenario.min_load_mbps, LEVEL_LOADS_MBPS["high"])
         pace_us = self.span * scenario.mean_packet_bytes * 8.0 / rate_mbps
         return self.latency_slack * pace_us
 

@@ -31,11 +31,6 @@ from repro.sim.rng import RngStreams
 
 SECONDS_PER_DAY = 86_400.0
 
-#: The NPU-regime load the day's busiest traffic maps to: 1.6 Gbit/s
-#: drives the IXP1200-class model past saturation, as the paper's high
-#: samples do.
-NPU_PEAK_MBPS = 1600.0
-
 #: Offered load (Mbps) of each named traffic level.  ``high`` is the
 #: near-saturation sample the TDVS/EDVS sweeps use; ``med``/``low``
 #: match the medium/low samples of Figure 11.

@@ -10,11 +10,8 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments import get_experiment, list_experiments, run_experiment
 from repro.api import EventHooks, Session, StorePolicy
-from repro.experiments.common import (
-    TDVS_THRESHOLDS_MBPS,
-    TDVS_WINDOWS_CYCLES,
-    tdvs_design_space,
-)
+from repro.config import TDVS_THRESHOLDS_MBPS, TDVS_WINDOWS_CYCLES
+from repro.experiments.common import tdvs_design_space
 from repro.sweep import ResultStore
 
 
