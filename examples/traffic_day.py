@@ -1,31 +1,22 @@
 #!/usr/bin/env python3
-"""The traffic substrate: a synthetic NLANR-like day, sampled and replayed.
+"""The traffic substrate: a synthetic NLANR-like day and its sampled levels.
 
 1. Builds the diurnal day model and prints a Figure 2-style max/med/min
    table (with an ASCII sparkline of the median).
 2. Prints the high/medium/low loads a named level offers (the loads
    every figure plots).
 3. Plays a few milliseconds of the high level through the traffic
-   source every run uses, writes the packets to a portable CSV trace,
-   reads them back, and verifies the replay is byte-identical — the
-   workflow for pinning experiment inputs.
+   source every run uses, and reports the load it measured and how the
+   packets spread over the ports.
 
 Run:  python examples/traffic_day.py
 """
-
-import io
 
 from repro.config import TrafficConfig
 from repro.runner import traffic_scenario
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.traffic import (
-    LEVEL_LOADS_MBPS,
-    DiurnalModel,
-    TrafficSource,
-    read_packet_trace,
-    write_packet_trace,
-)
+from repro.traffic import LEVEL_LOADS_MBPS, DiurnalModel, TrafficSource
 
 BARS = " .:-=+*#%@"
 
@@ -53,7 +44,7 @@ def main() -> None:
     for level in ("low", "med", "high"):
         print(f"  {level:4s}: {LEVEL_LOADS_MBPS[level]:7.0f} Mbps")
 
-    # A level:high run plays a one-segment scenario; generate and replay it.
+    # A level:high run plays a one-segment scenario; generate it.
     high = traffic_scenario(TrafficConfig(level="high", offered_load_mbps=None))
     (segment,) = high.segments
     print(f"  high plays {segment.process}, burst ratio {segment.burst_ratio}, "
@@ -70,14 +61,6 @@ def main() -> None:
     sim.run()
     print(f"\ngenerated {len(packets)} packets in 3 ms "
           f"({source.offered_load_bps / 1e6:.0f} Mbps measured)")
-
-    buffer = io.StringIO()
-    write_packet_trace(packets, buffer)
-    buffer.seek(0)
-    replayed = list(read_packet_trace(buffer))
-    assert replayed == packets
-    print(f"trace round-trip OK: {len(replayed)} packets identical after "
-          f"CSV write/read")
     ports = {}
     for packet in packets:
         ports[packet.input_port] = ports.get(packet.input_port, 0) + 1

@@ -12,8 +12,7 @@ are not redistributable, so this subpackage synthesizes equivalent input:
   arrival processes, and the piecewise process that sequences them;
 * :mod:`~repro.traffic.sizes` — IMIX-style packet-size mixes;
 * :mod:`~repro.traffic.generator` — the simulator-bound packet source
-  feeding the NPU's 16 device ports, playing timed phases;
-* :mod:`~repro.traffic.trace_file` — portable on-disk packet traces.
+  feeding the NPU's 16 device ports, playing timed phases.
 """
 
 from repro.traffic.arrivals import (
@@ -27,7 +26,6 @@ from repro.traffic.diurnal import LEVEL_LOADS_MBPS, DiurnalBucket, DiurnalModel
 from repro.traffic.generator import TrafficSource
 from repro.traffic.packet import FlowPool, Packet
 from repro.traffic.sizes import IMIX_CLASSIC, PacketSizeMix
-from repro.traffic.trace_file import read_packet_trace, write_packet_trace
 
 __all__ = [
     "ConstantBitRate",
@@ -43,6 +41,4 @@ __all__ = [
     "PoissonProcess",
     "TrafficSource",
     "arrival_process",
-    "read_packet_trace",
-    "write_packet_trace",
 ]

@@ -1,12 +1,11 @@
 """Tests for the traffic substrate: packets, sizes, arrivals, diurnal."""
 
-import io
 import random
 
 import pytest
 
 from repro.config import TrafficConfig
-from repro.errors import ConfigError, TraceError, TrafficError
+from repro.errors import ConfigError, TrafficError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic.arrivals import (
@@ -19,7 +18,6 @@ from repro.traffic.diurnal import LEVEL_LOADS_MBPS, DiurnalModel
 from repro.traffic.generator import TrafficSource
 from repro.traffic.packet import FlowPool, Packet
 from repro.traffic.sizes import ALL_MINIMUM, IMIX_CLASSIC, PacketSizeMix
-from repro.traffic.trace_file import read_packet_trace, write_packet_trace
 
 
 def make_packet(seq=0, size=500, **kw):
@@ -254,42 +252,3 @@ class TestTrafficSource:
         source.start()
         with pytest.raises(TrafficError):
             source.start()
-
-
-class TestPacketTraceFile:
-    def test_round_trip(self):
-        packets = [make_packet(seq=k, size=100 + k) for k in range(10)]
-        buffer = io.StringIO()
-        count = write_packet_trace(packets, buffer)
-        assert count == 10
-        buffer.seek(0)
-        back = list(read_packet_trace(buffer))
-        assert back == packets
-
-    def test_file_round_trip(self, tmp_path):
-        path = str(tmp_path / "packets.csv")
-        packets = [make_packet(seq=k) for k in range(5)]
-        write_packet_trace(packets, path)
-        assert list(read_packet_trace(path)) == packets
-
-    def test_header_is_the_column_list(self):
-        buffer = io.StringIO()
-        write_packet_trace([make_packet()], buffer)
-        header = buffer.getvalue().splitlines()[0]
-        assert header == (
-            "seq,arrival_ps,size_bytes,src_ip,dst_ip,src_port,dst_port,"
-            "protocol,flow_id,input_port"
-        )
-
-    def test_retired_payload_column_refused(self):
-        old = io.StringIO(
-            "seq,arrival_ps,size_bytes,src_ip,dst_ip,src_port,dst_port,"
-            "protocol,flow_id,input_port,payload_seed\n"
-            "0,1000,500,1,2,1234,80,6,0,3,42\n"
-        )
-        with pytest.raises(TraceError, match="'payload_seed' is retired"):
-            list(read_packet_trace(old))
-
-    def test_unknown_header_refused(self):
-        with pytest.raises(TraceError, match="header seq,when is not"):
-            list(read_packet_trace(io.StringIO("seq,when\n")))
