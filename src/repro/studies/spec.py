@@ -17,10 +17,11 @@ own traffic shape::
 
 i.e. forwarding ``span`` packets may take at most ``latency_slack``
 times as long as the scenario's *quietest* phase offers them (capped at
-the near-saturation ``high`` level's load).  A governor that underclocks so hard the chip falls
-behind even that pace violates the bound; MMPP burst noise is absorbed
-by tolerating a bounded fraction of violating instances
-(``max_violation_fraction`` — a 95th-percentile-style bound by default).
+the near-saturation ``high`` level's load).  A governor that
+underclocks so hard the chip falls behind even that pace violates the
+bound; MMPP burst noise is absorbed by tolerating a bounded fraction of
+violating instances (``max_violation_fraction`` — a 95th-percentile-style
+bound by default).
 A zero-tolerance forwarding-counter sanity check rides along, in the
 style of the paper's original trace checkers.
 """

@@ -9,7 +9,7 @@ processes and hash stably for result caching.
 
 Traffic axis entries are compact tokens::
 
-    level:high            # named level: its load of LEVEL_LOADS_MBPS
+    level:high            # named level (repro.traffic.diurnal.LEVEL_LOADS_MBPS)
     load:1000             # explicit offered Mbps
     scenario:flash_crowd  # catalog scenario (repro.scenarios)
 

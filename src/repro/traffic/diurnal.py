@@ -20,6 +20,7 @@ level (``TrafficConfig(level=...)``, a sweep's ``level:`` token) offers
 these loads.  The catalog's diurnal replays scale the day curve itself
 into the same regime (:mod:`repro.scenarios.catalog`).
 """
+
 from __future__ import annotations
 
 import math
@@ -156,4 +157,3 @@ def _raised_cosine(hours: float, center: float, width: float) -> float:
     if distance >= width:
         return 0.0
     return 0.5 * (1.0 + math.cos(math.pi * distance / width))
-
