@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Type, TypeVar
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TrafficError
 
 if TYPE_CHECKING:
     from repro.scenarios.spec import ScenarioSegment
@@ -432,7 +432,6 @@ class TrafficConfig(_Base):
         # What the run plays must be valid: a catalog entry, or the one
         # segment of the single-rate fields (its MMPP shape included).
         # Imported lazily: repro.scenarios builds on this module.
-        from repro.errors import TrafficError
         from repro.scenarios.catalog import get_scenario
 
         try:

@@ -93,8 +93,7 @@ class Job:
             config.validate()
             config = config.to_dict()
         else:
-            RunConfig.from_dict(config)  # validates (and normalizes errors)
-            config = plain(config)  # the job's own, whatever the caller does
+            config = _checked(plain(config))  # the job's own, whatever the caller does
         checks = tuple(checks)
         _validate_checks(checks)
         scenario = None
@@ -293,7 +292,7 @@ class SweepSpec:
                         if self.base:
                             config_dict = config.to_dict()
                             config_dict.update(plain(self.base))
-                            RunConfig.from_dict(config_dict)  # validates the merge
+                            _checked(config_dict)
                         else:
                             config.validate()
                             config_dict = config.to_dict()
@@ -314,6 +313,19 @@ class SweepSpec:
                         seen.add(job.job_id)
                         jobs.append(job)
         return jobs
+
+
+def _checked(config: Dict[str, Any]) -> Dict[str, Any]:
+    """Validate a config dict in place and return it.
+
+    A named level's traffic is rewritten as the load it plays, as
+    :class:`~repro.config.TrafficConfig` resolves it, so the job id
+    hashes that load whether the job came from a config or a dict.
+    """
+    traffic = RunConfig.from_dict(config).traffic
+    if (config.get("traffic") or {}).get("level") is not None:
+        config["traffic"] = traffic.to_dict()
+    return config
 
 
 def _validate_checks(checks: Sequence[str]) -> None:

@@ -135,11 +135,22 @@ class TestTrafficTokens:
         assert job.config["traffic"] == figure.config["traffic"]
         assert job.job_id == figure.job_id
 
-    def test_repointing_a_level_changes_its_job_id(self, monkeypatch):
-        spec = SweepSpec(traffic=("level:high",))
-        (before,) = spec.jobs()
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SweepSpec(traffic=("level:high",)).jobs()[0],
+            lambda: Job.build({"traffic": {"level": "high", "offered_load_mbps": None}}),
+            lambda: SweepSpec(
+                base={"traffic": {"level": "high", "offered_load_mbps": None}}
+            ).jobs()[0],
+        ],
+        ids=["token", "dict", "base"],
+    )
+    def test_repointing_a_level_changes_its_job_id(self, build, monkeypatch):
+        before = build()
         monkeypatch.setitem(LEVEL_LOADS_MBPS, "high", 1500.0)
-        (after,) = spec.jobs()
+        after = build()
+        assert after.config["traffic"]["level"] is None
         assert after.config["traffic"]["offered_load_mbps"] == 1500.0
         assert after.job_id != before.job_id
 
