@@ -316,11 +316,11 @@ class SweepSpec:
 
 
 def _checked(config: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate a config dict in place and return it.
+    """Validate a config dict and return it, a named level as its load.
 
-    A named level's traffic is rewritten as the load it plays, as
-    :class:`~repro.config.TrafficConfig` resolves it, so the job id
-    hashes that load whether the job came from a config or a dict.
+    A traffic dict that names a level is replaced by the traffic
+    :class:`~repro.config.TrafficConfig` resolves from it, so a job id
+    hashes the load whether the job came from a config or a dict.
     """
     traffic = RunConfig.from_dict(config).traffic
     if (config.get("traffic") or {}).get("level") is not None:
