@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from repro.config import TrafficConfig
+from repro.config import RunConfig, TrafficConfig
 from repro.errors import ConfigError, TrafficError
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
+from repro.sweep.spec import Job
 from repro.traffic.arrivals import (
     ConstantBitRate,
     MmppProcess,
@@ -192,6 +193,14 @@ class TestLevels:
         for level, load in LEVEL_LOADS_MBPS.items():
             traffic = TrafficConfig(level=level, offered_load_mbps=None)
             assert (traffic.level, traffic.offered_load_mbps) == (None, load)
+
+    def test_level_loads_round_trip_through_mbps(self):
+        # A single-rate run's segment holds the level's load in Mbps, also
+        # once a worker rebuilds the run from the job's config dict.
+        for level, load in LEVEL_LOADS_MBPS.items():
+            traffic = TrafficConfig(level=level, offered_load_mbps=None)
+            job = Job.build(RunConfig(traffic=traffic))
+            assert job.run_config().traffic.segment().offered_load_mbps == load
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ConfigError, match="known: \\['high', 'low', 'med'\\]"):
